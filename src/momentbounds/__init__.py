@@ -15,17 +15,9 @@ from .bounds import (
     reproduce_table,
 )
 from .kernels import (
-    DensityValue,
-    DensityValue2D,
     SymmetryGroup,
-    density_W1,
-    density_W2,
     expectation_1level,
     expectation_2level,
-    kernel_K,
-    kernel_K_eps,
-    raw_to_centered,
-    raw_to_centered3,
 )
 from .moments import (
     Matching,
@@ -48,8 +40,6 @@ from .quadrature import (
     QuadratureError,
     QuadratureSettings,
     integrate,
-    integrate_2d,
-    integrate_sinc_weighted,
 )
 from .rmt import (
     EnsembleSpec,
@@ -75,8 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundCandidate",
     "BoundResult",
-    "DensityValue",
-    "DensityValue2D",
     "EmpiricalMoments",
     "EnsembleSpec",
     "GeneratorBasis",
@@ -99,18 +87,12 @@ __all__ = [
     "bound_level2",
     "bound_moment",
     "centered_moment",
-    "density_W1",
-    "density_W2",
     "empirical_moments",
     "enumerate_matchings",
     "expectation_1level",
     "expectation_2level",
     "from_spec_string",
     "integrate",
-    "integrate_2d",
-    "integrate_sinc_weighted",
-    "kernel_K",
-    "kernel_K_eps",
     "linear_statistic",
     "make_from_generator",
     "make_naive",
@@ -118,8 +100,6 @@ __all__ = [
     "objective",
     "predicted_moment",
     "r_term",
-    "raw_to_centered",
-    "raw_to_centered3",
     "reproduce_table",
     "sample_haar",
     "search",

@@ -1,4 +1,5 @@
-"""Limiting eigenvalue densities of the classical compact groups.
+"""Test-function expectations against the limiting eigenvalue densities
+of the classical compact groups.
 
 The one- and two-level densities are built from the sine kernel
 ``K(y) = sin(pi y)/(pi y)`` and its reflections
@@ -11,22 +12,19 @@ The one- and two-level densities are built from the sine kernel
 * U: ``det(K_0)``,
 * Sp: ``det(K_-1)``.
 
-Expectations of test-function sums against these densities are computed
-in transform space wherever the transform is available: for compactly
-supported ``phihat`` the oscillatory factor ``sin(2 pi x)/(2 pi x)``
-integrates exactly to ``(1/2) int_{-1}^{1} phihat``, which removes all
-oscillation from the quadrature.  The SO(odd) two-level point masses are
-reduced analytically to one-dimensional integrals.
+The densities are never evaluated pointwise: every expectation is
+computed in transform space.  For compactly supported ``phihat`` the
+oscillatory factor ``sin(2 pi x)/(2 pi x)`` integrates exactly to
+``(1/2) int_{-1}^{1} phihat``, which removes all oscillation from the
+quadrature.  The SO(odd) two-level point masses are reduced analytically
+to one-dimensional integrals.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-import numpy as np
-
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate, integrate_2d
+from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate
 from .testfunc import TestFunction
 
 
@@ -55,76 +53,6 @@ class SymmetryGroup(enum.Enum):
         if self is SymmetryGroup.SO_ODD:
             return 1
         return None
-
-
-@dataclass(frozen=True)
-class DensityValue:
-    """A density evaluated at a point: smooth part plus origin point mass."""
-
-    smooth_part: float
-    delta_weight: float = 0.0
-
-
-@dataclass(frozen=True)
-class DensityValue2D:
-    """Two-level density at (x, y): smooth part plus the two delta minors.
-
-    The point-mass terms are ``delta_x_weight * delta(x)`` and
-    ``delta_y_weight * delta(y)``; the weights depend on the other
-    coordinate.
-    """
-
-    smooth_part: float
-    delta_x_weight: float = 0.0
-    delta_y_weight: float = 0.0
-
-
-def kernel_K(y) -> np.ndarray:
-    """Sine kernel sin(pi y)/(pi y), value 1 at y = 0."""
-    return np.sinc(np.asarray(y, dtype=float))
-
-
-def kernel_K_eps(eps: int, x, y) -> np.ndarray:
-    """K(x - y) + eps * K(x + y) for eps in {-1, 0, 1}."""
-    if eps not in (-1, 0, 1):
-        raise ValueError("eps must be -1, 0 or 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return kernel_K(x - y) + eps * kernel_K(x + y)
-
-
-def density_W1(group: SymmetryGroup, x: float) -> DensityValue:
-    """One-level density of the given group at x."""
-    s = float(kernel_K(2.0 * x))  # K_eps(x, x) = 1 + eps*K(2x)
-    if group is SymmetryGroup.SO_EVEN:
-        return DensityValue(1.0 + s)
-    if group is SymmetryGroup.SO_ODD:
-        return DensityValue(1.0 - s, delta_weight=1.0)
-    if group is SymmetryGroup.O:
-        return DensityValue(1.0, delta_weight=0.5)
-    if group is SymmetryGroup.U:
-        return DensityValue(1.0)
-    return DensityValue(1.0 - s)  # Sp
-
-
-def density_W2(group: SymmetryGroup, x: float, y: float) -> DensityValue2D:
-    """Two-level density at (x, y): 2x2 determinant plus SO(odd) minors."""
-    if group is SymmetryGroup.O:
-        even = density_W2(SymmetryGroup.SO_EVEN, x, y)
-        odd = density_W2(SymmetryGroup.SO_ODD, x, y)
-        return DensityValue2D(
-            0.5 * (even.smooth_part + odd.smooth_part),
-            0.5 * odd.delta_x_weight,
-            0.5 * odd.delta_y_weight,
-        )
-    eps = {SymmetryGroup.SO_EVEN: 1, SymmetryGroup.SO_ODD: -1, SymmetryGroup.U: 0, SymmetryGroup.SP: -1}[group]
-    kxx = float(kernel_K_eps(eps, x, x))
-    kyy = float(kernel_K_eps(eps, y, y))
-    kxy = float(kernel_K_eps(eps, x, y))
-    det = kxx * kyy - kxy * kxy
-    if group is SymmetryGroup.SO_ODD:
-        return DensityValue2D(det, delta_x_weight=kyy, delta_y_weight=kxx)
-    return DensityValue2D(det)
 
 
 def _half_transform_integral(
@@ -208,17 +136,13 @@ def _cross_transform_integral(
     if s1 + s2 <= 1.0:
         return 0.5 * tf1.phi0 * tf2.phi0
 
-    inner_settings = QuadratureSettings(
-        abs_tol=settings.abs_tol, rel_tol=settings.rel_tol, max_subdivisions=settings.max_subdivisions
-    )
-
     def inner(b: float) -> float:
         t = min(1.0 - abs(b), s1)
         if t <= 0.0:
             return 0.0
         kinks = [p for p in tf1.phihat_breakpoints() if 0.0 < p < t]
         val, _ = integrate(
-            lambda a: float(tf1.phihat(a)), 0.0, t, inner_settings, breakpoints=kinks
+            lambda a: float(tf1.phihat(a)), 0.0, t, settings, breakpoints=kinks
         )
         return 2.0 * val * float(tf2.phihat(b))
 
@@ -265,13 +189,3 @@ def expectation_2level(
         # delta(x) K_{-1}(y,y) and delta(y) K_{-1}(x,x) minors
         total += tf1.phi0 * i2 + tf2.phi0 * i1
     return total / norm
-
-
-def raw_to_centered(mu: float, mu2raw: float) -> float:
-    """Second centered moment from the raw second moment."""
-    return mu2raw - mu * mu
-
-
-def raw_to_centered3(mu: float, mu2raw: float, mu3raw: float) -> float:
-    """Third centered moment from the raw moments."""
-    return mu3raw - 3.0 * mu * mu2raw + 2.0 * mu**3

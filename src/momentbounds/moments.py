@@ -6,7 +6,8 @@ family statistic is, in the appropriate support regime,
 * even n = 2m: a sum over the (2m-1)!! perfect matchings of
   ``{1, ..., 2m}`` of products of pairwise variances
   ``sigma2(phi_a, phi_b)``, plus a sign-carrying correction term
-  ``R_n`` for the split families,
+  ``R_n`` for the split families (a compact transform-space integral,
+  see :func:`r_term`),
 * odd n: the correction term alone (or zero).
 
 Two support regimes are implemented:
@@ -27,13 +28,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .kernels import SymmetryGroup
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate_sinc_weighted
+from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
 from .testfunc import TestFunction, sigma2
 
 MAX_MATCHING_SIZE = 16  # 2m above this is refused: 15!! = 2027025 matchings
+
+# R grid: nodes k/m, m a multiple of the supports' common denominator when
+# that is at most _R_MAX_DENOMINATOR, starting with at least
+# _R_MIN_INTERVALS steps across the narrowest support.
+_R_MAX_DENOMINATOR = 1024
+_R_MIN_INTERVALS = 16
+_R_MAX_NODES = 2**18
 
 REGIMES = ("auto", "with_R", "mock_gaussian")
 
@@ -154,36 +165,63 @@ def _support_ok(tfs: Sequence[TestFunction], threshold: float) -> bool:
     return _max_support(tfs) <= threshold * (1.0 + 1e-12) + 1e-15
 
 
+def _tail_trapezoid(tfs: Sequence[TestFunction], m: int) -> float:
+    """Trapezoid value of ``int_1^inf (phihat_1 * ... * phihat_n)(y) dy`` on the grid y = k/m.
+
+    Each transform is sampled at the nodes of its support, the samples are
+    convolved by FFT (the discrete convolution is the trapezoid rule for
+    each convolution integral) and the nodes from y = 1 on are summed.
+    """
+    ks = [math.floor(tf.support_bound * m) for tf in tfs]
+    size = 2 * sum(ks) + 1
+    nfft = 1 << (size - 1).bit_length()
+    spectrum = np.ones(nfft // 2 + 1, dtype=complex)
+    for tf, k in zip(tfs, ks):
+        spectrum *= np.fft.rfft(tf.phihat(np.arange(-k, k + 1) / m), nfft)
+    tail = np.fft.irfft(spectrum, nfft)[sum(ks) + m : size]
+    return float(tail.sum() - 0.5 * tail[:1].sum()) / m ** len(tfs)
+
+
+def _r_grid(supports: Sequence[float]) -> tuple[int, bool]:
+    """Starting nodes per unit m, and whether every support end is a node k/m."""
+    q = math.lcm(*(Fraction(s).limit_denominator(_R_MAX_DENOMINATOR).denominator for s in supports))
+    aligned = q <= _R_MAX_DENOMINATOR and all(abs(s * q - round(s * q)) <= 1e-9 for s in supports)
+    m = q if aligned else 1
+    while m * min(supports) < _R_MIN_INTERVALS and m < _R_MAX_NODES:
+        m *= 2
+    return m, aligned
+
+
 def r_term(
     tfs: Sequence[TestFunction],
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Correction term splitting the even from the odd family:
+    ``R = (-1)^n 2^(n-1) int_1^S (phihat_1 * ... * phihat_n)(y) dy``, S the
+    sum of the transform supports, so R is exactly 0 when S <= 1.
 
-    ``(-1)^(n-1) 2^(n-1) [ int prod_j phi_j(x) sin(2 pi x)/(2 pi x) dx
-    - (1/2) prod_j phi_j(0) ]``.
+    The grid step 1/m is halved until two levels agree within
+    ``rel_tol * 2^(n-1) prod_j phi_j(0)``; when every support end is a
+    node, the error expands in even powers of the step and the two
+    levels are Richardson-extrapolated.
     """
-    tfs = tuple(tfs)
     n = len(tfs)
     if n < 2:
         raise ValueError("r_term needs at least two test functions")
-
-    def product(x: float) -> float:
-        out = 1.0
-        for tf in tfs:
-            out *= float(tf.phi(x))
-        return out
-
-    def decay(x: float) -> float:
-        out = 1.0
-        for tf in tfs:
-            out *= float(tf.phi_decay_bound(x))
-        return out
-
-    sinc_integral = integrate_sinc_weighted(product, decay, settings)
-    phi0_product = math.prod(tf.phi0 for tf in tfs)
-    prefactor = (-1.0) ** (n - 1) * 2.0 ** (n - 1)
-    return prefactor * (sinc_integral - 0.5 * phi0_product)
+    supports = [tf.support_bound for tf in tfs]
+    if math.fsum(supports) <= 1.0 + 1e-12:
+        return 0.0
+    prefactor = (-1.0) ** n * 2.0 ** (n - 1)
+    tol = settings.rel_tol * abs(prefactor * math.prod(tf.phi0 for tf in tfs))
+    m, aligned = _r_grid(supports)
+    value, err = prefactor * _tail_trapezoid(tfs, m), math.inf
+    while 2 * m <= _R_MAX_NODES:
+        m *= 2
+        coarse, value = value, prefactor * _tail_trapezoid(tfs, m)
+        err = abs(value - coarse)
+        if err <= tol:
+            return value + (value - coarse) / 3.0 if aligned else value
+    raise QuadratureError(f"R not within {tol:.3e} at grid step 1/{m}", value, err)
 
 
 def _resolve_regime(req: MomentRequest) -> str:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .bounds import bound_moment
+from .bounds import RankTooSmallError, bound_moment
 from .kernels import SymmetryGroup
 from .moments import SupportRegimeError
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
@@ -190,7 +190,7 @@ def objective(
         )
     except SupportRegimeError:
         return PENALTY_SCALE
-    except ValueError:
+    except RankTooSmallError:
         # rank below c_phi: penalize by the violation magnitude
         magnitude = 0.0
         for tf in slots:

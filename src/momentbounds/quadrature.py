@@ -1,17 +1,11 @@
 """Deterministic numerical integration engine.
 
-Three entry points cover every analytic formula in the package:
-
-* :func:`integrate` -- adaptive 1-D quadrature on a finite interval
-  (QUADPACK behind a uniform error contract),
-* :func:`integrate_sinc_weighted` -- integrals of the form
-  ``int_R F(x) * sin(2 pi x)/(2 pi x) dx`` for even ``F``.  The sinc
-  weight decays only like 1/x, which defeats generic adaptive
-  subdivision, so the real line is partitioned at the half-integer
-  zeros of sin(2 pi x) and the tail is certified with a bound built
-  from a caller-supplied integrable envelope of ``F``,
-* :func:`integrate_2d` -- tensor-product adaptive quadrature on a
-  rectangle.
+One entry point, :func:`integrate`: adaptive 1-D quadrature on a finite
+interval (QUADPACK behind a uniform error contract).  The package's
+formulas are compact integrals in transform space, so no infinite or
+oscillatory domain needs a path of its own.  :class:`QuadratureSettings`
+carries the error budget and :class:`QuadratureError` reports an
+integral that did not converge.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -22,7 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
 from scipy.integrate import quad
 
 
@@ -41,25 +34,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Error budget for a single integral.
-
-    ``tail_fraction`` controls truncation of infinite domains: the tail
-    is cut where its certified contribution drops below
-    ``abs_tol * tail_fraction``.
-    """
+    """Error budget for a single integral."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 200
-    tail_fraction: float = 0.1
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if not (0 < self.tail_fraction <= 1):
-            raise ValueError("tail_fraction must be in (0, 1]")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -115,105 +100,3 @@ def integrate(
             err_est=err,
         )
     return value, err
-
-
-def _sinc2(x: np.ndarray | float):
-    """sin(2 pi x) / (2 pi x), with the value 1 at x = 0."""
-    return np.sinc(2.0 * x)
-
-
-def integrate_sinc_weighted(
-    F: Callable[[float], float],
-    decay_bound: Callable[[float], float],
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Integral of ``F(x) * sin(2 pi x)/(2 pi x)`` over the whole line.
-
-    ``F`` must be even and dominated by ``decay_bound`` with a finite
-    tail integral; the envelope is what certifies truncation.  The
-    domain is split at the zeros x = k/2 of the weight so each panel is
-    non-oscillatory, and summation stops once both the alternating-series
-    bound (first omitted panel) and the absolute envelope bound for the
-    remaining tail fall below the truncation budget.
-    """
-    budget = settings.abs_tol * settings.tail_fraction
-
-    tail_cache: dict[float, float] = {}
-
-    def tail_integral(t: float) -> float:
-        if t not in tail_cache:
-            val, _, _info, *rest = quad(
-                decay_bound,
-                t,
-                np.inf,
-                epsabs=budget,
-                epsrel=1e-8,
-                limit=settings.max_subdivisions,
-                full_output=True,
-            )
-            if rest or not math.isfinite(val) or val < 0:
-                raise ValueError(
-                    "decay_bound is not integrable over the declared tail; "
-                    "cannot certify truncation"
-                )
-            tail_cache[t] = val
-        return tail_cache[t]
-
-    # Reject non-integrable envelopes up front.
-    tail_integral(1.0)
-
-    max_panels = max(64, 8 * settings.max_subdivisions)
-    panel_settings = QuadratureSettings(
-        abs_tol=settings.abs_tol * settings.tail_fraction,
-        rel_tol=settings.rel_tol,
-        max_subdivisions=settings.max_subdivisions,
-    )
-
-    half_total = 0.0
-    k = 0
-    while True:
-        a, b = 0.5 * k, 0.5 * (k + 1)
-        val, _ = integrate(lambda x: F(x) * float(_sinc2(x)), a, b, panel_settings)
-        half_total += val
-        k += 1
-        x0 = 0.5 * k
-        tail = tail_integral(x0)
-        # |sum of remaining panels| <= tail/(2 pi x0); the first omitted
-        # panel alone is bounded by (tail - tail(next zero))/(2 pi x0).
-        abs_bound = tail / (2.0 * math.pi * x0)
-        alt_bound = max(0.0, tail - tail_integral(x0 + 0.5)) / (2.0 * math.pi * x0)
-        if min(abs_bound, alt_bound) < budget:
-            break
-        if k >= max_panels:
-            raise QuadratureError(
-                f"sinc-weighted tail not certified after {k} panels",
-                best_estimate=2.0 * half_total,
-                err_est=abs_bound,
-            )
-    return 2.0 * half_total
-
-
-def integrate_2d(
-    f: Callable[[float, float], float],
-    box: tuple[tuple[float, float], tuple[float, float]],
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Tensor-product adaptive quadrature of ``f(x, y)`` over a rectangle.
-
-    ``box`` is ``((x_lo, x_hi), (y_lo, y_hi))``.  The inner integral runs
-    in x at a tightened tolerance so the outer y-integration sees an
-    effectively smooth integrand.
-    """
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    inner_settings = QuadratureSettings(
-        abs_tol=settings.abs_tol / max(1.0, (y_hi - y_lo)),
-        rel_tol=settings.rel_tol,
-        max_subdivisions=settings.max_subdivisions,
-    )
-
-    def marginal(y: float) -> float:
-        val, _ = integrate(lambda x: f(x, y), x_lo, x_hi, inner_settings)
-        return val
-
-    value, _ = integrate(marginal, y_lo, y_hi, settings)
-    return value

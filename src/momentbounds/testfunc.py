@@ -123,9 +123,7 @@ class TestFunction:
     """Base class: an admissible pair (phi, phihat).
 
     Subclasses provide vectorized ``phi``/``phihat``, the support bound
-    of the transform, a pointwise decay envelope for ``phi`` (used to
-    certify oscillatory tail truncation), and a round-trippable spec
-    string.
+    of the transform and a round-trippable spec string.
     """
 
     support_bound: float
@@ -144,9 +142,6 @@ class TestFunction:
     @property
     def phihat0(self) -> float:
         return float(self.phihat(0.0))
-
-    def phi_decay_bound(self, x) -> np.ndarray:
-        raise NotImplementedError
 
     def phihat_breakpoints(self) -> tuple[float, ...]:
         """Interior points of (0, support_bound) where phihat has kinks."""
@@ -172,12 +167,6 @@ class NaiveTestFunction(TestFunction):
     def phihat(self, y):
         y = np.abs(np.asarray(y, dtype=float))
         return np.where(y < self.v, (1.0 / self.v) * (1.0 - y / self.v), 0.0)
-
-    def phi_decay_bound(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            tail = 1.0 / (math.pi * self.v * np.abs(x)) ** 2
-        return np.minimum(1.0, tail)
 
 
 class GeneratorBackedTestFunction(TestFunction):
@@ -218,16 +207,6 @@ class GeneratorBackedTestFunction(TestFunction):
         self._phihat0 = int_g2
 
         self._spline = self._tabulate_phihat()
-
-        # Envelope |phi(x)| <= min(phi_max, C / x^2) from integration by
-        # parts of the transform (boundary values plus total variation).
-        ga = abs(float(generator.evaluate(np.nextafter(-h, 0.0))))
-        gb = abs(float(generator.evaluate(np.nextafter(h, 0.0))))
-        grid = np.linspace(-h, h, 4001)[1:-1]
-        tv = float(np.abs(np.diff(generator.evaluate(grid))).sum())
-        self._envelope_c = ((ga + gb + tv) / (2.0 * math.pi)) ** 2
-        self._phi_max = int_abs_g**2
-
         self.spec_string = _generator_spec_string(generator)
 
     def _autocorrelation(self, ys: np.ndarray) -> np.ndarray:
@@ -289,12 +268,6 @@ class GeneratorBackedTestFunction(TestFunction):
     @property
     def phihat0(self) -> float:
         return self._phihat0
-
-    def phi_decay_bound(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            tail = self._envelope_c / (x * x)
-        return np.minimum(self._phi_max, tail)
 
 
 def _grid_self_sigma2(spline: CubicSpline, two_h: float) -> float:

@@ -161,13 +161,13 @@ def test_criterion_6_property_suite(naive_slots):
     ]
     assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
     # scale invariance of the bound under generator rescaling
-    small = make_from_generator(GeneratorSpec("polynomial", (1.0,), 1.0 / 6.0))
-    large = make_from_generator(GeneratorSpec("polynomial", (3.0,), 1.0 / 6.0))
-    b_small = bound_moment((small, small), G.SO_EVEN, 20, regime="with_R").upper_bound
-    b_large = bound_moment((large, large), G.SO_EVEN, 20, regime="with_R").upper_bound
-    assert b_small == pytest.approx(b_large, rel=1e-9)
-    assert b_small == pytest.approx(
-        bound_moment(naive_slots, G.SO_EVEN, 20, regime="with_R").upper_bound, rel=1e-8
+    scaled = []
+    for c in (1e-2, 1.0, 3.0):
+        tf = make_from_generator(GeneratorSpec("polynomial", (c,), 1.0 / 6.0))
+        scaled.append(bound_moment((tf, tf), G.SO_EVEN, 20, regime="with_R").upper_bound)
+    assert scaled == pytest.approx([scaled[1]] * 3, rel=1e-9, abs=0)
+    assert scaled[1] == pytest.approx(
+        bound_moment(naive_slots, G.SO_EVEN, 20, regime="with_R").upper_bound, rel=1e-8, abs=0
     )
     # parity rejection
     with pytest.raises(ParityError):

@@ -114,20 +114,28 @@ def test_rank_monotonicity(naive_third):
 
 
 def test_scale_invariance_of_bounds():
-    # doubling the generator scales the test function by 4; every bound
-    # is invariant
-    small = make_from_generator(GeneratorSpec("polynomial", (1.0,), 0.125))
-    large = make_from_generator(GeneratorSpec("polynomial", (2.0,), 0.125))
-    assert large.phi0 == pytest.approx(4.0 * small.phi0, rel=1e-12)
-    b1 = bound_moment((small, small), G.SO_EVEN, 20, regime="with_R").upper_bound
-    b2 = bound_moment((large, large), G.SO_EVEN, 20, regime="with_R").upper_bound
-    assert b1 == pytest.approx(b2, rel=1e-9)
-    l1a = bound_level1(small, G.SO_EVEN, 6).upper_bound
-    l1b = bound_level1(large, G.SO_EVEN, 6).upper_bound
-    assert l1a == pytest.approx(l1b, rel=1e-9)
-    l2a = bound_level2(small, small, G.SO_EVEN, 6).upper_bound
-    l2b = bound_level2(large, large, G.SO_EVEN, 6).upper_bound
-    assert l2a == pytest.approx(l2b, rel=1e-9)
+    # g -> c g scales the test function by c^2; every bound is invariant.
+    # The supports of four such functions sum to 4/3, so R enters the moment.
+    def bounds(c):
+        tf = make_from_generator(GeneratorSpec("polynomial", (c,), 1.0 / 6.0))
+        return (
+            bound_moment((tf, tf), G.SO_EVEN, 20, regime="with_R").upper_bound,
+            bound_level1(tf, G.SO_EVEN, 6).upper_bound,
+            bound_level2(tf, tf, G.SO_EVEN, 6).upper_bound,
+        )
+
+    reference = bounds(1.0)
+    for c in (1e-2, 3.0):
+        assert bounds(c) == pytest.approx(reference, rel=1e-10, abs=0)
+
+
+def test_with_r_equals_mock_gaussian_when_supports_sum_to_one(gen_sinx2):
+    # four copies of support 1/4: R vanishes identically
+    slots = (gen_sinx2, gen_sinx2)
+    with_r = bound_moment(slots, G.SO_EVEN, 20, regime="with_R")
+    mock = bound_moment(slots, G.SO_EVEN, 20, regime="mock_gaussian")
+    assert with_r.upper_bound == mock.upper_bound
+    assert with_r.upper_bound == pytest.approx(3.09e-5, rel=1e-3)
 
 
 def test_indicator_generator_matches_naive_bound(naive_third):

@@ -1,84 +1,16 @@
-"""Densities and expectations: closed forms and a brute-force 2-D oracle."""
+"""Expectations: closed forms and a brute-force 2-D oracle."""
 
 import numpy as np
 import pytest
 
 from momentbounds import (
     SymmetryGroup,
-    density_W1,
-    density_W2,
     expectation_1level,
     expectation_2level,
-    kernel_K,
-    kernel_K_eps,
     make_naive,
-    raw_to_centered,
-    raw_to_centered3,
 )
 
 G = SymmetryGroup
-
-
-def test_kernel_values():
-    assert float(kernel_K(0.0)) == 1.0
-    assert float(kernel_K(1.0)) == pytest.approx(0.0, abs=1e-15)
-    x = 0.37
-    assert float(kernel_K_eps(1, x, x)) == pytest.approx(
-        1.0 + np.sin(2 * np.pi * x) / (2 * np.pi * x), abs=1e-14
-    )
-    with pytest.raises(ValueError):
-        kernel_K_eps(2, 0.0, 0.0)
-
-
-def test_density_w1_values():
-    for x in (0.0, 0.3, 1.7):
-        assert density_W1(G.U, x).smooth_part == 1.0
-        assert density_W1(G.U, x).delta_weight == 0.0
-    assert density_W1(G.SO_EVEN, 0.0).smooth_part == pytest.approx(2.0)
-    assert density_W1(G.SO_EVEN, 0.0).delta_weight == 0.0
-    odd = density_W1(G.SO_ODD, 0.0)
-    assert odd.smooth_part == pytest.approx(0.0, abs=1e-15)
-    assert odd.delta_weight == 1.0
-    o = density_W1(G.O, 0.0)
-    assert o.smooth_part == pytest.approx(1.0)
-    assert o.delta_weight == 0.5
-    sp = density_W1(G.SP, 0.2)
-    assert sp.smooth_part == pytest.approx(1.0 - float(kernel_K(0.4)), abs=1e-14)
-
-
-def test_densities_even_in_each_argument():
-    xs = np.linspace(-2.0, 2.0, 41)
-    for g in G:
-        for x in xs:
-            assert density_W1(g, x).smooth_part == pytest.approx(
-                density_W1(g, -x).smooth_part, abs=1e-14
-            )
-    for g in G:
-        for x, y in [(0.3, 0.9), (1.1, -0.4), (0.0, 0.7)]:
-            ref = density_W2(g, x, y).smooth_part
-            # joint reflection and exchange hold for every group; the
-            # unitary kernel depends on x - y only, so per-argument
-            # evenness is specific to the reflection-symmetric groups
-            assert density_W2(g, -x, -y).smooth_part == pytest.approx(ref, abs=1e-13)
-            assert density_W2(g, y, x).smooth_part == pytest.approx(ref, abs=1e-13)
-            if g is not G.U:
-                assert density_W2(g, -x, y).smooth_part == pytest.approx(ref, abs=1e-13)
-                assert density_W2(g, x, -y).smooth_part == pytest.approx(ref, abs=1e-13)
-
-
-def test_w2_smooth_part_vanishes_on_diagonal():
-    for g in G:
-        for x in (0.0, 0.21, 0.9, 2.3):
-            assert density_W2(g, x, x).smooth_part == pytest.approx(0.0, abs=1e-13)
-
-
-def test_w2_so_odd_delta_minors():
-    x, y = 0.3, 0.8
-    val = density_W2(G.SO_ODD, x, y)
-    assert val.delta_x_weight == pytest.approx(float(kernel_K_eps(-1, y, y)), abs=1e-14)
-    assert val.delta_y_weight == pytest.approx(float(kernel_K_eps(-1, x, x)), abs=1e-14)
-    o = density_W2(G.O, x, y)
-    assert o.delta_x_weight == pytest.approx(0.5 * val.delta_x_weight, abs=1e-14)
 
 
 # ---- one-level expectations ----
@@ -176,29 +108,4 @@ def test_expectation_2level_asymmetric_slots():
     a, b = make_naive(0.5), make_naive(0.25)
     assert expectation_2level(a, b, G.SO_ODD) == pytest.approx(
         expectation_2level(b, a, G.SO_ODD), rel=1e-10
-    )
-
-
-# ---- raw/centered conversions ----
-
-
-def test_raw_to_centered_trivial():
-    assert raw_to_centered(0.0, 1.7) == 1.7
-    assert raw_to_centered(1.0, 1.0) == 0.0
-    assert raw_to_centered3(0.0, 0.0, 2.5) == 2.5
-
-
-def test_raw_to_centered3_constant_variable():
-    # X identically 2: mu=2, mu2'=4... use the quoted example 14 - 30 + 16 = 0
-    assert raw_to_centered3(2.0, 5.0, 14.0) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_raw_to_centered_matches_direct_computation(rng):
-    xs = rng.normal(size=500) * 1.3 + 0.7
-    mu = xs.mean()
-    mu2 = float((xs**2).mean())
-    mu3 = float((xs**3).mean())
-    assert raw_to_centered(mu, mu2) == pytest.approx(float(((xs - mu) ** 2).mean()), rel=1e-12)
-    assert raw_to_centered3(mu, mu2, mu3) == pytest.approx(
-        float(((xs - mu) ** 3).mean()), abs=1e-12
     )

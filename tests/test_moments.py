@@ -1,17 +1,23 @@
 """Matchings, the correction term, and centered moments."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from momentbounds import (
+    GeneratorSpec,
     MomentRequest,
+    QuadratureError,
+    QuadratureSettings,
     SupportRegimeError,
     SymmetryGroup,
     centered_moment,
     enumerate_matchings,
+    make_from_generator,
     make_naive,
     r_term,
     sigma2,
@@ -78,20 +84,117 @@ def test_matching_type_validates_partition():
 # ---- correction term ----
 
 
+def _scale(tfs) -> float:
+    """2^(n-1) prod phi_j(0), the natural size of R."""
+    return 2.0 ** (len(tfs) - 1) * math.prod(tf.phi0 for tf in tfs)
+
+
 def test_r_term_prefactor_signs(naive_third):
-    # (-1)^(n-1) 2^(n-1): -2, +4, -8 for n = 2, 3, 4.  With the last
-    # function replaced by a wide one the bracket stays negative, so the
-    # sign of R alternates accordingly; easiest structural check is the
-    # exactly-solvable family below.
+    # R = (-1)^n 2^(n-1) int_1^S (phihat_1 * ... * phihat_n): +2, -4, +8
+    # for n = 2, 3, 4 times a non-negative tail
     tfs3 = [naive_third] * 3
-    assert r_term(tfs3) == pytest.approx(0.0, abs=1e-10)  # transform tail empty
+    assert r_term(tfs3) == 0.0  # supports sum to 1: the transform tail is empty
     tfs4 = [naive_third] * 4
-    assert r_term(tfs4) == pytest.approx(R4_NAIVE_THIRD, abs=1e-9)
+    assert abs(r_term(tfs4) - R4_NAIVE_THIRD) <= 1e-12 * _scale(tfs4)
     # n = 2 with v = 1: the self-convolved triangle is the density of a
     # sum of four uniforms on (-1/2, 1/2), so the tail beyond 1 is the
     # Irwin-Hall tail 2 * P(S_4 > 1) = 2 / 4! = 1/12
-    r2 = r_term([make_naive(1.0), make_naive(1.0)])
-    assert r2 == pytest.approx(1.0 / 12.0, abs=1e-9)
+    tfs2 = [make_naive(1.0), make_naive(1.0)]
+    assert abs(r_term(tfs2) - 1.0 / 12.0) <= 1e-12 * _scale(tfs2)
+
+
+def _irwin_hall_r(n: int, q: int) -> Fraction:
+    """R of n copies of naive:v=1/q, exactly.
+
+    Each triangle is the density of (U + U')/q with U, U' uniform on
+    (-1/2, 1/2), so R = (-1)^n 2^(n-1) P(U_1 + ... + U_2n > q).
+    """
+    count = 2 * n
+    x = Fraction(count, 2) - q  # P(sum > q) = P(Irwin-Hall sum < n - q) by symmetry
+    cdf = sum(
+        (-1) ** k * math.comb(count, k) * (x - k) ** count for k in range(math.floor(x) + 1)
+    ) / math.factorial(count)
+    return (-1) ** n * 2 ** (n - 1) * cdf
+
+
+@pytest.mark.parametrize("n,q", [(2, 1), (4, 3), (6, 5), (8, 7)])
+def test_r_term_irwin_hall_oracle(n, q):
+    tfs = [make_naive(1.0 / q)] * n
+    matching_sum = double_factorial(n - 1) / 3.0 ** (n // 2)
+    assert abs(r_term(tfs) - float(_irwin_hall_r(n, q))) <= 1e-10 * matching_sum
+
+
+def test_r_term_exactly_zero_when_supports_sum_to_one(gen_sinx2):
+    # 10 distinct Fejer functions: supports sum to about 0.72
+    tfs = tuple(make_naive(1.0 / q) for q in range(10, 20))
+    res = centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="with_R"))
+    assert res.r_term == 0.0
+    assert res.value == res.matching_sum
+    # generator functions whose supports sum to exactly 1
+    cos1 = make_from_generator(GeneratorSpec("cosine-series", (1.0,), 1.0 / 6.0))
+    assert r_term([gen_sinx2] * 4) == 0.0
+    assert r_term([cos1] * 3) == 0.0
+
+
+def _brute_r(phis, L: float = 100.0, step: float = 0.125) -> float:
+    """x-space R by a midpoint Riemann sum:
+
+    (-1)^(n-1) 2^(n-1) [int prod_j phi_j(x) sin(2 pi x)/(2 pi x) dx - prod_j phi_j(0) / 2].
+
+    The integrand's transform vanishes outside |y| < S + 1 < 1/step, so
+    the sum is exact up to the truncation at |x| = L, where the integrand
+    has decayed like |x|^(-2n-1).
+    """
+    x = (np.arange(-int(L / step), int(L / step)) + 0.5) * step
+    product = np.prod([phi(x) for phi in phis], axis=0)
+    phi0 = math.prod(float(phi(np.zeros(1))[0]) for phi in phis)
+    n = len(phis)
+    sinc_integral = step * float((product * np.sinc(2.0 * x)).sum())
+    return (-1.0) ** (n - 1) * 2.0 ** (n - 1) * (sinc_integral - 0.5 * phi0)
+
+
+def _naive_phi(v):
+    return lambda x: np.sinc(v * x) ** 2
+
+
+def _linear_generator_phi(h):
+    """|transform of g|^2 for g(t) = 1 - 2t on (-h, h), in closed form."""
+
+    def phi(x):
+        w = 2.0 * np.pi * x
+        even = 2.0 * h * np.sinc(2.0 * h * x)  # int cos(w t) dt
+        # int t sin(w t) dt, which vanishes at w = 0
+        odd = np.divide(
+            2.0 * (np.sin(w * h) - w * h * np.cos(w * h)), w * w, out=np.zeros_like(w), where=w != 0
+        )
+        return even**2 + 4.0 * odd**2
+
+    return phi
+
+
+def _sinx2_phi(h):
+    """|transform of sin(t^2) on (-h, h)|^2 by a 200-node Gauss-Legendre rule."""
+    t, w = np.polynomial.legendre.leggauss(200)
+    t, w = t * h, w * h
+    return lambda x: (np.cos(2.0 * np.pi * np.multiply.outer(x, t)) @ (w * np.sin(t * t))) ** 2
+
+
+def test_r_term_mixed_generator_matches_x_space_riemann():
+    tfs = [
+        make_from_generator(GeneratorSpec("polynomial", (1.0, -2.0), 0.25)),
+        make_naive(0.5),
+        make_naive(1.0 / 3.0),
+    ]
+    brute = _brute_r([_linear_generator_phi(0.25), _naive_phi(0.5), _naive_phi(1.0 / 3.0)])
+    assert abs(r_term(tfs) - brute) <= 1e-12 * _scale(tfs)
+    assert brute < 0  # odd n: R = -4 * (a positive tail)
+
+
+def test_with_r_sixth_moment_sinx2_matches_oracle():
+    tf = make_from_generator(GeneratorSpec("sin-of-square", (), 0.1))
+    res = centered_moment(MomentRequest((tf,) * 6, G.SO_EVEN, regime="with_R"))
+    assert res.value >= 0.0
+    assert abs(res.r_term - _brute_r([_sinx2_phi(0.1)] * 6)) <= 1e-10 * res.matching_sum
 
 
 def test_r_term_zero_function(naive_third):
@@ -107,10 +210,15 @@ def test_r_term_zero_function(naive_third):
         def phihat(self, y):
             return 0.0
 
-        def phi_decay_bound(self, x):
-            return 0.0
+    assert r_term([naive_third, Zero()]) == 0.0
 
-    assert r_term([naive_third, Zero()]) == pytest.approx(0.0, abs=1e-13)
+
+def test_r_term_raises_when_tolerance_unreachable():
+    tfs = [make_naive(0.6)] * 2
+    with pytest.raises(QuadratureError) as excinfo:
+        r_term(tfs, QuadratureSettings(rel_tol=1e-18))
+    assert excinfo.value.best_estimate == pytest.approx(r_term(tfs), rel=1e-9)
+    assert excinfo.value.err_est > 1e-18 * _scale(tfs)
 
 
 def test_r_term_needs_two(naive_third):
@@ -183,7 +291,7 @@ def test_odd_moment_with_r(naive_third):
     res = centered_moment(req)
     assert res.matching_sum == 0.0
     assert res.value == pytest.approx(-res.r_term, abs=0)
-    assert res.value == pytest.approx(0.0, abs=1e-10)  # transform tail empty here
+    assert res.r_term == 0.0  # supports sum to 1: the transform tail is empty
 
 
 def test_even_matching_sum_nonnegative_for_paired_slots(naive_third, gen_sinx2):

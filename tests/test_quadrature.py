@@ -1,4 +1,4 @@
-"""Quadrature engine: examples, error contracts, oscillatory tails."""
+"""Quadrature engine: examples and error contracts."""
 
 import math
 
@@ -7,18 +7,12 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from momentbounds import QuadratureError, QuadratureSettings, integrate, integrate_2d, integrate_sinc_weighted
+from momentbounds import QuadratureError, QuadratureSettings, integrate
 from momentbounds.quadrature import DEFAULT_SETTINGS
 
 # Midpoint Riemann sum, step 1e-6 (independent oracle, frozen):
 # int_{-50}^{50} (sin(pi x)/(pi x))^2 dx
 RIEMANN_SINC2_50 = 0.9979736173890956
-
-# Midpoint Riemann sum, step 1e-5 over |x| <= 200 (frozen):
-# int phi_naive(1/3)(x)^4 * sin(2 pi x)/(2 pi x) dx.  The exact value is
-# 1/2 - 1/40320 (transform-space tail count).
-RIEMANN_SINC_WEIGHTED_NAIVE4 = 0.4999751984126488
-EXACT_SINC_WEIGHTED_NAIVE4 = 0.5 - 1.0 / 40320.0
 
 
 def test_polynomial_antiderivative():
@@ -83,62 +77,3 @@ def test_refinement_monotonicity():
         _, err = integrate(f, 0.0, 5.0, QuadratureSettings(abs_tol=abs_tol, rel_tol=1e-3))
         errors.append(err)
     assert all(e2 <= e1 * (1 + 1e-12) for e1, e2 in zip(errors, errors[1:]))
-
-
-# ---- sinc-weighted line integrals ----
-
-
-def test_sinc_weighted_zero_function():
-    assert integrate_sinc_weighted(lambda x: 0.0, lambda x: 1.0 / (1.0 + x**4)) == 0.0
-
-
-def test_sinc_weighted_naive_fourth_power(naive_third):
-    def F(x):
-        return float(naive_third.phi(x)) ** 4
-
-    def decay(x):
-        return float(naive_third.phi_decay_bound(x)) ** 4
-
-    value = integrate_sinc_weighted(F, decay)
-    assert value == pytest.approx(EXACT_SINC_WEIGHTED_NAIVE4, abs=1e-10)
-    assert value == pytest.approx(RIEMANN_SINC_WEIGHTED_NAIVE4, abs=1e-9)
-
-
-def test_sinc_weighted_bounded_by_plain_integral():
-    # smooth even bump with F(0) = 1: |sinc| <= 1 makes the weighted
-    # integral strictly smaller than the plain one
-    F = lambda x: math.exp(-x * x)
-    decay = lambda x: math.exp(-x * x)
-    weighted = integrate_sinc_weighted(F, decay)
-    plain, _ = integrate(F, -10.0, 10.0)
-    assert 0 < weighted < plain
-
-
-def test_sinc_weighted_rejects_nonintegrable_envelope():
-    with pytest.raises(ValueError, match="not integrable"):
-        integrate_sinc_weighted(lambda x: 1.0, lambda x: 1.0)
-
-
-# ---- 2-D tensor-product quadrature ----
-
-
-def test_2d_separable_product():
-    value = integrate_2d(lambda x, y: x * y, ((0.0, 1.0), (0.0, 1.0)))
-    assert value == pytest.approx(0.25, abs=1e-11)
-
-
-def test_2d_zero():
-    assert integrate_2d(lambda x, y: 0.0, ((-1.0, 1.0), (-2.0, 2.0))) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_2d_product_of_unit_sinc_squares(naive_one):
-    # product of two one-dimensional unit integrals, truncation-corrected
-    phi = lambda t: float(naive_one.phi(t))
-    value = integrate_2d(
-        lambda x, y: phi(x) * phi(y),
-        ((-40.0, 40.0), (-40.0, 40.0)),
-        QuadratureSettings(abs_tol=1e-10, rel_tol=1e-8),
-    )
-    one_d, _ = integrate(phi, -40.0, 40.0, QuadratureSettings(abs_tol=1e-10, rel_tol=1e-8))
-    assert value == pytest.approx(one_d * one_d, rel=1e-7)
-    assert value == pytest.approx(1.0, abs=2e-2)

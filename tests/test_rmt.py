@@ -7,9 +7,11 @@ import pytest
 
 from momentbounds import (
     EnsembleSpec,
+    GeneratorSpec,
     SymmetryGroup,
     empirical_moments,
     linear_statistic,
+    make_from_generator,
     make_naive,
     predicted_moment,
     sample_haar,
@@ -152,7 +154,10 @@ def test_predicted_moments(naive_third):
     assert predicted_moment(naive_third, G.SO_ODD, 4) == pytest.approx(
         1.0 / 3.0 - 1.0 / 5040.0, abs=1e-9
     )
-    assert predicted_moment(naive_third, G.SO_EVEN, 3) == pytest.approx(0.0, abs=1e-9)
+    # three supports of 1/3 sum to 1: R and the odd moment vanish exactly
+    assert predicted_moment(naive_third, G.SO_EVEN, 3) == 0.0
+    cos1 = make_from_generator(GeneratorSpec("cosine-series", (1.0,), 1.0 / 6.0))
+    assert predicted_moment(cos1, G.SO_EVEN, 3) == 0.0
     assert predicted_moment(naive_third, G.U, 4) == pytest.approx(3.0 * (1.0 / 6.0) ** 2, abs=1e-9)
 
 

@@ -134,12 +134,6 @@ def test_fourier_inversion_consistency(gen_sinx2):
         assert abs(inverted - float(gen_sinx2.phi(x))) < 1e-8
 
 
-def test_decay_bound_dominates_phi(gen_sinx2, naive_third):
-    xs = np.linspace(0.0, 80.0, 4001)
-    for tf in (gen_sinx2, naive_third):
-        assert np.all(tf.phi(xs) <= tf.phi_decay_bound(xs) * (1 + 1e-12) + 1e-300)
-
-
 # ---- sigma2 ----
 
 
@@ -176,9 +170,6 @@ class _ShiftedBump(TestFunction):
     def phihat(self, y):
         y = np.abs(np.asarray(y, dtype=float))
         return np.where((y > 1.0) & (y < 2.0), (y - 1.0) * (2.0 - y), 0.0)
-
-    def phi_decay_bound(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def test_sigma2_disjoint_transform_overlap_is_zero():
