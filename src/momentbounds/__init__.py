@@ -4,11 +4,9 @@ statistics, with a generator-space optimizer and Monte Carlo
 verification."""
 
 from .bounds import (
-    BoundCandidate,
     BoundResult,
     ParityError,
     RankTooSmallError,
-    best_bound,
     bound_level1,
     bound_level2,
     bound_moment,
@@ -20,12 +18,10 @@ from .kernels import (
     expectation_2level,
 )
 from .moments import (
-    Matching,
     MomentRequest,
     MomentResult,
     SupportRegimeError,
     centered_moment,
-    enumerate_matchings,
     r_term,
 )
 from .optimize import (
@@ -47,7 +43,6 @@ from .rmt import (
     empirical_moments,
     linear_statistic,
     predicted_moment,
-    sample_haar,
     verify_moments,
 )
 from .testfunc import (
@@ -63,13 +58,11 @@ from .testfunc import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundCandidate",
     "BoundResult",
     "EmpiricalMoments",
     "EnsembleSpec",
     "GeneratorBasis",
     "GeneratorSpec",
-    "Matching",
     "MomentRequest",
     "MomentResult",
     "NoFeasiblePointError",
@@ -82,13 +75,11 @@ __all__ = [
     "SupportRegimeError",
     "SymmetryGroup",
     "TestFunction",
-    "best_bound",
     "bound_level1",
     "bound_level2",
     "bound_moment",
     "centered_moment",
     "empirical_moments",
-    "enumerate_matchings",
     "expectation_1level",
     "expectation_2level",
     "from_spec_string",
@@ -101,7 +92,6 @@ __all__ = [
     "predicted_moment",
     "r_term",
     "reproduce_table",
-    "sample_haar",
     "search",
     "sigma2",
     "verify_moments",

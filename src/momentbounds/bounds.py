@@ -41,16 +41,6 @@ class RankTooSmallError(ValueError):
     """Rank below the minimum usable rank of a slot function."""
 
 
-class NoValidCandidateError(ValueError):
-    """best_bound found no candidate whose preconditions hold."""
-
-    def __init__(self, rejections: list[str]):
-        self.rejections = rejections
-        super().__init__(
-            "no valid bound candidate:\n" + "\n".join(f"  - {r}" for r in rejections)
-        )
-
-
 @dataclass(frozen=True)
 class BoundResult:
     family: SymmetryGroup
@@ -195,68 +185,6 @@ def bound_moment(
         denominator,
         moment_value=result.value,
     )
-
-
-@dataclass(frozen=True)
-class BoundCandidate:
-    """One candidate for best_bound.
-
-    ``method`` is 'level1', 'level2' or 'moment'.  Leave
-    ``test_functions`` empty on the level methods to use the stored
-    reference expectations.
-    """
-
-    method: str
-    test_functions: tuple[TestFunction, ...] = ()
-    weight_k: int = 2
-    regime: str = "auto"
-
-    def describe(self) -> str:
-        tfs = ", ".join(tf.spec_string for tf in self.test_functions) or "reference"
-        return f"{self.method}({tfs})"
-
-
-def best_bound(
-    r: int,
-    family: SymmetryGroup,
-    candidates: Sequence[BoundCandidate],
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> BoundResult:
-    """Minimum upper bound among the candidates whose preconditions hold."""
-    best: BoundResult | None = None
-    rejections: list[str] = []
-    for cand in candidates:
-        try:
-            if cand.method == "level1":
-                if cand.test_functions:
-                    result = bound_level1(cand.test_functions[0], family, r, settings=settings)
-                else:
-                    result = bound_level1(
-                        None, family, r, expectation=reference.expectation_level1(family)
-                    )
-            elif cand.method == "level2":
-                if cand.test_functions:
-                    result = bound_level2(
-                        cand.test_functions[0], cand.test_functions[1], family, r, settings=settings
-                    )
-                else:
-                    result = bound_level2(
-                        None, None, family, r, expectation=reference.expectation_level2(family)
-                    )
-            elif cand.method == "moment":
-                result = bound_moment(
-                    cand.test_functions, family, r, cand.weight_k, cand.regime, settings
-                )
-            else:
-                raise ValueError(f"unknown method {cand.method!r}")
-        except ValueError as exc:  # includes parity, rank and support-regime errors
-            rejections.append(f"{cand.describe()}: {exc}")
-            continue
-        if best is None or result.upper_bound < best.upper_bound:
-            best = result
-    if best is None:
-        raise NoValidCandidateError(rejections or ["empty candidate list"])
-    return best
 
 
 @dataclass(frozen=True)

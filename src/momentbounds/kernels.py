@@ -60,13 +60,7 @@ def _half_transform_integral(
 ) -> float:
     """(1/2) int_{-1}^{1} phihat(y) dy == int phi(x) sin(2 pi x)/(2 pi x) dx."""
     upper = min(1.0, tf.support_bound)
-    val, _ = integrate(
-        lambda y: float(tf.phihat(y)),
-        0.0,
-        upper,
-        settings,
-        breakpoints=tf.phihat_breakpoints(),
-    )
+    val, _ = integrate(lambda y: float(tf.phihat(y)), 0.0, upper, settings)
     return val
 
 
@@ -102,19 +96,11 @@ def _pair_transform_integral(
     upper = min(1.0, tf1.support_bound, tf2.support_bound)
     if upper <= 0:
         return 0.0
-    kinks = sorted(
-        {
-            p
-            for p in (*tf1.phihat_breakpoints(), *tf2.phihat_breakpoints())
-            if 0.0 < p < upper
-        }
-    )
     val, _ = integrate(
         lambda t: (1.0 - t) * float(tf1.phihat(t)) * float(tf2.phihat(t)),
         0.0,
         upper,
         settings,
-        breakpoints=kinks,
     )
     return 2.0 * val
 
@@ -140,17 +126,12 @@ def _cross_transform_integral(
         t = min(1.0 - abs(b), s1)
         if t <= 0.0:
             return 0.0
-        kinks = [p for p in tf1.phihat_breakpoints() if 0.0 < p < t]
-        val, _ = integrate(
-            lambda a: float(tf1.phihat(a)), 0.0, t, settings, breakpoints=kinks
-        )
+        val, _ = integrate(lambda a: float(tf1.phihat(a)), 0.0, t, settings)
         return 2.0 * val * float(tf2.phihat(b))
 
     b_max = min(s2, 1.0)
-    outer_kinks = sorted(
-        {p for p in (*tf2.phihat_breakpoints(), 1.0 - s1) if 0.0 < p < b_max}
-    )
-    val, _ = integrate(inner, 0.0, b_max, settings, breakpoints=outer_kinks)
+    # inner() has a kink where its upper limit 1 - |b| reaches s1
+    val, _ = integrate(inner, 0.0, b_max, settings, breakpoints=[1.0 - s1])
     return 0.5 * 2.0 * val
 
 

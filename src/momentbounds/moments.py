@@ -5,9 +5,10 @@ family statistic is, in the appropriate support regime,
 
 * even n = 2m: a sum over the (2m-1)!! perfect matchings of
   ``{1, ..., 2m}`` of products of pairwise variances
-  ``sigma2(phi_a, phi_b)``, plus a sign-carrying correction term
-  ``R_n`` for the split families (a compact transform-space integral,
-  see :func:`r_term`),
+  ``sigma2(phi_a, phi_b)`` -- the hafnian of the sigma2 matrix, computed
+  by a memoized subset recursion for 2m up to ``MAX_EVEN_ORDER`` -- plus
+  a sign-carrying correction term ``R_n`` for the split families (a
+  compact transform-space integral, see :func:`r_term`),
 * odd n: the correction term alone (or zero).
 
 Two support regimes are implemented:
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +38,9 @@ from .kernels import SymmetryGroup
 from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
 from .testfunc import TestFunction, sigma2
 
-MAX_MATCHING_SIZE = 16  # 2m above this is refused: 15!! = 2027025 matchings
+# Even orders 2m above this are refused: the hafnian recursion visits
+# Fibonacci-many subsets, 75,025 at 2m = 24 (about 0.3 s).
+MAX_EVEN_ORDER = 24
 
 # R grid: nodes k/m, m a multiple of the supports' common denominator when
 # that is at most _R_MAX_DENOMINATOR, starting with at least
@@ -58,18 +61,6 @@ class SupportRegimeError(ValueError):
     """A transform support exceeds the threshold of the requested regime."""
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A partition of {1, ..., 2m} into m unordered pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        flat = sorted(i for pair in self.pairs for i in pair)
-        if flat != list(range(1, 2 * len(self.pairs) + 1)):
-            raise ValueError(f"pairs {self.pairs} do not partition {{1..{2 * len(self.pairs)}}}")
-
-
 def double_factorial(n: int) -> int:
     """n!! = n (n-2) (n-4) ... down to 1 or 2."""
     result = 1
@@ -77,34 +68,6 @@ def double_factorial(n: int) -> int:
         result *= n
         n -= 2
     return result
-
-
-def _matchings_of(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for i, partner in enumerate(rest):
-        head = (first, partner)
-        for tail in _matchings_of(rest[:i] + rest[i + 1 :]):
-            yield (head,) + tail
-
-
-def enumerate_matchings(two_m: int) -> list[Matching]:
-    """All perfect matchings of {1, ..., two_m}, each exactly once.
-
-    The count is (two_m - 1)!!.  Enumeration (rather than sampling) is
-    exact and cheap at the moment orders that occur in practice; inputs
-    beyond 2m = 16 are refused.
-    """
-    if two_m < 2 or two_m % 2 != 0:
-        raise ValueError(f"need an even integer >= 2, got {two_m}")
-    if two_m > MAX_MATCHING_SIZE:
-        raise ValueError(
-            f"2m = {two_m} exceeds the enumeration cap {MAX_MATCHING_SIZE} "
-            f"({double_factorial(two_m - 1)} matchings)"
-        )
-    return [Matching(pairs) for pairs in _matchings_of(tuple(range(1, two_m + 1)))]
 
 
 @dataclass(frozen=True)
@@ -261,33 +224,54 @@ def _resolve_regime(req: MomentRequest) -> str:
     )
 
 
+def _hafnian(a: Sequence[Sequence[float]]) -> float:
+    """Sum over the perfect matchings of {0, ..., n-1} of prod a[i][j].
+
+    Subset recursion (Bjorklund, "Counting perfect matchings as fast as
+    Ryser", SODA 2012): with i the lowest index left in the mask,
+    ``haf(mask) = sum_j a[i][j] haf(mask - {i, j})`` over the other
+    indices j in ascending order, memoized over masks.  Only the upper
+    triangle ``a[i][j]``, i < j, is read.
+    """
+    memo = {0: 1.0}
+
+    def haf(mask: int) -> float:
+        if mask not in memo:
+            i = (mask & -mask).bit_length() - 1
+            rest = mask ^ (1 << i)
+            total = 0.0
+            for j in range(i + 1, len(a)):
+                if rest >> j & 1:
+                    total += a[i][j] * haf(rest ^ (1 << j))
+            memo[mask] = total
+        return memo[mask]
+
+    return haf((1 << len(a)) - 1)
+
+
 def _matching_sum(
     tfs: tuple[TestFunction, ...], settings: QuadratureSettings
 ) -> float:
-    """Sum over perfect matchings of products of pairwise variances.
+    """Sum over perfect matchings of products of pairwise variances: the
+    hafnian of the sigma2 matrix.
 
     Pairwise sigma2 values are memoized by test-function identity, so
     repeated functions cost one quadrature per distinct pair.
     """
     n = len(tfs)
+    if n > MAX_EVEN_ORDER:
+        raise ValueError(f"2m = {n} exceeds the matching-sum cap {MAX_EVEN_ORDER}")
     cache: dict[tuple[int, int], float] = {}
 
-    def pair_value(i: int, j: int) -> float:
-        a, b = tfs[i - 1], tfs[j - 1]
-        key_a = id(a)
-        key_b = id(b)
-        key = (min(key_a, key_b), max(key_a, key_b))
+    def pair_value(a: TestFunction, b: TestFunction) -> float:
+        key = (min(id(a), id(b)), max(id(a), id(b)))
         if key not in cache:
             cache[key] = sigma2(a, b, settings)
         return cache[key]
 
-    total = 0.0
-    for matching in enumerate_matchings(n):
-        term = 1.0
-        for i, j in matching.pairs:
-            term *= pair_value(i, j)
-        total += term
-    return total
+    return _hafnian(
+        [[pair_value(a, b) if i < j else 0.0 for j, b in enumerate(tfs)] for i, a in enumerate(tfs)]
+    )
 
 
 def centered_moment(

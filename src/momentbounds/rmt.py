@@ -152,16 +152,6 @@ def _angles_direct(q: np.ndarray) -> np.ndarray:
     return np.sort(np.angle(eigenvalues), axis=1)
 
 
-def sample_haar(
-    group: SymmetryGroup,
-    half_dim: int,
-    rng: np.random.Generator,
-    method: str = "symmetric",
-) -> np.ndarray:
-    """Eigenangles (sorted, in (-pi, pi]) of one Haar-distributed matrix."""
-    return sample_haar_batch(group, half_dim, rng, 1, method)[0]
-
-
 def sample_haar_batch(
     group: SymmetryGroup,
     half_dim: int,

@@ -34,7 +34,7 @@ from scipy.interpolate import CubicSpline
 
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate
 
-GENERATOR_KINDS = ("sin-of-square", "polynomial", "cosine-series", "tabulated")
+GENERATOR_KINDS = ("sin-of-square", "polynomial", "cosine-series")
 
 
 @lru_cache(maxsize=8)
@@ -63,8 +63,6 @@ class GeneratorSpec:
     * ``sin-of-square``: g(t) = sin(t^2); no coefficients.
     * ``polynomial``: g(t) = sum_i c_i t^i.
     * ``cosine-series``: g(t) = sum_i c_i cos(i pi t / (2 half_support)).
-    * ``tabulated``: coefficients are samples of g on a uniform grid over
-      [-half_support, half_support], cubic-interpolated.
 
     Generators must be real but are not required to be even or
     non-negative: reality alone already makes the resulting test function
@@ -84,9 +82,6 @@ class GeneratorSpec:
         if self.kind == "sin-of-square":
             if self.coefficients:
                 raise ValueError("sin-of-square takes no coefficients")
-        elif self.kind == "tabulated":
-            if len(self.coefficients) < 4:
-                raise ValueError("tabulated generator needs at least 4 samples")
         elif not self.coefficients:
             raise ValueError(f"{self.kind} generator needs coefficients")
         if self.coefficients and not all(math.isfinite(c) for c in self.coefficients):
@@ -101,22 +96,12 @@ class GeneratorSpec:
             vals = np.sin(t * t)
         elif self.kind == "polynomial":
             vals = npoly.polyval(t, self.coefficients)
-        elif self.kind == "cosine-series":
+        else:  # cosine-series
             k = np.arange(len(self.coefficients))
             vals = np.cos(np.multiply.outer(t, k) * (math.pi / (2.0 * h))) @ np.asarray(
                 self.coefficients
             )
-        else:  # tabulated
-            nodes = np.linspace(-h, h, len(self.coefficients))
-            spline = _tabulated_spline(self.coefficients, h)
-            vals = spline(np.clip(t, nodes[0], nodes[-1]))
         return np.where(inside, vals, 0.0)
-
-
-@lru_cache(maxsize=64)
-def _tabulated_spline(coefficients: tuple[float, ...], half_support: float) -> CubicSpline:
-    nodes = np.linspace(-half_support, half_support, len(coefficients))
-    return CubicSpline(nodes, np.asarray(coefficients), bc_type="natural")
 
 
 class TestFunction:
@@ -143,10 +128,6 @@ class TestFunction:
     def phihat0(self) -> float:
         return float(self.phihat(0.0))
 
-    def phihat_breakpoints(self) -> tuple[float, ...]:
-        """Interior points of (0, support_bound) where phihat has kinks."""
-        return ()
-
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string!r})"
 
@@ -172,7 +153,7 @@ class NaiveTestFunction(TestFunction):
 class GeneratorBackedTestFunction(TestFunction):
     """phi = |inverse transform of g|^2, phihat = autocorrelation of g.
 
-    ``phihat`` is tabulated once on a uniform grid over [0, 2*half_support]
+    ``phihat`` is sampled once on a uniform grid over [0, 2*half_support]
     (node count doubled until the self-variance sigma2 stabilizes) and
     evaluated through a cubic spline; phi is evaluated directly by
     Gauss-Legendre quadrature of the oscillatory transform integral.
@@ -285,11 +266,8 @@ def _generator_spec_string(g: GeneratorSpec) -> str:
     if g.kind == "polynomial":
         coeffs = ",".join(repr(c) for c in g.coefficients)
         return f"gen:poly:{coeffs}:half={half}"
-    if g.kind == "cosine-series":
-        coeffs = ",".join(repr(c) for c in g.coefficients)
-        return f"gen:cos:{coeffs}:half={half}"
     coeffs = ",".join(repr(c) for c in g.coefficients)
-    return f"gen:tab:{coeffs}:half={half}"
+    return f"gen:cos:{coeffs}:half={half}"
 
 
 def make_naive(v: float) -> NaiveTestFunction:
@@ -329,12 +307,8 @@ def from_spec_string(spec: str) -> TestFunction:
                 raise ValueError
             if parts[1] == "sinx2" and len(parts) == 3:
                 return make_from_generator(GeneratorSpec("sin-of-square", (), half))
-            if parts[1] in ("cos", "poly", "tab") and len(parts) == 4:
-                kind = {
-                    "cos": "cosine-series",
-                    "poly": "polynomial",
-                    "tab": "tabulated",
-                }[parts[1]]
+            if parts[1] in ("cos", "poly") and len(parts) == 4:
+                kind = {"cos": "cosine-series", "poly": "polynomial"}[parts[1]]
                 coeffs = tuple(parse_rational(c) for c in parts[2].split(","))
                 return make_from_generator(GeneratorSpec(kind, coeffs, half))
         raise ValueError
@@ -359,27 +333,20 @@ def sigma2(
 
     The integrand vanishes outside the intersection of the transform
     supports, so only ``[0, min(support_a, support_b)]`` is integrated
-    (doubled by evenness).  The transforms are piecewise smooth between
-    the declared breakpoints, so a vectorized Gauss-Legendre ladder
-    (node count doubled until two levels agree within tolerance) is used
-    first, with adaptive quadrature as the fallback.
+    (doubled by evenness).  The transforms are smooth inside their
+    supports, so a vectorized Gauss-Legendre ladder (node count doubled
+    until two levels agree within tolerance) is used first, with
+    adaptive quadrature as the fallback.
     """
     s = min(a.support_bound, b.support_bound)
     if s <= 0:
         return 0.0
-    kinks = sorted(
-        {p for p in (*a.phihat_breakpoints(), *b.phihat_breakpoints()) if 0.0 < p < s}
-    )
-    edges = np.array([0.0, *kinks, s])
 
     def gl_value(n: int) -> float:
         base, wts = _leggauss(n)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        y = mid[:, None] + half[:, None] * base[None, :]
-        w = half[:, None] * wts[None, :]
+        y = 0.5 * s + 0.5 * s * base
         integrand = y * np.asarray(a.phihat(y)) * np.asarray(b.phihat(y))
-        return 2.0 * 2.0 * float((w * integrand).sum())
+        return 2.0 * 2.0 * float((0.5 * s * wts * integrand).sum())
 
     prev = gl_value(64)
     for n in (128, 256, 512):
@@ -393,7 +360,6 @@ def sigma2(
         0.0,
         s,
         settings,
-        breakpoints=kinks,
     )
     return 2.0 * val
 

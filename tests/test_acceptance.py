@@ -18,14 +18,13 @@ from momentbounds import (
     bound_level1,
     bound_moment,
     centered_moment,
-    enumerate_matchings,
     make_from_generator,
     make_naive,
     search,
     sigma2,
 )
 from momentbounds.bounds import level2_coefficient
-from momentbounds.moments import double_factorial
+from momentbounds.moments import _hafnian, double_factorial
 from momentbounds.reference import expectation_level1, expectation_level2, table_cells
 from momentbounds.rmt import EnsembleSpec, verify_moments
 from momentbounds.testfunc import GeneratorSpec
@@ -134,9 +133,10 @@ def test_criterion_5_level_columns_row_constant():
 
 def test_criterion_6_property_suite(naive_slots):
     """Combinatorics, scale invariance, reductions, parity rejection."""
-    # matching counts (2m-1)!! for m <= 6
-    for m in range(1, 7):
-        assert len(enumerate_matchings(2 * m)) == double_factorial(2 * m - 1)
+    # matching counts (2m-1)!!: the hafnian of the all-ones matrix, for m <= 12
+    for m in range(1, 13):
+        ones = [[1.0] * (2 * m) for _ in range(2 * m)]
+        assert _hafnian(ones) == double_factorial(2 * m - 1)
     # sigma2 scale invariance across the naive family
     for v in (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 1.0):
         tf = make_naive(v)

@@ -1,13 +1,11 @@
-"""Bound pipeline: coefficients, golden tables, candidate selection."""
+"""Bound pipeline: coefficients and golden tables."""
 
 import pytest
 
 from momentbounds import (
-    BoundCandidate,
     ParityError,
     RankTooSmallError,
     SymmetryGroup,
-    best_bound,
     bound_level1,
     bound_level2,
     bound_moment,
@@ -15,7 +13,7 @@ from momentbounds import (
     make_naive,
     reproduce_table,
 )
-from momentbounds.bounds import NoValidCandidateError, level2_coefficient, table_tolerance
+from momentbounds.bounds import level2_coefficient, table_tolerance
 from momentbounds.reference import expectation_level1, expectation_level2, table_cells
 from momentbounds.testfunc import GeneratorSpec
 
@@ -155,39 +153,6 @@ def test_tail_dominance(naive_third, naive_one):
         l2 = bound_level2(naive_one, naive_one, G.SO_EVEN, r).upper_bound
         l1 = bound_level1(naive_one, G.SO_EVEN, r).upper_bound
         assert m4 < l2 < l1
-
-
-# ---- best_bound ----
-
-
-def test_best_bound_odd_rank5(naive_third):
-    candidates = [
-        BoundCandidate("level1"),
-        BoundCandidate("level2"),
-        BoundCandidate("moment", (naive_third, naive_third), regime="with_R"),
-    ]
-    res = best_bound(5, G.SO_ODD, candidates)
-    assert res.method == "moment4"
-    assert res.upper_bound == pytest.approx(0.0658044, rel=1e-4)
-
-
-def test_best_bound_skips_infeasible(naive_third):
-    # rank 4 is exactly the minimum usable rank: the moment candidate is valid
-    candidates = [BoundCandidate("moment", (naive_third, naive_third), regime="with_R")]
-    res = best_bound(4, G.SO_EVEN, candidates)
-    assert res.upper_bound == pytest.approx((1.0 / 3.0 + 1.0 / 5040.0) * 16.0, rel=1e-6)
-
-
-def test_best_bound_empty_and_all_rejected(naive_third):
-    with pytest.raises(NoValidCandidateError):
-        best_bound(6, G.SO_EVEN, [])
-    with pytest.raises(NoValidCandidateError) as excinfo:
-        best_bound(
-            2,
-            G.SO_EVEN,
-            [BoundCandidate("moment", (naive_third, naive_third), regime="with_R")],
-        )
-    assert "minimum usable rank" in str(excinfo.value)
 
 
 # ---- golden tables ----

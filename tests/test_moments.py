@@ -1,4 +1,4 @@
-"""Matchings, the correction term, and centered moments."""
+"""Matchings and the hafnian, the correction term, and centered moments."""
 
 import math
 from fractions import Fraction
@@ -16,31 +16,55 @@ from momentbounds import (
     SupportRegimeError,
     SymmetryGroup,
     centered_moment,
-    enumerate_matchings,
     make_from_generator,
     make_naive,
     r_term,
     sigma2,
 )
-from momentbounds.moments import MAX_MATCHING_SIZE, Matching, double_factorial
+from momentbounds import moments
+from momentbounds.moments import MAX_EVEN_ORDER, _hafnian, double_factorial
 
 G = SymmetryGroup
 
 R4_NAIVE_THIRD = 1.0 / 5040.0  # exact: 8 * P(sum of 8 uniforms on (-1/2,1/2) > 3)
 
 
-# ---- matchings ----
+# ---- matchings and the hafnian ----
+
+
+def _matchings_of(items):
+    """Every perfect matching of ``items``, each exactly once (the oracle)."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for i, partner in enumerate(rest):
+        head = (first, partner)
+        for tail in _matchings_of(rest[:i] + rest[i + 1 :]):
+            yield (head,) + tail
+
+
+def _matchings(two_m):
+    return list(_matchings_of(tuple(range(1, two_m + 1))))
+
+
+def _enumerated_hafnian(a):
+    """Sum over the enumerated matchings, multiplied left to right."""
+    total = 0.0
+    for pairs in _matchings_of(tuple(range(len(a)))):
+        term = 1.0
+        for i, j in pairs:
+            term *= a[i][j]
+        total += term
+    return total
 
 
 def test_matching_count_smallest():
-    ms = enumerate_matchings(2)
-    assert len(ms) == 1
-    assert ms[0].pairs == ((1, 2),)
+    assert _matchings(2) == [((1, 2),)]
 
 
 def test_matchings_of_four():
-    ms = enumerate_matchings(4)
-    got = {frozenset(frozenset(p) for p in m.pairs) for m in ms}
+    got = {frozenset(frozenset(p) for p in pairs) for pairs in _matchings(4)}
     expected = {
         frozenset({frozenset({1, 2}), frozenset({3, 4})}),
         frozenset({frozenset({1, 3}), frozenset({2, 4})}),
@@ -53,32 +77,49 @@ def test_matchings_of_four():
 @hyp_settings(max_examples=6, deadline=None)
 def test_matching_counts_and_partition_property(m):
     two_m = 2 * m
-    ms = enumerate_matchings(two_m)
+    ms = _matchings(two_m)
     assert len(ms) == double_factorial(two_m - 1)
     seen = set()
-    for matching in ms:
-        flat = sorted(i for pair in matching.pairs for i in pair)
+    for pairs in ms:
+        flat = sorted(i for pair in pairs for i in pair)
         assert flat == list(range(1, two_m + 1))
-        key = frozenset(frozenset(p) for p in matching.pairs)
+        key = frozenset(frozenset(p) for p in pairs)
         assert key not in seen
         seen.add(key)
 
 
 def test_matching_count_twelve():
-    assert len(enumerate_matchings(12)) == 10395
+    assert len(_matchings(12)) == 10395
 
 
-def test_matchings_reject_bad_input():
-    for bad in (0, 3, 7, -2):
-        with pytest.raises(ValueError):
-            enumerate_matchings(bad)
-    with pytest.raises(ValueError):
-        enumerate_matchings(MAX_MATCHING_SIZE + 2)
+@given(
+    m=st.integers(1, 5),
+    entries=st.lists(st.floats(0.01, 10.0), min_size=45, max_size=45),
+)
+@hyp_settings(max_examples=60, deadline=None)
+def test_hafnian_matches_enumeration(m, entries):
+    n = 2 * m
+    values = iter(entries)
+    a = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = next(values)
+    expected = _enumerated_hafnian(a)
+    if n <= 4:
+        assert _hafnian(a) == expected  # same products, summed in the same order
+    else:
+        assert abs(_hafnian(a) - expected) <= 1e-13 * expected
 
 
-def test_matching_type_validates_partition():
-    with pytest.raises(ValueError):
-        Matching(((1, 2), (2, 3)))
+def test_matchings_reject_bad_input(monkeypatch):
+    # one even order above the cap is refused before any sigma2 work
+    def no_sigma2(*args, **kwargs):
+        raise AssertionError("sigma2 called above the cap")
+
+    monkeypatch.setattr(moments, "sigma2", no_sigma2)
+    tfs = (make_naive(0.01),) * (MAX_EVEN_ORDER + 2)
+    with pytest.raises(ValueError, match="cap"):
+        centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="mock_gaussian"))
 
 
 # ---- correction term ----
@@ -255,6 +296,14 @@ def test_reduction_to_identical_test_function_form(naive_third):
         res = centered_moment(req)
         assert res.matching_sum == pytest.approx(count * s2 ** (two_m // 2), abs=1e-10)
         assert res.value == pytest.approx(count * s2 ** (two_m // 2) + res.r_term, abs=1e-12)
+
+
+def test_eighteenth_moment_of_identical_functions():
+    # sigma2 = 1/3 for every Fejer function, so the 18th moment is 17!! / 3^9
+    tfs = tuple(make_naive(1.0 / 13.0) for _ in range(18))
+    res = centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="mock_gaussian"))
+    expected = double_factorial(17) / 3.0**9
+    assert abs(res.value - expected) <= 1e-13 * expected
 
 
 def test_mixed_slots_matching_structure(naive_third, naive_quarter):

@@ -14,7 +14,6 @@ from momentbounds import (
     make_from_generator,
     make_naive,
     predicted_moment,
-    sample_haar,
 )
 from momentbounds.rmt import (
     _haar_orthogonal_block,
@@ -28,14 +27,14 @@ G = SymmetryGroup
 
 def test_so2_angles_come_in_conjugate_pairs(rng):
     for _ in range(5):
-        angles = sample_haar(G.SO_EVEN, 1, rng)
+        angles = sample_haar_batch(G.SO_EVEN, 1, rng, 1)[0]
         assert angles.shape == (2,)
         assert angles[0] == pytest.approx(-angles[1], abs=1e-12)
 
 
 def test_so_odd_forced_zero_angle(rng):
     for n in (1, 3, 8):
-        angles = sample_haar(G.SO_ODD, n, rng)
+        angles = sample_haar_batch(G.SO_ODD, n, rng, 1)[0]
         assert angles.shape == (2 * n + 1,)
         assert np.isclose(angles, 0.0, atol=1e-7).any()
 
@@ -50,7 +49,7 @@ def test_sampled_matrices_are_special_orthogonal(rng):
 
 def test_angles_sorted_in_principal_range(rng):
     for group, n in ((G.SO_EVEN, 6), (G.SO_ODD, 6), (G.U, 9)):
-        angles = sample_haar(group, n, rng)
+        angles = sample_haar_batch(group, n, rng, 1)[0]
         assert np.all(np.diff(angles) >= 0)
         assert angles.min() > -math.pi - 1e-12 and angles.max() <= math.pi + 1e-12
 

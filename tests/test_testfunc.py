@@ -215,7 +215,7 @@ def test_parse_generator_specs():
 
 def test_parse_rejects_bad_specs():
     for bad in ("naive:v=0", "naive:v=-1", "naive", "gen:sinx2", "gen:poly::half=1/2",
-                "wavelet:v=1", "naive:v=1/0", ""):
+                "wavelet:v=1", "naive:v=1/0", "", "gen:tab:1,2,3,4:half=1/8"):
         with pytest.raises(ValueError):
             from_spec_string(bad)
 
