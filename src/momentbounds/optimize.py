@@ -28,7 +28,7 @@ from scipy.optimize import minimize
 from .bounds import RankTooSmallError, bound_moment
 from .kernels import SymmetryGroup
 from .moments import SupportRegimeError
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator
 
 PENALTY_SCALE = 1e6
@@ -169,8 +169,10 @@ def objective(
     """The moment bound at the given slot coefficients.
 
     Infeasible points (degenerate generator, rank below the minimum
-    usable rank, support violation) return a large penalty instead of
-    raising, so the simplex can move through them.
+    usable rank, support violation) and points whose bound cannot be
+    computed to tolerance (:class:`QuadratureError`) return a large
+    penalty instead of raising, so the simplex can move through them and
+    none of them is reported as a bound.
     """
     try:
         slots = [
@@ -188,7 +190,7 @@ def objective(
             regime=problem.regime,
             settings=settings,
         )
-    except SupportRegimeError:
+    except (SupportRegimeError, QuadratureError):
         return PENALTY_SCALE
     except RankTooSmallError:
         # rank below c_phi: penalize by the violation magnitude

@@ -10,6 +10,11 @@ constructions are provided:
   ``phihat = g`` correlated with itself, so that ``phi`` is the squared
   modulus of the inverse transform of ``g`` -- automatically even and
   non-negative, with ``phihat`` supported on twice the support of ``g``.
+  A generator is a weighted sum ``g = sum_k c_k b_k`` of basis functions,
+  so ``phihat(y) = c^T T(y) c`` with ``T(y)_kl = int b_k(t) b_l(t - y) dt``
+  the basis autocorrelation.  ``T`` is tabulated once per basis (kind,
+  dimension, support and grid) and cached; only the contraction with the
+  weights is done per function.
 
 Support intervals are treated as open: the transforms vanish at their
 support endpoints, so a function with ``support_bound == t`` satisfies a
@@ -29,7 +34,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
 
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate
@@ -43,10 +47,15 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 # phihat tabulation for generator-backed functions: start here and double
-# until sigma2 stabilizes to SIGMA2_GRID_TOL.
+# until sigma2 stabilizes to SIGMA2_GRID_TOL relative to its value.
 _BASE_GRID_NODES = 4097
 _MAX_GRID_NODES = 65537
 SIGMA2_GRID_TOL = 1e-10
+# Gauss-Legendre nodes per overlap interval of the basis autocorrelation,
+# and the size of the (rows, nodes, d, d) products built at a time
+# (4 MB: 256 grid rows at d = 4).
+_AUTOCORR_NODES = 128
+_AUTOCORR_CHUNK_ELEMS = 2**19
 
 
 def parse_rational(text: str) -> float:
@@ -87,21 +96,60 @@ class GeneratorSpec:
         if self.coefficients and not all(math.isfinite(c) for c in self.coefficients):
             raise ValueError("coefficients must be finite")
 
+    @property
+    def dimension(self) -> int:
+        """Number of basis functions d (1 for sin-of-square)."""
+        return len(self.coefficients) or 1
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Basis weights c with g = sum_k c_k b_k (the single weight 1 for sin-of-square)."""
+        return np.asarray(self.coefficients or (1.0,))
+
+    def basis(self, t) -> np.ndarray:
+        """Basis values b_k(t), shape ``t.shape + (d,)``; zero outside the open support."""
+        return _basis_values(self.kind, self.dimension, self.half_support, t)
+
     def evaluate(self, t) -> np.ndarray:
-        """g(t), vectorized; zero outside the open support interval."""
-        t = np.asarray(t, dtype=float)
-        h = self.half_support
-        inside = np.abs(t) < h
-        if self.kind == "sin-of-square":
-            vals = np.sin(t * t)
-        elif self.kind == "polynomial":
-            vals = npoly.polyval(t, self.coefficients)
-        else:  # cosine-series
-            k = np.arange(len(self.coefficients))
-            vals = np.cos(np.multiply.outer(t, k) * (math.pi / (2.0 * h))) @ np.asarray(
-                self.coefficients
-            )
-        return np.where(inside, vals, 0.0)
+        """g(t) = basis(t) @ weights, vectorized; zero outside the open support interval."""
+        return self.basis(t) @ self.weights
+
+
+def _basis_values(kind: str, dim: int, half_support: float, t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if kind == "sin-of-square":
+        vals = np.sin(t * t)[..., None]
+    elif kind == "polynomial":
+        vals = t[..., None] ** np.arange(dim)
+    else:  # cosine-series
+        vals = np.cos(np.multiply.outer(t, np.arange(dim)) * (math.pi / (2.0 * half_support)))
+    return np.where((np.abs(t) < half_support)[..., None], vals, 0.0)
+
+
+@lru_cache(maxsize=16)
+def _basis_autocorrelation(kind: str, dim: int, half_support: float, n: int) -> np.ndarray:
+    """T[i, k, l] = int b_k(t) b_l(t - y_i) dt on the grid y = linspace(0, 2h, n).
+
+    One Gauss-Legendre rule per y on the overlap interval (y - h, h).
+    Shape (n, d, d), read-only: it is shared by every generator of the
+    same basis, whose phihat is then c^T T(y) c.
+    """
+    h = half_support
+    ys = np.linspace(0.0, 2.0 * h, n)
+    base, wts = _leggauss(_AUTOCORR_NODES)
+    out = np.empty((n, dim, dim))
+    rows = max(1, _AUTOCORR_CHUNK_ELEMS // (_AUTOCORR_NODES * dim * dim))
+    for start in range(0, n, rows):
+        y = ys[start : start + rows]
+        lo = y - h
+        width = np.maximum(h - lo, 0.0)
+        t = lo[:, None] + (base[None, :] + 1.0) * 0.5 * width[:, None]
+        w = wts[None, :] * 0.5 * width[:, None]
+        left = w[..., None] * _basis_values(kind, dim, h, t)
+        right = _basis_values(kind, dim, h, t - y[:, None])
+        out[start : start + y.size] = (left[..., :, None] * right[..., None, :]).sum(axis=1)
+    out.flags.writeable = False
+    return out
 
 
 class TestFunction:
@@ -153,10 +201,12 @@ class NaiveTestFunction(TestFunction):
 class GeneratorBackedTestFunction(TestFunction):
     """phi = |inverse transform of g|^2, phihat = autocorrelation of g.
 
-    ``phihat`` is sampled once on a uniform grid over [0, 2*half_support]
-    (node count doubled until the self-variance sigma2 stabilizes) and
-    evaluated through a cubic spline; phi is evaluated directly by
-    Gauss-Legendre quadrature of the oscillatory transform integral.
+    ``phihat`` is sampled on a uniform grid over [0, 2*half_support] as
+    ``c^T T(y) c``, from the cached basis autocorrelation ``T`` and the
+    generator's weights ``c`` (node count doubled until the self-variance
+    sigma2 stabilizes relative to its value), and evaluated through a
+    cubic spline; phi is evaluated directly by Gauss-Legendre quadrature
+    of the oscillatory transform integral.
     """
 
     _GL_NODES = 512
@@ -190,26 +240,17 @@ class GeneratorBackedTestFunction(TestFunction):
         self._spline = self._tabulate_phihat()
         self.spec_string = _generator_spec_string(generator)
 
-    def _autocorrelation(self, ys: np.ndarray) -> np.ndarray:
-        """int g(t) g(t - y) dt on the overlap interval, one GL rule per y."""
-        h = self.generator.half_support
-        ys = np.atleast_1d(np.abs(ys))
-        lo = ys - h
-        hi = np.full_like(ys, h)
-        width = np.maximum(hi - lo, 0.0)
-        base, wts = _leggauss(128)
-        t = lo[:, None] + (base[None, :] + 1.0) * 0.5 * width[:, None]
-        w = wts[None, :] * 0.5 * width[:, None]
-        vals = (w * self.generator.evaluate(t) * self.generator.evaluate(t - ys[:, None])).sum(
-            axis=1
-        )
-        return vals
+    def _autocorrelation(self, n: int) -> np.ndarray:
+        """int g(t) g(t - y) dt = c^T T(y) c on the grid y = linspace(0, 2h, n)."""
+        g = self.generator
+        table = _basis_autocorrelation(g.kind, g.dimension, g.half_support, n)
+        return (table @ g.weights) @ g.weights
 
     def _tabulate_phihat(self) -> CubicSpline:
         two_h = self.support_bound
         n = _BASE_GRID_NODES
         ys = np.linspace(0.0, two_h, n)
-        vals = self._autocorrelation(ys)
+        vals = self._autocorrelation(n)
         vals[-1] = 0.0
         spline = CubicSpline(ys, vals, bc_type="natural")
         s2 = _grid_self_sigma2(spline, two_h)
@@ -217,11 +258,11 @@ class GeneratorBackedTestFunction(TestFunction):
         # subsample of the values already computed.
         coarse = CubicSpline(ys[::2], vals[::2], bc_type="natural")
         prev_sigma2 = _grid_self_sigma2(coarse, two_h)
-        while abs(s2 - prev_sigma2) > SIGMA2_GRID_TOL and n < _MAX_GRID_NODES:
+        while abs(s2 - prev_sigma2) > SIGMA2_GRID_TOL * abs(s2) and n < _MAX_GRID_NODES:
             prev_sigma2 = s2
             n = 2 * n - 1
             ys = np.linspace(0.0, two_h, n)
-            vals = self._autocorrelation(ys)
+            vals = self._autocorrelation(n)
             vals[-1] = 0.0
             spline = CubicSpline(ys, vals, bc_type="natural")
             s2 = _grid_self_sigma2(spline, two_h)
@@ -335,12 +376,14 @@ def sigma2(
     supports, so only ``[0, min(support_a, support_b)]`` is integrated
     (doubled by evenness).  The transforms are smooth inside their
     supports, so a vectorized Gauss-Legendre ladder (node count doubled
-    until two levels agree within tolerance) is used first, with
-    adaptive quadrature as the fallback.
+    until two levels agree to ``rel_tol`` of the pair's natural scale
+    ``2 s^2 |phihat_a(0) phihat_b(0)|``) is used first, with adaptive
+    quadrature as the fallback.
     """
     s = min(a.support_bound, b.support_bound)
     if s <= 0:
         return 0.0
+    tol = settings.rel_tol * 2.0 * s * s * abs(a.phihat0 * b.phihat0)
 
     def gl_value(n: int) -> float:
         base, wts = _leggauss(n)
@@ -351,7 +394,7 @@ def sigma2(
     prev = gl_value(64)
     for n in (128, 256, 512):
         cur = gl_value(n)
-        if abs(cur - prev) <= max(settings.abs_tol, settings.rel_tol * abs(cur)):
+        if abs(cur - prev) <= tol:
             return cur
         prev = cur
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,12 @@ from momentbounds import (
     sigma2,
 )
 from momentbounds.quadrature import QuadratureSettings
-from momentbounds.testfunc import NaiveTestFunction, TestFunction, parse_rational
+from momentbounds.testfunc import (
+    NaiveTestFunction,
+    TestFunction,
+    _basis_autocorrelation,
+    parse_rational,
+)
 
 # int g and int g^2 for g(x) = sin(x^2) on |x| < 1/8, via scipy.integrate.quad
 # at 1e-15/1e-13 tolerances (independent of the package's own machinery).
@@ -105,6 +111,79 @@ def test_generator_spec_validation():
         GeneratorSpec("polynomial", (), 0.5)
 
 
+# Every 64th node of the base phihat grid over [0, 2h]: the table values.
+def _grid_points(half: float) -> np.ndarray:
+    return np.linspace(0.0, 2.0 * half, 4097)[::64]
+
+
+def test_polynomial_phihat_matches_exact_autocorrelation():
+    coeffs, half = (1.0, -3.0, 20.0, 0.5), 0.125
+    tf = make_from_generator(GeneratorSpec("polynomial", coeffs, half))
+    p = Polynomial(coeffs)
+    ys = _grid_points(half)
+    exact = []
+    for y in ys:
+        antiderivative = (p * p(Polynomial([-y, 1.0]))).integ()
+        exact.append(antiderivative(half) - antiderivative(y - half))
+    assert np.max(np.abs(tf.phihat(ys) - exact)) <= 1e-13 * tf.phihat0
+
+
+def test_cosine_phihat_matches_closed_form():
+    coeffs, half = (1.0, -0.75, 0.5, 0.5), 0.125
+    tf = make_from_generator(GeneratorSpec("cosine-series", coeffs, half))
+    freq = np.arange(len(coeffs)) * math.pi / (2.0 * half)
+    ys = _grid_points(half)
+
+    def int_cos(alpha, beta, lo, hi):
+        # int_lo^hi cos(alpha t + beta) dt
+        if alpha == 0.0:
+            return (hi - lo) * math.cos(beta)
+        return (math.sin(alpha * hi + beta) - math.sin(alpha * lo + beta)) / alpha
+
+    exact = []
+    for y in ys:
+        # cos(a t) cos(b (t - y)) = [cos((a - b) t + b y) + cos((a + b) t - b y)] / 2
+        exact.append(
+            sum(
+                ci * cj * 0.5
+                * (int_cos(a - b, b * y, y - half, half) + int_cos(a + b, -b * y, y - half, half))
+                for ci, a in zip(coeffs, freq)
+                for cj, b in zip(coeffs, freq)
+            )
+        )
+    assert np.max(np.abs(tf.phihat(ys) - exact)) <= 1e-13 * tf.phihat0
+
+
+def test_basis_autocorrelation_is_built_once_per_basis(rng):
+    # half = 1/9 is used by no other test, so the first build is the only miss
+    before = _basis_autocorrelation.cache_info()
+    for _ in range(20):
+        coeffs = (1.0, *rng.uniform(-0.5, 0.5, 3))
+        make_from_generator(GeneratorSpec("cosine-series", coeffs, 1.0 / 9.0))
+    after = _basis_autocorrelation.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 19
+    table = _basis_autocorrelation("cosine-series", 4, 1.0 / 9.0, 4097)
+    assert table.shape == (4097, 4, 4)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+
+
+def test_phihat_grid_independent_of_amplitude():
+    # the grid ladder stops relative to sigma2, so scaling g by c scales
+    # phihat by c^2 on the same grid
+    ys = np.linspace(0.0, 0.25, 97)
+    built = {
+        c: make_from_generator(GeneratorSpec("polynomial", (c, -3.0 * c, 20.0 * c), 0.125))
+        for c in (1e-3, 1.0, 1e3)
+    }
+    ref = built[1.0].phihat(ys)
+    for c, tf in built.items():
+        assert tf._spline.x.size == built[1.0]._spline.x.size
+        assert np.allclose(tf.phihat(ys) / c**2, ref, rtol=1e-12, atol=0)
+
+
 def test_nonnegativity_on_dense_grid(gen_sinx2, naive_third):
     xs = np.linspace(-100.0, 100.0, 10_000)
     for tf in (gen_sinx2, naive_third, make_naive(2.0)):
@@ -149,6 +228,18 @@ def test_sigma2_cross_naive_closed_form():
         got = sigma2(make_naive(v1), make_naive(v2))
         assert got == pytest.approx(exact_naive_sigma2(v1, v2), abs=1e-11)
     assert exact_naive_sigma2(0.25, 1.0 / 3.0) == pytest.approx(5.0 / 16.0, abs=1e-15)
+
+
+def test_sigma2_scale_invariant():
+    # sigma2 is quartic in the generator amplitude; its ladder stops
+    # relative to the pair's scale, not at a fixed absolute tolerance
+    def scaled(c):
+        tf = make_from_generator(GeneratorSpec("cosine-series", (c, -0.75 * c, 0.5 * c), 0.125))
+        return sigma2(tf, tf) / c**4
+
+    ref = scaled(1.0)
+    for c in (1e-3, 1e3):
+        assert scaled(c) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_sigma2_symmetric(gen_sinx2, naive_quarter):
