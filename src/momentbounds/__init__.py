@@ -7,6 +7,7 @@ from .bounds import (
     BoundResult,
     ParityError,
     RankTooSmallError,
+    UncertifiedBoundError,
     bound_level1,
     bound_level2,
     bound_moment,
@@ -75,6 +76,7 @@ __all__ = [
     "SupportRegimeError",
     "SymmetryGroup",
     "TestFunction",
+    "UncertifiedBoundError",
     "bound_level1",
     "bound_level2",
     "bound_moment",

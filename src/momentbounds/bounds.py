@@ -21,6 +21,7 @@ is out of scope here).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +40,10 @@ class ParityError(ValueError):
 
 class RankTooSmallError(ValueError):
     """Rank below the minimum usable rank of a slot function."""
+
+
+class UncertifiedBoundError(ArithmeticError):
+    """A moment came out negative or non-finite, so its quotient is no upper bound."""
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,8 @@ def bound_moment(
     non-negative, which is what lets the tail be dropped.  Requires
     ``r >= min_rank(phi_s)`` for every slot so each denominator factor
     ``r phi_s(0) - (phihat_s(0) + phi_s(0)/2)`` is strictly positive.
+    Raises :class:`UncertifiedBoundError` when the moment is negative or
+    not finite, rather than return a quotient that bounds nothing.
     """
     slots = tuple(slot_functions)
     if not slots:
@@ -170,6 +177,12 @@ def bound_moment(
     result = centered_moment(
         MomentRequest(doubled, family, weight_k=weight_k, regime=regime), settings
     )
+    # An even moment of a real statistic is never negative.
+    if not (math.isfinite(result.value) and result.value >= 0.0):
+        raise UncertifiedBoundError(
+            f"moment {result.value!r} of {', '.join(_tf_labels(slots))} at rank {r} "
+            "is negative or not finite"
+        )
 
     denominator = 1.0
     for tf in slots:

@@ -27,6 +27,7 @@ from pathlib import Path
 from . import reference
 from .bounds import (
     ParityError,
+    UncertifiedBoundError,
     bound_level1,
     bound_level2,
     bound_moment,
@@ -51,6 +52,7 @@ ERROR_CODES = {
     ParityError: "parity-mismatch",
     SupportRegimeError: "support-regime",
     QuadratureError: "quadrature-failure",
+    UncertifiedBoundError: "uncertified-bound",
     NoFeasiblePointError: "no-feasible-point",
     ValueError: "invalid-input",
 }

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .bounds import RankTooSmallError, bound_moment
+from .bounds import RankTooSmallError, UncertifiedBoundError, bound_moment
 from .kernels import SymmetryGroup
 from .moments import SupportRegimeError
 from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
@@ -170,9 +170,10 @@ def objective(
 
     Infeasible points (degenerate generator, rank below the minimum
     usable rank, support violation) and points whose bound cannot be
-    computed to tolerance (:class:`QuadratureError`) return a large
-    penalty instead of raising, so the simplex can move through them and
-    none of them is reported as a bound.
+    computed to tolerance (:class:`QuadratureError`) or certified
+    (:class:`UncertifiedBoundError`) return a large penalty instead of
+    raising, so the simplex can move through them and none of them is
+    reported as a bound.
     """
     try:
         slots = [
@@ -190,7 +191,7 @@ def objective(
             regime=problem.regime,
             settings=settings,
         )
-    except (SupportRegimeError, QuadratureError):
+    except (SupportRegimeError, QuadratureError, UncertifiedBoundError):
         return PENALTY_SCALE
     except RankTooSmallError:
         # rank below c_phi: penalize by the violation magnitude

@@ -11,18 +11,13 @@ analytic formulas predict.  This module samples ensembles, forms Z and
 its empirical centered moments with batch-means standard errors, and
 reports z-scores against the predictions.
 
-Sampling follows the standard Gaussian + QR construction: fill a square
-matrix with independent standard normals, orthonormalize, fix the signs
-so the triangular factor has positive diagonal (that makes the result
-Haar on the full orthogonal group), then flip one column wherever the
-determinant is -1 to land in the special orthogonal group.
-
-Orthogonal spectra come in conjugate pairs e^{+-i theta}, so the
-eigenangle magnitudes are read off the (symmetric) matrix (Q + Q^T)/2,
-whose eigenvalues are the cosines of the angles, each appearing once per
-signed angle.  This is several times faster than a general dense
-eigendecomposition and is cross-checked against one in the test suite;
-pass ``method="direct"`` to use the general decomposition instead.
+Orthogonal eigenangles come in conjugate pairs (plus the forced angle 0
+of SO(2N+1)); the cosines of the N free angles form a Jacobi ensemble,
+which Killip and Nenciu (IMRN 2004) realize as the spectrum of an N x N
+tridiagonal matrix of independent Beta variables, so no matrix of the
+group is formed.  Unitary matrices come from Gaussian + QR with phases
+fixed to make them Haar; their angles are read off the Hermitian Cayley
+transform.  The tests check both against a dense QR sampler.
 
 Batches own independent random substreams derived from (seed, batch
 index), so results are bitwise reproducible no matter how batches are
@@ -39,6 +34,7 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
+from scipy.linalg.lapack import dsterf
 
 from .kernels import SymmetryGroup
 from .moments import MomentRequest, SupportRegimeError, centered_moment, double_factorial
@@ -47,8 +43,8 @@ from .testfunc import TestFunction, sigma2
 
 _SAMPLE_GROUPS = (SymmetryGroup.SO_EVEN, SymmetryGroup.SO_ODD, SymmetryGroup.U)
 
-_EIG_UNIT_TOL = 1e-8  # reconstructed eigenvalues must sit on the unit circle
-_BATCH_MATRIX_LIMIT = 512  # matrices decomposed per vectorized block
+_EIG_UNIT_TOL = 1e-8  # sampled cosines must lie in [-1, 1] up to this
+_BATCH_MATRIX_LIMIT = 512  # samples drawn per vectorized block
 
 
 @dataclass(frozen=True)
@@ -92,27 +88,8 @@ class EmpiricalMoments:
     sample_count: int
 
 
-def _haar_orthogonal_block(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Haar special-orthogonal matrices, stacked (count, dim, dim)."""
-    out = np.empty((count, dim, dim))
-    filled = 0
-    while filled < count:
-        need = count - filled
-        a = rng.standard_normal((need, dim, dim))
-        q, r = np.linalg.qr(a)
-        diag = np.einsum("bii->bi", r)
-        degenerate = np.abs(diag).min(axis=1) < 1e-300
-        signs = np.where(diag < 0, -1.0, 1.0)
-        q = q * signs[:, None, :]
-        q[np.linalg.det(q) < 0, :, 0] *= -1.0
-        keep = ~degenerate  # orthonormalization failure: resample
-        kept = q[keep]
-        out[filled : filled + len(kept)] = kept
-        filled += len(kept)
-    return out
-
-
 def _haar_unitary_block(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Haar unitary matrices, stacked (count, dim, dim), by Gaussian QR."""
     a = (
         rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
     ) / math.sqrt(2.0)
@@ -122,34 +99,46 @@ def _haar_unitary_block(dim: int, rng: np.random.Generator, count: int) -> np.nd
     return q * phases.conj()[:, None, :]
 
 
-def _angles_from_symmetric(q: np.ndarray, group: SymmetryGroup, dim: int) -> np.ndarray:
-    """Eigenangles of orthogonal matrices via the cosine spectrum.
+def _unitary_angles(q: np.ndarray) -> np.ndarray:
+    """Sorted eigenangles of unitary matrices: i (I + Q)^{-1} (I - Q) is
+    Hermitian with eigenvalues tan(theta / 2)."""
+    eye = np.eye(q.shape[-1])
+    h = 1j * np.linalg.solve(eye + q, eye - q)
+    h = 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
+    return 2.0 * np.arctan(np.linalg.eigvalsh(h))
 
-    (Q + Q^T)/2 has eigenvalue cos(theta) once for each signed angle;
-    sorted ascending they pair up (with the forced +1 of odd dimensions
-    at the top), and each pair maps back to {+theta, -theta}.
-    """
-    cos = np.linalg.eigvalsh((q + np.swapaxes(q, 1, 2)) / 2.0)
+
+# (a, b) of the Jacobi weight (1 - cos)^a (1 + cos)^b of the free angles' cosines
+_JACOBI_WEIGHTS = {SymmetryGroup.SO_EVEN: (-0.5, -0.5), SymmetryGroup.SO_ODD: (0.5, -0.5)}
+
+
+def _jacobi_cosines(
+    group: SymmetryGroup, n: int, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """Ascending cosines (count, N) of the free eigenangles of SO(2N) or
+    SO(2N+1): half the spectrum of the Killip-Nenciu beta = 2 Jacobi matrix."""
+    a, b = _JACOBI_WEIGHTS[group]
+    k = np.arange(2 * n - 1)
+    even = k % 2 == 0
+    s = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 3) / 2 + a + b + 2)
+    t = np.where(even, (2 * n - k - 2) / 2 + b + 1, (2 * n - k - 1) / 2)
+    # column j + 2 holds alpha_j; alpha_{-2} = alpha_{-1} = alpha_{2N-1} = -1
+    alpha = np.full((count, 2 * n + 2), -1.0)
+    alpha[:, 2:-1] = 1.0 - 2.0 * rng.beta(s, t, size=(count, 2 * n - 1))
+    # alpha_{2k-2}, alpha_{2k-1}, alpha_{2k}, alpha_{2k+1} for k = 0..N-1
+    am2, am1, a0, ap1 = (alpha[:, j : j + 2 * n : 2] for j in range(4))
+    diag = (1.0 - am1) * a0 - (1.0 + am1) * am2
+    # the N-th off-diagonal is 0 (alpha_{2N-1} = -1); dsterf wants max(N - 1, 1)
+    off = np.sqrt((1.0 - am1) * (1.0 - a0**2) * (1.0 + ap1))[:, : max(n - 1, 1)]
+    cos = np.empty((count, n))
+    for i in range(count):
+        cos[i], info = dsterf(diag[i], off[i])
+        if info != 0:
+            raise ArithmeticError(f"tridiagonal eigen-solve failed (info={info})")
+    cos *= 0.5
     if np.abs(cos).max() > 1.0 + _EIG_UNIT_TOL:
         raise ArithmeticError("cosine spectrum left the unit interval")
-    b = q.shape[0]
-    if group is SymmetryGroup.SO_ODD:
-        forced = cos[:, -1]
-        if forced.min() < 1.0 - _EIG_UNIT_TOL:
-            raise ArithmeticError("odd special orthogonal matrix lost its fixed eigenvalue 1")
-        paired = cos[:, :-1].reshape(b, (dim - 1) // 2, 2).mean(axis=2)
-        theta = np.arccos(np.clip(paired, -1.0, 1.0))
-        return np.concatenate([-theta[:, ::-1], np.zeros((b, 1)), theta], axis=1)
-    paired = cos.reshape(b, dim // 2, 2).mean(axis=2)
-    theta = np.arccos(np.clip(paired, -1.0, 1.0))
-    return np.concatenate([-theta[:, ::-1], theta], axis=1)
-
-
-def _angles_direct(q: np.ndarray) -> np.ndarray:
-    eigenvalues = np.linalg.eigvals(q)
-    if np.abs(np.abs(eigenvalues) - 1.0).max() > _EIG_UNIT_TOL:
-        raise ArithmeticError("eigenvalues left the unit circle")
-    return np.sort(np.angle(eigenvalues), axis=1)
+    return cos
 
 
 def sample_haar_batch(
@@ -157,22 +146,18 @@ def sample_haar_batch(
     half_dim: int,
     rng: np.random.Generator,
     count: int,
-    method: str = "symmetric",
 ) -> np.ndarray:
-    """Eigenangles of ``count`` independent Haar matrices, shape (count, dim)."""
+    """Sorted eigenangles of ``count`` independent Haar matrices, shape (count, dim)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     spec = EnsembleSpec(group, half_dim, count, 0)
-    dim = spec.dim
     if group is SymmetryGroup.U:
-        q = _haar_unitary_block(dim, rng, count)
-        return _angles_direct(q)
-    q = _haar_orthogonal_block(dim, rng, count)
-    if method == "direct":
-        return _angles_direct(q)
-    if method != "symmetric":
-        raise ValueError("method must be 'symmetric' or 'direct'")
-    return np.sort(_angles_from_symmetric(q, group, dim), axis=1)
+        return _unitary_angles(_haar_unitary_block(spec.dim, rng, count))
+    theta = np.arccos(np.clip(_jacobi_cosines(group, half_dim, rng, count), -1.0, 1.0))
+    parts = [-theta, theta]
+    if group is SymmetryGroup.SO_ODD:
+        parts.insert(1, np.zeros((count, 1)))  # the forced eigenvalue 1
+    return np.sort(np.concatenate(parts, axis=1), axis=1)
 
 
 def linear_statistic(angles: np.ndarray, tf: TestFunction, total_dim: int) -> float:
@@ -186,7 +171,7 @@ def linear_statistic(angles: np.ndarray, tf: TestFunction, total_dim: int) -> fl
 
 def _batch_power_sums(args) -> np.ndarray:
     """Raw power sums (count, sum Z, sum Z^2, ...) for one batch."""
-    spec, tf, n_max, batch_size, stream, method = args
+    spec, tf, n_max, batch_size, stream = args
     rng = np.random.default_rng(stream)
     dim = spec.dim
     sums = np.zeros(n_max + 1)
@@ -194,7 +179,7 @@ def _batch_power_sums(args) -> np.ndarray:
     done = 0
     while done < batch_size:
         block = min(_BATCH_MATRIX_LIMIT, batch_size - done)
-        angles = sample_haar_batch(spec.group, spec.half_dim, rng, block, method)
+        angles = sample_haar_batch(spec.group, spec.half_dim, rng, block)
         x = angles * (dim / (2.0 * math.pi))
         z = np.sum(tf.phi(x), axis=1)
         for j in range(1, n_max + 1):
@@ -221,7 +206,6 @@ def empirical_moments(
     tf: TestFunction,
     n_max: int,
     workers: int = 1,
-    method: str = "symmetric",
 ) -> EmpiricalMoments:
     """Mean and centered moments of Z up to order ``n_max``.
 
@@ -238,7 +222,7 @@ def empirical_moments(
     batch_sizes = [base + (1 if i < remainder else 0) for i in range(n_batches)]
     streams = np.random.SeedSequence(spec.seed).spawn(n_batches)
     jobs = [
-        (spec, tf, n_max, batch_sizes[i], streams[i], method)
+        (spec, tf, n_max, batch_sizes[i], streams[i])
         for i in range(n_batches)
         if batch_sizes[i] > 0
     ]

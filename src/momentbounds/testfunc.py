@@ -220,13 +220,13 @@ class GeneratorBackedTestFunction(TestFunction):
         # there, so the rule is exact to machine precision for the
         # non-oscillatory factors.
         nodes, weights = _leggauss(self._GL_NODES)
-        self._t = 0.5 * (nodes + 1.0) * (2 * h) - h
-        self._w = weights * h
-        self._g = np.asarray(generator.evaluate(self._t), dtype=float)
+        t = 0.5 * (nodes + 1.0) * (2 * h) - h
+        w = weights * h
+        g = np.asarray(generator.evaluate(t), dtype=float)
 
-        int_g = float(self._w @ self._g)
-        int_abs_g = float(self._w @ np.abs(self._g))
-        int_g2 = float(self._w @ self._g**2)
+        int_g = float(w @ g)
+        int_abs_g = float(w @ np.abs(g))
+        int_g2 = float(w @ g**2)
         if int_g2 <= 0.0:
             raise ValueError("generator is identically zero")
         if abs(int_g) <= 1e-12 * max(1.0, int_abs_g):
@@ -236,6 +236,14 @@ class GeneratorBackedTestFunction(TestFunction):
             )
         self._phi0 = int_g**2
         self._phihat0 = int_g2
+
+        # The rule is symmetric about 0: fold it onto its positive nodes,
+        # so phi needs half the trigonometric evaluations.
+        half = self._GL_NODES // 2
+        wg = w * g
+        self._t_pos = t[half:]
+        self._wg_even = wg[half:] + wg[half - 1 :: -1]
+        self._wg_odd = wg[half:] - wg[half - 1 :: -1]
 
         self._spline = self._tabulate_phihat()
         self.spec_string = _generator_spec_string(generator)
@@ -270,10 +278,9 @@ class GeneratorBackedTestFunction(TestFunction):
 
     def phi(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        phase = 2.0 * math.pi * np.multiply.outer(x, self._t)
-        wg = self._w * self._g
-        re = np.cos(phase) @ wg
-        im = np.sin(phase) @ wg
+        phase = 2.0 * math.pi * np.multiply.outer(x, self._t_pos)
+        re = np.cos(phase) @ self._wg_even
+        im = np.sin(phase) @ self._wg_odd
         out = re**2 + im**2
         return out if out.size > 1 else out.reshape(())
 

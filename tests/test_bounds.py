@@ -3,9 +3,11 @@
 import pytest
 
 from momentbounds import (
+    MomentResult,
     ParityError,
     RankTooSmallError,
     SymmetryGroup,
+    UncertifiedBoundError,
     bound_level1,
     bound_level2,
     bound_moment,
@@ -13,6 +15,7 @@ from momentbounds import (
     make_naive,
     reproduce_table,
 )
+from momentbounds import bounds as bounds_module
 from momentbounds.bounds import level2_coefficient, table_tolerance
 from momentbounds.reference import expectation_level1, expectation_level2, table_cells
 from momentbounds.testfunc import GeneratorSpec
@@ -98,6 +101,16 @@ def test_moment_bound_minimum_rank_error(naive_third):
 def test_moment_bound_parity(naive_third):
     with pytest.raises(ParityError):
         bound_moment((naive_third, naive_third), G.SO_ODD, 20, regime="with_R")
+
+
+@pytest.mark.parametrize("value", [-1e-20, float("nan"), float("inf")])
+def test_negative_or_nonfinite_moment_is_refused(naive_third, monkeypatch, value):
+    def bad_moment(request, settings):
+        return MomentResult(value, value, 0.0, 1, request.regime)
+
+    monkeypatch.setattr(bounds_module, "centered_moment", bad_moment)
+    with pytest.raises(UncertifiedBoundError):
+        bound_moment((naive_third, naive_third), G.SO_EVEN, 20, regime="with_R")
 
 
 def test_rank_monotonicity(naive_third):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from momentbounds import MomentResult, bounds
 from momentbounds.cli import main, parse_testfn
 from momentbounds.testfunc import NaiveTestFunction
 
@@ -94,6 +95,32 @@ def test_bound_parity_error_exit(capsys):
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "parity-mismatch"
+
+
+def test_bound_negative_moment_error_exit(capsys, monkeypatch):
+    def negative_moment(request, settings):
+        return MomentResult(-1e-20, -1e-20, 0.0, 1, request.regime)
+
+    monkeypatch.setattr(bounds, "centered_moment", negative_moment)
+    code, out, err = run_cli(
+        [
+            "bound",
+            "--family",
+            "so-even",
+            "--rank",
+            "20",
+            "--method",
+            "moment4",
+            "--testfn",
+            "naive:v=1/3",
+            "--regime",
+            "with_R",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "uncertified-bound"
 
 
 def test_bound_malformed_testfn(capsys):

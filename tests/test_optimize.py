@@ -4,6 +4,7 @@ import pytest
 
 from momentbounds import (
     GeneratorBasis,
+    MomentResult,
     NoFeasiblePointError,
     OptimizationProblem,
     SearchSettings,
@@ -12,7 +13,7 @@ from momentbounds import (
     objective,
     search,
 )
-from momentbounds import optimize
+from momentbounds import bounds, optimize
 from momentbounds.optimize import PENALTY_SCALE
 from momentbounds.quadrature import QuadratureError
 
@@ -106,6 +107,14 @@ def test_quadrature_failure_is_penalized_not_reported(cosine_problem, monkeypatc
     # a search in which every point fails reports no bound at all
     with pytest.raises(NoFeasiblePointError):
         search(cosine_problem, SearchSettings(restarts=1, seed=0, max_evals=8))
+
+
+def test_negative_moment_is_penalized_not_reported(cosine_problem, monkeypatch):
+    def negative_moment(request, settings):
+        return MomentResult(-1e-20, -1e-20, 0.0, 1, request.regime)
+
+    monkeypatch.setattr(bounds, "centered_moment", negative_moment)
+    assert objective([COSINE_GRID_POINT, ()], cosine_problem) == PENALTY_SCALE
 
 
 def test_grid_scan_point_beats_sin_of_square(cosine_problem, mixed_problem):

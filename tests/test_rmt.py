@@ -15,14 +15,50 @@ from momentbounds import (
     make_naive,
     predicted_moment,
 )
+from momentbounds import rmt
 from momentbounds.rmt import (
-    _haar_orthogonal_block,
+    _haar_unitary_block,
+    _unitary_angles,
     finite_size_constant,
     predicted_mean,
     sample_haar_batch,
 )
 
 G = SymmetryGroup
+
+
+# ---- the dense reference sampler (the oracle) ----
+
+
+def _haar_orthogonal_block(dim, rng, count):
+    """Haar special-orthogonal matrices, stacked (count, dim, dim).
+
+    Gaussian + QR with the signs fixed so the triangular factor has a
+    positive diagonal (Haar on the full orthogonal group), then one
+    column flipped wherever the determinant is -1.
+    """
+    a = rng.standard_normal((count, dim, dim))
+    q, r = np.linalg.qr(a)
+    diag = np.einsum("bii->bi", r)
+    q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
+
+
+def _angles_direct(q):
+    """Sorted eigenangles from a general dense eigen-solve."""
+    eigenvalues = np.linalg.eigvals(q)
+    assert np.abs(np.abs(eigenvalues) - 1.0).max() < 1e-8
+    return np.sort(np.angle(eigenvalues), axis=1)
+
+
+def _trace_power_stats(angles, j):
+    """Mean and variance of sum_k cos(j theta_k), each with its standard error."""
+    z = np.cos(j * angles).sum(axis=1)
+    n = z.size
+    mean, var = z.mean(), z.var()
+    fourth = np.mean((z - mean) ** 4)
+    return mean, math.sqrt(var / n), var, math.sqrt(max(fourth - var**2, 0.0) / n)
 
 
 def test_so2_angles_come_in_conjugate_pairs(rng):
@@ -54,11 +90,53 @@ def test_angles_sorted_in_principal_range(rng):
         assert angles.min() > -math.pi - 1e-12 and angles.max() <= math.pi + 1e-12
 
 
-def test_symmetric_and_direct_extraction_agree(rng):
-    for group, n in ((G.SO_EVEN, 7), (G.SO_ODD, 7)):
-        fast = sample_haar_batch(group, n, np.random.default_rng(11), 25, method="symmetric")
-        direct = sample_haar_batch(group, n, np.random.default_rng(11), 25, method="direct")
-        assert np.abs(np.sort(fast, axis=1) - np.sort(direct, axis=1)).max() < 1e-8
+def test_symmetric_and_direct_extraction_agree():
+    # the cosine spectrum of (Q + Q^T)/2 is the cosine of each eigenangle
+    for dim in (14, 15):
+        q = _haar_orthogonal_block(dim, np.random.default_rng(11), 25)
+        cos = np.linalg.eigvalsh((q + np.swapaxes(q, 1, 2)) / 2.0)
+        direct = np.sort(np.cos(_angles_direct(q)), axis=1)
+        assert np.abs(cos - direct).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("group", [G.SO_EVEN, G.SO_ODD])
+def test_tridiagonal_sampler_matches_dense_oracle(group, n):
+    # At N = 3 the two groups differ (Var at j = 3 is ~4 in SO(6), ~3 in
+    # SO(7); the mean at j = 7 is 0 against 1), so a wrong Jacobi weight fails.
+    samples = 10_000
+    dim = EnsembleSpec(group, n, 1, 0).dim
+    fast = sample_haar_batch(group, n, np.random.default_rng(31), samples)
+    dense = _angles_direct(_haar_orthogonal_block(dim, np.random.default_rng(32), samples))
+    for j in (1, 2, 3, 4, 5, 2 * n + 1):
+        m1, se_m1, v1, se_v1 = _trace_power_stats(fast, j)
+        m2, se_m2, v2, se_v2 = _trace_power_stats(dense, j)
+        assert abs(m1 - m2) <= 5.0 * math.hypot(se_m1, se_m2), (j, m1, m2)
+        assert abs(v1 - v2) <= 5.0 * math.hypot(se_v1, se_v2), (j, v1, v2)
+
+
+@pytest.mark.parametrize("group", [G.SO_EVEN, G.SO_ODD])
+def test_tridiagonal_sampler_diaconis_shahshahani(group):
+    # E sum_k cos(j theta_k) = eta_j (1 for even j, else 0), variance j, for 2j <= N
+    n = 10
+    angles = sample_haar_batch(group, n, np.random.default_rng(41), 10_000)
+    for j in range(1, n // 2 + 1):
+        mean, se_mean, var, se_var = _trace_power_stats(angles, j)
+        assert abs(mean - (1.0 if j % 2 == 0 else 0.0)) <= 5.0 * se_mean, (j, mean)
+        assert abs(var - j) <= 5.0 * se_var, (j, var)
+
+
+def test_cayley_unitary_angles_match_general_eigen_solve():
+    q = _haar_unitary_block(40, np.random.default_rng(51), 600)
+    assert np.abs(_unitary_angles(q) - _angles_direct(q)).max() < 1e-10
+
+
+@pytest.mark.parametrize("solution", [(np.full(4, 2.5), 0), (np.zeros(4), 3)])
+def test_bad_tridiagonal_spectrum_is_refused(monkeypatch, solution):
+    # a cosine outside [-1, 1] or a failed solve raises, never clips silently
+    monkeypatch.setattr(rmt, "dsterf", lambda d, e: solution)
+    with pytest.raises(ArithmeticError):
+        sample_haar_batch(G.SO_EVEN, 4, np.random.default_rng(0), 3)
 
 
 def test_conjugation_by_permutation_leaves_statistic_unchanged(rng, naive_third):
@@ -67,7 +145,6 @@ def test_conjugation_by_permutation_leaves_statistic_unchanged(rng, naive_third)
     q = _haar_orthogonal_block(dim, rng, 8)
     perm = np.random.default_rng(5).permutation(dim)
     p = np.eye(dim)[perm]
-    from momentbounds.rmt import _angles_direct
 
     a1 = _angles_direct(q)
     a2 = _angles_direct(p @ q @ p.T)

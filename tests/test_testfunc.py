@@ -19,9 +19,11 @@ from momentbounds import (
 )
 from momentbounds.quadrature import QuadratureSettings
 from momentbounds.testfunc import (
+    GeneratorBackedTestFunction,
     NaiveTestFunction,
     TestFunction,
     _basis_autocorrelation,
+    _leggauss,
     parse_rational,
 )
 
@@ -196,6 +198,27 @@ def test_support_exact_zero_outside(gen_sinx2, naive_third):
         ys = np.array([s, s * 1.0001, 2 * s, 10.0])
         assert np.all(tf.phihat(ys) == 0.0)
         assert np.all(tf.phihat(-ys) == 0.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec("polynomial", (1.0, -3.0, 20.0, 0.5), 0.125),
+        GeneratorSpec("cosine-series", (1.0, -0.75, 0.5, 0.5), 0.125),
+        GeneratorSpec("sin-of-square", (), 0.125),
+    ],
+)
+def test_folded_phi_matches_full_rule(spec):
+    # the full 512-node sum |sum_q w_q g(t_q) e^{2 pi i x t_q}|^2 is the reference
+    tf = make_from_generator(spec)
+    nodes, weights = _leggauss(GeneratorBackedTestFunction._GL_NODES)
+    h = spec.half_support
+    t = 0.5 * (nodes + 1.0) * (2 * h) - h
+    wg = weights * h * spec.evaluate(t)
+    xs = np.linspace(-50.0, 50.0, 2001)
+    full = np.abs(np.exp(2j * math.pi * np.multiply.outer(xs, t)) @ wg) ** 2
+    assert np.abs(tf.phi(xs) - full).max() <= 1e-13 * full.max()
+    assert float(tf.phi(0.0)) == pytest.approx(tf.phi0, rel=1e-13, abs=0)
 
 
 def test_fourier_inversion_consistency(gen_sinx2):
