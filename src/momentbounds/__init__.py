@@ -33,11 +33,7 @@ from .optimize import (
     objective,
     search,
 )
-from .quadrature import (
-    QuadratureError,
-    QuadratureSettings,
-    integrate,
-)
+from .quadrature import QuadratureError, QuadratureSettings
 from .rmt import (
     EnsembleSpec,
     EmpiricalMoments,
@@ -85,7 +81,6 @@ __all__ = [
     "expectation_1level",
     "expectation_2level",
     "from_spec_string",
-    "integrate",
     "linear_statistic",
     "make_from_generator",
     "make_naive",

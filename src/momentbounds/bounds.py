@@ -93,7 +93,6 @@ def bound_level1(
     family: SymmetryGroup,
     r: int,
     expectation: float | None = None,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> BoundResult:
     """One-level bound E_1 / r.
 
@@ -105,7 +104,7 @@ def bound_level1(
     if expectation is None:
         if tf is None:
             raise ValueError("bound_level1 needs a test function or an expectation")
-        expectation = expectation_1level(tf, family, settings)
+        expectation = expectation_1level(tf, family)
         labels = _tf_labels([tf])
     else:
         labels = (f"reference:{family.value}:level1",)
@@ -125,7 +124,6 @@ def bound_level2(
     family: SymmetryGroup,
     r: int,
     expectation: float | None = None,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> BoundResult:
     """Two-level bound E_2 / (r (r-2)) (even r) or E_2 / (r-1)^2 (odd r)."""
     _check_parity(family, r)
@@ -137,7 +135,7 @@ def bound_level2(
     if expectation is None:
         if tf1 is None or tf2 is None:
             raise ValueError("bound_level2 needs two test functions or an expectation")
-        expectation = expectation_2level(tf1, tf2, family, settings)
+        expectation = expectation_2level(tf1, tf2, family)
         labels = _tf_labels([tf1, tf2])
     else:
         labels = (f"reference:{family.value}:level2",)

@@ -64,12 +64,9 @@ def parse_testfn(spec: str):
 
 
 def _quad_settings(args) -> QuadratureSettings:
-    if args.tol_abs is None and args.tol_rel is None:
+    if args.tol_rel is None:
         return DEFAULT_SETTINGS
-    return QuadratureSettings(
-        abs_tol=args.tol_abs if args.tol_abs is not None else DEFAULT_SETTINGS.abs_tol,
-        rel_tol=args.tol_rel if args.tol_rel is not None else DEFAULT_SETTINGS.rel_tol,
-    )
+    return QuadratureSettings(rel_tol=args.tol_rel)
 
 
 def _emit(records: list[dict], args) -> None:
@@ -136,7 +133,7 @@ def _cmd_bound(args) -> int:
     for r in _ranks(args):
         if args.method == "level1":
             if tfs:
-                result = bound_level1(tfs[0], family, r, settings=settings)
+                result = bound_level1(tfs[0], family, r)
             else:
                 result = bound_level1(
                     None, family, r, expectation=reference.expectation_level1(family)
@@ -145,7 +142,7 @@ def _cmd_bound(args) -> int:
             if tfs:
                 if len(tfs) == 1:
                     tfs = tfs * 2
-                result = bound_level2(tfs[0], tfs[1], family, r, settings=settings)
+                result = bound_level2(tfs[0], tfs[1], family, r)
             else:
                 result = bound_level2(
                     None, None, family, r, expectation=reference.expectation_level2(family)
@@ -323,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "records"), default="records")
-    common.add_argument("--tol-abs", type=float, default=None, help="quadrature absolute tolerance")
-    common.add_argument("--tol-rel", type=float, default=None, help="quadrature relative tolerance")
+    common.add_argument("--tol-rel", type=float, default=None, help="relative tolerance of the R term")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,15 +16,16 @@ The densities are never evaluated pointwise: every expectation is
 computed in transform space.  For compactly supported ``phihat`` the
 oscillatory factor ``sin(2 pi x)/(2 pi x)`` integrates exactly to
 ``(1/2) int_{-1}^{1} phihat``, which removes all oscillation from the
-quadrature.  The SO(odd) two-level point masses are reduced analytically
-to one-dimensional integrals.
+integrals.  The SO(odd) two-level point masses are reduced analytically
+to one-dimensional integrals.  Every integral left is of polynomial
+pieces of known degree, so each is one exact Gauss-Legendre sum.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate
+from .quadrature import gauss_legendre
 from .testfunc import TestFunction
 
 
@@ -55,20 +56,13 @@ class SymmetryGroup(enum.Enum):
         return None
 
 
-def _half_transform_integral(
-    tf: TestFunction, settings: QuadratureSettings
-) -> float:
+def _half_transform_integral(tf: TestFunction) -> float:
     """(1/2) int_{-1}^{1} phihat(y) dy == int phi(x) sin(2 pi x)/(2 pi x) dx."""
     upper = min(1.0, tf.support_bound)
-    val, _ = integrate(lambda y: float(tf.phihat(y)), 0.0, upper, settings)
-    return val
+    return gauss_legendre(tf.phihat, 0.0, upper, tf.phihat_degree)
 
 
-def expectation_1level(
-    tf: TestFunction,
-    group: SymmetryGroup,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
+def expectation_1level(tf: TestFunction, group: SymmetryGroup) -> float:
     """(1/phi(0)) * int phi(x) W_1(x) dx, point masses included."""
     phi0 = tf.phi0
     if not phi0 > 0:
@@ -76,7 +70,7 @@ def expectation_1level(
     phihat0 = tf.phihat0
     if group is SymmetryGroup.U:
         return phihat0 / phi0
-    s = _half_transform_integral(tf, settings)
+    s = _half_transform_integral(tf)
     if group is SymmetryGroup.SO_EVEN:
         return (phihat0 + s) / phi0
     if group is SymmetryGroup.SO_ODD:
@@ -89,57 +83,43 @@ def expectation_1level(
     return 0.5 * (even + odd)
 
 
-def _pair_transform_integral(
-    tf1: TestFunction, tf2: TestFunction, settings: QuadratureSettings
-) -> float:
+def _pair_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
     """int (1 - |t|)_+ phihat_1(t) phihat_2(t) dt  (== int int Phi K(x-y)^2)."""
     upper = min(1.0, tf1.support_bound, tf2.support_bound)
-    if upper <= 0:
-        return 0.0
-    val, _ = integrate(
-        lambda t: (1.0 - t) * float(tf1.phihat(t)) * float(tf2.phihat(t)),
-        0.0,
-        upper,
-        settings,
+    degree = 1 + tf1.phihat_degree + tf2.phihat_degree
+    return 2.0 * gauss_legendre(
+        lambda t: (1.0 - t) * tf1.phihat(t) * tf2.phihat(t), 0.0, upper, degree
     )
-    return 2.0 * val
 
 
-def _cross_transform_integral(
-    tf1: TestFunction, tf2: TestFunction, settings: QuadratureSettings
-) -> float:
+def _cross_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
     """int int Phi(x, y) K(x-y) K(x+y) dx dy in transform coordinates.
 
     Writing each kernel factor as the transform of the unit rectangle on
     (-1/2, 1/2) and rotating coordinates gives
     (1/2) * int int phihat_1(a) phihat_2(b) over the rhombus
-    {|a| + |b| < 1}.  When the supports fit inside the rhombus the
-    integral factorizes into phi_1(0) phi_2(0); otherwise the rhombus is
-    integrated as a nested one-dimensional integral (inner integral over
-    |a| < 1 - |b|), which keeps every integrand continuous.
+    {|a| + |b| < 1}, that is ``int_0^min(s_2, 1) 2 P_1(min(1 - b, s_1))
+    phihat_2(b) db`` with ``P_1(u) = int_0^u phihat_1``.  For b up to
+    1 - s_1 the inner integral is the whole half transform,
+    ``P_1(s_1) = phi_1(0)/2``; beyond it ``P_1(1 - b)`` is a polynomial in
+    b of one degree more than phihat_1.  So the rhombus is two exact
+    Gauss-Legendre sums, the second with an inner sum per node (empty
+    when the supports fit inside the rhombus).
     """
     s1, s2 = tf1.support_bound, tf2.support_bound
-    if s1 + s2 <= 1.0:
-        return 0.5 * tf1.phi0 * tf2.phi0
-
-    def inner(b: float) -> float:
-        t = min(1.0 - abs(b), s1)
-        if t <= 0.0:
-            return 0.0
-        val, _ = integrate(lambda a: float(tf1.phihat(a)), 0.0, t, settings)
-        return 2.0 * val * float(tf2.phihat(b))
-
     b_max = min(s2, 1.0)
-    # inner() has a kink where its upper limit 1 - |b| reaches s1
-    val, _ = integrate(inner, 0.0, b_max, settings, breakpoints=[1.0 - s1])
-    return 0.5 * 2.0 * val
+    split = min(max(1.0 - s1, 0.0), b_max)
+    d1, d2 = tf1.phihat_degree, tf2.phihat_degree
+    full = tf1.phi0 * gauss_legendre(tf2.phihat, 0.0, split, d2)
+
+    def partial(b):
+        return 2.0 * gauss_legendre(tf1.phihat, 0.0, 1.0 - b, d1) * tf2.phihat(b)
+
+    return full + gauss_legendre(partial, split, b_max, 1 + d1 + d2)
 
 
 def expectation_2level(
-    tf1: TestFunction,
-    tf2: TestFunction,
-    group: SymmetryGroup,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
+    tf1: TestFunction, tf2: TestFunction, group: SymmetryGroup
 ) -> float:
     """(1/Phi(0,0)) * int int phi_1(x) phi_2(y) W_2(x, y) dx dy.
 
@@ -151,20 +131,20 @@ def expectation_2level(
     if not norm > 0:
         raise ValueError("expectation_2level needs phi_1(0) phi_2(0) > 0")
     if group is SymmetryGroup.O:
-        even = expectation_2level(tf1, tf2, SymmetryGroup.SO_EVEN, settings)
-        odd = expectation_2level(tf1, tf2, SymmetryGroup.SO_ODD, settings)
+        even = expectation_2level(tf1, tf2, SymmetryGroup.SO_EVEN)
+        odd = expectation_2level(tf1, tf2, SymmetryGroup.SO_ODD)
         return 0.5 * (even + odd)
 
-    t_pair = _pair_transform_integral(tf1, tf2, settings)
+    t_pair = _pair_transform_integral(tf1, tf2)
     if group is SymmetryGroup.U:
         return (tf1.phihat0 * tf2.phihat0 - t_pair) / norm
 
     eps = 1 if group is SymmetryGroup.SO_EVEN else -1
-    s1 = _half_transform_integral(tf1, settings)
-    s2 = _half_transform_integral(tf2, settings)
+    s1 = _half_transform_integral(tf1)
+    s2 = _half_transform_integral(tf2)
     i1 = tf1.phihat0 + eps * s1
     i2 = tf2.phihat0 + eps * s2
-    cross = _cross_transform_integral(tf1, tf2, settings)
+    cross = _cross_transform_integral(tf1, tf2)
     total = i1 * i2 - (2.0 * t_pair + 2.0 * eps * cross)
     if group is SymmetryGroup.SO_ODD:
         # delta(x) K_{-1}(y,y) and delta(y) K_{-1}(x,x) minors

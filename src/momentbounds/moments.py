@@ -249,14 +249,12 @@ def _hafnian(a: Sequence[Sequence[float]]) -> float:
     return haf((1 << len(a)) - 1)
 
 
-def _matching_sum(
-    tfs: tuple[TestFunction, ...], settings: QuadratureSettings
-) -> float:
+def _matching_sum(tfs: tuple[TestFunction, ...]) -> float:
     """Sum over perfect matchings of products of pairwise variances: the
     hafnian of the sigma2 matrix.
 
     Pairwise sigma2 values are memoized by test-function identity, so
-    repeated functions cost one quadrature per distinct pair.
+    repeated functions cost one integral per distinct pair.
     """
     n = len(tfs)
     if n > MAX_EVEN_ORDER:
@@ -266,7 +264,7 @@ def _matching_sum(
     def pair_value(a: TestFunction, b: TestFunction) -> float:
         key = (min(id(a), id(b)), max(id(a), id(b)))
         if key not in cache:
-            cache[key] = sigma2(a, b, settings)
+            cache[key] = sigma2(a, b)
         return cache[key]
 
     return _hafnian(
@@ -289,7 +287,7 @@ def centered_moment(
     sign = {SymmetryGroup.SO_EVEN: 1, SymmetryGroup.SO_ODD: -1, SymmetryGroup.O: 0}[req.family]
 
     if req.n % 2 == 0:
-        matching_sum = _matching_sum(req.test_functions, settings)
+        matching_sum = _matching_sum(req.test_functions)
     else:
         matching_sum = 0.0
 

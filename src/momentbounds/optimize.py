@@ -8,9 +8,12 @@ supported on twice the generator's support.  Each slot of the moment
 bound gets its own generator basis, slots are optimized jointly, and the
 objective is the bound itself.
 
-The objective involves nested quadrature and is noisy at the 1e-10
-level, so the local search is a derivative-free simplex (Nelder-Mead)
-restarted from uniform random points inside the coefficient box.
+Every integral in the objective is an exact Gauss-Legendre sum except
+the correction term R, which a grid ladder converges to 1e-10 of its
+scale; R has no closed-form gradient and infeasible points return a
+flat penalty, so the local search is a derivative-free simplex
+(Nelder-Mead) restarted from uniform random points inside the
+coefficient box.
 Restarts own deterministic random substreams derived from
 (seed, restart index), so results are reproducible and independent of
 scheduling.

@@ -1,11 +1,16 @@
-"""Deterministic numerical integration engine.
+"""Numerical integration: one fixed Gauss-Legendre path.
 
-One entry point, :func:`integrate`: adaptive 1-D quadrature on a finite
-interval (QUADPACK behind a uniform error contract).  The package's
-formulas are compact integrals in transform space, so no infinite or
-oscillatory domain needs a path of its own.  :class:`QuadratureSettings`
-carries the error budget and :class:`QuadratureError` reports an
-integral that did not converge.
+Every transform in the package is a polynomial piece of known degree on
+its support (the Fejer triangle is linear, a generator transform is a
+chopped Chebyshev series), so every integral of transforms is a
+polynomial integral of known degree.  :func:`gauss_legendre` sums it
+with the Gauss-Legendre rule of just enough nodes, which is exact up to
+rounding: there is no error estimate and no adaptivity.
+
+The one approximate quantity, the correction term R, is refined on a
+grid ladder in :mod:`.moments`; :class:`QuadratureSettings` carries its
+relative budget and :class:`QuadratureError` reports a ladder that did
+not converge.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -14,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable
 
-from scipy.integrate import quad
+import numpy as np
 
 
 class QuadratureError(RuntimeError):
@@ -34,69 +40,40 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Error budget for a single integral."""
+    """Relative error budget of the correction term R."""
 
-    abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
+        if not self.rel_tol > 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-    breakpoints: Sequence[float] | None = None,
-) -> tuple[float, float]:
-    """Integrate ``f`` over the finite interval ``[a, b]``.
+@lru_cache(maxsize=16)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # leggauss solves an eigenproblem; cache it, the rules are reused heavily
+    return np.polynomial.legendre.leggauss(n)
 
-    Returns ``(value, err_est)`` with ``err_est`` bounded by
-    ``max(abs_tol, rel_tol * |value|)`` on success.  ``breakpoints``
-    marks interior points where the integrand has kinks.
 
-    Raises :class:`QuadratureError` (carrying the best estimate) if the
-    subdivision budget is exhausted without convergence.
+def gauss_legendre(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b, degree: int
+):
+    """``int_a^b f(y) dy`` by the Gauss-Legendre rule of ``degree // 2 + 1`` nodes.
+
+    Exact up to rounding when ``f`` is a polynomial of degree at most
+    ``degree`` on ``[a, b]``.  ``f`` is called once, on an array of nodes.
+    ``b`` may be an array of upper limits, giving one integral each (``f``
+    then sees one row of nodes per limit).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integrate requires finite endpoints")
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-
-    pts = None
-    if breakpoints is not None:
-        pts = sorted(p for p in breakpoints if a < p < b)
-        if not pts:
-            pts = None
-
-    value, err, info, *rest = quad(
-        f,
-        a,
-        b,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
-        points=pts,
-        full_output=True,
-    )
-    if rest:  # QUADPACK signalled trouble: (message,) or (message, explain)
-        raise QuadratureError(
-            f"quadrature did not converge on [{a}, {b}]: {rest[0]}",
-            best_estimate=value,
-            err_est=err,
-        )
-    if err > max(settings.abs_tol, settings.rel_tol * abs(value)) * 10:
-        raise QuadratureError(
-            f"error estimate {err:.3e} exceeds tolerance target on [{a}, {b}]",
-            best_estimate=value,
-            err_est=err,
-        )
-    return value, err
+    b = np.asarray(b, dtype=float)
+    if not (math.isfinite(a) and np.all(np.isfinite(b))):
+        raise ValueError("gauss_legendre requires finite endpoints")
+    if np.any(b < a):
+        raise ValueError(f"need a <= b, got a={a}, b={b}")
+    nodes, weights = _leggauss(degree // 2 + 1)
+    half = 0.5 * (b - a)[..., None]
+    total = (f(a + half * (nodes + 1.0)) * weights * half).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total

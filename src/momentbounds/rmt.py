@@ -294,7 +294,7 @@ def predicted_moment(
     if group is SymmetryGroup.U:
         if order % 2 == 1:
             return 0.0
-        variance = 0.5 * sigma2(tf, tf, settings)
+        variance = 0.5 * sigma2(tf, tf)
         return double_factorial(order - 1) * variance ** (order // 2)
     request = MomentRequest((tf,) * order, group, weight_k=weight_k, regime="with_R")
     try:

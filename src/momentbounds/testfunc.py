@@ -12,9 +12,13 @@ constructions are provided:
   non-negative, with ``phihat`` supported on twice the support of ``g``.
   A generator is a weighted sum ``g = sum_k c_k b_k`` of basis functions,
   so ``phihat(y) = c^T T(y) c`` with ``T(y)_kl = int b_k(t) b_l(t - y) dt``
-  the basis autocorrelation.  ``T`` is tabulated once per basis (kind,
-  dimension, support and grid) and cached; only the contraction with the
-  weights is done per function.
+  the basis autocorrelation.  Each entry of ``T`` is a polynomial in y
+  (polynomial bases) or an entire function that a Chebyshev series
+  represents to roundoff at modest degree (cosine and sin(t^2) bases), so
+  ``T`` is stored once per basis (kind, dimension, support) as a chopped
+  table of Chebyshev coefficients on [0, 2h] and cached.  Each function's
+  phihat is then the exact polynomial piece whose coefficients are
+  ``c^T T_j c``.
 
 Support intervals are treated as open: the transforms vanish at their
 support endpoints, so a function with ``support_bound == t`` satisfies a
@@ -34,28 +38,21 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.polynomial import chebyshev
 
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, integrate
+from .quadrature import _leggauss, gauss_legendre
 
 GENERATOR_KINDS = ("sin-of-square", "polynomial", "cosine-series")
 
-
-@lru_cache(maxsize=8)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # leggauss solves an eigenproblem; cache it, the rules are reused heavily
-    return np.polynomial.legendre.leggauss(n)
-
-# phihat tabulation for generator-backed functions: start here and double
-# until sigma2 stabilizes to SIGMA2_GRID_TOL relative to its value.
-_BASE_GRID_NODES = 4097
-_MAX_GRID_NODES = 65537
-SIGMA2_GRID_TOL = 1e-10
-# Gauss-Legendre nodes per overlap interval of the basis autocorrelation,
-# and the size of the (rows, nodes, d, d) products built at a time
-# (4 MB: 256 grid rows at d = 4).
+# Basis autocorrelation tables: Gauss-Legendre nodes per overlap interval
+# (exact for polynomial integrands up to degree 255), Chebyshev sample
+# points on [0, 2h], and the chop level relative to each entry's
+# Cauchy-Schwarz scale sqrt(T_kk(0) T_ll(0)).  A series that is not below
+# the chop level from _MAX_PHIHAT_DEGREE on is refused.
 _AUTOCORR_NODES = 128
-_AUTOCORR_CHUNK_ELEMS = 2**19
+_CHEB_POINTS = 128
+_MAX_PHIHAT_DEGREE = 95
+_CHOP_TOL = 1e-14
 
 
 def parse_rational(text: str) -> float:
@@ -127,27 +124,39 @@ def _basis_values(kind: str, dim: int, half_support: float, t) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _basis_autocorrelation(kind: str, dim: int, half_support: float, n: int) -> np.ndarray:
-    """T[i, k, l] = int b_k(t) b_l(t - y_i) dt on the grid y = linspace(0, 2h, n).
+def _basis_autocorrelation(kind: str, dim: int, half_support: float) -> np.ndarray:
+    """Chebyshev coefficients on [0, 2h] of T(y)_kl = int b_k(t) b_l(t - y) dt.
 
-    One Gauss-Legendre rule per y on the overlap interval (y - h, h).
-    Shape (n, d, d), read-only: it is shared by every generator of the
-    same basis, whose phihat is then c^T T(y) c.
+    T is sampled at Chebyshev points (one Gauss-Legendre rule per y on
+    the overlap interval (y - h, h)), converted to coefficients and
+    chopped where every entry's tail falls below roundoff.  Shape
+    (degree + 1, d, d), read-only: it is shared by every generator of the
+    same basis, whose phihat then has the coefficients c^T T_j c.  Raises
+    ValueError when the series does not chop below the degree cap, rather
+    than represent phihat approximately.
     """
     h = half_support
-    ys = np.linspace(0.0, 2.0 * h, n)
+    theta = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
+    y = h * (np.cos(theta) + 1.0)
     base, wts = _leggauss(_AUTOCORR_NODES)
-    out = np.empty((n, dim, dim))
-    rows = max(1, _AUTOCORR_CHUNK_ELEMS // (_AUTOCORR_NODES * dim * dim))
-    for start in range(0, n, rows):
-        y = ys[start : start + rows]
-        lo = y - h
-        width = np.maximum(h - lo, 0.0)
-        t = lo[:, None] + (base[None, :] + 1.0) * 0.5 * width[:, None]
-        w = wts[None, :] * 0.5 * width[:, None]
-        left = w[..., None] * _basis_values(kind, dim, h, t)
-        right = _basis_values(kind, dim, h, t - y[:, None])
-        out[start : start + y.size] = (left[..., :, None] * right[..., None, :]).sum(axis=1)
+    width = 2.0 * h - y
+    t = (y - h)[:, None] + (base + 1.0) * 0.5 * width[:, None]
+    left = (wts * 0.5 * width[:, None])[..., None] * _basis_values(kind, dim, h, t)
+    right = _basis_values(kind, dim, h, t - y[:, None])
+    values = np.swapaxes(left, 1, 2) @ right  # (points, d, d)
+    coef = np.cos(np.outer(np.arange(_CHEB_POINTS), theta)) @ values.reshape(_CHEB_POINTS, -1)
+    coef *= 2.0 / _CHEB_POINTS
+    coef[0] *= 0.5
+    coef = coef.reshape(_CHEB_POINTS, dim, dim)
+    norms = np.sqrt(np.abs(np.diagonal(chebyshev.chebval(-1.0, coef))))
+    above = np.abs(coef) > _CHOP_TOL * np.outer(norms, norms)
+    degree = int(np.flatnonzero(above.any(axis=(1, 2))).max(initial=0))
+    if degree >= _MAX_PHIHAT_DEGREE:
+        raise ValueError(
+            f"the {kind} basis of dimension {dim} on half-support {h!r} has no "
+            f"Chebyshev representation below degree {_MAX_PHIHAT_DEGREE}"
+        )
+    out = coef[: degree + 1].copy()
     out.flags.writeable = False
     return out
 
@@ -156,10 +165,13 @@ class TestFunction:
     """Base class: an admissible pair (phi, phihat).
 
     Subclasses provide vectorized ``phi``/``phihat``, the support bound
-    of the transform and a round-trippable spec string.
+    of the transform, the degree of ``phihat`` as a polynomial on
+    ``[0, support_bound]`` (which sizes every integral of it) and a
+    round-trippable spec string.
     """
 
     support_bound: float
+    phihat_degree: int
     spec_string: str
 
     def phi(self, x) -> np.ndarray:
@@ -183,6 +195,8 @@ class TestFunction:
 class NaiveTestFunction(TestFunction):
     """The Fejer pair: phi = (sin(pi v x)/(pi v x))^2, phihat the triangle on (-v, v)."""
 
+    phihat_degree = 1
+
     def __init__(self, v: float):
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"naive test function needs v > 0, got {v!r}")
@@ -201,15 +215,20 @@ class NaiveTestFunction(TestFunction):
 class GeneratorBackedTestFunction(TestFunction):
     """phi = |inverse transform of g|^2, phihat = autocorrelation of g.
 
-    ``phihat`` is sampled on a uniform grid over [0, 2*half_support] as
-    ``c^T T(y) c``, from the cached basis autocorrelation ``T`` and the
-    generator's weights ``c`` (node count doubled until the self-variance
-    sigma2 stabilizes relative to its value), and evaluated through a
-    cubic spline; phi is evaluated directly by Gauss-Legendre quadrature
-    of the oscillatory transform integral.
+    ``phihat`` is the Chebyshev series on [0, 2*half_support] with
+    coefficients ``c^T T_j c``, from the cached basis autocorrelation
+    table ``T`` and the generator's weights ``c``; phi is evaluated
+    directly by Gauss-Legendre quadrature of the oscillatory transform
+    integral.
     """
 
     _GL_NODES = 512
+    # phi works through x in blocks of this many points, so each
+    # (block, 256) temporary stays at 64 KiB: below glibc's default mmap
+    # threshold, it reuses heap pages rather than faulting fresh ones in
+    # on every call (a Monte Carlo batch of 1,000 points otherwise faults
+    # in about 1,500 pages per call).
+    _PHI_BLOCK = 32
 
     def __init__(self, generator: GeneratorSpec):
         self.generator = generator
@@ -229,7 +248,7 @@ class GeneratorBackedTestFunction(TestFunction):
         int_g2 = float(w @ g**2)
         if int_g2 <= 0.0:
             raise ValueError("generator is identically zero")
-        if abs(int_g) <= 1e-12 * max(1.0, int_abs_g):
+        if abs(int_g) <= 1e-12 * int_abs_g:
             raise ValueError(
                 "generator integrates to zero: phi(0) vanishes and every "
                 "bound denominator would vanish with it"
@@ -245,50 +264,29 @@ class GeneratorBackedTestFunction(TestFunction):
         self._wg_even = wg[half:] + wg[half - 1 :: -1]
         self._wg_odd = wg[half:] - wg[half - 1 :: -1]
 
-        self._spline = self._tabulate_phihat()
+        table = _basis_autocorrelation(generator.kind, generator.dimension, h)
+        self._phihat_coef = (table @ generator.weights) @ generator.weights
+        self.phihat_degree = self._phihat_coef.size - 1
         self.spec_string = _generator_spec_string(generator)
-
-    def _autocorrelation(self, n: int) -> np.ndarray:
-        """int g(t) g(t - y) dt = c^T T(y) c on the grid y = linspace(0, 2h, n)."""
-        g = self.generator
-        table = _basis_autocorrelation(g.kind, g.dimension, g.half_support, n)
-        return (table @ g.weights) @ g.weights
-
-    def _tabulate_phihat(self) -> CubicSpline:
-        two_h = self.support_bound
-        n = _BASE_GRID_NODES
-        ys = np.linspace(0.0, two_h, n)
-        vals = self._autocorrelation(n)
-        vals[-1] = 0.0
-        spline = CubicSpline(ys, vals, bc_type="natural")
-        s2 = _grid_self_sigma2(spline, two_h)
-        # One rung down the refinement ladder is free: the half grid is a
-        # subsample of the values already computed.
-        coarse = CubicSpline(ys[::2], vals[::2], bc_type="natural")
-        prev_sigma2 = _grid_self_sigma2(coarse, two_h)
-        while abs(s2 - prev_sigma2) > SIGMA2_GRID_TOL * abs(s2) and n < _MAX_GRID_NODES:
-            prev_sigma2 = s2
-            n = 2 * n - 1
-            ys = np.linspace(0.0, two_h, n)
-            vals = self._autocorrelation(n)
-            vals[-1] = 0.0
-            spline = CubicSpline(ys, vals, bc_type="natural")
-            s2 = _grid_self_sigma2(spline, two_h)
-        return spline
 
     def phi(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        phase = 2.0 * math.pi * np.multiply.outer(x, self._t_pos)
-        re = np.cos(phase) @ self._wg_even
-        im = np.sin(phase) @ self._wg_odd
-        out = re**2 + im**2
-        return out if out.size > 1 else out.reshape(())
+        flat = x.reshape(-1)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, self._PHI_BLOCK):
+            block = slice(start, start + self._PHI_BLOCK)
+            phase = np.multiply.outer(flat[block], self._t_pos)
+            phase *= 2.0 * math.pi
+            re = np.cos(phase) @ self._wg_even
+            im = np.sin(phase, out=phase) @ self._wg_odd
+            out[block] = re**2 + im**2
+        return out.reshape(x.shape) if out.size > 1 else out.reshape(())
 
     def phihat(self, y):
         y = np.abs(np.asarray(y, dtype=float))
         inside = y < self.support_bound
-        vals = self._spline(np.where(inside, y, 0.0))
-        return np.where(inside, vals, 0.0)
+        x = np.where(inside, y, 0.0) * (2.0 / self.support_bound) - 1.0
+        return np.where(inside, chebyshev.chebval(x, self._phihat_coef), 0.0)
 
     @property
     def phi0(self) -> float:
@@ -297,14 +295,6 @@ class GeneratorBackedTestFunction(TestFunction):
     @property
     def phihat0(self) -> float:
         return self._phihat0
-
-
-def _grid_self_sigma2(spline: CubicSpline, two_h: float) -> float:
-    """2 int |y| phihat^2 over (-2h, 2h) by Gauss-Legendre on the half line."""
-    base, wts = _leggauss(256)
-    y = (base + 1.0) * 0.5 * two_h
-    w = wts * 0.5 * two_h
-    return 4.0 * float(w @ (y * spline(y) ** 2))
 
 
 def _generator_spec_string(g: GeneratorSpec) -> str:
@@ -372,46 +362,17 @@ def from_spec_string(spec: str) -> TestFunction:
         raise ValueError(msg) from None
 
 
-def sigma2(
-    a: TestFunction,
-    b: TestFunction,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
+def sigma2(a: TestFunction, b: TestFunction) -> float:
     """Pairwise variance ``2 int |y| phihat_a(y) phihat_b(y) dy``.
 
     The integrand vanishes outside the intersection of the transform
     supports, so only ``[0, min(support_a, support_b)]`` is integrated
-    (doubled by evenness).  The transforms are smooth inside their
-    supports, so a vectorized Gauss-Legendre ladder (node count doubled
-    until two levels agree to ``rel_tol`` of the pair's natural scale
-    ``2 s^2 |phihat_a(0) phihat_b(0)|``) is used first, with adaptive
-    quadrature as the fallback.
+    (doubled by evenness).  There both transforms are polynomial pieces,
+    so the Gauss-Legendre sum of the integrand's degree is exact.
     """
     s = min(a.support_bound, b.support_bound)
-    if s <= 0:
-        return 0.0
-    tol = settings.rel_tol * 2.0 * s * s * abs(a.phihat0 * b.phihat0)
-
-    def gl_value(n: int) -> float:
-        base, wts = _leggauss(n)
-        y = 0.5 * s + 0.5 * s * base
-        integrand = y * np.asarray(a.phihat(y)) * np.asarray(b.phihat(y))
-        return 2.0 * 2.0 * float((0.5 * s * wts * integrand).sum())
-
-    prev = gl_value(64)
-    for n in (128, 256, 512):
-        cur = gl_value(n)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-
-    val, _ = integrate(
-        lambda y: 2.0 * y * float(a.phihat(y)) * float(b.phihat(y)),
-        0.0,
-        s,
-        settings,
-    )
-    return 2.0 * val
+    degree = 1 + a.phihat_degree + b.phihat_degree
+    return 4.0 * gauss_legendre(lambda y: y * a.phihat(y) * b.phihat(y), 0.0, s, degree)
 
 
 def min_rank(tf: TestFunction) -> int:

@@ -1,9 +1,13 @@
 """Command-line interface: parsing, records, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import momentbounds
 from momentbounds import MomentResult, bounds
 from momentbounds.cli import main, parse_testfn
 from momentbounds.testfunc import NaiveTestFunction
@@ -17,6 +21,21 @@ def run_cli(args, capsys):
 
 def parse_records(out: str):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
+
+
+def test_cli_import_leaves_quadpack_and_splines_out():
+    # every integral is a fixed Gauss-Legendre sum: the command line needs
+    # neither scipy.integrate nor scipy.interpolate
+    src = str(Path(momentbounds.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import momentbounds.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'interpolate'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # ---- test-function spec parsing ----

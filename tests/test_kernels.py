@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from momentbounds import (
+    GeneratorSpec,
     SymmetryGroup,
     expectation_1level,
     expectation_2level,
+    make_from_generator,
     make_naive,
 )
 
@@ -109,3 +111,53 @@ def test_expectation_2level_asymmetric_slots():
     assert expectation_2level(a, b, G.SO_ODD) == pytest.approx(
         expectation_2level(b, a, G.SO_ODD), rel=1e-10
     )
+    # supports summing past 1: the rhombus cross term integrates the first
+    # slot inside and the second outside, split at 1 - s_1, so swapping
+    # slots of different degree takes a different path to the same value
+    c = make_from_generator(GeneratorSpec("polynomial", (1.0, -3.0, 20.0, 0.5), 0.3))
+    d = make_from_generator(GeneratorSpec("cosine-series", (1.0, 0.5), 0.35))
+    for group in (G.SO_EVEN, G.SO_ODD):
+        assert expectation_2level(c, d, group) == pytest.approx(
+            expectation_2level(d, c, group), rel=1e-13
+        )
+
+
+def _dense(f, a, b, n=100):
+    """int_a^b f by a 100-node Gauss-Legendre rule, far above every degree here."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (b - a)
+    return float((f(a + half * (x + 1.0)) * w).sum() * half)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # beside the naive triangle: a polynomial phihat of degree 7 with a
+        # large top coefficient, and an entire one chopped at degree 12
+        GeneratorSpec("polynomial", (1.0, -3.0, 20.0, 0.5), 0.3),
+        GeneratorSpec("sin-of-square", (), 0.125),
+    ],
+)
+def test_transform_integrals_match_dense_reference(spec):
+    from momentbounds.kernels import _cross_transform_integral, _pair_transform_integral
+    from momentbounds.testfunc import sigma2
+
+    g = make_from_generator(spec)
+    naive = make_naive(0.9)
+    for a, b in ((g, naive), (naive, g)):
+        s = min(a.support_bound, b.support_bound)
+        ref = 4.0 * _dense(lambda y: y * a.phihat(y) * b.phihat(y), 0.0, s)
+        assert sigma2(a, b) == pytest.approx(ref, rel=1e-13, abs=0)
+        u = min(1.0, s)
+        ref = 2.0 * _dense(lambda t: (1.0 - t) * a.phihat(t) * b.phihat(t), 0.0, u)
+        assert _pair_transform_integral(a, b) == pytest.approx(ref, rel=1e-13, abs=0)
+        # the rhombus |alpha| + |beta| < 1, integrated in the other order:
+        # outer over the first transform, split where 1 - alpha meets s_2
+        s1, s2 = a.support_bound, b.support_bound
+        inner = lambda al: np.array([_dense(b.phihat, 0.0, min(1.0 - v, s2)) for v in al])
+        kink = min(max(1.0 - s2, 0.0), s1)
+        ref = 2.0 * sum(
+            _dense(lambda al: a.phihat(al) * inner(al), lo, hi)
+            for lo, hi in ((0.0, kink), (kink, min(s1, 1.0)))
+        )
+        assert _cross_transform_integral(a, b) == pytest.approx(ref, rel=1e-13, abs=0)

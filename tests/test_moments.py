@@ -15,6 +15,7 @@ from momentbounds import (
     QuadratureSettings,
     SupportRegimeError,
     SymmetryGroup,
+    bound_moment,
     centered_moment,
     make_from_generator,
     make_naive,
@@ -163,6 +164,27 @@ def test_r_term_irwin_hall_oracle(n, q):
     tfs = [make_naive(1.0 / q)] * n
     matching_sum = double_factorial(n - 1) / 3.0 ** (n // 2)
     assert abs(r_term(tfs) - float(_irwin_hall_r(n, q))) <= 1e-10 * matching_sum
+
+
+@pytest.mark.parametrize("two_m", [4, 6, 8, 12, 24])
+def test_higher_order_bounds_match_exact_oracle(two_m):
+    # m slots of naive:v=1/(2m-1), each doubled, with_R at rank 50: the
+    # moment is (2m-1)!! (1/3)^m + R and each slot's margin is 50 - 2m + 1/2
+    m = two_m // 2
+    slots = [make_naive(1.0 / (two_m - 1))] * m
+    got = bound_moment(slots, G.SO_EVEN, 50, regime="with_R").upper_bound
+    moment = Fraction(double_factorial(two_m - 1), 3**m) + _irwin_hall_r(two_m, two_m - 1)
+    exact = moment / Fraction(2 * 50 - 2 * two_m + 1, 2) ** two_m
+    assert got == pytest.approx(float(exact), rel=1e-10, abs=0)
+
+
+def test_higher_moment_beats_fourth_at_rank_10():
+    # the bounds improve rapidly with the rank through the higher moments
+    def bound(two_m):
+        slots = [make_naive(1.0 / (two_m - 1))] * (two_m // 2)
+        return bound_moment(slots, G.SO_EVEN, 10, regime="with_R").upper_bound
+
+    assert bound(6) < bound(4)
 
 
 def test_r_term_exactly_zero_when_supports_sum_to_one(gen_sinx2):

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from momentbounds import (
     GeneratorSpec,
     from_spec_string,
-    integrate,
     make_from_generator,
     make_naive,
     min_rank,
     sigma2,
 )
-from momentbounds.quadrature import QuadratureSettings
+from momentbounds.quadrature import gauss_legendre
 from momentbounds.testfunc import (
     GeneratorBackedTestFunction,
     NaiveTestFunction,
@@ -113,16 +112,25 @@ def test_generator_spec_validation():
         GeneratorSpec("polynomial", (), 0.5)
 
 
-# Every 64th node of the base phihat grid over [0, 2h]: the table values.
-def _grid_points(half: float) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * half, 4097)[::64]
+def _off_grid_points(half: float) -> np.ndarray:
+    """10,000 random points of the support [0, 2h], plus 500 in each of its
+    first and last 1%, where a tabulated phihat goes wrong first."""
+    rng = np.random.default_rng(6)
+    two_h = 2.0 * half
+    return np.concatenate(
+        [
+            rng.uniform(0.0, two_h, 10_000),
+            rng.uniform(0.0, 0.01 * two_h, 500),
+            rng.uniform(0.99 * two_h, two_h, 500),
+        ]
+    )
 
 
 def test_polynomial_phihat_matches_exact_autocorrelation():
     coeffs, half = (1.0, -3.0, 20.0, 0.5), 0.125
     tf = make_from_generator(GeneratorSpec("polynomial", coeffs, half))
     p = Polynomial(coeffs)
-    ys = _grid_points(half)
+    ys = _off_grid_points(half)
     exact = []
     for y in ys:
         antiderivative = (p * p(Polynomial([-y, 1.0]))).integ()
@@ -134,26 +142,42 @@ def test_cosine_phihat_matches_closed_form():
     coeffs, half = (1.0, -0.75, 0.5, 0.5), 0.125
     tf = make_from_generator(GeneratorSpec("cosine-series", coeffs, half))
     freq = np.arange(len(coeffs)) * math.pi / (2.0 * half)
-    ys = _grid_points(half)
+    ys = _off_grid_points(half)
 
     def int_cos(alpha, beta, lo, hi):
-        # int_lo^hi cos(alpha t + beta) dt
+        # int_lo^hi cos(alpha t + beta) dt, vectorized over beta and lo
         if alpha == 0.0:
-            return (hi - lo) * math.cos(beta)
-        return (math.sin(alpha * hi + beta) - math.sin(alpha * lo + beta)) / alpha
+            return (hi - lo) * np.cos(beta)
+        return (np.sin(alpha * hi + beta) - np.sin(alpha * lo + beta)) / alpha
 
-    exact = []
-    for y in ys:
-        # cos(a t) cos(b (t - y)) = [cos((a - b) t + b y) + cos((a + b) t - b y)] / 2
-        exact.append(
-            sum(
-                ci * cj * 0.5
-                * (int_cos(a - b, b * y, y - half, half) + int_cos(a + b, -b * y, y - half, half))
-                for ci, a in zip(coeffs, freq)
-                for cj, b in zip(coeffs, freq)
-            )
-        )
+    # cos(a t) cos(b (t - y)) = [cos((a - b) t + b y) + cos((a + b) t - b y)] / 2
+    exact = sum(
+        ci * cj * 0.5
+        * (int_cos(a - b, b * ys, ys - half, half) + int_cos(a + b, -b * ys, ys - half, half))
+        for ci, a in zip(coeffs, freq)
+        for cj, b in zip(coeffs, freq)
+    )
     assert np.max(np.abs(tf.phihat(ys) - exact)) <= 1e-13 * tf.phihat0
+
+
+def test_phihat_degrees():
+    # polynomial generators: phihat is a polynomial of degree exactly 2d - 1;
+    # the entire bases chop at modest degree
+    for coeffs in ((1.0,), (1.0, -2.0), (1.0, -3.0, 20.0), (1.0, -3.0, 20.0, 0.5)):
+        tf = make_from_generator(GeneratorSpec("polynomial", coeffs, 0.125))
+        assert tf.phihat_degree == 2 * len(coeffs) - 1
+    assert make_naive(0.25).phihat_degree == 1
+    assert make_from_generator(GeneratorSpec("sin-of-square", (), 0.125)).phihat_degree <= 12
+    cos4 = make_from_generator(GeneratorSpec("cosine-series", (1.0, -0.75, 0.5, 0.5), 0.125))
+    assert cos4.phihat_degree <= 23
+
+
+def test_basis_without_chebyshev_representation_is_refused():
+    # 40 cosine terms need a degree far beyond the cap: refuse, never approximate
+    with pytest.raises(ValueError, match="no Chebyshev representation"):
+        make_from_generator(GeneratorSpec("cosine-series", (1.0,) + (0.0,) * 38 + (1.0,), 0.125))
+    with pytest.raises(ValueError, match="no Chebyshev representation"):
+        from_spec_string("gen:sinx2:half=8")
 
 
 def test_basis_autocorrelation_is_built_once_per_basis(rng):
@@ -165,25 +189,26 @@ def test_basis_autocorrelation_is_built_once_per_basis(rng):
     after = _basis_autocorrelation.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 19
-    table = _basis_autocorrelation("cosine-series", 4, 1.0 / 9.0, 4097)
-    assert table.shape == (4097, 4, 4)
+    table = _basis_autocorrelation("cosine-series", 4, 1.0 / 9.0)
+    assert table.shape[1:] == (4, 4)
+    assert table.shape[0] <= 24
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0, 0] = 1.0
 
 
 def test_phihat_grid_independent_of_amplitude():
-    # the grid ladder stops relative to sigma2, so scaling g by c scales
-    # phihat by c^2 on the same grid
+    # phihat is c^T T c: scaling g by a power of two scales every
+    # coefficient, and so every value, by exactly its square
     ys = np.linspace(0.0, 0.25, 97)
     built = {
         c: make_from_generator(GeneratorSpec("polynomial", (c, -3.0 * c, 20.0 * c), 0.125))
-        for c in (1e-3, 1.0, 1e3)
+        for c in (2.0**-40, 1.0, 2.0**40)
     }
     ref = built[1.0].phihat(ys)
     for c, tf in built.items():
-        assert tf._spline.x.size == built[1.0]._spline.x.size
-        assert np.allclose(tf.phihat(ys) / c**2, ref, rtol=1e-12, atol=0)
+        assert tf.phihat_degree == built[1.0].phihat_degree
+        assert np.array_equal(tf.phihat(ys) / c**2, ref)
 
 
 def test_nonnegativity_on_dense_grid(gen_sinx2, naive_third):
@@ -219,21 +244,22 @@ def test_folded_phi_matches_full_rule(spec):
     full = np.abs(np.exp(2j * math.pi * np.multiply.outer(xs, t)) @ wg) ** 2
     assert np.abs(tf.phi(xs) - full).max() <= 1e-13 * full.max()
     assert float(tf.phi(0.0)) == pytest.approx(tf.phi0, rel=1e-13, abs=0)
+    # a batch of samples keeps its shape, whatever the block boundaries
+    assert np.array_equal(tf.phi(xs[:2000].reshape(40, 50)), tf.phi(xs[:2000]).reshape(40, 50))
 
 
 def test_fourier_inversion_consistency(gen_sinx2):
-    # invert the tabulated transform and compare with the direct
-    # |transform of g|^2 evaluation
-    settings = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-12)
+    # invert the transform and compare with the direct |transform of g|^2
+    # evaluation; the cosine factor needs about 40 degrees more than phihat
+    degree = gen_sinx2.phihat_degree + 40
     for x in (0.0, 0.35, 1.2, 3.7):
-        val, _ = integrate(
-            lambda y: float(gen_sinx2.phihat(y)) * math.cos(2.0 * math.pi * x * y),
+        inverted = 2.0 * gauss_legendre(
+            lambda y: gen_sinx2.phihat(y) * np.cos(2.0 * math.pi * x * y),
             0.0,
             gen_sinx2.support_bound,
-            settings,
+            degree,
         )
-        inverted = 2.0 * val
-        assert abs(inverted - float(gen_sinx2.phi(x))) < 1e-8
+        assert abs(inverted - float(gen_sinx2.phi(x))) <= 1e-12 * gen_sinx2.phi0
 
 
 # ---- sigma2 ----
@@ -254,14 +280,14 @@ def test_sigma2_cross_naive_closed_form():
 
 
 def test_sigma2_scale_invariant():
-    # sigma2 is quartic in the generator amplitude; its ladder stops
-    # relative to the pair's scale, not at a fixed absolute tolerance
+    # sigma2 is quartic in the generator amplitude; no absolute floor may
+    # refuse or distort a small generator
     def scaled(c):
         tf = make_from_generator(GeneratorSpec("cosine-series", (c, -0.75 * c, 0.5 * c), 0.125))
         return sigma2(tf, tf) / c**4
 
     ref = scaled(1.0)
-    for c in (1e-3, 1e3):
+    for c in (1e-13, 1e-3, 1e3):
         assert scaled(c) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
@@ -273,6 +299,8 @@ def test_sigma2_symmetric(gen_sinx2, naive_quarter):
 
 class _ShiftedBump(TestFunction):
     """Test double with transform supported away from the origin."""
+
+    phihat_degree = 2  # on 1 < y < 2; zero, so of any degree, below
 
     def __init__(self):
         self.support_bound = 2.0
