@@ -35,7 +35,7 @@ from .bounds import (
     table_tolerance,
 )
 from .kernels import SymmetryGroup
-from .moments import MomentRequest, SupportRegimeError, centered_moment
+from .moments import REGIMES, MomentRequest, SupportRegimeError, centered_moment
 from .optimize import (
     BASIS_KINDS,
     GeneratorBasis,
@@ -335,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bound.add_argument("--testfn", action="append", help="test function spec (repeatable)")
     p_bound.add_argument("--weight-k", type=int, default=2)
-    p_bound.add_argument("--regime", default="auto", choices=("auto", "with_R", "mock_gaussian"))
+    p_bound.add_argument("--regime", default="auto", choices=REGIMES)
     p_bound.set_defaults(func=_cmd_bound)
 
     p_moment = sub.add_parser("moment", parents=[common], help="compute a centered moment")
     p_moment.add_argument("--family")
     p_moment.add_argument("--testfn", action="append")
     p_moment.add_argument("--weight-k", type=int, default=2)
-    p_moment.add_argument("--regime", default="auto", choices=("auto", "with_R", "mock_gaussian"))
+    p_moment.add_argument("--regime", default="auto", choices=REGIMES)
     p_moment.set_defaults(func=_cmd_moment)
 
     p_table = sub.add_parser("table", parents=[common], help="reproduce a published table")
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument("--support", help="support budget for every slot")
     p_opt.add_argument("--weight-k", type=int, default=2)
-    p_opt.add_argument("--regime", default="auto", choices=("auto", "with_R", "mock_gaussian"))
+    p_opt.add_argument("--regime", default="auto", choices=REGIMES)
     p_opt.add_argument("--restarts", type=int, default=16)
     p_opt.add_argument("--max-evals", type=int, default=2000)
     p_opt.add_argument("--simplex-tol", type=float, default=1e-12)

@@ -61,6 +61,15 @@ class SupportRegimeError(ValueError):
     """A transform support exceeds the threshold of the requested regime."""
 
 
+def support_threshold(regime: str, n: int, weight_k: int = 2) -> float:
+    """Largest transform support the regime's hypothesis admits at moment order n."""
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}")
+    with_r = 1.0 / (n - 1)
+    mock = (2.0 * weight_k - 1.0) / (n * weight_k)
+    return {"with_R": with_r, "mock_gaussian": mock, "auto": max(with_r, mock)}[regime]
+
+
 def double_factorial(n: int) -> int:
     """n!! = n (n-2) (n-4) ... down to 1 or 2."""
     result = 1
@@ -102,10 +111,10 @@ class MomentRequest:
         return len(self.test_functions)
 
     def with_r_threshold(self) -> float:
-        return 1.0 / (self.n - 1)
+        return support_threshold("with_R", self.n)
 
     def mock_gaussian_threshold(self) -> float:
-        return (2.0 * self.weight_k - 1.0) / (self.n * self.weight_k)
+        return support_threshold("mock_gaussian", self.n, self.weight_k)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 
 from .bounds import RankTooSmallError, UncertifiedBoundError, bound_moment
 from .kernels import SymmetryGroup
-from .moments import SupportRegimeError
+from .moments import SupportRegimeError, support_threshold
 from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator
 
@@ -134,15 +134,11 @@ class OptimizationProblem:
                     f"slot support {basis.support_bound:.6g} exceeds the budget "
                     f"{self.support_budget:.6g}"
                 )
-        n = self.moment_order
-        with_r = 1.0 / (n - 1)
-        mock = (2.0 * self.weight_k - 1.0) / (n * self.weight_k)
-        thresholds = {"with_R": with_r, "mock_gaussian": mock, "auto": max(with_r, mock)}
-        limit = thresholds[self.regime] if self.regime in thresholds else max(with_r, mock)
+        limit = support_threshold(self.regime, self.moment_order, self.weight_k)
         if self.support_budget > limit * (1 + 1e-12):
             raise ValueError(
-                f"support budget {self.support_budget:.6g} violates the "
-                f"{self.regime} support hypothesis ({limit:.6g}) at moment order {n}"
+                f"support budget {self.support_budget:.6g} violates the {self.regime} "
+                f"support hypothesis ({limit:.6g}) at moment order {self.moment_order}"
             )
 
     @property

@@ -9,7 +9,10 @@ the scaled low-lying zeros: the linear statistic
 has, as the dimension grows, exactly the mean and centered moments the
 analytic formulas predict.  This module samples ensembles, forms Z and
 its empirical centered moments with batch-means standard errors, and
-reports z-scores against the predictions.
+reports z-scores against the predictions.  At a finite dimension the
+free eigenangles form a determinantal process, so the exact law of Z
+is computable too (:func:`finite_n_moments`); its distance from the
+limit is the bias a comparison allows for beyond the sampling error.
 
 Orthogonal eigenangles come in conjugate pairs (plus the forced angle 0
 of SO(2N+1)); the cosines of the N free angles form a Jacobi ensemble,
@@ -26,19 +29,16 @@ scheduled across workers.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 from scipy.linalg.lapack import dsterf
 
 from .kernels import SymmetryGroup
 from .moments import MomentRequest, SupportRegimeError, centered_moment, double_factorial
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, legendre_rule
 from .testfunc import TestFunction, sigma2
 
 _SAMPLE_GROUPS = (SymmetryGroup.SO_EVEN, SymmetryGroup.SO_ODD, SymmetryGroup.U)
@@ -160,28 +160,25 @@ def sample_haar_batch(
     return np.sort(np.concatenate(parts, axis=1), axis=1)
 
 
-def linear_statistic(angles: np.ndarray, tf: TestFunction, total_dim: int) -> float:
-    """sum_j phi(theta_j * total_dim / (2 pi)) over all eigenangles."""
+def linear_statistic(angles: np.ndarray, tf: TestFunction, total_dim: int) -> np.ndarray:
+    """sum_j phi(theta_j * total_dim / (2 pi)) over the last axis of the eigenangles."""
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1] != total_dim:
         raise ValueError(f"expected {total_dim} angles, got {angles.shape[-1]}")
-    x = angles * (total_dim / (2.0 * math.pi))
-    return float(np.sum(tf.phi(x)))
+    return np.sum(tf.phi(angles * (total_dim / (2.0 * math.pi))), axis=-1)
 
 
 def _batch_power_sums(args) -> np.ndarray:
     """Raw power sums (count, sum Z, sum Z^2, ...) for one batch."""
     spec, tf, n_max, batch_size, stream = args
     rng = np.random.default_rng(stream)
-    dim = spec.dim
     sums = np.zeros(n_max + 1)
     sums[0] = batch_size
     done = 0
     while done < batch_size:
         block = min(_BATCH_MATRIX_LIMIT, batch_size - done)
         angles = sample_haar_batch(spec.group, spec.half_dim, rng, block)
-        x = angles * (dim / (2.0 * math.pi))
-        z = np.sum(tf.phi(x), axis=1)
+        z = linear_statistic(angles, tf, spec.dim)
         for j in range(1, n_max + 1):
             sums[j] += np.sum(z**j)
         done += block
@@ -265,16 +262,6 @@ def empirical_moments(
     )
 
 
-def predicted_mean(tf: TestFunction, group: SymmetryGroup) -> float:
-    """Limit of E[Z]: phihat(0) + phi(0)/2 for the orthogonal ensembles
-    (transform support inside (-1, 1)), phihat(0) for the unitary one."""
-    if group is SymmetryGroup.U:
-        return tf.phihat0
-    if tf.support_bound > 1.0 + 1e-12:
-        raise ValueError("mean prediction requires transform support within (-1, 1)")
-    return tf.phihat0 + 0.5 * tf.phi0
-
-
 def predicted_moment(
     tf: TestFunction,
     group: SymmetryGroup,
@@ -304,17 +291,83 @@ def predicted_moment(
         return centered_moment(request, settings).value
 
 
-@lru_cache(maxsize=1)
-def finite_size_constant() -> float:
-    """Calibrated constant C of the finite-size allowance C / N.
+def _gram_nodes(tf: TestFunction, spec: EnsembleSpec, n_max: int) -> int:
+    """Gauss-Legendre nodes on [-pi, pi] for the integrals of :func:`finite_n_moments`.
 
-    The analytic moments are large-dimension limits; comparisons against
-    finite ensembles get an extra allowance of C divided by the
-    half-dimension.  C was calibrated once against high-sample runs at
-    N in {20, 40, 80} and recorded with the package data.
+    f^k cos(d theta), k <= n_max, d <= 2N, is entire of exponential type
+    at most T = 2N + n_max * support * dim; the rule of n nodes resolves
+    it on [-pi, pi] once 2n passes pi T, and a margin takes the tail.  The
+    count is even, so no node sits at theta = 0.
     """
-    with resources.files("momentbounds.data").joinpath("finite_size.json").open() as fh:
-        return float(json.load(fh)["allowance_constant"])
+    exp_type = 2 * spec.half_dim + n_max * tf.support_bound * spec.dim
+    return 2 * (math.ceil(exp_type * math.pi / 4.0) + 16)
+
+
+def finite_n_moments(
+    tf: TestFunction, group: SymmetryGroup, half_dim: int, n_max: int
+) -> tuple[float, dict[int, float]]:
+    """Exact mean and centered moments (orders 2..n_max) of Z at this dimension.
+
+    The N free eigenangles form a determinantal projection process on
+    the span of an orthonormal basis psi_j, j < N: sqrt(2/pi) cos(j theta)
+    (psi_0 = 1/sqrt(pi)) on [0, pi] for SO(2N), sqrt(2/pi) sin((j + 1/2)
+    theta) on [0, pi] for SO(2N+1), e^{ij theta}/sqrt(2 pi) on (-pi, pi)
+    for U(N).  Z is a sum of f over them, f(theta) = 2 phi(theta dim /
+    (2 pi)) for the orthogonal groups (one term per conjugate pair) and
+    phi(theta N / (2 pi)) for U(N), plus phi(0) for the forced angle 0
+    of SO(2N+1).  So E exp(tZ) = det G(t), G(t)_jl = <psi_j, e^{tf}
+    psi_l>, and the cumulants are traces of products of the Gram
+    matrices M_k of f^k (Soshnikov, Ann. Probab. 2002):
+
+        log det G(t) = sum_m (-1)^(m+1)/m Tr (sum_k t^k M_k / k!)^m.
+
+    f is even, so by product-to-sum M_k is c_|j-l| + c_(j+l) (SO(2N),
+    row and column 0 scaled by 1/sqrt 2), c_|j-l| - c_(j+l+1) (SO(2N+1))
+    or c_|j-l| (U(N)), with c_d = (1/2 pi) int_{-pi}^{pi} f^k cos(d theta).
+    Shifting f by a constant s moves Z by N s and no higher cumulant, so
+    f is centered first and the traces do not cancel.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    spec = EnsembleSpec(group, half_dim, 1, 0)
+    nodes, weights = legendre_rule(_gram_nodes(tf, spec, n_max))
+    # the integrands are even: keep the nodes in (0, pi], where the 1/(2 pi)
+    # of c_d, the pi of the node map and the fold cancel
+    theta, weights = math.pi * nodes[nodes > 0], weights[nodes > 0]
+    f = tf.phi(theta * (spec.dim / (2.0 * math.pi)))
+    if group is not SymmetryGroup.U:
+        f = 2.0 * f
+    shift = float(weights @ f)  # c_0 of f
+    orders = np.arange(1, n_max + 1)
+    # cos_moments[k - 1, d] = c_d of (f - shift)^k
+    cos_moments = ((f - shift) ** orders[:, None] * weights) @ np.cos(
+        np.outer(theta, np.arange(2 * half_dim + 1))
+    )
+    j = np.arange(half_dim)
+    gram = cos_moments[:, np.abs(j[:, None] - j)]
+    if group is SymmetryGroup.SO_EVEN:
+        gram += cos_moments[:, j[:, None] + j]
+        gram[:, 0] *= math.sqrt(0.5)
+        gram[:, :, 0] *= math.sqrt(0.5)
+    elif group is SymmetryGroup.SO_ODD:
+        gram -= cos_moments[:, j[:, None] + j + 1]
+    factorials = np.cumprod(orders)
+    # t^k coefficients of G(t) - I, none at k = 0
+    series = np.concatenate([np.zeros((1, half_dim, half_dim)), gram / factorials[:, None, None]])
+    log_det = np.zeros(n_max + 1)
+    power = series  # t^k coefficients of (G(t) - I)^m
+    for m in range(1, n_max + 1):
+        log_det += (-1) ** (m + 1) / m * np.trace(power, axis1=1, axis2=2)
+        power = np.stack(
+            [sum(series[k] @ power[d - k] for k in range(d + 1)) for d in range(n_max + 1)]
+        )
+    kappa = log_det * np.concatenate([[1.0], factorials])
+    centered = [1.0, 0.0]  # mu_n = sum_{i >= 2} C(n-1, i-1) kappa_i mu_{n-i}
+    for n in range(2, n_max + 1):
+        terms = (math.comb(n - 1, i - 1) * kappa[i] * centered[n - i] for i in range(2, n + 1))
+        centered.append(sum(terms))
+    mean = kappa[1] + half_dim * shift + (tf.phi0 if group is SymmetryGroup.SO_ODD else 0.0)
+    return float(mean), {k: float(centered[k]) for k in range(2, n_max + 1)}
 
 
 @dataclass(frozen=True)
@@ -351,16 +404,19 @@ def verify_moments(
     workers: int = 1,
     weight_k: int = 2,
 ) -> list[MomentComparison]:
-    """Empirical moments against predictions, with the standard
-    3-sigma-plus-finite-size acceptance band."""
+    """Empirical moments against the limit predictions.
+
+    The acceptance band is 3 standard errors plus the exact bias of this
+    dimension, |finite_n_moments - predicted| at each order.
+    """
     n_max = max(orders)
     emp = empirical_moments(spec, tf, n_max, workers=workers)
-    constant = finite_size_constant()
+    _, exact = finite_n_moments(tf, spec.group, spec.half_dim, n_max)
     out = []
     for order in orders:
         predicted = predicted_moment(tf, spec.group, order, weight_k=weight_k)
         se = emp.std_errors[order] if emp.std_errors else float("nan")
-        allowance = 3.0 * se + constant / spec.half_dim
+        allowance = 3.0 * se + abs(exact[order] - predicted)
         z = (emp.centered[order] - predicted) / se if se and se > 0 else float("nan")
         out.append(
             MomentComparison(order, emp.centered[order], predicted, se, allowance, z)

@@ -181,7 +181,7 @@ def test_criterion_6_property_suite(naive_slots):
 def test_criterion_7_monte_carlo_mock_gaussian(naive_slots):
     """SO(2N) and SO(2N+1) at N=40, 2e5 samples: centered moments of
     orders 2, 3, 4 match predictions within 3 standard errors plus the
-    calibrated finite-size allowance."""
+    exact finite-N bias of each order."""
     tf = naive_slots[0]
     lines = []
     for group, seed in ((G.SO_EVEN, 7), (G.SO_ODD, 8)):

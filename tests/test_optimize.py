@@ -183,6 +183,14 @@ def test_problem_validation(fixed_naive_quarter_basis):
         )
 
 
+def test_unknown_regime_is_refused(fixed_naive_quarter_basis):
+    with pytest.raises(ValueError, match="regime must be one of"):
+        OptimizationProblem(
+            G.SO_EVEN, 100, 4, (fixed_naive_quarter_basis, fixed_naive_quarter_basis), 0.25,
+            regime="bogus",
+        )
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         GeneratorBasis("fixed")

@@ -8,7 +8,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from momentbounds import QuadratureSettings
-from momentbounds.quadrature import gauss_legendre
+from momentbounds.quadrature import gauss_legendre, legendre_rule
 
 # Midpoint Riemann sum, step 1e-6 (independent oracle, frozen):
 # int_{-50}^{50} (sin(pi x)/(pi x))^2 dx
@@ -91,3 +91,15 @@ def test_array_of_upper_limits():
     got = gauss_legendre(lambda x: 3.0 * x * x, 0.0, uppers, 2)
     assert got.shape == uppers.shape
     assert np.allclose(got, uppers**3, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 652])
+def test_legendre_rule_exact_at_the_ends(n):
+    # ((1 -+ x)/2)^m, m <= 2n - 1, piles its mass onto the end nodes; numpy's
+    # leggauss weights miss these integrals by 7.5e-12 at 652 nodes
+    x, w = legendre_rule(n)
+    assert np.all(np.diff(x) > 0) and x.size == n
+    for m in sorted({0, n, 2 * n - 1}):
+        exact = 2.0 / (m + 1)
+        for end in (1.0 - x, 1.0 + x):
+            assert w @ (end / 2.0) ** m == pytest.approx(exact, rel=1e-13, abs=0), m

@@ -14,13 +14,13 @@ from momentbounds import (
     make_from_generator,
     make_naive,
     predicted_moment,
+    verify_moments,
 )
 from momentbounds import rmt
 from momentbounds.rmt import (
     _haar_unitary_block,
     _unitary_angles,
-    finite_size_constant,
-    predicted_mean,
+    finite_n_moments,
     sample_haar_batch,
 )
 
@@ -170,6 +170,13 @@ def test_linear_statistic_single_angle_scaling(naive_third):
         linear_statistic(angles, naive_third, dim + 1)
 
 
+def test_linear_statistic_sums_the_last_axis(naive_third):
+    batch = sample_haar_batch(G.SO_ODD, 4, np.random.default_rng(2), 6)
+    values = linear_statistic(batch, naive_third, 9)
+    assert values.shape == (6,)
+    assert list(values) == [linear_statistic(row, naive_third, 9) for row in batch]
+
+
 def test_so_odd_zero_angle_shifts_mean_by_phi0(naive_third):
     spec = EnsembleSpec(G.SO_ODD, 6, 400, seed=9)
     emp = empirical_moments(spec, naive_third, 2)
@@ -198,28 +205,105 @@ def test_seed_determinism(naive_third):
 
 
 def test_empirical_matches_theory_small_dimension(naive_third):
-    # N = 12 keeps this fast; the finite-size allowance covers the bias
-    constant = finite_size_constant()
+    # N = 12 keeps this fast; the exact finite-N law carries the bias
     for group in (G.SO_EVEN, G.SO_ODD):
         spec = EnsembleSpec(group, 12, 6000, seed=77)
         emp = empirical_moments(spec, naive_third, 4)
+        mean, centered = finite_n_moments(naive_third, group, 12, 4)
         for order in (2, 3, 4):
-            predicted = predicted_moment(naive_third, group, order)
-            band = 3.0 * emp.std_errors[order] + constant / spec.half_dim
-            assert abs(emp.centered[order] - predicted) <= band, (group, order)
-        mean_band = 3.0 * emp.mean_std_error + 3.0 / spec.half_dim
-        assert abs(emp.mean - predicted_mean(naive_third, group)) <= mean_band
+            assert abs(emp.centered[order] - centered[order]) <= 3.0 * emp.std_errors[order]
+        assert abs(emp.mean - mean) <= 3.0 * emp.mean_std_error
 
 
 def test_unitary_odd_moments_vanish(naive_third):
     spec = EnsembleSpec(G.U, 24, 4000, seed=3)
     emp = empirical_moments(spec, naive_third, 4)
-    assert abs(emp.centered[3]) <= 3.0 * emp.std_errors[3] + 0.5 / spec.half_dim
-    assert emp.mean == pytest.approx(naive_third.phihat0, abs=0.15)
+    mean, centered = finite_n_moments(naive_third, G.U, 24, 4)
+    assert centered[3] == pytest.approx(0.0, abs=1e-12)
+    assert abs(emp.centered[3]) <= 3.0 * emp.std_errors[3]
+    assert abs(emp.mean - mean) <= 3.0 * emp.mean_std_error
     # even orders follow the unitary variance (half the orthogonal one)
-    assert emp.centered[2] == pytest.approx(
-        predicted_moment(naive_third, G.U, 2), abs=3 * emp.std_errors[2] + 0.5 / 24
-    )
+    assert abs(emp.centered[2] - centered[2]) <= 3.0 * emp.std_errors[2]
+
+
+class _TracePower:
+    """Test double phi(x) = 2 cos(2 pi j x / N): on U(N), Z = 2 Re Tr U^j."""
+
+    def __init__(self, j, n):
+        self.j, self.n = j, n
+        self.support_bound = j / n
+
+    def phi(self, x):
+        return 2.0 * np.cos(2.0 * math.pi * self.j * np.asarray(x) / self.n)
+
+
+@pytest.mark.parametrize("j", [1, 3])
+def test_finite_n_moments_diaconis_shahshahani(j):
+    # E Tr U^j = 0, E |Tr U^j|^2 = j and Tr U^j is exactly complex Gaussian
+    # to the fourth moment once N >= 2j (Diaconis-Shahshahani)
+    mean, centered = finite_n_moments(_TracePower(j, 20), G.U, 20, 4)
+    variance = 2.0 * j
+    tol = 1e-12 * variance**2
+    assert abs(mean) <= tol
+    assert abs(centered[2] - variance) <= tol
+    assert abs(centered[3]) <= tol  # kappa_3
+    assert abs(centered[4] - 3.0 * variance**2) <= tol  # kappa_4 = mu_4 - 3 mu_2^2
+
+
+def test_finite_n_moments_rule_converged(monkeypatch, naive_third):
+    cases = [(naive_third, group, n) for group in (G.SO_EVEN, G.SO_ODD, G.U) for n in (1, 10, 80)]
+    cases.append((make_from_generator(GeneratorSpec("cosine-series", (1.0,), 1 / 6)), G.SO_EVEN, 80))
+    sized = [finite_n_moments(tf, group, n, 4) for tf, group, n in cases]
+    nodes = rmt._gram_nodes
+    monkeypatch.setattr(rmt, "_gram_nodes", lambda *args: 2 * nodes(*args))
+    for (tf, group, n), (mean, centered) in zip(cases, sized):
+        mean2, centered2 = finite_n_moments(tf, group, n, 4)
+        sigma = math.sqrt(centered[2])
+        assert abs(mean2 - mean) <= 1e-12 * max(abs(mean), sigma), (group, n)
+        for k in (2, 3, 4):
+            scale = max(abs(centered[k]), sigma**k)
+            assert abs(centered2[k] - centered[k]) <= 1e-12 * scale, (group, n, k)
+
+
+@pytest.mark.parametrize("group", [G.SO_EVEN, G.SO_ODD])
+def test_finite_n_bias_rates(naive_third, group):
+    # doubling N halves the mean's bias (O(1/N)) and quarters that of
+    # orders 2 and 4 (O(1/N^2)): one allowance C / N for every order fits neither
+    limit_mean = naive_third.phihat0 + 0.5 * naive_third.phi0
+    limits = {k: predicted_moment(naive_third, group, k) for k in (2, 4)}
+    biases = []
+    for n in (20, 40, 80):
+        mean, centered = finite_n_moments(naive_third, group, n, 4)
+        biases.append([mean - limit_mean] + [centered[k] - limits[k] for k in (2, 4)])
+    for coarse, fine in zip(biases, biases[1:]):
+        assert 1.8 <= coarse[0] / fine[0] <= 2.2
+        for c, f in zip(coarse[1:], fine[1:]):
+            assert 3.4 <= c / f <= 4.6
+
+
+def test_verify_moments_allows_the_exact_bias(naive_third):
+    # U(10) at 10,000 samples: orders 2 and 4 sit 6-7 standard errors off
+    # the limit, and the band of 3 se plus the exact bias still holds them
+    spec = EnsembleSpec(G.U, 10, 10_000, seed=61)
+    comparisons = verify_moments(spec, naive_third, (2, 3, 4))
+    _, exact = finite_n_moments(naive_third, G.U, 10, 4)
+    assert max(abs(comp.z_score) for comp in comparisons) > 5.0
+    for comp in comparisons:
+        bias = abs(exact[comp.order] - comp.predicted)
+        assert comp.allowance == pytest.approx(3.0 * comp.std_error + bias, rel=1e-12)
+        assert comp.passed, comp
+
+
+@pytest.mark.parametrize("group", [G.SO_EVEN, G.SO_ODD, G.U])
+def test_sampler_matches_finite_n_oracle(naive_third, group):
+    # at N = 10 the mean sits 30-45 standard errors off its limit, and the
+    # U(10) orders 2 and 4 6-7
+    spec = EnsembleSpec(group, 10, 10_000, seed=61)
+    emp = empirical_moments(spec, naive_third, 4)
+    mean, centered = finite_n_moments(naive_third, group, 10, 4)
+    assert abs(emp.mean - mean) <= 5.0 * emp.mean_std_error
+    for k in (2, 3, 4):
+        assert abs(emp.centered[k] - centered[k]) <= 5.0 * emp.std_errors[k], k
 
 
 def test_predicted_moments(naive_third):
