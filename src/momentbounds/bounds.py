@@ -8,7 +8,9 @@ the contribution of the central zeros:
 * two-level:  E_2 / (r (r-2)) for even r,  E_2 / (r-1)^2 for odd r,
 * 2m-th centered moment with slot functions phi_1..phi_m (each used
   twice):  M / prod_s (r phi_s(0) - (phihat_s(0) + phi_s(0)/2))^2,
-  valid once r clears every slot's minimum usable rank.
+  valid once r clears every slot's minimum usable rank.  M does not
+  depend on r, so :func:`bound_moment` takes a sequence of ranks and
+  computes one moment per slot set, then one denominator per rank.
 
 Even vanishing orders belong to the even split family and odd orders to
 the odd one; a parity mismatch is a hard error, never a silent zero.
@@ -27,11 +29,15 @@ from typing import Sequence
 
 from . import reference
 from .kernels import SymmetryGroup, expectation_1level, expectation_2level
-from .moments import MomentRequest, centered_moment
+from .moments import MomentRequest, MomentResult, centered_moment
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .testfunc import TestFunction, min_rank
+from .testfunc import GeneratorSpec, TestFunction, make_from_generator, make_naive, min_rank
 
 _SPLIT_FAMILIES = (SymmetryGroup.SO_EVEN, SymmetryGroup.SO_ODD)
+
+# Largest error of R's grid ladder, relative to the moment, that a bound
+# may carry.
+R_CERTIFY_REL = 1e-6
 
 
 class ParityError(ValueError):
@@ -43,7 +49,8 @@ class RankTooSmallError(ValueError):
 
 
 class UncertifiedBoundError(ArithmeticError):
-    """A moment came out negative or non-finite, so its quotient is no upper bound."""
+    """A moment came out negative, non-finite or with too uncertain an R, so its
+    quotient is no upper bound."""
 
 
 @dataclass(frozen=True)
@@ -145,57 +152,78 @@ def bound_level2(
 def bound_moment(
     slot_functions: Sequence[TestFunction],
     family: SymmetryGroup,
-    r: int,
+    ranks: Sequence[int],
     weight_k: int = 2,
     regime: str = "auto",
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> BoundResult:
-    """2m-th centered-moment bound with m slot functions, each used twice.
+) -> list[BoundResult]:
+    """2m-th centered-moment bounds with m slot functions, each used twice,
+    one per rank in ``ranks``.
 
     Doubling the slots keeps every family member's contribution
-    non-negative, which is what lets the tail be dropped.  Requires
+    non-negative, which is what lets the tail be dropped.  Ranks are
+    checked in the order given; each needs the family's parity and
     ``r >= min_rank(phi_s)`` for every slot so each denominator factor
     ``r phi_s(0) - (phihat_s(0) + phi_s(0)/2)`` is strictly positive.
+    The moment does not depend on the rank: it is computed once, at the
+    first rank that passes, and then only each rank's denominator.
     Raises :class:`UncertifiedBoundError` when the moment is negative or
-    not finite, rather than return a quotient that bounds nothing.
+    not finite, or when R's ladder leaves an error above
+    ``R_CERTIFY_REL`` of the moment, rather than return a quotient that
+    bounds nothing.
     """
     slots = tuple(slot_functions)
     if not slots:
         raise ValueError("bound_moment needs at least one slot function")
-    _check_parity(family, r)
-    for tf in slots:
-        c = min_rank(tf)
-        if r < c:
-            raise RankTooSmallError(
-                f"rank {r} is below the minimum usable rank c = {c} of {tf.spec_string} "
-                "(the per-zero margin must stay positive)"
-            )
-
     doubled = tuple(tf for tf in slots for _ in range(2))
-    result = centered_moment(
-        MomentRequest(doubled, family, weight_k=weight_k, regime=regime), settings
-    )
+    labels = _tf_labels(slots)
+    result = None
+    out = []
+    for r in ranks:
+        _check_parity(family, r)
+        for tf in slots:
+            c = min_rank(tf)
+            if r < c:
+                raise RankTooSmallError(
+                    f"rank {r} is below the minimum usable rank c = {c} of {tf.spec_string} "
+                    "(the per-zero margin must stay positive)"
+                )
+        if result is None:
+            result = centered_moment(
+                MomentRequest(doubled, family, weight_k=weight_k, regime=regime), settings
+            )
+            _certify(result, labels, r)
+
+        denominator = 1.0
+        for tf in slots:
+            margin = r * tf.phi0 - (tf.phihat0 + 0.5 * tf.phi0)
+            denominator *= margin * margin
+        out.append(
+            BoundResult(
+                family,
+                r,
+                f"moment{len(doubled)}",
+                labels,
+                result.value / denominator,
+                denominator,
+                moment_value=result.value,
+            )
+        )
+    return out
+
+
+def _certify(result: MomentResult, labels: tuple[str, ...], r: int) -> None:
     # An even moment of a real statistic is never negative.
     if not (math.isfinite(result.value) and result.value >= 0.0):
         raise UncertifiedBoundError(
-            f"moment {result.value!r} of {', '.join(_tf_labels(slots))} at rank {r} "
+            f"moment {result.value!r} of {', '.join(labels)} at rank {r} "
             "is negative or not finite"
         )
-
-    denominator = 1.0
-    for tf in slots:
-        margin = r * tf.phi0 - (tf.phihat0 + 0.5 * tf.phi0)
-        denominator *= margin * margin
-
-    return BoundResult(
-        family,
-        r,
-        f"moment{len(doubled)}",
-        _tf_labels(slots),
-        result.value / denominator,
-        denominator,
-        moment_value=result.value,
-    )
+    if result.r_error > R_CERTIFY_REL * result.value:
+        raise UncertifiedBoundError(
+            f"R term of {', '.join(labels)} at rank {r} is uncertain by "
+            f"{result.r_error:.3e}, above {R_CERTIFY_REL:g} of the moment {result.value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -224,14 +252,10 @@ class TableCell:
 
 
 def _moment_naive_slots() -> tuple[TestFunction, ...]:
-    from .testfunc import make_naive
-
     return (make_naive(1.0 / 3.0), make_naive(1.0 / 3.0))
 
 
 def _moment_mixed_slots() -> tuple[TestFunction, ...]:
-    from .testfunc import GeneratorSpec, make_from_generator, make_naive
-
     return (
         make_from_generator(GeneratorSpec("sin-of-square", (), 0.125)),
         make_naive(0.25),
@@ -251,26 +275,30 @@ def reproduce_table(
     the rank coefficients.
     """
     cells = reference.table_cells(which)
-    naive_slots = None
-    mixed_slots = None
+    # One bound_moment call per (column, family): the moment is computed
+    # once and divided by each rank's denominator.
+    moment_columns = {
+        "moment4_naive": (_moment_naive_slots, "with_R"),
+        "moment4_mixed": (_moment_mixed_slots, "mock_gaussian"),
+    }
+    groups: dict[tuple[str, SymmetryGroup], list[int]] = {}
+    for cell in cells:
+        if cell.column in moment_columns:
+            groups.setdefault((cell.column, cell.family), []).append(cell.rank)
+    moment_bounds: dict[tuple[str, SymmetryGroup, int], float] = {}
+    for (column, family), ranks in groups.items():
+        make_slots, regime = moment_columns[column]
+        for res in bound_moment(make_slots(), family, ranks, regime=regime, settings=settings):
+            moment_bounds[column, family, res.rank] = res.upper_bound
+
     out: list[TableCell] = []
     for cell in cells:
         if cell.column == "level1":
             computed = reference.expectation_level1(cell.family) / cell.rank
         elif cell.column == "level2":
             computed = reference.expectation_level2(cell.family) / level2_coefficient(cell.rank)
-        elif cell.column == "moment4_naive":
-            if naive_slots is None:
-                naive_slots = _moment_naive_slots()
-            computed = bound_moment(
-                naive_slots, cell.family, cell.rank, regime="with_R", settings=settings
-            ).upper_bound
-        elif cell.column == "moment4_mixed":
-            if mixed_slots is None:
-                mixed_slots = _moment_mixed_slots()
-            computed = bound_moment(
-                mixed_slots, cell.family, cell.rank, regime="mock_gaussian", settings=settings
-            ).upper_bound
+        elif cell.column in moment_columns:
+            computed = moment_bounds[cell.column, cell.family, cell.rank]
         else:
             continue
         printed_value = cell.value

@@ -129,35 +129,38 @@ def _cmd_bound(args) -> int:
     family = SymmetryGroup.from_string(args.family)
     settings = _quad_settings(args)
     tfs = [parse_testfn(s) for s in args.testfn or []]
-    records = []
-    for r in _ranks(args):
-        if args.method == "level1":
-            if tfs:
-                result = bound_level1(tfs[0], family, r)
+    ranks = _ranks(args)
+    if args.method in ("level1", "level2"):
+        results = []
+        for r in ranks:
+            if args.method == "level1":
+                if tfs:
+                    result = bound_level1(tfs[0], family, r)
+                else:
+                    result = bound_level1(
+                        None, family, r, expectation=reference.expectation_level1(family)
+                    )
             else:
-                result = bound_level1(
-                    None, family, r, expectation=reference.expectation_level1(family)
-                )
-        elif args.method == "level2":
-            if tfs:
-                if len(tfs) == 1:
-                    tfs = tfs * 2
-                result = bound_level2(tfs[0], tfs[1], family, r)
-            else:
-                result = bound_level2(
-                    None, None, family, r, expectation=reference.expectation_level2(family)
-                )
-        else:
-            m = 2 if args.method == "moment4" else int(args.method.split(":", 1)[1])
-            if len(tfs) == 1:
-                tfs = tfs * m
-            if len(tfs) != m:
-                raise ValueError(f"{args.method} needs {m} slot test functions, got {len(tfs)}")
-            result = bound_moment(
-                tfs, family, r, weight_k=args.weight_k, regime=args.regime, settings=settings
-            )
-        records.append(result.record())
-    _emit(records, args)
+                if tfs:
+                    if len(tfs) == 1:
+                        tfs = tfs * 2
+                    result = bound_level2(tfs[0], tfs[1], family, r)
+                else:
+                    result = bound_level2(
+                        None, None, family, r, expectation=reference.expectation_level2(family)
+                    )
+            results.append(result)
+    else:
+        m = 2 if args.method == "moment4" else int(args.method.split(":", 1)[1])
+        if len(tfs) == 1:
+            tfs = tfs * m
+        if len(tfs) != m:
+            raise ValueError(f"{args.method} needs {m} slot test functions, got {len(tfs)}")
+        # one moment for all the ranks, divided by each rank's denominator
+        results = bound_moment(
+            tfs, family, ranks, weight_k=args.weight_k, regime=args.regime, settings=settings
+        )
+    _emit([result.record() for result in results], args)
     return 0
 
 

@@ -119,13 +119,18 @@ class MomentRequest:
 
 @dataclass(frozen=True)
 class MomentResult:
-    """value = matching_sum + sign_applied * r_term."""
+    """value = matching_sum + sign_applied * r_term.
+
+    ``r_error`` is the last difference of R's grid ladder, 0.0 when R is
+    exactly 0 or the regime drops it.
+    """
 
     value: float
     matching_sum: float
     r_term: float
     sign_applied: int
     regime: str
+    r_error: float = 0.0
 
 
 def _max_support(tfs: Sequence[TestFunction]) -> float:
@@ -167,7 +172,7 @@ def _r_grid(supports: Sequence[float]) -> tuple[int, bool]:
 def r_term(
     tfs: Sequence[TestFunction],
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
+) -> tuple[float, float]:
     """Correction term splitting the even from the odd family:
     ``R = (-1)^n 2^(n-1) int_1^S (phihat_1 * ... * phihat_n)(y) dy``, S the
     sum of the transform supports, so R is exactly 0 when S <= 1.
@@ -175,14 +180,15 @@ def r_term(
     The grid step 1/m is halved until two levels agree within
     ``rel_tol * 2^(n-1) prod_j phi_j(0)``; when every support end is a
     node, the error expands in even powers of the step and the two
-    levels are Richardson-extrapolated.
+    levels are Richardson-extrapolated.  Returns R and the last
+    difference of the ladder (both 0.0 when R is exactly 0).
     """
     n = len(tfs)
     if n < 2:
         raise ValueError("r_term needs at least two test functions")
     supports = [tf.support_bound for tf in tfs]
     if math.fsum(supports) <= 1.0 + 1e-12:
-        return 0.0
+        return 0.0, 0.0
     prefactor = (-1.0) ** n * 2.0 ** (n - 1)
     tol = settings.rel_tol * abs(prefactor * math.prod(tf.phi0 for tf in tfs))
     m, aligned = _r_grid(supports)
@@ -192,7 +198,7 @@ def r_term(
         coarse, value = value, prefactor * _tail_trapezoid(tfs, m)
         err = abs(value - coarse)
         if err <= tol:
-            return value + (value - coarse) / 3.0 if aligned else value
+            return (value + (value - coarse) / 3.0 if aligned else value), err
     raise QuadratureError(f"R not within {tol:.3e} at grid step 1/{m}", value, err)
 
 
@@ -303,5 +309,7 @@ def centered_moment(
     if regime == "mock_gaussian" or sign == 0:
         return MomentResult(matching_sum, matching_sum, 0.0, 0, regime)
 
-    r_value = r_term(req.test_functions, settings)
-    return MomentResult(matching_sum + sign * r_value, matching_sum, r_value, sign, regime)
+    r_value, r_error = r_term(req.test_functions, settings)
+    return MomentResult(
+        matching_sum + sign * r_value, matching_sum, r_value, sign, regime, r_error
+    )

@@ -182,10 +182,10 @@ def objective(
     except ValueError:
         return PENALTY_SCALE
     try:
-        result = bound_moment(
+        (result,) = bound_moment(
             slots,
             problem.family,
-            problem.rank,
+            [problem.rank],
             weight_k=problem.weight_k,
             regime=problem.regime,
             settings=settings,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentbounds import GeneratorSpec, make_from_generator, make_naive
+from momentbounds import GeneratorSpec, bounds, make_from_generator, make_naive
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +28,17 @@ def gen_sinx2():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def moment_calls(monkeypatch):
+    """The moment requests that reach bounds.centered_moment, in call order."""
+    calls = []
+    original = bounds.centered_moment
+
+    def recording(request, settings):
+        calls.append(request)
+        return original(request, settings)
+
+    monkeypatch.setattr(bounds, "centered_moment", recording)
+    return calls

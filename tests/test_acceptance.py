@@ -64,7 +64,7 @@ def test_criterion_1_even_family_naive_moment_column(naive_slots):
     }
     worst = 0.0
     for rank, printed in expected.items():
-        got = bound_moment(naive_slots, G.SO_EVEN, rank, regime="with_R").upper_bound
+        got = bound_moment(naive_slots, G.SO_EVEN, [rank], regime="with_R")[0].upper_bound
         dev = abs(got - printed) / printed
         worst = max(worst, dev)
         assert dev <= 1e-4, (rank, got, printed)
@@ -76,7 +76,7 @@ def test_criterion_2_odd_family_naive_moment_column(naive_slots):
     expected = {49: 7.77275e-8, 999: 3.39199e-13}
     worst = 0.0
     for rank, printed in expected.items():
-        got = bound_moment(naive_slots, G.SO_ODD, rank, regime="with_R").upper_bound
+        got = bound_moment(naive_slots, G.SO_ODD, [rank], regime="with_R")[0].upper_bound
         dev = abs(got - printed) / printed
         worst = max(worst, dev)
         assert dev <= 1e-4, (rank, got, printed)
@@ -92,7 +92,7 @@ def test_criterion_3_mixed_pair_mock_gaussian_column(mixed_slots):
     ]
     worst = 0.0
     for family, rank, printed in cases:
-        got = bound_moment(mixed_slots, family, rank, regime="mock_gaussian").upper_bound
+        got = bound_moment(mixed_slots, family, [rank], regime="mock_gaussian")[0].upper_bound
         dev = abs(got - printed) / printed
         worst = max(worst, dev)
         assert dev <= 1e-3, (family, rank, got, printed)
@@ -156,7 +156,7 @@ def test_criterion_6_property_suite(naive_slots):
         assert got == pytest.approx(ref, abs=1e-12)
     # rank monotonicity
     values = [
-        bound_moment(naive_slots, G.SO_EVEN, r, regime="with_R").upper_bound
+        bound_moment(naive_slots, G.SO_EVEN, [r], regime="with_R")[0].upper_bound
         for r in (6, 8, 10, 20, 50)
     ]
     assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
@@ -164,14 +164,14 @@ def test_criterion_6_property_suite(naive_slots):
     scaled = []
     for c in (1e-2, 1.0, 3.0):
         tf = make_from_generator(GeneratorSpec("polynomial", (c,), 1.0 / 6.0))
-        scaled.append(bound_moment((tf, tf), G.SO_EVEN, 20, regime="with_R").upper_bound)
+        scaled.append(bound_moment((tf, tf), G.SO_EVEN, [20], regime="with_R")[0].upper_bound)
     assert scaled == pytest.approx([scaled[1]] * 3, rel=1e-9, abs=0)
     assert scaled[1] == pytest.approx(
-        bound_moment(naive_slots, G.SO_EVEN, 20, regime="with_R").upper_bound, rel=1e-8, abs=0
+        bound_moment(naive_slots, G.SO_EVEN, [20], regime="with_R")[0].upper_bound, rel=1e-8, abs=0
     )
     # parity rejection
     with pytest.raises(ParityError):
-        bound_moment(naive_slots, G.SO_ODD, 20, regime="with_R")
+        bound_moment(naive_slots, G.SO_ODD, [20], regime="with_R")
     with pytest.raises(ParityError):
         bound_level1(None, G.SO_EVEN, 5, expectation=0.86454)
     print("[criterion 6] PASS: matchings, sigma2 invariance, reduction, permutation, monotonicity, scaling, parity")

@@ -1,10 +1,13 @@
 """Bound pipeline: coefficients and golden tables."""
 
+import json
+
 import pytest
 
 from momentbounds import (
     MomentResult,
     ParityError,
+    QuadratureSettings,
     RankTooSmallError,
     SymmetryGroup,
     UncertifiedBoundError,
@@ -82,7 +85,7 @@ def test_level2_zero_coefficient_rejected(naive_one):
 def test_moment_bound_table2_rows(naive_third):
     slots = (naive_third, naive_third)
     for rank, printed in ((20, 4.49988e-6), (50, 7.13387e-8), (6, 0.00853841)):
-        res = bound_moment(slots, G.SO_EVEN, rank, regime="with_R")
+        res = bound_moment(slots, G.SO_EVEN, [rank], regime="with_R")[0]
         assert res.upper_bound == pytest.approx(printed, rel=1e-4)
         assert res.method == "moment4"
         assert res.moment_value == pytest.approx(1.0 / 3.0 + 1.0 / 5040.0, abs=1e-9)
@@ -90,17 +93,68 @@ def test_moment_bound_table2_rows(naive_third):
 
 def test_moment_bound_minimum_rank_error(naive_third):
     # c for the 1/3 function is 4: rank 4 works (even family), rank 2 does not
-    res = bound_moment((naive_third, naive_third), G.SO_EVEN, 4, regime="with_R")
+    res = bound_moment((naive_third, naive_third), G.SO_EVEN, [4], regime="with_R")[0]
     assert res.upper_bound > 0
     # denominator (4 - 3.5)^4 = 1/16
     assert res.denominator == pytest.approx(1.0 / 16.0, rel=1e-12)
     with pytest.raises(RankTooSmallError, match="minimum usable rank"):
-        bound_moment((naive_third, naive_third), G.SO_EVEN, 2, regime="with_R")
+        bound_moment((naive_third, naive_third), G.SO_EVEN, [2], regime="with_R")
 
 
 def test_moment_bound_parity(naive_third):
     with pytest.raises(ParityError):
-        bound_moment((naive_third, naive_third), G.SO_ODD, 20, regime="with_R")
+        bound_moment((naive_third, naive_third), G.SO_ODD, [20], regime="with_R")
+
+
+def test_multi_rank_call_matches_one_rank_calls(naive_third, gen_sinx2, moment_calls):
+    cases = [
+        ((naive_third, naive_third), G.SO_EVEN, [4, 6, 8, 20], "with_R"),
+        ((naive_third, naive_third), G.SO_ODD, [9, 5, 7], "with_R"),
+        ((gen_sinx2, make_naive(0.25)), G.SO_EVEN, [100, 300, 200], "mock_gaussian"),
+    ]
+    for slots, family, ranks, regime in cases:
+        moment_calls.clear()
+        together = bound_moment(slots, family, ranks, regime=regime)
+        assert len(moment_calls) == 1  # one moment for all the ranks
+        assert [r.rank for r in together] == ranks
+        apart = [bound_moment(slots, family, [r], regime=regime)[0] for r in ranks]
+        assert [json.dumps(r.record()) for r in together] == [
+            json.dumps(r.record()) for r in apart
+        ]
+    assert bound_moment((naive_third,), G.SO_EVEN, []) == []
+
+
+def test_rank_errors_name_the_first_failing_rank_in_order(naive_third, moment_calls):
+    slots = (naive_third, naive_third)
+    with pytest.raises(RankTooSmallError, match="^rank 2 is below"):
+        bound_moment(slots, G.SO_EVEN, [6, 2], regime="with_R")
+    with pytest.raises(ParityError, match="^rank 5 has the wrong parity"):
+        bound_moment(slots, G.SO_EVEN, [6, 5], regime="with_R")
+    # the moment is computed at the first rank that passes, before a later
+    # rank fails
+    assert len(moment_calls) == 2
+    with pytest.raises(RankTooSmallError, match="^rank 2 is below"):
+        bound_moment(slots, G.SO_EVEN, [2, 4], regime="with_R")
+    assert len(moment_calls) == 2
+
+
+@pytest.mark.parametrize(
+    "table,moments",
+    [
+        ("T1", [("so-even", "with_R"), ("so-odd", "with_R")]),  # naive column, both families
+        ("T3", [("so-even", "mock_gaussian"), ("so-even", "with_R")]),  # naive and mixed
+    ],
+)
+def test_reproduce_table_computes_one_moment_per_column_and_family(moment_calls, table, moments):
+    reproduce_table(table)
+    assert sorted((r.family.value, r.regime) for r in moment_calls) == moments
+
+
+def test_uncertain_r_is_refused(naive_third):
+    # a 1e-2 budget stops R's ladder with a last difference of 2.4e-5 of the moment
+    loose = QuadratureSettings(rel_tol=1e-2)
+    with pytest.raises(UncertifiedBoundError, match="R term .* at rank 4 is uncertain"):
+        bound_moment((naive_third, naive_third), G.SO_EVEN, [4, 6], regime="with_R", settings=loose)
 
 
 @pytest.mark.parametrize("value", [-1e-20, float("nan"), float("inf")])
@@ -110,13 +164,13 @@ def test_negative_or_nonfinite_moment_is_refused(naive_third, monkeypatch, value
 
     monkeypatch.setattr(bounds_module, "centered_moment", bad_moment)
     with pytest.raises(UncertifiedBoundError):
-        bound_moment((naive_third, naive_third), G.SO_EVEN, 20, regime="with_R")
+        bound_moment((naive_third, naive_third), G.SO_EVEN, [20], regime="with_R")
 
 
 def test_rank_monotonicity(naive_third):
     slots = (naive_third, naive_third)
     bounds = [
-        bound_moment(slots, G.SO_EVEN, r, regime="with_R").upper_bound
+        bound_moment(slots, G.SO_EVEN, [r], regime="with_R")[0].upper_bound
         for r in (6, 8, 10, 20, 50)
     ]
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
@@ -130,7 +184,7 @@ def test_scale_invariance_of_bounds():
     def bounds(c):
         tf = make_from_generator(GeneratorSpec("polynomial", (c,), 1.0 / 6.0))
         return (
-            bound_moment((tf, tf), G.SO_EVEN, 20, regime="with_R").upper_bound,
+            bound_moment((tf, tf), G.SO_EVEN, [20], regime="with_R")[0].upper_bound,
             bound_level1(tf, G.SO_EVEN, 6).upper_bound,
             bound_level2(tf, tf, G.SO_EVEN, 6).upper_bound,
         )
@@ -143,8 +197,8 @@ def test_scale_invariance_of_bounds():
 def test_with_r_equals_mock_gaussian_when_supports_sum_to_one(gen_sinx2):
     # four copies of support 1/4: R vanishes identically
     slots = (gen_sinx2, gen_sinx2)
-    with_r = bound_moment(slots, G.SO_EVEN, 20, regime="with_R")
-    mock = bound_moment(slots, G.SO_EVEN, 20, regime="mock_gaussian")
+    with_r = bound_moment(slots, G.SO_EVEN, [20], regime="with_R")[0]
+    mock = bound_moment(slots, G.SO_EVEN, [20], regime="mock_gaussian")[0]
     assert with_r.upper_bound == mock.upper_bound
     assert with_r.upper_bound == pytest.approx(3.09e-5, rel=1e-3)
 
@@ -153,8 +207,10 @@ def test_indicator_generator_matches_naive_bound(naive_third):
     # generator route to the same bound: indicator on (-1/6, 1/6) is the
     # 1/3 triangle up to scale
     gen = make_from_generator(GeneratorSpec("polynomial", (1.0,), 1.0 / 6.0))
-    direct = bound_moment((naive_third, naive_third), G.SO_EVEN, 20, regime="with_R").upper_bound
-    via_gen = bound_moment((gen, gen), G.SO_EVEN, 20, regime="with_R").upper_bound
+    direct = bound_moment(
+        (naive_third, naive_third), G.SO_EVEN, [20], regime="with_R"
+    )[0].upper_bound
+    via_gen = bound_moment((gen, gen), G.SO_EVEN, [20], regime="with_R")[0].upper_bound
     assert via_gen == pytest.approx(direct, rel=1e-8)
 
 
@@ -162,7 +218,9 @@ def test_tail_dominance(naive_third, naive_one):
     # moment4 < level2 < level1 for the same naive inputs across the
     # even-family table range
     for r in (8, 10, 20, 50):
-        m4 = bound_moment((naive_third, naive_third), G.SO_EVEN, r, regime="with_R").upper_bound
+        m4 = bound_moment(
+            (naive_third, naive_third), G.SO_EVEN, [r], regime="with_R"
+        )[0].upper_bound
         l2 = bound_level2(naive_one, naive_one, G.SO_EVEN, r).upper_bound
         l1 = bound_level1(naive_one, G.SO_EVEN, r).upper_bound
         assert m4 < l2 < l1

@@ -142,6 +142,56 @@ def test_bound_negative_moment_error_exit(capsys, monkeypatch):
     assert json.loads(err)["error"] == "uncertified-bound"
 
 
+NAIVE_SWEEP = ["bound", "--method", "moment4", "--testfn", "naive:v=1/3", "--regime", "with_R"]
+
+
+@pytest.mark.parametrize(
+    "family,ranks,fmt",
+    [
+        ("so-even", "4,6,8,10,12", "records"),
+        ("so-odd", "9,5,7", "records"),
+        ("so-even", "8,4,6", "csv"),
+    ],
+)
+def test_bound_ranks_compute_one_moment(capsys, moment_calls, family, ranks, fmt):
+    args = NAIVE_SWEEP + ["--family", family, "--format", fmt]
+    code, out, err = run_cli(args + ["--ranks", ranks], capsys)
+    assert (code, err) == (0, "")
+    assert len(moment_calls) == 1
+    singles = [run_cli(args + ["--rank", r], capsys) for r in ranks.split(",")]
+    assert all(c == 0 for c, _, _ in singles)
+    if fmt == "csv":  # one header, then a row per rank
+        expected = singles[0][1] + "".join(o.split("\n", 1)[1] for _, o, _ in singles[1:])
+    else:
+        expected = "".join(o for _, o, _ in singles)
+    assert out == expected
+
+
+def test_bound_ranks_error_names_the_failing_rank(capsys):
+    code, out, err = run_cli(NAIVE_SWEEP + ["--family", "so-even", "--ranks", "6,2"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "invalid-input",
+        "message": "rank 2 is below the minimum usable rank c = 4 of "
+        "naive:v=0.3333333333333333 (the per-zero margin must stay positive)",
+    }
+    code, out, err = run_cli(NAIVE_SWEEP + ["--family", "so-even", "--ranks", "6,5"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "parity-mismatch",
+        "message": "rank 5 has the wrong parity for so-even: the even family admits only "
+        "even central vanishing orders and the odd family only odd ones",
+    }
+
+
+def test_bound_uncertain_r_error_exit(capsys):
+    code, out, err = run_cli(
+        NAIVE_SWEEP + ["--family", "so-even", "--ranks", "4,6", "--tol-rel", "1e-2"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "uncertified-bound"
+
+
 def test_bound_malformed_testfn(capsys):
     code, _, err = run_cli(
         ["bound", "--family", "so-even", "--rank", "6", "--testfn", "naive:v=oops"],

@@ -135,14 +135,14 @@ def test_r_term_prefactor_signs(naive_third):
     # R = (-1)^n 2^(n-1) int_1^S (phihat_1 * ... * phihat_n): +2, -4, +8
     # for n = 2, 3, 4 times a non-negative tail
     tfs3 = [naive_third] * 3
-    assert r_term(tfs3) == 0.0  # supports sum to 1: the transform tail is empty
+    assert r_term(tfs3) == (0.0, 0.0)  # supports sum to 1: the transform tail is empty
     tfs4 = [naive_third] * 4
-    assert abs(r_term(tfs4) - R4_NAIVE_THIRD) <= 1e-12 * _scale(tfs4)
+    assert abs(r_term(tfs4)[0] - R4_NAIVE_THIRD) <= 1e-12 * _scale(tfs4)
     # n = 2 with v = 1: the self-convolved triangle is the density of a
     # sum of four uniforms on (-1/2, 1/2), so the tail beyond 1 is the
     # Irwin-Hall tail 2 * P(S_4 > 1) = 2 / 4! = 1/12
     tfs2 = [make_naive(1.0), make_naive(1.0)]
-    assert abs(r_term(tfs2) - 1.0 / 12.0) <= 1e-12 * _scale(tfs2)
+    assert abs(r_term(tfs2)[0] - 1.0 / 12.0) <= 1e-12 * _scale(tfs2)
 
 
 def _irwin_hall_r(n: int, q: int) -> Fraction:
@@ -163,7 +163,7 @@ def _irwin_hall_r(n: int, q: int) -> Fraction:
 def test_r_term_irwin_hall_oracle(n, q):
     tfs = [make_naive(1.0 / q)] * n
     matching_sum = double_factorial(n - 1) / 3.0 ** (n // 2)
-    assert abs(r_term(tfs) - float(_irwin_hall_r(n, q))) <= 1e-10 * matching_sum
+    assert abs(r_term(tfs)[0] - float(_irwin_hall_r(n, q))) <= 1e-10 * matching_sum
 
 
 @pytest.mark.parametrize("two_m", [4, 6, 8, 12, 24])
@@ -172,7 +172,7 @@ def test_higher_order_bounds_match_exact_oracle(two_m):
     # moment is (2m-1)!! (1/3)^m + R and each slot's margin is 50 - 2m + 1/2
     m = two_m // 2
     slots = [make_naive(1.0 / (two_m - 1))] * m
-    got = bound_moment(slots, G.SO_EVEN, 50, regime="with_R").upper_bound
+    got = bound_moment(slots, G.SO_EVEN, [50], regime="with_R")[0].upper_bound
     moment = Fraction(double_factorial(two_m - 1), 3**m) + _irwin_hall_r(two_m, two_m - 1)
     exact = moment / Fraction(2 * 50 - 2 * two_m + 1, 2) ** two_m
     assert got == pytest.approx(float(exact), rel=1e-10, abs=0)
@@ -182,7 +182,7 @@ def test_higher_moment_beats_fourth_at_rank_10():
     # the bounds improve rapidly with the rank through the higher moments
     def bound(two_m):
         slots = [make_naive(1.0 / (two_m - 1))] * (two_m // 2)
-        return bound_moment(slots, G.SO_EVEN, 10, regime="with_R").upper_bound
+        return bound_moment(slots, G.SO_EVEN, [10], regime="with_R")[0].upper_bound
 
     assert bound(6) < bound(4)
 
@@ -195,8 +195,8 @@ def test_r_term_exactly_zero_when_supports_sum_to_one(gen_sinx2):
     assert res.value == res.matching_sum
     # generator functions whose supports sum to exactly 1
     cos1 = make_from_generator(GeneratorSpec("cosine-series", (1.0,), 1.0 / 6.0))
-    assert r_term([gen_sinx2] * 4) == 0.0
-    assert r_term([cos1] * 3) == 0.0
+    assert r_term([gen_sinx2] * 4) == (0.0, 0.0)
+    assert r_term([cos1] * 3) == (0.0, 0.0)
 
 
 def _brute_r(phis, L: float = 100.0, step: float = 0.125) -> float:
@@ -249,7 +249,7 @@ def test_r_term_mixed_generator_matches_x_space_riemann():
         make_naive(1.0 / 3.0),
     ]
     brute = _brute_r([_linear_generator_phi(0.25), _naive_phi(0.5), _naive_phi(1.0 / 3.0)])
-    assert abs(r_term(tfs) - brute) <= 1e-12 * _scale(tfs)
+    assert abs(r_term(tfs)[0] - brute) <= 1e-12 * _scale(tfs)
     assert brute < 0  # odd n: R = -4 * (a positive tail)
 
 
@@ -273,14 +273,14 @@ def test_r_term_zero_function(naive_third):
         def phihat(self, y):
             return 0.0
 
-    assert r_term([naive_third, Zero()]) == 0.0
+    assert r_term([naive_third, Zero()]) == (0.0, 0.0)
 
 
 def test_r_term_raises_when_tolerance_unreachable():
     tfs = [make_naive(0.6)] * 2
     with pytest.raises(QuadratureError) as excinfo:
         r_term(tfs, QuadratureSettings(rel_tol=1e-18))
-    assert excinfo.value.best_estimate == pytest.approx(r_term(tfs), rel=1e-9)
+    assert excinfo.value.best_estimate == pytest.approx(r_term(tfs)[0], rel=1e-9)
     assert excinfo.value.err_est > 1e-18 * _scale(tfs)
 
 
@@ -306,6 +306,21 @@ def test_fourth_moment_naive_third_with_r(naive_third):
     assert odd.value == pytest.approx(1.0 / 3.0 - R4_NAIVE_THIRD, abs=1e-9)
     # sign consistency across the split families
     assert res.value - odd.value == pytest.approx(2.0 * res.r_term, abs=1e-12)
+
+
+def test_r_error_is_the_ladders_last_difference(naive_third):
+    tfs = (naive_third,) * 4
+    res = centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="with_R"))
+    assert 0.0 < res.r_error <= QuadratureSettings().rel_tol * _scale(tfs)
+    # the ladder stops one level earlier on a looser budget
+    loose = centered_moment(
+        MomentRequest(tfs, G.SO_EVEN, regime="with_R"), QuadratureSettings(rel_tol=1e-2)
+    )
+    assert loose.r_error > 1e-6 * loose.value
+    # 0.0 when R is exactly 0 or the regime drops it
+    assert centered_moment(MomentRequest(tfs[:3], G.SO_EVEN, regime="with_R")).r_error == 0.0
+    quarter = (make_naive(0.25),) * 4
+    assert centered_moment(MomentRequest(quarter, G.SO_EVEN, regime="mock_gaussian")).r_error == 0.0
 
 
 def test_reduction_to_identical_test_function_form(naive_third):
