@@ -33,7 +33,7 @@ from .optimize import (
     objective,
     search,
 )
-from .quadrature import QuadratureError, QuadratureSettings
+from .quadrature import QuadratureError
 from .rmt import (
     EnsembleSpec,
     EmpiricalMoments,
@@ -66,7 +66,6 @@ __all__ = [
     "OptimizationProblem",
     "ParityError",
     "QuadratureError",
-    "QuadratureSettings",
     "RankTooSmallError",
     "SearchSettings",
     "SupportRegimeError",

@@ -30,7 +30,6 @@ from typing import Sequence
 from . import reference
 from .kernels import SymmetryGroup, expectation_1level, expectation_2level
 from .moments import MomentRequest, MomentResult, centered_moment
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator, make_naive, min_rank
 
 _SPLIT_FAMILIES = (SymmetryGroup.SO_EVEN, SymmetryGroup.SO_ODD)
@@ -155,7 +154,6 @@ def bound_moment(
     ranks: Sequence[int],
     weight_k: int = 2,
     regime: str = "auto",
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> list[BoundResult]:
     """2m-th centered-moment bounds with m slot functions, each used twice,
     one per rank in ``ranks``.
@@ -190,7 +188,7 @@ def bound_moment(
                 )
         if result is None:
             result = centered_moment(
-                MomentRequest(doubled, family, weight_k=weight_k, regime=regime), settings
+                MomentRequest(doubled, family, weight_k=weight_k, regime=regime)
             )
             _certify(result, labels, r)
 
@@ -262,10 +260,7 @@ def _moment_mixed_slots() -> tuple[TestFunction, ...]:
     )
 
 
-def reproduce_table(
-    which: str,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> list[TableCell]:
+def reproduce_table(which: str) -> list[TableCell]:
     """Recompute every computable cell of one published table.
 
     Moment columns are computed from first principles (the naive column
@@ -288,7 +283,7 @@ def reproduce_table(
     moment_bounds: dict[tuple[str, SymmetryGroup, int], float] = {}
     for (column, family), ranks in groups.items():
         make_slots, regime = moment_columns[column]
-        for res in bound_moment(make_slots(), family, ranks, regime=regime, settings=settings):
+        for res in bound_moment(make_slots(), family, ranks, regime=regime):
             moment_bounds[column, family, res.rank] = res.upper_bound
 
     out: list[TableCell] = []

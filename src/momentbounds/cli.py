@@ -13,6 +13,9 @@ Results are emitted as structured records (JSON lines, sorted keys); with
 produced.  Outputs carry no timestamps: identical configuration and seed
 give byte-identical output.  A config file of ``key = value`` lines
 (keys matching the long flag names) supplies defaults; flags override.
+A config file that cannot be read, a line without ``=``, a key that
+names no option of any subcommand and a value outside its option's
+choices are ``invalid-input`` errors.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .optimize import (
     SearchSettings,
     search,
 )
-from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
+from .quadrature import QuadratureError
 from .rmt import EnsembleSpec, verify_moments
 from .testfunc import from_spec_string, parse_rational
 
@@ -61,12 +64,6 @@ ERROR_CODES = {
 def parse_testfn(spec: str):
     """CLI spec string -> TestFunction (see testfunc.from_spec_string)."""
     return from_spec_string(spec)
-
-
-def _quad_settings(args) -> QuadratureSettings:
-    if args.tol_rel is None:
-        return DEFAULT_SETTINGS
-    return QuadratureSettings(rel_tol=args.tol_rel)
 
 
 def _emit(records: list[dict], args) -> None:
@@ -124,13 +121,28 @@ def _require(args, *names: str) -> None:
         raise ValueError("missing required option(s): " + ", ".join(f"--{n}" for n in missing))
 
 
+METHODS = "level1 | level2 | moment4 | moment2m:<m>"
+
+
+def _moment_slots(method: str) -> int | None:
+    """Slot count m of a moment method (2 for moment4), None for level1 / level2."""
+    if method in ("level1", "level2"):
+        return None
+    if method == "moment4":
+        return 2
+    name, _, m = method.partition(":")
+    if name == "moment2m" and m.isdecimal() and int(m) >= 1:
+        return int(m)
+    raise ValueError(f"unknown --method {method!r} (expected {METHODS})")
+
+
 def _cmd_bound(args) -> int:
     _require(args, "family")
+    m = _moment_slots(args.method)
     family = SymmetryGroup.from_string(args.family)
-    settings = _quad_settings(args)
     tfs = [parse_testfn(s) for s in args.testfn or []]
     ranks = _ranks(args)
-    if args.method in ("level1", "level2"):
+    if m is None:
         results = []
         for r in ranks:
             if args.method == "level1":
@@ -151,15 +163,12 @@ def _cmd_bound(args) -> int:
                     )
             results.append(result)
     else:
-        m = 2 if args.method == "moment4" else int(args.method.split(":", 1)[1])
         if len(tfs) == 1:
             tfs = tfs * m
         if len(tfs) != m:
             raise ValueError(f"{args.method} needs {m} slot test functions, got {len(tfs)}")
         # one moment for all the ranks, divided by each rank's denominator
-        results = bound_moment(
-            tfs, family, ranks, weight_k=args.weight_k, regime=args.regime, settings=settings
-        )
+        results = bound_moment(tfs, family, ranks, weight_k=args.weight_k, regime=args.regime)
     _emit([result.record() for result in results], args)
     return 0
 
@@ -169,7 +178,7 @@ def _cmd_moment(args) -> int:
     family = SymmetryGroup.from_string(args.family)
     tfs = [parse_testfn(s) for s in args.testfn or []]
     request = MomentRequest(tuple(tfs), family, weight_k=args.weight_k, regime=args.regime)
-    result = centered_moment(request, _quad_settings(args))
+    result = centered_moment(request)
     _emit(
         [
             {
@@ -189,7 +198,7 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cells = reproduce_table(args.table, _quad_settings(args))
+    cells = reproduce_table(args.table)
     records = []
     failed = False
     for cell in cells:
@@ -245,13 +254,8 @@ def _cmd_optimize(args) -> int:
         weight_k=args.weight_k,
         regime=args.regime,
     )
-    settings = SearchSettings(
-        restarts=args.restarts,
-        seed=args.seed,
-        max_evals=args.max_evals,
-        simplex_tolerance=args.simplex_tol,
-    )
-    result = search(problem, settings, _quad_settings(args))
+    settings = SearchSettings(restarts=args.restarts, seed=args.seed, max_evals=args.max_evals)
+    result = search(problem, settings)
     records: list[dict] = [
         {
             "kind": "restart",
@@ -301,8 +305,12 @@ def _cmd_rmt_verify(args) -> int:
 
 def _read_config(path: str) -> dict[str, str]:
     """Flat key = value file mirroring the long flag names."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -311,6 +319,33 @@ def _read_config(path: str) -> dict[str, str]:
             raise ValueError(f"config line without '=': {line!r}")
         out[key.strip().replace("-", "_")] = value.strip()
     return out
+
+
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the defaults of every subcommand with that option."""
+    config = _read_config(path)
+    unknown = set(config)
+    for action in parser._subparsers._group_actions:  # noqa: SLF001
+        for sub_parser in action.choices.values():
+            defaults = {}
+            for sub_action in sub_parser._actions:  # noqa: SLF001
+                if sub_action.dest in config:
+                    unknown.discard(sub_action.dest)
+                    value = config[sub_action.dest]
+                    if sub_action.type is not None:
+                        value = sub_action.type(value)
+                    elif isinstance(sub_action, argparse._AppendAction):  # noqa: SLF001
+                        value = [value]
+                    if sub_action.choices is not None and value not in sub_action.choices:
+                        raise ValueError(
+                            f"config file {path!r}: {sub_action.dest.replace('_', '-')} = "
+                            f"{value!r} is not one of {', '.join(sub_action.choices)}"
+                        )
+                    defaults[sub_action.dest] = value
+            sub_parser.set_defaults(**defaults)
+    if unknown:
+        names = ", ".join(sorted(k.replace("_", "-") for k in unknown))
+        raise ValueError(f"config file {path!r}: no subcommand has an option {names}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "records"), default="records")
-    common.add_argument("--tol-rel", type=float, default=None, help="relative tolerance of the R term")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -334,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument(
         "--method",
         default="moment4",
-        help="level1 | level2 | moment4 | moment2m:<m>",
+        help=METHODS,
     )
     p_bound.add_argument("--testfn", action="append", help="test function spec (repeatable)")
     p_bound.add_argument("--weight-k", type=int, default=2)
@@ -366,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--regime", default="auto", choices=REGIMES)
     p_opt.add_argument("--restarts", type=int, default=16)
     p_opt.add_argument("--max-evals", type=int, default=2000)
-    p_opt.add_argument("--simplex-tol", type=float, default=1e-12)
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.set_defaults(func=_cmd_optimize)
 
@@ -392,23 +425,10 @@ def main(argv: list[str] | None = None) -> int:
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
-    if known.config:
-        config = _read_config(known.config)
-        for action in parser._subparsers._group_actions:  # noqa: SLF001
-            for sub_parser in action.choices.values():
-                defaults = {}
-                for sub_action in sub_parser._actions:  # noqa: SLF001
-                    if sub_action.dest in config:
-                        value = config[sub_action.dest]
-                        if sub_action.type is not None:
-                            value = sub_action.type(value)
-                        elif isinstance(sub_action, argparse._AppendAction):  # noqa: SLF001
-                            value = [value]
-                        defaults[sub_action.dest] = value
-                sub_parser.set_defaults(**defaults)
-
-    args = parser.parse_args(argv)
     try:
+        if known.config:
+            _apply_config(parser, known.config)
+        args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - map to machine-readable error records
         code = "internal-error"

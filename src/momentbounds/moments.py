@@ -8,7 +8,8 @@ family statistic is, in the appropriate support regime,
   ``sigma2(phi_a, phi_b)`` -- the hafnian of the sigma2 matrix, computed
   by a memoized subset recursion for 2m up to ``MAX_EVEN_ORDER`` -- plus
   a sign-carrying correction term ``R_n`` for the split families (a
-  compact transform-space integral, see :func:`r_term`),
+  compact transform-space integral refined to the fixed relative budget
+  ``_R_REL_TOL``, see :func:`r_term`),
 * odd n: the correction term alone (or zero).
 
 Two support regimes are implemented:
@@ -28,6 +29,7 @@ interval hypotheses.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import SymmetryGroup
-from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
+from .quadrature import QuadratureError
 from .testfunc import TestFunction, sigma2
 
 # Even orders 2m above this are refused: the hafnian recursion visits
@@ -44,10 +46,12 @@ MAX_EVEN_ORDER = 24
 
 # R grid: nodes k/m, m a multiple of the supports' common denominator when
 # that is at most _R_MAX_DENOMINATOR, starting with at least
-# _R_MIN_INTERVALS steps across the narrowest support.
+# _R_MIN_INTERVALS steps across the narrowest support.  The step is halved
+# until two levels agree within _R_REL_TOL of R's scale.
 _R_MAX_DENOMINATOR = 1024
 _R_MIN_INTERVALS = 16
 _R_MAX_NODES = 2**18
+_R_REL_TOL = 1e-10
 
 REGIMES = ("auto", "with_R", "mock_gaussian")
 
@@ -148,14 +152,20 @@ def _tail_trapezoid(tfs: Sequence[TestFunction], m: int) -> float:
     Each transform is sampled at the nodes of its support, the samples are
     convolved by FFT (the discrete convolution is the trapezoid rule for
     each convolution integral) and the nodes from y = 1 on are summed.
+    A function repeated in ``tfs`` (by identity) is transformed once and
+    its spectrum multiplied in once per occurrence, which rounds exactly
+    as separate equal functions in the same order would.
     """
-    ks = [math.floor(tf.support_bound * m) for tf in tfs]
-    size = 2 * sum(ks) + 1
+    half = sum(math.floor(tf.support_bound * m) for tf in tfs)
+    size = 2 * half + 1
     nfft = 1 << (size - 1).bit_length()
     spectrum = np.ones(nfft // 2 + 1, dtype=complex)
-    for tf, k in zip(tfs, ks):
-        spectrum *= np.fft.rfft(tf.phihat(np.arange(-k, k + 1) / m), nfft)
-    tail = np.fft.irfft(spectrum, nfft)[sum(ks) + m : size]
+    for tf, count in Counter(tfs).items():
+        k = math.floor(tf.support_bound * m)
+        transform = np.fft.rfft(tf.phihat(np.arange(-k, k + 1) / m), nfft)
+        for _ in range(count):
+            spectrum *= transform
+    tail = np.fft.irfft(spectrum, nfft)[half + m : size]
     return float(tail.sum() - 0.5 * tail[:1].sum()) / m ** len(tfs)
 
 
@@ -169,16 +179,13 @@ def _r_grid(supports: Sequence[float]) -> tuple[int, bool]:
     return m, aligned
 
 
-def r_term(
-    tfs: Sequence[TestFunction],
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> tuple[float, float]:
+def r_term(tfs: Sequence[TestFunction]) -> tuple[float, float]:
     """Correction term splitting the even from the odd family:
     ``R = (-1)^n 2^(n-1) int_1^S (phihat_1 * ... * phihat_n)(y) dy``, S the
     sum of the transform supports, so R is exactly 0 when S <= 1.
 
     The grid step 1/m is halved until two levels agree within
-    ``rel_tol * 2^(n-1) prod_j phi_j(0)``; when every support end is a
+    ``_R_REL_TOL * 2^(n-1) prod_j phi_j(0)``; when every support end is a
     node, the error expands in even powers of the step and the two
     levels are Richardson-extrapolated.  Returns R and the last
     difference of the ladder (both 0.0 when R is exactly 0).
@@ -190,7 +197,7 @@ def r_term(
     if math.fsum(supports) <= 1.0 + 1e-12:
         return 0.0, 0.0
     prefactor = (-1.0) ** n * 2.0 ** (n - 1)
-    tol = settings.rel_tol * abs(prefactor * math.prod(tf.phi0 for tf in tfs))
+    tol = _R_REL_TOL * abs(prefactor * math.prod(tf.phi0 for tf in tfs))
     m, aligned = _r_grid(supports)
     value, err = prefactor * _tail_trapezoid(tfs, m), math.inf
     while 2 * m <= _R_MAX_NODES:
@@ -287,10 +294,7 @@ def _matching_sum(tfs: tuple[TestFunction, ...]) -> float:
     )
 
 
-def centered_moment(
-    req: MomentRequest,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> MomentResult:
+def centered_moment(req: MomentRequest) -> MomentResult:
     """n-th centered moment of the family statistic.
 
     Even n: matching sum, plus R with sign +1 for the even split family
@@ -309,7 +313,7 @@ def centered_moment(
     if regime == "mock_gaussian" or sign == 0:
         return MomentResult(matching_sum, matching_sum, 0.0, 0, regime)
 
-    r_value, r_error = r_term(req.test_functions, settings)
+    r_value, r_error = r_term(req.test_functions)
     return MomentResult(
         matching_sum + sign * r_value, matching_sum, r_value, sign, regime, r_error
     )

@@ -12,8 +12,8 @@ Every integral in the objective is an exact Gauss-Legendre sum except
 the correction term R, which a grid ladder converges to 1e-10 of its
 scale; R has no closed-form gradient and infeasible points return a
 flat penalty, so the local search is a derivative-free simplex
-(Nelder-Mead) restarted from uniform random points inside the
-coefficient box.
+(Nelder-Mead, with fixed stopping tolerances) restarted from uniform
+random points inside the coefficient box.
 Restarts own deterministic random substreams derived from
 (seed, restart index), so results are reproducible and independent of
 scheduling.
@@ -31,7 +31,7 @@ from scipy.optimize import minimize
 from .bounds import RankTooSmallError, UncertifiedBoundError, bound_moment
 from .kernels import SymmetryGroup
 from .moments import SupportRegimeError, support_threshold
-from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
+from .quadrature import QuadratureError
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator
 
 PENALTY_SCALE = 1e6
@@ -163,7 +163,6 @@ class OptimizationProblem:
 def objective(
     coeffs_per_slot: Sequence[Sequence[float]],
     problem: OptimizationProblem,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """The moment bound at the given slot coefficients.
 
@@ -188,7 +187,6 @@ def objective(
             [problem.rank],
             weight_k=problem.weight_k,
             regime=problem.regime,
-            settings=settings,
         )
     except (SupportRegimeError, QuadratureError, UncertifiedBoundError):
         return PENALTY_SCALE
@@ -208,7 +206,6 @@ class SearchSettings:
     restarts: int = 16
     seed: int = 0
     max_evals: int = 2000
-    simplex_tolerance: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -231,7 +228,6 @@ class SearchResult:
 def search(
     problem: OptimizationProblem,
     settings: SearchSettings = SearchSettings(),
-    quad_settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> SearchResult:
     """Minimize the bound over the coefficient box.
 
@@ -246,7 +242,7 @@ def search(
 
     def evaluate(x: np.ndarray) -> float:
         nonlocal best_value, best_x
-        value = objective(problem.split_params(x), problem, quad_settings)
+        value = objective(problem.split_params(x), problem)
         if value < best_value:
             best_value = value
             best_x = np.array(x, dtype=float)
@@ -272,7 +268,7 @@ def search(
                 bounds=list(zip(lo, hi)),
                 options={
                     "maxfev": settings.max_evals,
-                    "fatol": settings.simplex_tolerance,
+                    "fatol": 1e-12,
                     "xatol": 1e-10,
                 },
             )

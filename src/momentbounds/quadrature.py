@@ -6,14 +6,14 @@ chopped Chebyshev series), so every integral of transforms is a
 polynomial integral of known degree.  :func:`gauss_legendre` sums it
 with the Gauss-Legendre rule of just enough nodes, which is exact up to
 rounding: there is no error estimate and no adaptivity.
-:func:`legendre_rule` builds the large rules that the exact finite-N
-moments of :mod:`.rmt` need, with end weights that numpy's leggauss
-does not get right at that size.
+:func:`legendre_rule` builds every rule in the package, the small ones
+of :func:`gauss_legendre` and of the generator transforms as well as the
+large ones of the exact finite-N moments in :mod:`.rmt`, with weights
+accurate to the ends of the interval.
 
 The one approximate quantity, the correction term R, is refined on a
-grid ladder in :mod:`.moments`; :class:`QuadratureSettings` carries its
-relative budget and :class:`QuadratureError` reports a ladder that did
-not converge.
+grid ladder in :mod:`.moments` to a fixed relative budget;
+:class:`QuadratureError` reports a ladder that did not converge.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -21,7 +21,6 @@ All functions are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -41,26 +40,6 @@ class QuadratureError(RuntimeError):
         self.err_est = err_est
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Relative error budget of the correction term R."""
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
-
-
-@lru_cache(maxsize=16)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # leggauss solves an eigenproblem; cache it, the rules are reused heavily
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x)."""
     p_prev, p = np.ones_like(x), x  # P_{k-1}, P_k by the three-term recurrence
@@ -69,7 +48,9 @@ def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
-@lru_cache(maxsize=16)
+# Far more sizes than one run uses (13 at most in the benchmark workloads),
+# so no rule is built twice.
+@lru_cache(maxsize=64)
 def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], accurate to the ends.
 
@@ -103,7 +84,7 @@ def gauss_legendre(
         raise ValueError("gauss_legendre requires finite endpoints")
     if np.any(b < a):
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    nodes, weights = _leggauss(degree // 2 + 1)
+    nodes, weights = legendre_rule(degree // 2 + 1)
     half = 0.5 * (b - a)[..., None]
     total = (f(a + half * (nodes + 1.0)) * weights * half).sum(axis=-1)
     return float(total) if total.ndim == 0 else total

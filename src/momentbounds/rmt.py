@@ -38,7 +38,7 @@ from scipy.linalg.lapack import dsterf
 
 from .kernels import SymmetryGroup
 from .moments import MomentRequest, SupportRegimeError, centered_moment, double_factorial
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, legendre_rule
+from .quadrature import legendre_rule
 from .testfunc import TestFunction, sigma2
 
 _SAMPLE_GROUPS = (SymmetryGroup.SO_EVEN, SymmetryGroup.SO_ODD, SymmetryGroup.U)
@@ -267,7 +267,6 @@ def predicted_moment(
     group: SymmetryGroup,
     order: int,
     weight_k: int = 2,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Limiting centered moment of Z for the sampled ensemble.
 
@@ -285,10 +284,10 @@ def predicted_moment(
         return double_factorial(order - 1) * variance ** (order // 2)
     request = MomentRequest((tf,) * order, group, weight_k=weight_k, regime="with_R")
     try:
-        return centered_moment(request, settings).value
+        return centered_moment(request).value
     except SupportRegimeError:
         request = MomentRequest((tf,) * order, group, weight_k=weight_k, regime="mock_gaussian")
-        return centered_moment(request, settings).value
+        return centered_moment(request).value
 
 
 def _gram_nodes(tf: TestFunction, spec: EnsembleSpec, n_max: int) -> int:

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .quadrature import _leggauss, gauss_legendre
+from .quadrature import gauss_legendre, legendre_rule
 
 GENERATOR_KINDS = ("sin-of-square", "polynomial", "cosine-series")
 
@@ -138,7 +138,7 @@ def _basis_autocorrelation(kind: str, dim: int, half_support: float) -> np.ndarr
     h = half_support
     theta = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
     y = h * (np.cos(theta) + 1.0)
-    base, wts = _leggauss(_AUTOCORR_NODES)
+    base, wts = legendre_rule(_AUTOCORR_NODES)
     width = 2.0 * h - y
     t = (y - h)[:, None] + (base + 1.0) * 0.5 * width[:, None]
     left = (wts * 0.5 * width[:, None])[..., None] * _basis_values(kind, dim, h, t)
@@ -238,7 +238,7 @@ class GeneratorBackedTestFunction(TestFunction):
         # Fixed Gauss-Legendre rule on the generator support; g is smooth
         # there, so the rule is exact to machine precision for the
         # non-oscillatory factors.
-        nodes, weights = _leggauss(self._GL_NODES)
+        nodes, weights = legendre_rule(self._GL_NODES)
         t = 0.5 * (nodes + 1.0) * (2 * h) - h
         w = weights * h
         g = np.asarray(generator.evaluate(t), dtype=float)

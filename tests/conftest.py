@@ -36,9 +36,9 @@ def moment_calls(monkeypatch):
     calls = []
     original = bounds.centered_moment
 
-    def recording(request, settings):
+    def recording(request):
         calls.append(request)
-        return original(request, settings)
+        return original(request)
 
     monkeypatch.setattr(bounds, "centered_moment", recording)
     return calls

@@ -7,7 +7,6 @@ import pytest
 from momentbounds import (
     MomentResult,
     ParityError,
-    QuadratureSettings,
     RankTooSmallError,
     SymmetryGroup,
     UncertifiedBoundError,
@@ -19,6 +18,7 @@ from momentbounds import (
     reproduce_table,
 )
 from momentbounds import bounds as bounds_module
+from momentbounds import moments as moments_module
 from momentbounds.bounds import level2_coefficient, table_tolerance
 from momentbounds.reference import expectation_level1, expectation_level2, table_cells
 from momentbounds.testfunc import GeneratorSpec
@@ -150,16 +150,16 @@ def test_reproduce_table_computes_one_moment_per_column_and_family(moment_calls,
     assert sorted((r.family.value, r.regime) for r in moment_calls) == moments
 
 
-def test_uncertain_r_is_refused(naive_third):
+def test_uncertain_r_is_refused(naive_third, monkeypatch):
     # a 1e-2 budget stops R's ladder with a last difference of 2.4e-5 of the moment
-    loose = QuadratureSettings(rel_tol=1e-2)
+    monkeypatch.setattr(moments_module, "_R_REL_TOL", 1e-2)
     with pytest.raises(UncertifiedBoundError, match="R term .* at rank 4 is uncertain"):
-        bound_moment((naive_third, naive_third), G.SO_EVEN, [4, 6], regime="with_R", settings=loose)
+        bound_moment((naive_third, naive_third), G.SO_EVEN, [4, 6], regime="with_R")
 
 
 @pytest.mark.parametrize("value", [-1e-20, float("nan"), float("inf")])
 def test_negative_or_nonfinite_moment_is_refused(naive_third, monkeypatch, value):
-    def bad_moment(request, settings):
+    def bad_moment(request):
         return MomentResult(value, value, 0.0, 1, request.regime)
 
     monkeypatch.setattr(bounds_module, "centered_moment", bad_moment)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import momentbounds
-from momentbounds import MomentResult, bounds
+from momentbounds import MomentResult, bounds, moments
 from momentbounds.cli import main, parse_testfn
 from momentbounds.testfunc import NaiveTestFunction
 
@@ -117,7 +117,7 @@ def test_bound_parity_error_exit(capsys):
 
 
 def test_bound_negative_moment_error_exit(capsys, monkeypatch):
-    def negative_moment(request, settings):
+    def negative_moment(request):
         return MomentResult(-1e-20, -1e-20, 0.0, 1, request.regime)
 
     monkeypatch.setattr(bounds, "centered_moment", negative_moment)
@@ -184,10 +184,9 @@ def test_bound_ranks_error_names_the_failing_rank(capsys):
     }
 
 
-def test_bound_uncertain_r_error_exit(capsys):
-    code, out, err = run_cli(
-        NAIVE_SWEEP + ["--family", "so-even", "--ranks", "4,6", "--tol-rel", "1e-2"], capsys
-    )
+def test_bound_uncertain_r_error_exit(capsys, monkeypatch):
+    monkeypatch.setattr(moments, "_R_REL_TOL", 1e-2)
+    code, out, err = run_cli(NAIVE_SWEEP + ["--family", "so-even", "--ranks", "4,6"], capsys)
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "uncertified-bound"
 
@@ -313,6 +312,51 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out, _ = run_cli(["--config", str(cfg), "bound", "--ranks", "10"], capsys)
     records = parse_records(out)
     assert len(records) == 1 and records[0]["rank"] == 10
+
+
+def test_config_key_of_another_subcommand_is_accepted(tmp_path, capsys):
+    # `samples` belongs to rmt-verify only; a bound run from the same file ignores it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = so-even\nmethod = level1\nranks = 6,8\nsamples = 600\n")
+    code, out, _ = run_cli(["--config", str(cfg), "bound"], capsys)
+    assert code == 0
+    assert len(parse_records(out)) == 2
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("family = so-even\nranks 6,8\n", "config line without '='"),
+        ("family = so-even\ntol-rel = 1e-2\n", "no subcommand has an option tol-rel"),
+        ("family = so-even\nsimplex-tol = 1e-9\n", "no subcommand has an option simplex-tol"),
+        ("family = so-even\nformat = xml\n", "format = 'xml' is not one of csv, records"),
+        (None, "cannot read config file"),
+    ],
+)
+def test_config_errors_are_invalid_input(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run_cli(["--config", str(cfg), "bound", "--method", "level1"], capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "invalid-input"
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize("method", ["momentx", "level3", "moment2m", "moment2m:x", "moment2m:0"])
+def test_bound_rejects_unknown_method(capsys, method):
+    code, out, err = run_cli(
+        ["bound", "--family", "so-even", "--ranks", "10", "--method", method,
+         "--testfn", "naive:v=1/3"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "invalid-input",
+        "message": f"unknown --method {method!r} "
+        "(expected level1 | level2 | moment4 | moment2m:<m>)",
+    }
 
 
 def test_optimize_command_singleton(capsys):

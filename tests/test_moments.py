@@ -12,7 +12,6 @@ from momentbounds import (
     GeneratorSpec,
     MomentRequest,
     QuadratureError,
-    QuadratureSettings,
     SupportRegimeError,
     SymmetryGroup,
     bound_moment,
@@ -276,12 +275,22 @@ def test_r_term_zero_function(naive_third):
     assert r_term([naive_third, Zero()]) == (0.0, 0.0)
 
 
-def test_r_term_raises_when_tolerance_unreachable():
+def test_r_term_raises_when_tolerance_unreachable(monkeypatch):
     tfs = [make_naive(0.6)] * 2
+    expected = r_term(tfs)[0]
+    monkeypatch.setattr(moments, "_R_REL_TOL", 1e-18)
     with pytest.raises(QuadratureError) as excinfo:
-        r_term(tfs, QuadratureSettings(rel_tol=1e-18))
-    assert excinfo.value.best_estimate == pytest.approx(r_term(tfs)[0], rel=1e-9)
+        r_term(tfs)
+    assert excinfo.value.best_estimate == pytest.approx(expected, rel=1e-9)
     assert excinfo.value.err_est > 1e-18 * _scale(tfs)
+
+
+def test_r_term_transforms_a_repeated_function_once():
+    # one FFT raised to the fourth power against four multiplied FFTs
+    third = make_naive(1.0 / 3.0)
+    repeated = r_term([third] * 4)[0]
+    separate = r_term([make_naive(1.0 / 3.0) for _ in range(4)])[0]
+    assert repeated == pytest.approx(separate, rel=1e-13, abs=0)
 
 
 def test_r_term_needs_two(naive_third):
@@ -308,15 +317,15 @@ def test_fourth_moment_naive_third_with_r(naive_third):
     assert res.value - odd.value == pytest.approx(2.0 * res.r_term, abs=1e-12)
 
 
-def test_r_error_is_the_ladders_last_difference(naive_third):
+def test_r_error_is_the_ladders_last_difference(naive_third, monkeypatch):
     tfs = (naive_third,) * 4
     res = centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="with_R"))
-    assert 0.0 < res.r_error <= QuadratureSettings().rel_tol * _scale(tfs)
+    assert 0.0 < res.r_error <= moments._R_REL_TOL * _scale(tfs)
     # the ladder stops one level earlier on a looser budget
-    loose = centered_moment(
-        MomentRequest(tfs, G.SO_EVEN, regime="with_R"), QuadratureSettings(rel_tol=1e-2)
-    )
+    monkeypatch.setattr(moments, "_R_REL_TOL", 1e-2)
+    loose = centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="with_R"))
     assert loose.r_error > 1e-6 * loose.value
+    monkeypatch.undo()
     # 0.0 when R is exactly 0 or the regime drops it
     assert centered_moment(MomentRequest(tfs[:3], G.SO_EVEN, regime="with_R")).r_error == 0.0
     quarter = (make_naive(0.25),) * 4

@@ -110,7 +110,7 @@ def test_quadrature_failure_is_penalized_not_reported(cosine_problem, monkeypatc
 
 
 def test_negative_moment_is_penalized_not_reported(cosine_problem, monkeypatch):
-    def negative_moment(request, settings):
+    def negative_moment(request):
         return MomentResult(-1e-20, -1e-20, 0.0, 1, request.regime)
 
     monkeypatch.setattr(bounds, "centered_moment", negative_moment)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from momentbounds import QuadratureSettings
 from momentbounds.quadrature import gauss_legendre, legendre_rule
 
 # Midpoint Riemann sum, step 1e-6 (independent oracle, frozen):
@@ -40,10 +39,13 @@ def test_invalid_interval_rejected():
     assert gauss_legendre(lambda x: x, 0.5, 0.5, 1) == 0.0
 
 
-def test_settings_reject_nonpositive_tolerance():
-    for tol in (0.0, -1e-10, math.nan):
-        with pytest.raises(ValueError):
-            QuadratureSettings(rel_tol=tol)
+@pytest.mark.parametrize("nodes", [128, 512])
+def test_exact_to_the_ends_of_the_interval(nodes):
+    # ((1 -+ x)/2)^(2n-1) puts all its mass at one end; the n-node rule
+    # integrates it exactly, so only rounding separates the sum from 1/n
+    degree = 2 * nodes - 1
+    for f in (lambda x: ((1.0 - x) / 2.0) ** degree, lambda x: ((1.0 + x) / 2.0) ** degree):
+        assert gauss_legendre(f, -1.0, 1.0, degree) == pytest.approx(1.0 / nodes, rel=1e-13, abs=0)
 
 
 @given(
