@@ -14,8 +14,9 @@ produced.  Outputs carry no timestamps: identical configuration and seed
 give byte-identical output.  A config file of ``key = value`` lines
 (keys matching the long flag names) supplies defaults; flags override.
 A config file that cannot be read, a line without ``=``, a key that
-names no option of any subcommand and a value outside its option's
-choices are ``invalid-input`` errors.
+names no option of any subcommand, a value its option's type cannot
+convert and a value outside its option's choices are ``invalid-input``
+errors.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ ERROR_CODES = {
 def parse_testfn(spec: str):
     """CLI spec string -> TestFunction (see testfunc.from_spec_string)."""
     return from_spec_string(spec)
+
+
+def _parse_testfns(specs: list[str]) -> list:
+    """One TestFunction per distinct spec string: repeated slots share it,
+    and with it the sigma^2 memo and R's one transform per function."""
+    parsed = {s: parse_testfn(s) for s in dict.fromkeys(specs)}
+    return [parsed[s] for s in specs]
 
 
 def _emit(records: list[dict], args) -> None:
@@ -140,7 +148,7 @@ def _cmd_bound(args) -> int:
     _require(args, "family")
     m = _moment_slots(args.method)
     family = SymmetryGroup.from_string(args.family)
-    tfs = [parse_testfn(s) for s in args.testfn or []]
+    tfs = _parse_testfns(args.testfn or [])
     ranks = _ranks(args)
     if m is None:
         results = []
@@ -176,7 +184,7 @@ def _cmd_bound(args) -> int:
 def _cmd_moment(args) -> int:
     _require(args, "family", "testfn")
     family = SymmetryGroup.from_string(args.family)
-    tfs = [parse_testfn(s) for s in args.testfn or []]
+    tfs = _parse_testfns(args.testfn or [])
     request = MomentRequest(tuple(tfs), family, weight_k=args.weight_k, regime=args.regime)
     result = centered_moment(request)
     _emit(
@@ -332,15 +340,18 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
                 if sub_action.dest in config:
                     unknown.discard(sub_action.dest)
                     value = config[sub_action.dest]
+                    where = f"config file {path!r}: {sub_action.dest.replace('_', '-')} = {value!r}"
                     if sub_action.type is not None:
-                        value = sub_action.type(value)
+                        try:
+                            value = sub_action.type(value)
+                        except ValueError:
+                            raise ValueError(
+                                f"{where} is not a valid {sub_action.type.__name__}"
+                            ) from None
                     elif isinstance(sub_action, argparse._AppendAction):  # noqa: SLF001
                         value = [value]
                     if sub_action.choices is not None and value not in sub_action.choices:
-                        raise ValueError(
-                            f"config file {path!r}: {sub_action.dest.replace('_', '-')} = "
-                            f"{value!r} is not one of {', '.join(sub_action.choices)}"
-                        )
+                        raise ValueError(f"{where} is not one of {', '.join(sub_action.choices)}")
                     defaults[sub_action.dest] = value
             sub_parser.set_defaults(**defaults)
     if unknown:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import RankTooSmallError, UncertifiedBoundError, bound_moment
 from .kernels import SymmetryGroup
@@ -235,6 +234,9 @@ def search(
     every point evaluated in any restart and never comes from the
     penalty branch.
     """
+    # imported here so the bound commands never load scipy
+    from scipy.optimize import minimize
+
     n = problem.n_params
 
     best_value = math.inf

@@ -30,11 +30,9 @@ scheduled across workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsterf
 
 from .kernels import SymmetryGroup
 from .moments import MomentRequest, SupportRegimeError, centered_moment, double_factorial
@@ -117,6 +115,9 @@ def _jacobi_cosines(
 ) -> np.ndarray:
     """Ascending cosines (count, N) of the free eigenangles of SO(2N) or
     SO(2N+1): half the spectrum of the Killip-Nenciu beta = 2 Jacobi matrix."""
+    # imported here so the bound commands never load scipy
+    from scipy.linalg.lapack import dsterf
+
     a, b = _JACOBI_WEIGHTS[group]
     k = np.arange(2 * n - 1)
     even = k % 2 == 0
@@ -225,6 +226,8 @@ def empirical_moments(
     ]
 
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batch_sums = list(pool.map(_batch_power_sums, jobs, chunksize=4))
     else:

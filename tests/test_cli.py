@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import momentbounds
-from momentbounds import MomentResult, bounds, moments
+from momentbounds import MomentResult, bounds, cli, moments
 from momentbounds.cli import main, parse_testfn
 from momentbounds.testfunc import NaiveTestFunction
 
@@ -23,19 +23,52 @@ def parse_records(out: str):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
 
 
+SRC = str(Path(momentbounds.__file__).resolve().parents[1])
+
+
 def test_cli_import_leaves_quadpack_and_splines_out():
-    # every integral is a fixed Gauss-Legendre sum: the command line needs
-    # neither scipy.integrate nor scipy.interpolate
-    src = str(Path(momentbounds.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import momentbounds.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'interpolate'])))"
-    )
+    # bound, moment and table are numpy-only: after running them the process
+    # has loaded neither scipy nor a process pool
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import momentbounds.cli as cli
+runs = [
+    ["bound", "--family", "so-even", "--ranks", "4,6", "--method", "moment4",
+     "--testfn", "naive:v=1/3", "--regime", "with_R"],
+    ["moment", "--family", "so-even", "--testfn", "naive:v=1/3",
+     "--testfn", "naive:v=1/4", "--regime", "with_R"],
+    ["table", "T1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+heavy = ("scipy", "multiprocessing", "concurrent.futures.process")
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] in heavy or m in heavy))
+"""
     out = subprocess.run(
-        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, SRC], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[0, 0, 0] []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--family", "so-even", "--rank", "100", "--support", "1/4",
+         "--basis", "cos:dim=2:half=1/8", "--basis", "fixed:naive:v=1/4",
+         "--regime", "mock_gaussian", "--restarts", "1", "--max-evals", "10"],
+        ["rmt-verify", "--group", "so-even", "--N", "10", "--samples", "100",
+         "--testfn", "naive:v=1/3", "--orders", "2,3", "--seed", "12", "--workers", "2"],
+    ],
+)
+def test_scipy_commands_run_in_a_fresh_process(argv):
+    # optimize and rmt-verify (with a process pool) import scipy when they run
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import momentbounds.cli as cli; "
+        "sys.exit(cli.main(sys.argv[2:]))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, SRC, *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 # ---- test-function spec parsing ----
@@ -228,6 +261,19 @@ def test_moment_command(capsys):
     assert rec["sign_applied"] == -1
 
 
+def test_repeated_testfn_specs_share_one_function(capsys, monkeypatch):
+    # one object per distinct spec; the record is the one separate objects give
+    argv = ["moment", "--family", "so-even", "--regime", "with_R"]
+    argv += ["--testfn", "naive:v=1/3"] * 4
+    parsed = []
+    monkeypatch.setattr(cli, "parse_testfn", lambda spec: parsed.append(spec) or parse_testfn(spec))
+    shared = run_cli(argv, capsys)
+    assert parsed == ["naive:v=1/3"]
+    monkeypatch.setattr(cli, "_parse_testfns", lambda specs: [parse_testfn(s) for s in specs])
+    assert run_cli(argv, capsys) == shared
+    assert shared[0] == 0
+
+
 # ---- table command ----
 
 
@@ -330,6 +376,7 @@ def test_config_key_of_another_subcommand_is_accepted(tmp_path, capsys):
         ("family = so-even\ntol-rel = 1e-2\n", "no subcommand has an option tol-rel"),
         ("family = so-even\nsimplex-tol = 1e-9\n", "no subcommand has an option simplex-tol"),
         ("family = so-even\nformat = xml\n", "format = 'xml' is not one of csv, records"),
+        ("family = so-even\nrank = abc\n", "rank = 'abc' is not a valid int"),
         (None, "cannot read config file"),
     ],
 )

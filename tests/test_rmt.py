@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from momentbounds import (
     EnsembleSpec,
@@ -133,8 +134,9 @@ def test_cayley_unitary_angles_match_general_eigen_solve():
 
 @pytest.mark.parametrize("solution", [(np.full(4, 2.5), 0), (np.zeros(4), 3)])
 def test_bad_tridiagonal_spectrum_is_refused(monkeypatch, solution):
-    # a cosine outside [-1, 1] or a failed solve raises, never clips silently
-    monkeypatch.setattr(rmt, "dsterf", lambda d, e: solution)
+    # a cosine outside [-1, 1] or a failed solve raises, never clips silently;
+    # the sampler looks dsterf up in scipy's lapack module at call time
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: solution)
     with pytest.raises(ArithmeticError):
         sample_haar_batch(G.SO_EVEN, 4, np.random.default_rng(0), 3)
 
