@@ -33,7 +33,6 @@ from .optimize import (
     objective,
     search,
 )
-from .quadrature import QuadratureError
 from .rmt import (
     EnsembleSpec,
     EmpiricalMoments,
@@ -65,7 +64,6 @@ __all__ = [
     "NoFeasiblePointError",
     "OptimizationProblem",
     "ParityError",
-    "QuadratureError",
     "RankTooSmallError",
     "SearchSettings",
     "SupportRegimeError",

@@ -34,10 +34,6 @@ from .testfunc import GeneratorSpec, TestFunction, make_from_generator, make_nai
 
 _SPLIT_FAMILIES = (SymmetryGroup.SO_EVEN, SymmetryGroup.SO_ODD)
 
-# Largest error of R's grid ladder, relative to the moment, that a bound
-# may carry.
-R_CERTIFY_REL = 1e-6
-
 
 class ParityError(ValueError):
     """Vanishing-order parity does not match the family."""
@@ -48,8 +44,7 @@ class RankTooSmallError(ValueError):
 
 
 class UncertifiedBoundError(ArithmeticError):
-    """A moment came out negative, non-finite or with too uncertain an R, so its
-    quotient is no upper bound."""
+    """A moment came out negative or non-finite, so its quotient is no upper bound."""
 
 
 @dataclass(frozen=True)
@@ -166,9 +161,7 @@ def bound_moment(
     The moment does not depend on the rank: it is computed once, at the
     first rank that passes, and then only each rank's denominator.
     Raises :class:`UncertifiedBoundError` when the moment is negative or
-    not finite, or when R's ladder leaves an error above
-    ``R_CERTIFY_REL`` of the moment, rather than return a quotient that
-    bounds nothing.
+    not finite, rather than return a quotient that bounds nothing.
     """
     slots = tuple(slot_functions)
     if not slots:
@@ -216,11 +209,6 @@ def _certify(result: MomentResult, labels: tuple[str, ...], r: int) -> None:
         raise UncertifiedBoundError(
             f"moment {result.value!r} of {', '.join(labels)} at rank {r} "
             "is negative or not finite"
-        )
-    if result.r_error > R_CERTIFY_REL * result.value:
-        raise UncertifiedBoundError(
-            f"R term of {', '.join(labels)} at rank {r} is uncertain by "
-            f"{result.r_error:.3e}, above {R_CERTIFY_REL:g} of the moment {result.value!r}"
         )
 
 

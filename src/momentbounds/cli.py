@@ -48,14 +48,12 @@ from .optimize import (
     SearchSettings,
     search,
 )
-from .quadrature import QuadratureError
 from .rmt import EnsembleSpec, verify_moments
 from .testfunc import from_spec_string, parse_rational
 
 ERROR_CODES = {
     ParityError: "parity-mismatch",
     SupportRegimeError: "support-regime",
-    QuadratureError: "quadrature-failure",
     UncertifiedBoundError: "uncertified-bound",
     NoFeasiblePointError: "no-feasible-point",
     ValueError: "invalid-input",

@@ -8,8 +8,8 @@ family statistic is, in the appropriate support regime,
   ``sigma2(phi_a, phi_b)`` -- the hafnian of the sigma2 matrix, computed
   by a memoized subset recursion for 2m up to ``MAX_EVEN_ORDER`` -- plus
   a sign-carrying correction term ``R_n`` for the split families (a
-  compact transform-space integral refined to the fixed relative budget
-  ``_R_REL_TOL``, see :func:`r_term`),
+  compact transform-space integral over the transforms' end pieces,
+  exact up to rounding, see :func:`r_term`),
 * odd n: the correction term alone (or zero).
 
 Two support regimes are implemented:
@@ -29,29 +29,19 @@ interval hypotheses.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .kernels import SymmetryGroup
-from .quadrature import QuadratureError
+from .quadrature import gauss_legendre
 from .testfunc import TestFunction, sigma2
 
 # Even orders 2m above this are refused: the hafnian recursion visits
 # Fibonacci-many subsets, 75,025 at 2m = 24 (about 0.3 s).
 MAX_EVEN_ORDER = 24
-
-# R grid: nodes k/m, m a multiple of the supports' common denominator when
-# that is at most _R_MAX_DENOMINATOR, starting with at least
-# _R_MIN_INTERVALS steps across the narrowest support.  The step is halved
-# until two levels agree within _R_REL_TOL of R's scale.
-_R_MAX_DENOMINATOR = 1024
-_R_MIN_INTERVALS = 16
-_R_MAX_NODES = 2**18
-_R_REL_TOL = 1e-10
 
 REGIMES = ("auto", "with_R", "mock_gaussian")
 
@@ -123,18 +113,13 @@ class MomentRequest:
 
 @dataclass(frozen=True)
 class MomentResult:
-    """value = matching_sum + sign_applied * r_term.
-
-    ``r_error`` is the last difference of R's grid ladder, 0.0 when R is
-    exactly 0 or the regime drops it.
-    """
+    """value = matching_sum + sign_applied * r_term."""
 
     value: float
     matching_sum: float
     r_term: float
     sign_applied: int
     regime: str
-    r_error: float = 0.0
 
 
 def _max_support(tfs: Sequence[TestFunction]) -> float:
@@ -146,67 +131,71 @@ def _support_ok(tfs: Sequence[TestFunction], threshold: float) -> bool:
     return _max_support(tfs) <= threshold * (1.0 + 1e-12) + 1e-15
 
 
-def _tail_trapezoid(tfs: Sequence[TestFunction], m: int) -> float:
-    """Trapezoid value of ``int_1^inf (phihat_1 * ... * phihat_n)(y) dy`` on the grid y = k/m.
-
-    Each transform is sampled at the nodes of its support, the samples are
-    convolved by FFT (the discrete convolution is the trapezoid rule for
-    each convolution integral) and the nodes from y = 1 on are summed.
-    A function repeated in ``tfs`` (by identity) is transformed once and
-    its spectrum multiplied in once per occurrence, which rounds exactly
-    as separate equal functions in the same order would.
-    """
-    half = sum(math.floor(tf.support_bound * m) for tf in tfs)
-    size = 2 * half + 1
-    nfft = 1 << (size - 1).bit_length()
-    spectrum = np.ones(nfft // 2 + 1, dtype=complex)
-    for tf, count in Counter(tfs).items():
-        k = math.floor(tf.support_bound * m)
-        transform = np.fft.rfft(tf.phihat(np.arange(-k, k + 1) / m), nfft)
-        for _ in range(count):
-            spectrum *= transform
-    tail = np.fft.irfft(spectrum, nfft)[half + m : size]
-    return float(tail.sum() - 0.5 * tail[:1].sum()) / m ** len(tfs)
-
-
-def _r_grid(supports: Sequence[float]) -> tuple[int, bool]:
-    """Starting nodes per unit m, and whether every support end is a node k/m."""
-    q = math.lcm(*(Fraction(s).limit_denominator(_R_MAX_DENOMINATOR).denominator for s in supports))
-    aligned = q <= _R_MAX_DENOMINATOR and all(abs(s * q - round(s * q)) <= 1e-9 for s in supports)
-    m = q if aligned else 1
-    while m * min(supports) < _R_MIN_INTERVALS and m < _R_MAX_NODES:
-        m *= 2
-    return m, aligned
-
-
-def r_term(tfs: Sequence[TestFunction]) -> tuple[float, float]:
+def r_term(tfs: Sequence[TestFunction]) -> float:
     """Correction term splitting the even from the odd family:
     ``R = (-1)^n 2^(n-1) int_1^S (phihat_1 * ... * phihat_n)(y) dy``, S the
-    sum of the transform supports, so R is exactly 0 when S <= 1.
+    sum of the transform supports s_j, so R is exactly 0 when S <= 1.
 
-    The grid step 1/m is halved until two levels agree within
-    ``_R_REL_TOL * 2^(n-1) prod_j phi_j(0)``; when every support end is a
-    node, the error expands in even powers of the step and the two
-    levels are Richardson-extrapolated.  Returns R and the last
-    difference of the ladder (both 0.0 when R is exactly 0).
+    Otherwise ``delta = S - 1 <= s_j`` for every j (the with_R hypothesis
+    implies it), so ``y >= 1`` forces each ``y_j >= s_j - delta >= 0``: only
+    the end pieces ``phihat_j(s_j - delta t)``, 0 <= t <= 1, enter, each a
+    single polynomial, and R is ``(-1)^n 2^(n-1) delta^n`` times the
+    integral over [0, 1] of their n-fold convolution.  Each transform
+    vanishes at its support end, so its end piece is ``t P_j(t)`` (a
+    Chebyshev division by ``1 - x``, once per distinct function), and the
+    convolution of m end pieces is ``t^(2m-1) H_m(t)``.  Each H_m is a
+    polynomial of known degree, kept as its Chebyshev interpolant on
+    [0, 1] and built from H_(m-1) by a Gauss-Legendre sum, so R is exact
+    up to rounding.  For Fejer triangles ``P_j = delta / v_j^2`` and
+    ``R = (-1)^n 2^(n-1) delta^(2n) / ((2n)! prod_j v_j^2)``.  Raises
+    :class:`SupportRegimeError` when ``delta`` exceeds a support, where
+    the end pieces do not cover the tail.
     """
     n = len(tfs)
     if n < 2:
         raise ValueError("r_term needs at least two test functions")
     supports = [tf.support_bound for tf in tfs]
-    if math.fsum(supports) <= 1.0 + 1e-12:
-        return 0.0, 0.0
-    prefactor = (-1.0) ** n * 2.0 ** (n - 1)
-    tol = _R_REL_TOL * abs(prefactor * math.prod(tf.phi0 for tf in tfs))
-    m, aligned = _r_grid(supports)
-    value, err = prefactor * _tail_trapezoid(tfs, m), math.inf
-    while 2 * m <= _R_MAX_NODES:
-        m *= 2
-        coarse, value = value, prefactor * _tail_trapezoid(tfs, m)
-        err = abs(value - coarse)
-        if err <= tol:
-            return (value + (value - coarse) / 3.0 if aligned else value), err
-    raise QuadratureError(f"R not within {tol:.3e} at grid step 1/{m}", value, err)
+    total = math.fsum(supports)
+    if total <= 1.0 + 1e-12:
+        return 0.0
+    delta = total - 1.0
+    if delta > min(supports) * (1.0 + 1e-12) + 1e-12:
+        raise SupportRegimeError(
+            f"R in closed form needs S - 1 = {delta:.6g} within every support; "
+            f"the smallest is {min(supports):.6g}"
+        )
+    # phihat at x = 2y/s - 1 is (1 - x) Q(x) + phihat(s), and phihat(s) = 0
+    quotients = {
+        id(tf): chebyshev.chebdiv(tf.phihat_coef, (1.0, -1.0))[0] for tf in dict.fromkeys(tfs)
+    }
+
+    def end_factor(tf: TestFunction, t: np.ndarray) -> np.ndarray:
+        r = 2.0 * delta / tf.support_bound  # y = s - delta t is x = 1 - r t
+        return r * chebyshev.chebval(1.0 - r * t, quotients[id(tf)])
+
+    # h: Chebyshev coefficients of H_m on [0, 1], in x = 2t - 1
+    degree = tfs[0].phihat_degree - 1
+    h = chebyshev.chebinterpolate(lambda x: end_factor(tfs[0], 0.5 * (x + 1.0)), degree)
+    for m, tf in enumerate(tfs[1:], start=1):
+        step = tf.phihat_degree - 1
+
+        def convolved(x: np.ndarray) -> np.ndarray:
+            # H_(m+1)(t) = int_0^1 w^(2m-1) (1 - w) H_m(t w) P(t (1 - w)) dw, one row per t
+            t = 0.5 * (x[:, None] + 1.0)
+            return gauss_legendre(
+                lambda w: w ** (2 * m - 1) * (1.0 - w) * chebyshev.chebval(2.0 * t * w - 1.0, h)
+                * end_factor(tf, t * (1.0 - w)),
+                0.0,
+                1.0,
+                2 * m + degree + step,
+            )
+
+        h = chebyshev.chebinterpolate(convolved, degree + step)
+        degree += step
+    integral = gauss_legendre(
+        lambda t: t ** (2 * n - 1) * chebyshev.chebval(2.0 * t - 1.0, h), 0.0, 1.0, 2 * n - 1 + degree
+    )
+    return (-1.0) ** n * 2.0 ** (n - 1) * delta**n * integral
 
 
 def _resolve_regime(req: MomentRequest) -> str:
@@ -313,7 +302,5 @@ def centered_moment(req: MomentRequest) -> MomentResult:
     if regime == "mock_gaussian" or sign == 0:
         return MomentResult(matching_sum, matching_sum, 0.0, 0, regime)
 
-    r_value, r_error = r_term(req.test_functions)
-    return MomentResult(
-        matching_sum + sign * r_value, matching_sum, r_value, sign, regime, r_error
-    )
+    r_value = r_term(req.test_functions)
+    return MomentResult(matching_sum + sign * r_value, matching_sum, r_value, sign, regime)

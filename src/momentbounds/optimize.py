@@ -8,12 +8,12 @@ supported on twice the generator's support.  Each slot of the moment
 bound gets its own generator basis, slots are optimized jointly, and the
 objective is the bound itself.
 
-Every integral in the objective is an exact Gauss-Legendre sum except
-the correction term R, which a grid ladder converges to 1e-10 of its
-scale; R has no closed-form gradient and infeasible points return a
-flat penalty, so the local search is a derivative-free simplex
-(Nelder-Mead, with fixed stopping tolerances) restarted from uniform
-random points inside the coefficient box.
+Every quantity in the objective is exact up to rounding: the integrals
+are Gauss-Legendre sums and the correction term R is multilinear in the
+transforms' end pieces.  Infeasible points return a flat penalty, so the
+local search is a derivative-free simplex (Nelder-Mead, with fixed
+stopping tolerances) restarted from uniform random points inside the
+coefficient box.
 Restarts own deterministic random substreams derived from
 (seed, restart index), so results are reproducible and independent of
 scheduling.
@@ -30,7 +30,6 @@ import numpy as np
 from .bounds import RankTooSmallError, UncertifiedBoundError, bound_moment
 from .kernels import SymmetryGroup
 from .moments import SupportRegimeError, support_threshold
-from .quadrature import QuadratureError
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator
 
 PENALTY_SCALE = 1e6
@@ -167,10 +166,9 @@ def objective(
 
     Infeasible points (degenerate generator, rank below the minimum
     usable rank, support violation) and points whose bound cannot be
-    computed to tolerance (:class:`QuadratureError`) or certified
-    (:class:`UncertifiedBoundError`) return a large penalty instead of
-    raising, so the simplex can move through them and none of them is
-    reported as a bound.
+    certified (:class:`UncertifiedBoundError`) return a large penalty
+    instead of raising, so the simplex can move through them and none of
+    them is reported as a bound.
     """
     try:
         slots = [
@@ -187,7 +185,7 @@ def objective(
             weight_k=problem.weight_k,
             regime=problem.regime,
         )
-    except (SupportRegimeError, QuadratureError, UncertifiedBoundError):
+    except (SupportRegimeError, UncertifiedBoundError):
         return PENALTY_SCALE
     except RankTooSmallError:
         # rank below c_phi: penalize by the violation magnitude

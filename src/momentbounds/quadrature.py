@@ -7,13 +7,10 @@ polynomial integral of known degree.  :func:`gauss_legendre` sums it
 with the Gauss-Legendre rule of just enough nodes, which is exact up to
 rounding: there is no error estimate and no adaptivity.
 :func:`legendre_rule` builds every rule in the package, the small ones
-of :func:`gauss_legendre` and of the generator transforms as well as the
-large ones of the exact finite-N moments in :mod:`.rmt`, with weights
-accurate to the ends of the interval.
-
-The one approximate quantity, the correction term R, is refined on a
-grid ladder in :mod:`.moments` to a fixed relative budget;
-:class:`QuadratureError` reports a ladder that did not converge.
+of :func:`gauss_legendre`, of the generator transforms and of the
+correction term R in :mod:`.moments` as well as the large ones of the
+exact finite-N moments in :mod:`.rmt`, with weights accurate to the ends
+of the interval.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -27,19 +24,6 @@ from typing import Callable
 import numpy as np
 
 
-class QuadratureError(RuntimeError):
-    """Raised when an integral does not converge within budget.
-
-    Carries the best available estimate so callers can decide whether
-    to proceed anyway.
-    """
-
-    def __init__(self, message: str, best_estimate: float, err_est: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.err_est = err_est
-
-
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x)."""
     p_prev, p = np.ones_like(x), x  # P_{k-1}, P_k by the three-term recurrence
@@ -48,7 +32,7 @@ def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
-# Far more sizes than one run uses (13 at most in the benchmark workloads),
+# Far more sizes than one run uses (19 at most in the benchmark workloads),
 # so no rule is built twice.
 @lru_cache(maxsize=64)
 def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,9 +59,11 @@ def gauss_legendre(
     """``int_a^b f(y) dy`` by the Gauss-Legendre rule of ``degree // 2 + 1`` nodes.
 
     Exact up to rounding when ``f`` is a polynomial of degree at most
-    ``degree`` on ``[a, b]``.  ``f`` is called once, on an array of nodes.
-    ``b`` may be an array of upper limits, giving one integral each (``f``
-    then sees one row of nodes per limit).
+    ``degree`` on ``[a, b]``.  ``f`` is called once, on an array of nodes,
+    and may broadcast it to a result with leading axes (its last axis over
+    the nodes), giving one integral per leading index.  ``b`` may be an
+    array of upper limits, giving one integral each (``f`` then sees one
+    row of nodes per limit).
     """
     b = np.asarray(b, dtype=float)
     if not (math.isfinite(a) and np.all(np.isfinite(b))):

@@ -165,14 +165,19 @@ class TestFunction:
     """Base class: an admissible pair (phi, phihat).
 
     Subclasses provide vectorized ``phi``/``phihat``, the support bound
-    of the transform, the degree of ``phihat`` as a polynomial on
-    ``[0, support_bound]`` (which sizes every integral of it) and a
+    of the transform, ``phihat`` on ``[0, support_bound]`` as one
+    polynomial (its Chebyshev coefficients ``phihat_coef`` on that
+    interval, whose degree sizes every integral of it) and a
     round-trippable spec string.
     """
 
     support_bound: float
-    phihat_degree: int
+    phihat_coef: np.ndarray
     spec_string: str
+
+    @property
+    def phihat_degree(self) -> int:
+        return len(self.phihat_coef) - 1
 
     def phi(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -195,13 +200,12 @@ class TestFunction:
 class NaiveTestFunction(TestFunction):
     """The Fejer pair: phi = (sin(pi v x)/(pi v x))^2, phihat the triangle on (-v, v)."""
 
-    phihat_degree = 1
-
     def __init__(self, v: float):
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"naive test function needs v > 0, got {v!r}")
         self.v = float(v)
         self.support_bound = self.v
+        self.phihat_coef = np.array([0.5, -0.5]) / self.v  # (1 - x) / (2v), x = 2y/v - 1
         self.spec_string = f"naive:v={self.v!r}"
 
     def phi(self, x):
@@ -265,8 +269,7 @@ class GeneratorBackedTestFunction(TestFunction):
         self._wg_odd = wg[half:] - wg[half - 1 :: -1]
 
         table = _basis_autocorrelation(generator.kind, generator.dimension, h)
-        self._phihat_coef = (table @ generator.weights) @ generator.weights
-        self.phihat_degree = self._phihat_coef.size - 1
+        self.phihat_coef = (table @ generator.weights) @ generator.weights
         self.spec_string = _generator_spec_string(generator)
 
     def phi(self, x):
@@ -286,7 +289,7 @@ class GeneratorBackedTestFunction(TestFunction):
         y = np.abs(np.asarray(y, dtype=float))
         inside = y < self.support_bound
         x = np.where(inside, y, 0.0) * (2.0 / self.support_bound) - 1.0
-        return np.where(inside, chebyshev.chebval(x, self._phihat_coef), 0.0)
+        return np.where(inside, chebyshev.chebval(x, self.phihat_coef), 0.0)
 
     @property
     def phi0(self) -> float:

@@ -18,7 +18,6 @@ from momentbounds import (
     reproduce_table,
 )
 from momentbounds import bounds as bounds_module
-from momentbounds import moments as moments_module
 from momentbounds.bounds import level2_coefficient, table_tolerance
 from momentbounds.reference import expectation_level1, expectation_level2, table_cells
 from momentbounds.testfunc import GeneratorSpec
@@ -148,13 +147,6 @@ def test_rank_errors_name_the_first_failing_rank_in_order(naive_third, moment_ca
 def test_reproduce_table_computes_one_moment_per_column_and_family(moment_calls, table, moments):
     reproduce_table(table)
     assert sorted((r.family.value, r.regime) for r in moment_calls) == moments
-
-
-def test_uncertain_r_is_refused(naive_third, monkeypatch):
-    # a 1e-2 budget stops R's ladder with a last difference of 2.4e-5 of the moment
-    monkeypatch.setattr(moments_module, "_R_REL_TOL", 1e-2)
-    with pytest.raises(UncertifiedBoundError, match="R term .* at rank 4 is uncertain"):
-        bound_moment((naive_third, naive_third), G.SO_EVEN, [4, 6], regime="with_R")
 
 
 @pytest.mark.parametrize("value", [-1e-20, float("nan"), float("inf")])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import momentbounds
-from momentbounds import MomentResult, bounds, cli, moments
+from momentbounds import MomentResult, bounds, cli
 from momentbounds.cli import main, parse_testfn
 from momentbounds.testfunc import NaiveTestFunction
 
@@ -215,13 +215,6 @@ def test_bound_ranks_error_names_the_failing_rank(capsys):
         "message": "rank 5 has the wrong parity for so-even: the even family admits only "
         "even central vanishing orders and the odd family only odd ones",
     }
-
-
-def test_bound_uncertain_r_error_exit(capsys, monkeypatch):
-    monkeypatch.setattr(moments, "_R_REL_TOL", 1e-2)
-    code, out, err = run_cli(NAIVE_SWEEP + ["--family", "so-even", "--ranks", "4,6"], capsys)
-    assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == "uncertified-bound"
 
 
 def test_bound_malformed_testfn(capsys):

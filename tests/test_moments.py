@@ -1,5 +1,6 @@
 """Matchings and the hafnian, the correction term, and centered moments."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,17 +12,18 @@ from hypothesis import strategies as st
 from momentbounds import (
     GeneratorSpec,
     MomentRequest,
-    QuadratureError,
     SupportRegimeError,
     SymmetryGroup,
     bound_moment,
     centered_moment,
+    from_spec_string,
     make_from_generator,
     make_naive,
+    predicted_moment,
     r_term,
     sigma2,
 )
-from momentbounds import moments
+from momentbounds import cli, moments
 from momentbounds.moments import MAX_EVEN_ORDER, _hafnian, double_factorial
 
 G = SymmetryGroup
@@ -134,14 +136,14 @@ def test_r_term_prefactor_signs(naive_third):
     # R = (-1)^n 2^(n-1) int_1^S (phihat_1 * ... * phihat_n): +2, -4, +8
     # for n = 2, 3, 4 times a non-negative tail
     tfs3 = [naive_third] * 3
-    assert r_term(tfs3) == (0.0, 0.0)  # supports sum to 1: the transform tail is empty
+    assert r_term(tfs3) == 0.0  # supports sum to 1: the transform tail is empty
     tfs4 = [naive_third] * 4
-    assert abs(r_term(tfs4)[0] - R4_NAIVE_THIRD) <= 1e-12 * _scale(tfs4)
+    assert abs(r_term(tfs4) - R4_NAIVE_THIRD) <= 1e-12 * _scale(tfs4)
     # n = 2 with v = 1: the self-convolved triangle is the density of a
     # sum of four uniforms on (-1/2, 1/2), so the tail beyond 1 is the
     # Irwin-Hall tail 2 * P(S_4 > 1) = 2 / 4! = 1/12
     tfs2 = [make_naive(1.0), make_naive(1.0)]
-    assert abs(r_term(tfs2)[0] - 1.0 / 12.0) <= 1e-12 * _scale(tfs2)
+    assert abs(r_term(tfs2) - 1.0 / 12.0) <= 1e-12 * _scale(tfs2)
 
 
 def _irwin_hall_r(n: int, q: int) -> Fraction:
@@ -158,11 +160,84 @@ def _irwin_hall_r(n: int, q: int) -> Fraction:
     return (-1) ** n * 2 ** (n - 1) * cdf
 
 
-@pytest.mark.parametrize("n,q", [(2, 1), (4, 3), (6, 5), (8, 7)])
+@pytest.mark.parametrize("n,q", [(n, n - 1) for n in range(2, 25)])
 def test_r_term_irwin_hall_oracle(n, q):
-    tfs = [make_naive(1.0 / q)] * n
-    matching_sum = double_factorial(n - 1) / 3.0 ** (n // 2)
-    assert abs(r_term(tfs)[0] - float(_irwin_hall_r(n, q))) <= 1e-10 * matching_sum
+    # relative to R itself, which falls to 6.8e-55 at n = 24
+    exact = float(_irwin_hall_r(n, q))
+    assert abs(r_term([make_naive(1.0 / q)] * n) - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_odd_moments_are_exact(n, capsys):
+    # an odd moment is R alone: the Monte Carlo prediction and the moment record
+    q = n - 1
+    exact = float(_irwin_hall_r(n, q))
+    assert predicted_moment(make_naive(1.0 / q), G.SO_EVEN, n) == pytest.approx(exact, rel=1e-12)
+    args = ["moment", "--family", "so-even", "--regime", "with_R"]
+    assert cli.main(args + ["--testfn", f"naive:v=1/{q}"] * n) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["r_term"] == pytest.approx(exact, rel=1e-12)
+    assert record["value"] == record["r_term"]
+
+
+def _exact_end_piece(tf) -> list:
+    """phihat(s - u) as exact power coefficients in u, from the Chebyshev
+    coefficients of phihat on [0, s] (there x = 2y/s - 1 = 1 - 2u/s)."""
+    x = [Fraction(1), Fraction(-2) / Fraction(tf.support_bound)]
+    prev, cur = [Fraction(1)], x  # T_0, T_1; T_(i+1) = 2x T_i - T_(i-1)
+    piece = [Fraction(0)] * len(tf.phihat_coef)
+    for c in tf.phihat_coef:
+        for k, a in enumerate(prev):
+            piece[k] += Fraction(c) * a
+        doubled = [Fraction(0)] * (len(cur) + 1)
+        for k, a in enumerate(cur):
+            doubled[k] += 2 * x[0] * a
+            doubled[k + 1] += 2 * x[1] * a
+        for k, a in enumerate(prev):
+            doubled[k] -= a
+        prev, cur = cur, doubled
+    return piece
+
+
+def _exact_r(tfs) -> Fraction:
+    """R by rational arithmetic: the one-sided convolution of the end pieces,
+    int_0^u v^a (u - v)^b dv = a! b! / (a + b + 1)! u^(a+b+1), integrated
+    over [0, S - 1]."""
+    delta = sum(Fraction(tf.support_bound) for tf in tfs) - 1
+    conv = _exact_end_piece(tfs[0])
+    for tf in tfs[1:]:
+        piece = _exact_end_piece(tf)
+        out = [Fraction(0)] * (len(conv) + len(piece))
+        for a, ca in enumerate(conv):
+            for b, cb in enumerate(piece):
+                beta = Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1))
+                out[a + b + 1] += ca * cb * beta
+        conv = out
+    n = len(tfs)
+    return (-1) ** n * 2 ** (n - 1) * sum(c * delta ** (k + 1) / (k + 1) for k, c in enumerate(conv))
+
+
+@pytest.mark.parametrize(
+    "spec,n,degree",
+    [
+        ("gen:cos:1,0.3,-0.2,0.1:half=1/10", 6, 23),
+        # monomial (Taylor) coefficients of this end piece cancel: a sum
+        # over them is 8e-2 of R off
+        ("gen:cos:1,0.5,-0.4,0.3,0.2,-0.1,0.1,0.05,-0.05,0.02,0.02,0.01:half=1/2", 2, 44),
+    ],
+)
+def test_r_term_high_degree_generator_matches_exact_rational(spec, n, degree):
+    # end pieces that span their whole support (S - 1 = s)
+    tf = from_spec_string(spec)
+    assert tf.phihat_degree == degree
+    exact = float(_exact_r([tf] * n))
+    assert abs(r_term([tf] * n) - exact) <= 1e-10 * abs(exact)
+
+
+def test_r_term_refuses_tail_beyond_a_support():
+    # S - 1 = 0.3 exceeds the support 0.1, so the end pieces do not cover the tail
+    with pytest.raises(SupportRegimeError):
+        r_term([make_naive(0.6), make_naive(0.6), make_naive(0.1)])
 
 
 @pytest.mark.parametrize("two_m", [4, 6, 8, 12, 24])
@@ -194,8 +269,8 @@ def test_r_term_exactly_zero_when_supports_sum_to_one(gen_sinx2):
     assert res.value == res.matching_sum
     # generator functions whose supports sum to exactly 1
     cos1 = make_from_generator(GeneratorSpec("cosine-series", (1.0,), 1.0 / 6.0))
-    assert r_term([gen_sinx2] * 4) == (0.0, 0.0)
-    assert r_term([cos1] * 3) == (0.0, 0.0)
+    assert r_term([gen_sinx2] * 4) == 0.0
+    assert r_term([cos1] * 3) == 0.0
 
 
 def _brute_r(phis, L: float = 100.0, step: float = 0.125) -> float:
@@ -248,7 +323,7 @@ def test_r_term_mixed_generator_matches_x_space_riemann():
         make_naive(1.0 / 3.0),
     ]
     brute = _brute_r([_linear_generator_phi(0.25), _naive_phi(0.5), _naive_phi(1.0 / 3.0)])
-    assert abs(r_term(tfs)[0] - brute) <= 1e-12 * _scale(tfs)
+    assert abs(r_term(tfs) - brute) <= 1e-12 * _scale(tfs)
     assert brute < 0  # odd n: R = -4 * (a positive tail)
 
 
@@ -262,6 +337,7 @@ def test_with_r_sixth_moment_sinx2_matches_oracle():
 def test_r_term_zero_function(naive_third):
     class Zero:
         support_bound = 0.25
+        phihat_coef = np.zeros(1)
         spec_string = "test:zero"
         phi0 = 0.0
         phihat0 = 0.0
@@ -272,24 +348,14 @@ def test_r_term_zero_function(naive_third):
         def phihat(self, y):
             return 0.0
 
-    assert r_term([naive_third, Zero()]) == (0.0, 0.0)
-
-
-def test_r_term_raises_when_tolerance_unreachable(monkeypatch):
-    tfs = [make_naive(0.6)] * 2
-    expected = r_term(tfs)[0]
-    monkeypatch.setattr(moments, "_R_REL_TOL", 1e-18)
-    with pytest.raises(QuadratureError) as excinfo:
-        r_term(tfs)
-    assert excinfo.value.best_estimate == pytest.approx(expected, rel=1e-9)
-    assert excinfo.value.err_est > 1e-18 * _scale(tfs)
+    assert r_term([naive_third, Zero()]) == 0.0
 
 
 def test_r_term_transforms_a_repeated_function_once():
-    # one FFT raised to the fourth power against four multiplied FFTs
+    # one end piece used four times against four equal end pieces
     third = make_naive(1.0 / 3.0)
-    repeated = r_term([third] * 4)[0]
-    separate = r_term([make_naive(1.0 / 3.0) for _ in range(4)])[0]
+    repeated = r_term([third] * 4)
+    separate = r_term([make_naive(1.0 / 3.0) for _ in range(4)])
     assert repeated == pytest.approx(separate, rel=1e-13, abs=0)
 
 
@@ -315,21 +381,6 @@ def test_fourth_moment_naive_third_with_r(naive_third):
     assert odd.value == pytest.approx(1.0 / 3.0 - R4_NAIVE_THIRD, abs=1e-9)
     # sign consistency across the split families
     assert res.value - odd.value == pytest.approx(2.0 * res.r_term, abs=1e-12)
-
-
-def test_r_error_is_the_ladders_last_difference(naive_third, monkeypatch):
-    tfs = (naive_third,) * 4
-    res = centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="with_R"))
-    assert 0.0 < res.r_error <= moments._R_REL_TOL * _scale(tfs)
-    # the ladder stops one level earlier on a looser budget
-    monkeypatch.setattr(moments, "_R_REL_TOL", 1e-2)
-    loose = centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="with_R"))
-    assert loose.r_error > 1e-6 * loose.value
-    monkeypatch.undo()
-    # 0.0 when R is exactly 0 or the regime drops it
-    assert centered_moment(MomentRequest(tfs[:3], G.SO_EVEN, regime="with_R")).r_error == 0.0
-    quarter = (make_naive(0.25),) * 4
-    assert centered_moment(MomentRequest(quarter, G.SO_EVEN, regime="mock_gaussian")).r_error == 0.0
 
 
 def test_reduction_to_identical_test_function_form(naive_third):

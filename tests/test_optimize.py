@@ -13,9 +13,8 @@ from momentbounds import (
     objective,
     search,
 )
-from momentbounds import bounds, optimize
+from momentbounds import bounds
 from momentbounds.optimize import PENALTY_SCALE
-from momentbounds.quadrature import QuadratureError
 
 G = SymmetryGroup
 
@@ -96,17 +95,6 @@ def test_objective_penalty_branches(cosine_problem, fixed_naive_quarter_basis):
         regime="mock_gaussian",
     )
     assert objective([COSINE_GRID_POINT, ()], low_rank) >= PENALTY_SCALE
-
-
-def test_quadrature_failure_is_penalized_not_reported(cosine_problem, monkeypatch):
-    def failing_bound(*args, **kwargs):
-        raise QuadratureError("did not converge", best_estimate=-1.0, err_est=1.0)
-
-    monkeypatch.setattr(optimize, "bound_moment", failing_bound)
-    assert objective([COSINE_GRID_POINT, ()], cosine_problem) == PENALTY_SCALE
-    # a search in which every point fails reports no bound at all
-    with pytest.raises(NoFeasiblePointError):
-        search(cosine_problem, SearchSettings(restarts=1, seed=0, max_evals=8))
 
 
 def test_negative_moment_is_penalized_not_reported(cosine_problem, monkeypatch):
