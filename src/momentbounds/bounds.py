@@ -32,8 +32,6 @@ from .kernels import SymmetryGroup, expectation_1level, expectation_2level
 from .moments import MomentRequest, MomentResult, centered_moment
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator, make_naive, min_rank
 
-_SPLIT_FAMILIES = (SymmetryGroup.SO_EVEN, SymmetryGroup.SO_ODD)
-
 
 class ParityError(ValueError):
     """Vanishing-order parity does not match the family."""
@@ -73,12 +71,7 @@ class BoundResult:
 def _check_parity(family: SymmetryGroup, r: int) -> None:
     if r < 1:
         raise ValueError(f"rank must be a positive integer, got {r}")
-    if family not in _SPLIT_FAMILIES:
-        raise ValueError(
-            f"bounds are computed for the split orthogonal families only, got {family.value}"
-        )
-    parity = family.rank_parity
-    if r % 2 != parity:
+    if (-1) ** r != family.sign:
         raise ParityError(
             f"rank {r} has the wrong parity for {family.value}: the even family "
             "admits only even central vanishing orders and the odd family only odd ones"

@@ -41,7 +41,6 @@ from .bounds import (
 from .kernels import SymmetryGroup
 from .moments import REGIMES, MomentRequest, SupportRegimeError, centered_moment
 from .optimize import (
-    BASIS_KINDS,
     GeneratorBasis,
     NoFeasiblePointError,
     OptimizationProblem,
@@ -221,7 +220,10 @@ def _cmd_table(args) -> int:
 
 def _parse_basis(spec: str, budget: float) -> GeneratorBasis:
     """Basis grammar: sinx2:half=<r> | cos:dim=<d>:half=<r>[:box=lo,hi] |
-    poly:dim=<d>:half=<r>[:box=lo,hi] | fixed:<testfn spec>"""
+    poly:dim=<d>:half=<r>[:box=lo,hi] | fixed:<testfn spec>
+
+    ``sinx2`` has no parameters: it is the fixed slot ``gen:sinx2:half=<r>``.
+    """
     if spec.startswith("fixed:"):
         return GeneratorBasis("fixed", fixed_function=parse_testfn(spec[6:]))
     parts = spec.split(":")
@@ -231,7 +233,7 @@ def _parse_basis(spec: str, budget: float) -> GeneratorBasis:
         fields[key] = value
     half = parse_rational(fields.get("half", str(budget / 2)))
     if parts[0] == "sinx2":
-        return GeneratorBasis("sin-of-square", half_support=half)
+        return GeneratorBasis("fixed", fixed_function=parse_testfn(f"gen:sinx2:half={half!r}"))
     kind = {"cos": "cosine-series", "poly": "polynomial"}.get(parts[0])
     if kind is None or "dim" not in fields:
         raise ValueError(
@@ -289,10 +291,12 @@ def _cmd_optimize(args) -> int:
 def _cmd_rmt_verify(args) -> int:
     _require(args, "group", "N", "samples", "testfn")
     group = SymmetryGroup.from_string(args.group)
-    tf = parse_testfn(args.testfn[0] if isinstance(args.testfn, list) else args.testfn)
+    if len(args.testfn) != 1:
+        raise ValueError(f"rmt-verify takes one --testfn, got {len(args.testfn)}")
+    tf = parse_testfn(args.testfn[0])
     orders = tuple(int(o) for o in args.orders.split(","))
     spec = EnsembleSpec(group=group, half_dim=args.N, samples=args.samples, seed=args.seed)
-    comparisons = verify_moments(spec, tf, orders, workers=args.workers, weight_k=args.weight_k)
+    comparisons = verify_moments(spec, tf, orders, workers=args.workers)
     records = []
     failed = False
     for comp in comparisons:
@@ -419,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rmt.add_argument("--testfn", action="append")
     p_rmt.add_argument("--orders", default="2,4")
     p_rmt.add_argument("--seed", type=int, default=0)
-    p_rmt.add_argument("--weight-k", type=int, default=2)
     p_rmt.add_argument("--workers", type=int, default=1)
     p_rmt.set_defaults(func=_cmd_rmt_verify)
 

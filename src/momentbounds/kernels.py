@@ -1,16 +1,13 @@
 """Test-function expectations against the limiting eigenvalue densities
-of the classical compact groups.
+of the split orthogonal families.
 
 The one- and two-level densities are built from the sine kernel
-``K(y) = sin(pi y)/(pi y)`` and its reflections
-``K_eps(x, y) = K(x - y) + eps K(x + y)``:
+``K(y) = sin(pi y)/(pi y)`` and its reflection
+``K_eps(x, y) = K(x - y) + eps K(x + y)``, with eps the family's sign:
 
 * SO(even): ``det(K_1)``,
 * SO(odd):  ``det(K_-1)`` plus point masses at the origin (the minors of
-  the determinant with one index removed),
-* O: the average of the two SO cases,
-* U: ``det(K_0)``,
-* Sp: ``det(K_-1)``.
+  the determinant with one index removed).
 
 The densities are never evaluated pointwise: every expectation is
 computed in transform space.  For compactly supported ``phihat`` the
@@ -30,13 +27,12 @@ from .testfunc import TestFunction
 
 
 class SymmetryGroup(enum.Enum):
-    """Classical compact group attached to a family."""
+    """Symmetry type: the two split orthogonal families, and U(N), which
+    is sampled as a Monte Carlo ensemble only."""
 
     SO_EVEN = "so-even"
     SO_ODD = "so-odd"
-    O = "o"
     U = "u"
-    SP = "sp"
 
     @classmethod
     def from_string(cls, text: str) -> "SymmetryGroup":
@@ -47,13 +43,16 @@ class SymmetryGroup(enum.Enum):
             raise ValueError(f"unknown symmetry group {text!r} (valid: {valid})") from None
 
     @property
-    def rank_parity(self) -> int | None:
-        """Parity of admissible central vanishing orders (None if unconstrained)."""
-        if self is SymmetryGroup.SO_EVEN:
-            return 0
-        if self is SymmetryGroup.SO_ODD:
-            return 1
-        return None
+    def sign(self) -> int:
+        """Sign of the functional equation of a split family, +1 or -1.
+
+        It is the eps of the family's kernel, the sign its moments give
+        the correction term R, and (-1)^r for every central vanishing
+        order r it admits.  U carries none: ValueError.
+        """
+        if self is SymmetryGroup.U:
+            raise ValueError("only the split families so-even and so-odd carry a sign, got u")
+        return 1 if self is SymmetryGroup.SO_EVEN else -1
 
 
 def _half_transform_integral(tf: TestFunction) -> float:
@@ -67,20 +66,11 @@ def expectation_1level(tf: TestFunction, group: SymmetryGroup) -> float:
     phi0 = tf.phi0
     if not phi0 > 0:
         raise ValueError("expectation_1level needs phi(0) > 0")
-    phihat0 = tf.phihat0
-    if group is SymmetryGroup.U:
-        return phihat0 / phi0
-    s = _half_transform_integral(tf)
-    if group is SymmetryGroup.SO_EVEN:
-        return (phihat0 + s) / phi0
+    eps = group.sign
+    total = tf.phihat0 + eps * _half_transform_integral(tf)
     if group is SymmetryGroup.SO_ODD:
-        return (phihat0 - s + phi0) / phi0
-    if group is SymmetryGroup.SP:
-        return (phihat0 - s) / phi0
-    # O: average of the split cases
-    even = (phihat0 + s) / phi0
-    odd = (phihat0 - s + phi0) / phi0
-    return 0.5 * (even + odd)
+        total += phi0  # the point mass at the origin
+    return total / phi0
 
 
 def _pair_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
@@ -130,16 +120,8 @@ def expectation_2level(
     norm = tf1.phi0 * tf2.phi0
     if not norm > 0:
         raise ValueError("expectation_2level needs phi_1(0) phi_2(0) > 0")
-    if group is SymmetryGroup.O:
-        even = expectation_2level(tf1, tf2, SymmetryGroup.SO_EVEN)
-        odd = expectation_2level(tf1, tf2, SymmetryGroup.SO_ODD)
-        return 0.5 * (even + odd)
-
+    eps = group.sign
     t_pair = _pair_transform_integral(tf1, tf2)
-    if group is SymmetryGroup.U:
-        return (tf1.phihat0 * tf2.phihat0 - t_pair) / norm
-
-    eps = 1 if group is SymmetryGroup.SO_EVEN else -1
     s1 = _half_transform_integral(tf1)
     s2 = _half_transform_integral(tf2)
     i1 = tf1.phihat0 + eps * s1

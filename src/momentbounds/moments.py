@@ -7,15 +7,15 @@ family statistic is, in the appropriate support regime,
   ``{1, ..., 2m}`` of products of pairwise variances
   ``sigma2(phi_a, phi_b)`` -- the hafnian of the sigma2 matrix, computed
   by a memoized subset recursion for 2m up to ``MAX_EVEN_ORDER`` -- plus
-  a sign-carrying correction term ``R_n`` for the split families (a
-  compact transform-space integral over the transforms' end pieces,
-  exact up to rounding, see :func:`r_term`),
+  a correction term ``R_n`` carrying the family's sign (a compact
+  transform-space integral over the transforms' end pieces, exact up to
+  rounding, see :func:`r_term`),
 * odd n: the correction term alone (or zero).
 
 Two support regimes are implemented:
 
 * ``with_R``: every transform supported within ``1/(n-1)``; the moment is
-  the matching sum +R for the even split family and -R for the odd one,
+  the matching sum +R for the even family and -R for the odd one,
 * ``mock_gaussian``: every transform supported within
   ``(1/n) * (2k-1)/k`` for modular weight k; the correction drops and the
   moments are exactly Gaussian (matching sums, zero for odd n).
@@ -44,11 +44,6 @@ from .testfunc import TestFunction, sigma2
 MAX_EVEN_ORDER = 24
 
 REGIMES = ("auto", "with_R", "mock_gaussian")
-
-# Families admitting centered-moment evaluation: the split orthogonal
-# families carry +/-R; SymmetryGroup.O stands for the unsplit family,
-# whose sign term cancels between the two signed halves.
-_MOMENT_FAMILIES = (SymmetryGroup.SO_EVEN, SymmetryGroup.SO_ODD, SymmetryGroup.O)
 
 
 class SupportRegimeError(ValueError):
@@ -91,10 +86,7 @@ class MomentRequest:
         object.__setattr__(self, "test_functions", tuple(self.test_functions))
         if len(self.test_functions) < 2:
             raise ValueError("centered moments need n >= 2 test functions")
-        if self.family not in _MOMENT_FAMILIES:
-            raise ValueError(
-                "moment family must be so-even, so-odd or the unsplit o family"
-            )
+        self.family.sign  # raises ValueError for u, which has no split sign
         if self.weight_k < 2:
             raise ValueError("weight_k must be an integer >= 2")
         if self.regime not in REGIMES:
@@ -211,11 +203,6 @@ def _resolve_regime(req: MomentRequest) -> str:
             )
         return "mock_gaussian"
     if req.regime == "with_R":
-        if req.family is SymmetryGroup.O:
-            raise SupportRegimeError(
-                "the with_R regime applies to the split families only; the "
-                "unsplit family has no sign term (use mock_gaussian)"
-            )
         if not with_r_ok:
             raise SupportRegimeError(
                 f"with_R regime needs every support within 1/(n-1) = "
@@ -226,7 +213,7 @@ def _resolve_regime(req: MomentRequest) -> str:
     # auto: prefer mock_gaussian whenever its support condition holds
     if mock_ok:
         return "mock_gaussian"
-    if with_r_ok and req.family is not SymmetryGroup.O:
+    if with_r_ok:
         return "with_R"
     raise SupportRegimeError(
         f"supports up to {_max_support(tfs):.6g} satisfy neither the "
@@ -286,21 +273,20 @@ def _matching_sum(tfs: tuple[TestFunction, ...]) -> float:
 def centered_moment(req: MomentRequest) -> MomentResult:
     """n-th centered moment of the family statistic.
 
-    Even n: matching sum, plus R with sign +1 for the even split family
-    and -1 for the odd one (dropped for the unsplit family and in the
+    Even n: matching sum, plus R with the family's sign (dropped in the
     mock-Gaussian regime).  Odd n: the signed R alone, or zero in the
     mock-Gaussian regime.
     """
     regime = _resolve_regime(req)
-    sign = {SymmetryGroup.SO_EVEN: 1, SymmetryGroup.SO_ODD: -1, SymmetryGroup.O: 0}[req.family]
 
     if req.n % 2 == 0:
         matching_sum = _matching_sum(req.test_functions)
     else:
         matching_sum = 0.0
 
-    if regime == "mock_gaussian" or sign == 0:
+    if regime == "mock_gaussian":
         return MomentResult(matching_sum, matching_sum, 0.0, 0, regime)
 
+    sign = req.family.sign
     r_value = r_term(req.test_functions)
     return MomentResult(matching_sum + sign * r_value, matching_sum, r_value, sign, regime)

@@ -34,7 +34,7 @@ from .testfunc import GeneratorSpec, TestFunction, make_from_generator
 
 PENALTY_SCALE = 1e6
 
-BASIS_KINDS = ("cosine-series", "polynomial", "sin-of-square", "fixed")
+BASIS_KINDS = ("cosine-series", "polynomial", "fixed")
 
 
 class NoFeasiblePointError(RuntimeError):
@@ -46,9 +46,8 @@ class GeneratorBasis:
     """Parametrization of one slot's generator.
 
     ``cosine-series`` and ``polynomial`` expose ``dimension`` free
-    coefficients constrained to ``coefficient_box``; ``sin-of-square``
-    and ``fixed`` are parameter-free (the latter pins a prebuilt test
-    function).
+    coefficients constrained to ``coefficient_box``; ``fixed`` is
+    parameter-free and pins a prebuilt test function.
     """
 
     kind: str
@@ -66,8 +65,6 @@ class GeneratorBasis:
             return
         if not self.half_support > 0:
             raise ValueError("half_support must be positive")
-        if self.kind == "sin-of-square":
-            return
         if self.dimension < 1:
             raise ValueError(f"{self.kind} basis needs dimension >= 1")
         box = self.coefficient_box or tuple((-1.0, 1.0) for _ in range(self.dimension))
@@ -80,7 +77,7 @@ class GeneratorBasis:
 
     @property
     def n_params(self) -> int:
-        if self.kind in ("fixed", "sin-of-square"):
+        if self.kind == "fixed":
             return 0
         return self.dimension
 
@@ -95,10 +92,7 @@ class GeneratorBasis:
         degenerate generators, e.g. integral zero)."""
         if self.kind == "fixed":
             return self.fixed_function
-        if self.kind == "sin-of-square":
-            return make_from_generator(GeneratorSpec("sin-of-square", (), self.half_support))
-        spec_kind = "cosine-series" if self.kind == "cosine-series" else "polynomial"
-        return make_from_generator(GeneratorSpec(spec_kind, tuple(coeffs), self.half_support))
+        return make_from_generator(GeneratorSpec(self.kind, tuple(coeffs), self.half_support))
 
 
 @dataclass(frozen=True)

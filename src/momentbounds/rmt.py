@@ -7,12 +7,17 @@ the scaled low-lying zeros: the linear statistic
     Z = sum_j phi(theta_j * dim / (2 pi))
 
 has, as the dimension grows, exactly the mean and centered moments the
-analytic formulas predict.  This module samples ensembles, forms Z and
-its empirical centered moments with batch-means standard errors, and
-reports z-scores against the predictions.  At a finite dimension the
-free eigenangles form a determinantal process, so the exact law of Z
-is computable too (:func:`finite_n_moments`); its distance from the
-limit is the bias a comparison allows for beyond the sampling error.
+analytic formulas predict, where they are proven: for SO(2N) and
+SO(2N+1) the split-family moment with its signed correction term, for
+transforms supported within 1/(n-1) at order n; for U(N) the Gaussian
+moment, for transforms supported within 2/n (Hughes and Rudnick,
+J. Phys. A 36, 2003).  Outside those ranges no limit is predicted.
+This module samples ensembles, forms Z and its empirical centered
+moments with batch-means standard errors, and reports z-scores against
+the predictions.  At a finite dimension the free eigenangles form a
+determinantal process, so the exact law of Z is computable too
+(:func:`finite_n_moments`); its distance from the limit is the bias a
+comparison allows for beyond the sampling error.
 
 Orthogonal eigenangles come in conjugate pairs (plus the forced angle 0
 of SO(2N+1)); the cosines of the N free angles form a Jacobi ensemble,
@@ -39,8 +44,6 @@ from .moments import MomentRequest, SupportRegimeError, centered_moment, double_
 from .quadrature import legendre_rule
 from .testfunc import TestFunction, sigma2
 
-_SAMPLE_GROUPS = (SymmetryGroup.SO_EVEN, SymmetryGroup.SO_ODD, SymmetryGroup.U)
-
 _EIG_UNIT_TOL = 1e-8  # sampled cosines must lie in [-1, 1] up to this
 _BATCH_MATRIX_LIMIT = 512  # samples drawn per vectorized block
 
@@ -59,8 +62,6 @@ class EnsembleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.group not in _SAMPLE_GROUPS:
-            raise ValueError("sampling supports so-even, so-odd and u ensembles")
         if self.half_dim < 1:
             raise ValueError("half_dim must be >= 1")
         if self.samples < 1:
@@ -265,32 +266,28 @@ def empirical_moments(
     )
 
 
-def predicted_moment(
-    tf: TestFunction,
-    group: SymmetryGroup,
-    order: int,
-    weight_k: int = 2,
-) -> float:
+def predicted_moment(tf: TestFunction, group: SymmetryGroup, order: int) -> float:
     """Limiting centered moment of Z for the sampled ensemble.
 
     SO ensembles: the split-family formula carrying the signed
-    correction term whenever its support hypothesis holds, else the
-    mock-Gaussian value.  U ensembles: Gaussian moments with the unitary
-    variance (half the orthogonal pairwise variance).
+    correction term, for transforms supported within 1/(order - 1).
+    U ensembles: Gaussian moments with the unitary variance (half the
+    orthogonal pairwise variance), for transforms supported within
+    2/order.  Beyond either range raises :class:`SupportRegimeError`.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    if group is SymmetryGroup.U:
-        if order % 2 == 1:
-            return 0.0
-        variance = 0.5 * sigma2(tf, tf)
-        return double_factorial(order - 1) * variance ** (order // 2)
-    request = MomentRequest((tf,) * order, group, weight_k=weight_k, regime="with_R")
-    try:
-        return centered_moment(request).value
-    except SupportRegimeError:
-        request = MomentRequest((tf,) * order, group, weight_k=weight_k, regime="mock_gaussian")
-        return centered_moment(request).value
+    if group is not SymmetryGroup.U:
+        return centered_moment(MomentRequest((tf,) * order, group, regime="with_R")).value
+    if tf.support_bound > 2.0 / order * (1.0 + 1e-12):
+        raise SupportRegimeError(
+            f"U(N) moments are Gaussian only for supports within 2/n = {2.0 / order:.6g} "
+            f"(n={order}); the support is {tf.support_bound:.6g}"
+        )
+    if order % 2 == 1:
+        return 0.0
+    variance = 0.5 * sigma2(tf, tf)
+    return double_factorial(order - 1) * variance ** (order // 2)
 
 
 def _gram_nodes(tf: TestFunction, spec: EnsembleSpec, n_max: int) -> int:
@@ -404,19 +401,20 @@ def verify_moments(
     tf: TestFunction,
     orders: tuple[int, ...],
     workers: int = 1,
-    weight_k: int = 2,
 ) -> list[MomentComparison]:
     """Empirical moments against the limit predictions.
 
     The acceptance band is 3 standard errors plus the exact bias of this
-    dimension, |finite_n_moments - predicted| at each order.
+    dimension, |finite_n_moments - predicted| at each order.  An order
+    with no prediction raises :class:`SupportRegimeError` before any
+    sampling.
     """
+    predictions = [(order, predicted_moment(tf, spec.group, order)) for order in orders]
     n_max = max(orders)
     emp = empirical_moments(spec, tf, n_max, workers=workers)
     _, exact = finite_n_moments(tf, spec.group, spec.half_dim, n_max)
     out = []
-    for order in orders:
-        predicted = predicted_moment(tf, spec.group, order, weight_k=weight_k)
+    for order, predicted in predictions:
         se = emp.std_errors[order] if emp.std_errors else float("nan")
         allowance = 3.0 * se + abs(exact[order] - predicted)
         z = (emp.centered[order] - predicted) / se if se and se > 0 else float("nan")

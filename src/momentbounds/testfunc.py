@@ -227,6 +227,11 @@ class GeneratorBackedTestFunction(TestFunction):
     """
 
     _GL_NODES = 512
+    # The rule resolves the phase 2 pi |x| t, |t| < h, only so far: against
+    # an 8192-node rule it stays within 1e-13 phi(0) up to 2 pi |x| h of
+    # about 930 and fails from 950 on (cosine, polynomial and sin(t^2)
+    # generators alike).  phi refuses points past this margin.
+    _MAX_PHASE = 900.0
     # phi works through x in blocks of this many points, so each
     # (block, 256) temporary stays at 64 KiB: below glibc's default mmap
     # threshold, it reuses heap pages rather than faulting fresh ones in
@@ -259,6 +264,7 @@ class GeneratorBackedTestFunction(TestFunction):
             )
         self._phi0 = int_g**2
         self._phihat0 = int_g2
+        self._max_x = self._MAX_PHASE / (2.0 * math.pi * h)
 
         # The rule is symmetric about 0: fold it onto its positive nodes,
         # so phi needs half the trigonometric evaluations.
@@ -275,6 +281,11 @@ class GeneratorBackedTestFunction(TestFunction):
     def phi(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         flat = x.reshape(-1)
+        if flat.size and np.abs(flat).max() > self._max_x:
+            raise ValueError(
+                f"phi of {self.spec_string} is resolved only for |x| <= {self._max_x:.6g} "
+                f"(2 pi |x| h <= {self._MAX_PHASE:g}); got |x| = {np.abs(flat).max():.6g}"
+            )
         out = np.empty(flat.size)
         for start in range(0, flat.size, self._PHI_BLOCK):
             block = slice(start, start + self._PHI_BLOCK)

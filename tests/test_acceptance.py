@@ -205,7 +205,7 @@ def test_criterion_8_optimizer_regression(mixed_slots, naive_slots):
         family=G.SO_EVEN,
         rank=100,
         moment_order=4,
-        bases=(GeneratorBasis("sin-of-square", half_support=0.125), fixed_quarter),
+        bases=(GeneratorBasis("fixed", fixed_function=mixed_slots[0]), fixed_quarter),
         support_budget=0.25,
         regime="mock_gaussian",
     )

@@ -451,3 +451,31 @@ def test_rmt_verify_small_run(capsys):
     assert len(records) == 2
     assert all("z_score" in r and "allowance" in r for r in records)
     assert code == 0, records
+
+
+def test_rmt_verify_refuses_a_second_testfn(capsys):
+    argv = ["rmt-verify", "--group", "so-even", "--N", "10", "--samples", "100"]
+    argv += ["--testfn", "naive:v=1/3", "--testfn", "naive:v=1/4"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "invalid-input",
+        "message": "rmt-verify takes one --testfn, got 2",
+    }
+
+
+def test_rmt_verify_refuses_orders_without_a_prediction(capsys):
+    # v = 0.36 lies past 1/(n-1) = 1/3 at order 4: no limit is predicted there
+    argv = ["rmt-verify", "--group", "so-even", "--N", "40", "--samples", "2000"]
+    argv += ["--testfn", "naive:v=0.36", "--orders", "2,4", "--seed", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "support-regime"
+
+
+def test_unsplit_family_is_unknown(capsys):
+    argv = ["moment", "--family", "o", "--regime", "mock_gaussian"]
+    argv += ["--testfn", "naive:v=1/4"] * 4
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "invalid-input"

@@ -405,7 +405,7 @@ def test_eighteenth_moment_of_identical_functions():
 
 def test_mixed_slots_matching_structure(naive_third, naive_quarter):
     a, b = naive_quarter, naive_third
-    req = MomentRequest((a, a, b, b), G.O, regime="mock_gaussian")
+    req = MomentRequest((a, a, b, b), G.SO_EVEN, regime="mock_gaussian")
     res = centered_moment(req)
     saa = sigma2(a, a)
     sbb = sigma2(b, b)
@@ -426,7 +426,7 @@ def test_permutation_invariance(naive_third, naive_quarter, gen_sinx2):
 
 
 def test_odd_moment_mock_gaussian_is_zero(naive_quarter):
-    req = MomentRequest((naive_quarter,) * 3, G.O, regime="mock_gaussian")
+    req = MomentRequest((naive_quarter,) * 3, G.SO_EVEN, regime="mock_gaussian")
     res = centered_moment(req)
     assert res.value == 0.0
     assert res.matching_sum == 0.0
@@ -441,7 +441,9 @@ def test_odd_moment_with_r(naive_third):
 
 
 def test_even_matching_sum_nonnegative_for_paired_slots(naive_third, gen_sinx2):
-    req = MomentRequest((gen_sinx2, gen_sinx2, naive_third, naive_third), G.O, regime="mock_gaussian")
+    req = MomentRequest(
+        (gen_sinx2, gen_sinx2, naive_third, naive_third), G.SO_EVEN, regime="mock_gaussian"
+    )
     assert centered_moment(req).matching_sum >= 0.0
 
 
@@ -467,11 +469,6 @@ def test_support_violations_name_threshold(naive_third):
         centered_moment(MomentRequest((wide,) * 4, G.SO_EVEN, regime="mock_gaussian"))
     with pytest.raises(SupportRegimeError):
         centered_moment(MomentRequest((make_naive(1.5),) * 2, G.SO_EVEN, regime="auto"))
-
-
-def test_unsplit_family_rejects_with_r(naive_third):
-    with pytest.raises(SupportRegimeError, match="unsplit"):
-        centered_moment(MomentRequest((naive_third,) * 4, G.O, regime="with_R"))
 
 
 def test_moment_request_validation(naive_third):

@@ -4,11 +4,13 @@ import pytest
 
 from momentbounds import (
     GeneratorBasis,
+    GeneratorSpec,
     MomentResult,
     NoFeasiblePointError,
     OptimizationProblem,
     SearchSettings,
     SymmetryGroup,
+    make_from_generator,
     make_naive,
     objective,
     search,
@@ -32,13 +34,20 @@ def fixed_naive_quarter_basis():
     return GeneratorBasis("fixed", fixed_function=make_naive(0.25))
 
 
+def _sinx2_basis(half):
+    """The parameter-free sin(t^2) slot, as the CLI's sinx2:half=<r> builds it."""
+    return GeneratorBasis(
+        "fixed", fixed_function=make_from_generator(GeneratorSpec("sin-of-square", (), half))
+    )
+
+
 @pytest.fixture(scope="module")
 def mixed_problem(fixed_naive_quarter_basis):
     return OptimizationProblem(
         family=G.SO_EVEN,
         rank=100,
         moment_order=4,
-        bases=(GeneratorBasis("sin-of-square", half_support=0.125), fixed_naive_quarter_basis),
+        bases=(_sinx2_basis(0.125), fixed_naive_quarter_basis),
         support_budget=0.25,
         regime="mock_gaussian",
     )
@@ -158,7 +167,7 @@ def test_problem_validation(fixed_naive_quarter_basis):
             G.SO_EVEN,
             100,
             4,
-            (GeneratorBasis("sin-of-square", half_support=0.2), fixed_naive_quarter_basis),
+            (_sinx2_basis(0.2), fixed_naive_quarter_basis),
             0.25,
         )
     with pytest.raises(ValueError, match="support hypothesis"):
@@ -166,7 +175,7 @@ def test_problem_validation(fixed_naive_quarter_basis):
             G.SO_EVEN,
             100,
             4,
-            (GeneratorBasis("sin-of-square", half_support=0.3), fixed_naive_quarter_basis),
+            (_sinx2_basis(0.3), fixed_naive_quarter_basis),
             0.6,
         )
 
@@ -189,4 +198,6 @@ def test_basis_validation():
     basis = GeneratorBasis("cosine-series", dimension=3, half_support=0.1)
     assert basis.coefficient_box == ((-1.0, 1.0),) * 3
     assert basis.n_params == 3
-    assert GeneratorBasis("sin-of-square", half_support=0.1).n_params == 0
+    assert _sinx2_basis(0.1).n_params == 0
+    with pytest.raises(ValueError, match="unknown basis kind"):
+        GeneratorBasis("sin-of-square", half_support=0.1)

@@ -9,12 +9,14 @@ import scipy.linalg.lapack
 from momentbounds import (
     EnsembleSpec,
     GeneratorSpec,
+    SupportRegimeError,
     SymmetryGroup,
     empirical_moments,
     linear_statistic,
     make_from_generator,
     make_naive,
     predicted_moment,
+    sigma2,
     verify_moments,
 )
 from momentbounds import rmt
@@ -323,9 +325,35 @@ def test_predicted_moments(naive_third):
     assert predicted_moment(naive_third, G.U, 4) == pytest.approx(3.0 * (1.0 / 6.0) ** 2, abs=1e-9)
 
 
+def test_so_prediction_refuses_supports_past_with_r():
+    # beyond 1/(n-1) the split-family formula is unproven, and the
+    # mock-Gaussian value misses SO(2N) there by a gap that does not
+    # shrink with N (order 4, v = 0.36: 4e-4 at N = 40, 1e-3 at N = 320),
+    # which the band would absorb as finite-N bias
+    wide = make_naive(0.36)
+    assert predicted_moment(wide, G.SO_EVEN, 2) == pytest.approx(sigma2(wide, wide), rel=1e-12)
+    for group in (G.SO_EVEN, G.SO_ODD):
+        with pytest.raises(SupportRegimeError, match="1/\\(n-1\\)"):
+            predicted_moment(wide, group, 4)
+    with pytest.raises(SupportRegimeError):
+        verify_moments(EnsembleSpec(G.SO_EVEN, 40, 2000, seed=3), wide, (2, 4))
+
+
+def test_unitary_prediction_refuses_supports_past_two_over_n():
+    # U(N) moments are Gaussian for supports within 2/n (Hughes-Rudnick);
+    # at v = 0.9 the fourth-moment gap stays near -1.2e-3 from N = 40 to 320
+    wide = make_naive(0.9)
+    assert predicted_moment(wide, G.U, 2) == pytest.approx(0.5 * sigma2(wide, wide), rel=1e-12)
+    with pytest.raises(SupportRegimeError, match="2/n"):
+        predicted_moment(wide, G.U, 3)
+    with pytest.raises(SupportRegimeError, match="2/n"):
+        predicted_moment(wide, G.U, 4)
+    assert predicted_moment(make_naive(0.5), G.U, 4) == pytest.approx(
+        3.0 * (0.5 * sigma2(make_naive(0.5), make_naive(0.5))) ** 2, rel=1e-12
+    )
+
+
 def test_ensemble_spec_validation():
-    with pytest.raises(ValueError):
-        EnsembleSpec(G.SP, 4, 10, 0)
     with pytest.raises(ValueError):
         EnsembleSpec(G.U, 0, 10, 0)
     with pytest.raises(ValueError):

@@ -247,6 +247,17 @@ def test_folded_phi_matches_full_rule(spec):
     assert np.array_equal(tf.phi(xs[:2000].reshape(40, 50)), tf.phi(xs[:2000]).reshape(40, 50))
 
 
+def test_phi_refuses_points_its_rule_cannot_resolve():
+    # at x = 1000 (2 pi x h = 1047) the 512-node rule gives 1.18e-3 where
+    # the true value is 7.6e-8
+    tf = from_spec_string("gen:cos:1:half=1/6")
+    with pytest.raises(ValueError, match="resolved only"):
+        tf.phi(1000.0)
+    with pytest.raises(ValueError, match="resolved only"):
+        tf.phi(np.array([0.0, -1000.0]))
+    assert float(tf.phi(850.0)) >= 0.0  # 2 pi x h = 890: inside the margin
+
+
 def test_fourier_inversion_consistency(gen_sinx2):
     # invert the transform and compare with the direct |transform of g|^2
     # evaluation; the cosine factor needs about 40 degrees more than phihat
