@@ -71,6 +71,17 @@ def _parse_testfns(specs: list[str]) -> list:
     return [parsed[s] for s in specs]
 
 
+class _Repeatable(argparse.Action):
+    """A repeatable flag collected into a list.  Unlike argparse's "append",
+    the first use on the command line replaces the default (a config file's
+    value) rather than extending it, so flags override the file."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest, None)
+        items = [] if items is self.default else list(items)
+        setattr(namespace, self.dest, items + [values])
+
+
 def _emit(records: list[dict], args) -> None:
     fmt = getattr(args, "format", "records")
     out = getattr(args, "out", None)
@@ -350,7 +361,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
                             raise ValueError(
                                 f"{where} is not a valid {sub_action.type.__name__}"
                             ) from None
-                    elif isinstance(sub_action, argparse._AppendAction):  # noqa: SLF001
+                    elif isinstance(sub_action, _Repeatable):
                         value = [value]
                     if sub_action.choices is not None and value not in sub_action.choices:
                         raise ValueError(f"{where} is not one of {', '.join(sub_action.choices)}")
@@ -383,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="moment4",
         help=METHODS,
     )
-    p_bound.add_argument("--testfn", action="append", help="test function spec (repeatable)")
+    p_bound.add_argument("--testfn", action=_Repeatable, help="test function spec (repeatable)")
     p_bound.add_argument("--weight-k", type=int, default=2)
     p_bound.add_argument("--regime", default="auto", choices=REGIMES)
     p_bound.set_defaults(func=_cmd_bound)
 
     p_moment = sub.add_parser("moment", parents=[common], help="compute a centered moment")
     p_moment.add_argument("--family")
-    p_moment.add_argument("--testfn", action="append")
+    p_moment.add_argument("--testfn", action=_Repeatable)
     p_moment.add_argument("--weight-k", type=int, default=2)
     p_moment.add_argument("--regime", default="auto", choices=REGIMES)
     p_moment.set_defaults(func=_cmd_moment)
@@ -404,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--rank", type=int)
     p_opt.add_argument(
         "--basis",
-        action="append",
+        action=_Repeatable,
         help="per-slot basis: sinx2:half=<r> | cos:dim=<d>:half=<r>[:box=lo,hi] | "
         "poly:dim=<d>:half=<r>[:box=lo,hi] | fixed:<testfn>",
     )
@@ -420,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rmt.add_argument("--group")
     p_rmt.add_argument("--N", type=int, help="half-dimension")
     p_rmt.add_argument("--samples", type=int)
-    p_rmt.add_argument("--testfn", action="append")
+    p_rmt.add_argument("--testfn", action=_Repeatable)
     p_rmt.add_argument("--orders", default="2,4")
     p_rmt.add_argument("--seed", type=int, default=0)
     p_rmt.add_argument("--workers", type=int, default=1)

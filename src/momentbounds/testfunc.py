@@ -18,7 +18,9 @@ constructions are provided:
   ``T`` is stored once per basis (kind, dimension, support) as a chopped
   table of Chebyshev coefficients on [0, 2h] and cached.  Each function's
   phihat is then the exact polynomial piece whose coefficients are
-  ``c^T T_j c``.
+  ``c^T T_j c``.  Its phi is |ghat|^2, read from Chebyshev series of the
+  real and imaginary parts of ghat on fixed panels of 2 pi |x| h, each
+  interpolated from a 512-node Gauss-Legendre sum when first needed.
 
 Support intervals are treated as open: the transforms vanish at their
 support endpoints, so a function with ``support_bound == t`` satisfies a
@@ -221,9 +223,16 @@ class GeneratorBackedTestFunction(TestFunction):
 
     ``phihat`` is the Chebyshev series on [0, 2*half_support] with
     coefficients ``c^T T_j c``, from the cached basis autocorrelation
-    table ``T`` and the generator's weights ``c``; phi is evaluated
-    directly by Gauss-Legendre quadrature of the oscillatory transform
-    integral.
+    table ``T`` and the generator's weights ``c``.
+
+    phi is |ghat|^2 with ghat(x) = int g(t) e^{2 pi i x t} dt, whose real
+    and imaginary parts are fixed 512-node Gauss-Legendre sums.  In
+    psi = 2 pi |x| h both are entire of exponential type 1, so phi reads
+    them from short Chebyshev series on fixed panels of psi.  A panel is
+    interpolated from the 512-node sums at its Chebyshev points the first
+    time phi touches it and is cached on the instance; its values depend
+    on the panel alone, so phi(x) does not depend on call history or
+    batch.
     """
 
     _GL_NODES = 512
@@ -232,12 +241,26 @@ class GeneratorBackedTestFunction(TestFunction):
     # about 930 and fails from 950 on (cosine, polynomial and sin(t^2)
     # generators alike).  phi refuses points past this margin.
     _MAX_PHASE = 900.0
-    # phi works through x in blocks of this many points, so each
-    # (block, 256) temporary stays at 64 KiB: below glibc's default mmap
-    # threshold, it reuses heap pages rather than faulting fresh ones in
-    # on every call (a Monte Carlo batch of 1,000 points otherwise faults
-    # in about 1,500 pages per call).
-    _PHI_BLOCK = 32
+    # A panel of width 8 in psi has exponential type 4 in its local
+    # variable, so the series' coefficients decay like J_n(4): about 1e-17
+    # at degree 24.  A panel whose last two coefficients exceed
+    # _PANEL_TAIL_TOL of sum |w g| (the bound on |ghat|) is refused.
+    _PANEL_WIDTH = 8.0
+    _PANEL_DEGREE = 24
+    _PANEL_TAIL_TOL = 1e-13
+    # A panel's Chebyshev points cos(theta_j), theta_j = pi (2j + 1) / 50,
+    # and the map from values there to coefficients.  Its angles n theta_j
+    # are reduced mod 2 pi in integers: the rounding of the float products
+    # n * theta_j grows with n and made phi ten times less accurate next
+    # to a panel's left end.
+    _PANEL_SIZE = _PANEL_DEGREE + 1
+    _PANEL_POINTS = np.cos(math.pi * (2 * np.arange(_PANEL_SIZE) + 1) / (2 * _PANEL_SIZE))
+    _PANEL_DCT = np.cos(
+        math.pi
+        * (np.outer(np.arange(_PANEL_SIZE), 2 * np.arange(_PANEL_SIZE) + 1) % (4 * _PANEL_SIZE))
+        / (2 * _PANEL_SIZE)
+    ) * (2.0 / _PANEL_SIZE)
+    _PANEL_DCT[0] *= 0.5
 
     def __init__(self, generator: GeneratorSpec):
         self.generator = generator
@@ -267,34 +290,55 @@ class GeneratorBackedTestFunction(TestFunction):
         self._max_x = self._MAX_PHASE / (2.0 * math.pi * h)
 
         # The rule is symmetric about 0: fold it onto its positive nodes,
-        # so phi needs half the trigonometric evaluations.
+        # so a sum needs half the trigonometric evaluations.
         half = self._GL_NODES // 2
         wg = w * g
-        self._t_pos = t[half:]
+        self._tau = nodes[half:]  # t / h
         self._wg_even = wg[half:] + wg[half - 1 :: -1]
         self._wg_odd = wg[half:] - wg[half - 1 :: -1]
+        self._panel_tail_limit = self._PANEL_TAIL_TOL * int_abs_g
+        self._panels: dict[int, np.ndarray] = {}
 
         table = _basis_autocorrelation(generator.kind, generator.dimension, h)
         self.phihat_coef = (table @ generator.weights) @ generator.weights
         self.spec_string = _generator_spec_string(generator)
 
+    def _transform_sums(self, psi: np.ndarray) -> np.ndarray:
+        """(Re, Im) of ghat at psi = 2 pi |x| h by the 512-node rule, shape (len(psi), 2)."""
+        phase = np.multiply.outer(psi, self._tau)
+        return np.stack([np.cos(phase) @ self._wg_even, np.sin(phase) @ self._wg_odd], axis=1)
+
+    def _panel(self, k: int) -> np.ndarray:
+        """Chebyshev coefficients of (Re, Im) ghat on psi in [8k, 8k + 8], shape (25, 2)."""
+        if k in self._panels:
+            return self._panels[k]
+        psi = self._PANEL_WIDTH * (k + 0.5 + 0.5 * self._PANEL_POINTS)
+        coef = self._PANEL_DCT @ self._transform_sums(psi)
+        if np.abs(coef[-2:]).max() > self._panel_tail_limit:
+            raise ValueError(
+                f"phi of {self.spec_string} has no degree-{self._PANEL_DEGREE} Chebyshev "
+                f"representation on 2 pi |x| h in [{psi.min():.6g}, {psi.max():.6g}]"
+            )
+        self._panels[k] = coef
+        return coef
+
     def phi(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        flat = x.reshape(-1)
-        if flat.size and np.abs(flat).max() > self._max_x:
+        x = np.asarray(x, dtype=float)
+        flat = np.abs(x.reshape(-1))
+        if not np.all(flat <= self._max_x):
             raise ValueError(
                 f"phi of {self.spec_string} is resolved only for |x| <= {self._max_x:.6g} "
-                f"(2 pi |x| h <= {self._MAX_PHASE:g}); got |x| = {np.abs(flat).max():.6g}"
+                f"(2 pi |x| h <= {self._MAX_PHASE:g}); got |x| = {flat.max():.6g}"
             )
+        scaled = flat * (2.0 * math.pi * self.generator.half_support / self._PANEL_WIDTH)
+        panel = scaled.astype(int)
+        u = 2.0 * (scaled - panel) - 1.0
         out = np.empty(flat.size)
-        for start in range(0, flat.size, self._PHI_BLOCK):
-            block = slice(start, start + self._PHI_BLOCK)
-            phase = np.multiply.outer(flat[block], self._t_pos)
-            phase *= 2.0 * math.pi
-            re = np.cos(phase) @ self._wg_even
-            im = np.sin(phase, out=phase) @ self._wg_odd
-            out[block] = re**2 + im**2
-        return out.reshape(x.shape) if out.size > 1 else out.reshape(())
+        for k in np.flatnonzero(np.bincount(panel)):
+            at = panel == k
+            re, im = chebyshev.chebval(u[at], self._panel(int(k)))
+            out[at] = re**2 + im**2
+        return out.reshape(x.shape)
 
     def phihat(self, y):
         y = np.abs(np.asarray(y, dtype=float))

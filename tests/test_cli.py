@@ -353,6 +353,28 @@ def test_config_file_defaults(tmp_path, capsys):
     assert len(records) == 1 and records[0]["rank"] == 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--family", "so-even", "--rank", "20", "--method", "moment4", "--regime", "with_R"],
+        ["rmt-verify", "--group", "so-even", "--N", "10", "--samples", "100", "--orders", "2"],
+    ],
+)
+def test_command_line_testfn_replaces_the_config_files(tmp_path, capsys, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("testfn = naive:v=1/3\n")
+    from_file = run_cli(["--config", str(cfg), *argv], capsys)
+    assert from_file == run_cli([*argv, "--testfn", "naive:v=1/3"], capsys)
+    assert from_file[0] == 0
+    flag = run_cli(["--config", str(cfg), *argv, "--testfn", "naive:v=1/4"], capsys)
+    assert flag == run_cli([*argv, "--testfn", "naive:v=1/4"], capsys)
+    assert flag[0] == 0 and "v=0.25" in flag[1] and "v=0.333" not in flag[1]
+    # repeated flags still collect every slot
+    argv = ["--config", str(cfg), "moment", "--family", "so-even", "--regime", "with_R"]
+    _, out, _ = run_cli(argv + ["--testfn", "naive:v=1/4", "--testfn", "naive:v=1/5"], capsys)
+    assert parse_records(out)[0]["test_functions"] == ["naive:v=0.25", "naive:v=0.2"]
+
+
 def test_config_key_of_another_subcommand_is_accepted(tmp_path, capsys):
     # `samples` belongs to rmt-verify only; a bound run from the same file ignores it
     cfg = tmp_path / "run.cfg"
@@ -451,6 +473,14 @@ def test_rmt_verify_small_run(capsys):
     assert len(records) == 2
     assert all("z_score" in r and "allowance" in r for r in records)
     assert code == 0, records
+
+
+def test_rmt_verify_records_do_not_depend_on_workers(capsys):
+    argv = ["rmt-verify", "--group", "so-even", "--N", "20", "--samples", "400"]
+    argv += ["--testfn", "gen:cos:1:half=1/6", "--orders", "2,3,4", "--seed", "3"]
+    one = run_cli(argv + ["--workers", "1"], capsys)
+    assert one[0] == 0 and len(parse_records(one[1])) == 3
+    assert run_cli(argv + ["--workers", "2"], capsys) == one
 
 
 def test_rmt_verify_refuses_a_second_testfn(capsys):

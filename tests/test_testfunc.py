@@ -210,10 +210,20 @@ def test_phihat_grid_independent_of_amplitude():
         assert np.array_equal(tf.phihat(ys) / c**2, ref)
 
 
+GENERATORS = [
+    GeneratorSpec("polynomial", (1.0, -3.0, 20.0, 0.5), 0.125),
+    GeneratorSpec("cosine-series", (1.0, -0.75, 0.5, 0.5), 0.125),
+    GeneratorSpec("sin-of-square", (), 0.125),
+]
+
+
 def test_nonnegativity_on_dense_grid(gen_sinx2, naive_third):
     xs = np.linspace(-100.0, 100.0, 10_000)
-    for tf in (gen_sinx2, naive_third, make_naive(2.0)):
+    for tf in (naive_third, make_naive(2.0)):
         assert float(np.min(tf.phi(xs))) >= -1e-12
+    # generator phi is |ghat|^2, so not even rounding makes it negative
+    for tf in (gen_sinx2, *(make_from_generator(spec) for spec in GENERATORS)):
+        assert float(np.min(tf.phi(xs))) >= 0.0
 
 
 def test_support_exact_zero_outside(gen_sinx2, naive_third):
@@ -224,38 +234,54 @@ def test_support_exact_zero_outside(gen_sinx2, naive_third):
         assert np.all(tf.phihat(-ys) == 0.0)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        GeneratorSpec("polynomial", (1.0, -3.0, 20.0, 0.5), 0.125),
-        GeneratorSpec("cosine-series", (1.0, -0.75, 0.5, 0.5), 0.125),
-        GeneratorSpec("sin-of-square", (), 0.125),
-    ],
-)
+@pytest.mark.parametrize("spec", GENERATORS)
 def test_folded_phi_matches_full_rule(spec):
-    # the full 512-node sum |sum_q w_q g(t_q) e^{2 pi i x t_q}|^2 is the reference
+    # the full 512-node sum |sum_q w_q g(t_q) e^{2 pi i x t_q}|^2 is the
+    # reference, on the whole range phi serves; |ghat| <= int |g| is the scale
     tf = make_from_generator(spec)
     nodes, weights = legendre_rule(GeneratorBackedTestFunction._GL_NODES)
     h = spec.half_support
     t = 0.5 * (nodes + 1.0) * (2 * h) - h
     wg = weights * h * spec.evaluate(t)
-    xs = np.linspace(-50.0, 50.0, 2001)
-    full = np.abs(np.exp(2j * math.pi * np.multiply.outer(xs, t)) @ wg) ** 2
-    assert np.abs(tf.phi(xs) - full).max() <= 1e-13 * full.max()
+    xs = np.linspace(-tf._max_x, tf._max_x, 4001)
+    phase = 2.0 * math.pi * np.multiply.outer(xs, t)
+    full = (np.cos(phase) @ wg) ** 2 + (np.sin(phase) @ wg) ** 2
+    assert np.abs(tf.phi(xs) - full).max() <= 1e-13 * float(np.abs(wg).sum()) ** 2
     assert float(tf.phi(0.0)) == pytest.approx(tf.phi0, rel=1e-13, abs=0)
-    # a batch of samples keeps its shape, whatever the block boundaries
+    # a batch of samples keeps its shape, as the naive phi does
     assert np.array_equal(tf.phi(xs[:2000].reshape(40, 50)), tf.phi(xs[:2000]).reshape(40, 50))
+    assert tf.phi(xs[:1]).shape == (1,) and tf.phi(xs[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("spec", GENERATORS)
+def test_phi_does_not_depend_on_call_history(spec):
+    # panels are built on first touch; a point's value must not depend on
+    # which panels an earlier call built, nor on the batch around it
+    xs = np.random.default_rng(5).uniform(-60.0, 60.0, 3000)
+    first, second = make_from_generator(spec), make_from_generator(spec)
+    one_first = (first.phi(800.0), first.phi(xs))
+    batch_first = (second.phi(xs), second.phi(800.0))
+    assert np.array_equal(one_first[0], batch_first[1])
+    assert np.array_equal(one_first[1], batch_first[0])
+    assert np.array_equal(first.phi(xs[::7]), batch_first[0][::7])
 
 
 def test_phi_refuses_points_its_rule_cannot_resolve():
     # at x = 1000 (2 pi x h = 1047) the 512-node rule gives 1.18e-3 where
     # the true value is 7.6e-8
     tf = from_spec_string("gen:cos:1:half=1/6")
-    with pytest.raises(ValueError, match="resolved only"):
-        tf.phi(1000.0)
-    with pytest.raises(ValueError, match="resolved only"):
-        tf.phi(np.array([0.0, -1000.0]))
+    for x in (1000.0, np.array([0.0, -1000.0]), math.nan, np.array([1.0, math.nan]), math.inf,
+              -math.inf):
+        with pytest.raises(ValueError, match="resolved only"):
+            tf.phi(x)
     assert float(tf.phi(850.0)) >= 0.0  # 2 pi x h = 890: inside the margin
+
+
+def test_phi_refuses_a_panel_whose_series_does_not_chop():
+    tf = from_spec_string("gen:cos:1:half=1/6")
+    tf._panel_tail_limit = 0.0
+    with pytest.raises(ValueError, match="no degree-24 Chebyshev representation"):
+        tf.phi(1.0)
 
 
 def test_fourier_inversion_consistency(gen_sinx2):
