@@ -23,9 +23,11 @@ Orthogonal eigenangles come in conjugate pairs (plus the forced angle 0
 of SO(2N+1)); the cosines of the N free angles form a Jacobi ensemble,
 which Killip and Nenciu (IMRN 2004) realize as the spectrum of an N x N
 tridiagonal matrix of independent Beta variables, so no matrix of the
-group is formed.  Unitary matrices come from Gaussian + QR with phases
-fixed to make them Haar; their angles are read off the Hermitian Cayley
-transform.  The tests check both against a dense QR sampler.
+group is formed.  Unitary eigenangles come from the same authors' CMV
+model: the Haar measure on U(N) has independent Verblunsky coefficients
+and a five-diagonal CMV matrix C, and the cosines of its angles are the
+spectrum of the banded Hermitian matrix (C + C*)/2.  The tests check
+both samplers against dense QR samplers.
 
 Batches own independent random substreams derived from (seed, batch
 index), so results are bitwise reproducible no matter how batches are
@@ -87,26 +89,6 @@ class EmpiricalMoments:
     sample_count: int
 
 
-def _haar_unitary_block(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Haar unitary matrices, stacked (count, dim, dim), by Gaussian QR."""
-    a = (
-        rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    ) / math.sqrt(2.0)
-    q, r = np.linalg.qr(a)
-    diag = np.einsum("bii->bi", r)
-    phases = diag / np.abs(diag)
-    return q * phases.conj()[:, None, :]
-
-
-def _unitary_angles(q: np.ndarray) -> np.ndarray:
-    """Sorted eigenangles of unitary matrices: i (I + Q)^{-1} (I - Q) is
-    Hermitian with eigenvalues tan(theta / 2)."""
-    eye = np.eye(q.shape[-1])
-    h = 1j * np.linalg.solve(eye + q, eye - q)
-    h = 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
-    return 2.0 * np.arctan(np.linalg.eigvalsh(h))
-
-
 # (a, b) of the Jacobi weight (1 - cos)^a (1 + cos)^b of the free angles' cosines
 _JACOBI_WEIGHTS = {SymmetryGroup.SO_EVEN: (-0.5, -0.5), SymmetryGroup.SO_ODD: (0.5, -0.5)}
 
@@ -143,18 +125,75 @@ def _jacobi_cosines(
     return cos
 
 
+def _cue_verblunsky(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Verblunsky coefficients (count, N) of the Killip-Nenciu CMV model of U(N):
+    independent, rotation invariant, |alpha_k|^2 ~ Beta(1, N - k - 1) for
+    k < N - 1 and alpha_{N-1} on the unit circle."""
+    modulus = np.sqrt(rng.beta(1.0, np.arange(n - 1, 0, -1.0), size=(count, n - 1)))
+    alpha = np.exp(2j * math.pi * rng.random((count, n)))
+    alpha[:, :-1] *= modulus
+    return alpha
+
+
+def _cmv_cosines(alpha: np.ndarray) -> np.ndarray:
+    """Ascending spectra (count, N) of Re C = (C + C*)/2, the cosines of the
+    eigenangles of the CMV matrices C = L M with these Verblunsky coefficients.
+
+    L = Theta_0 + Theta_2 + ... and M = 1 + Theta_1 + Theta_3 + ... are
+    block diagonal in Theta_k = [[conj alpha_k, rho_k], [rho_k, -alpha_k]],
+    rho_k = sqrt(1 - |alpha_k|^2), cut to N x N (rho_{N-1} = 0 decouples
+    the rest).  Both are symmetric tridiagonal, so C is pentadiagonal and
+    only the upper bands of Re C are formed, in LAPACK band storage.
+    """
+    # imported here so the bound commands never load scipy
+    from scipy.linalg.lapack import zhbevd
+
+    count, n = alpha.shape
+    rho = np.sqrt(np.maximum(1.0 - np.abs(alpha[:, :-1]) ** 2, 0.0))
+    even = np.arange(n) % 2 == 0
+    # -alpha_{i-1}, with the 1 of M at i = 0
+    shifted = np.concatenate([np.ones((count, 1)), -alpha[:, :-1]], axis=1)
+    dl = np.where(even, alpha.conj(), shifted)  # diagonals of L and M
+    dm = np.where(even, shifted, alpha.conj())
+    el = np.where(even[:-1], rho, 0.0)  # off-diagonals: L pairs (2k, 2k+1), M (2k+1, 2k+2)
+    em = np.where(even[:-1], 0.0, rho)
+    kd = min(2, n - 1)
+    band = np.zeros((count, kd + 1, n), dtype=complex)  # band[kd + i - j, j] = (Re C)_ij
+    band[:, kd] = (dl * dm).real
+    if kd >= 1:
+        upper = dl[:, :-1] * em + el * dm[:, 1:]  # C_{i,i+1}
+        lower = el * dm[:, :-1] + dl[:, 1:] * em  # C_{i+1,i}
+        band[:, kd - 1, 1:] = 0.5 * (upper + lower.conj())
+    if kd >= 2:
+        band[:, 0, 2:] = 0.5 * (el[:, :-1] * em[:, 1:] + el[:, 1:] * em[:, :-1])
+    cos = np.empty((count, n))
+    for i in range(count):
+        cos[i], _, info = zhbevd(band[i], compute_v=0)
+        if info != 0:
+            raise ArithmeticError(f"banded eigen-solve failed (info={info})")
+    if np.abs(cos).max() > 1.0 + _EIG_UNIT_TOL:
+        raise ArithmeticError("cosine spectrum left the unit interval")
+    return cos
+
+
 def sample_haar_batch(
     group: SymmetryGroup,
     half_dim: int,
     rng: np.random.Generator,
     count: int,
 ) -> np.ndarray:
-    """Sorted eigenangles of ``count`` independent Haar matrices, shape (count, dim)."""
+    """Sorted eigenangles of ``count`` independent Haar matrices, shape (count, dim).
+
+    For U(N) these are the absolute values |theta_j|, ascending in [0, pi]:
+    the CMV model gives their cosines only.  Every phi is even, so the
+    linear statistic, and with it the law of every moment, is unchanged.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    spec = EnsembleSpec(group, half_dim, count, 0)
+    EnsembleSpec(group, half_dim, count, 0)  # validates half_dim
     if group is SymmetryGroup.U:
-        return _unitary_angles(_haar_unitary_block(spec.dim, rng, count))
+        cos = _cmv_cosines(_cue_verblunsky(half_dim, rng, count))
+        return np.arccos(np.clip(cos[:, ::-1], -1.0, 1.0))
     theta = np.arccos(np.clip(_jacobi_cosines(group, half_dim, rng, count), -1.0, 1.0))
     parts = [-theta, theta]
     if group is SymmetryGroup.SO_ODD:
@@ -171,8 +210,8 @@ def linear_statistic(angles: np.ndarray, tf: TestFunction, total_dim: int) -> np
 
 
 def _batch_power_sums(args) -> np.ndarray:
-    """Raw power sums (count, sum Z, sum Z^2, ...) for one batch."""
-    spec, tf, n_max, batch_size, stream = args
+    """Power sums (count, sum Y, sum Y^2, ...) of Y = Z - shift for one batch."""
+    spec, tf, n_max, batch_size, stream, shift = args
     rng = np.random.default_rng(stream)
     sums = np.zeros(n_max + 1)
     sums[0] = batch_size
@@ -180,7 +219,7 @@ def _batch_power_sums(args) -> np.ndarray:
     while done < batch_size:
         block = min(_BATCH_MATRIX_LIMIT, batch_size - done)
         angles = sample_haar_batch(spec.group, spec.half_dim, rng, block)
-        z = linear_statistic(angles, tf, spec.dim)
+        z = linear_statistic(angles, tf, spec.dim) - shift
         for j in range(1, n_max + 1):
             sums[j] += np.sum(z**j)
         done += block
@@ -188,9 +227,9 @@ def _batch_power_sums(args) -> np.ndarray:
 
 
 def _centered_from_power_sums(sums: np.ndarray, mean: float, n_max: int) -> dict[int, float]:
-    """Centered moments about ``mean`` from raw power sums."""
+    """Centered moments about ``mean`` from power sums of the same variable."""
     count = sums[0]
-    raw = sums / count  # raw[j] = average of Z^j
+    raw = sums / count  # raw[j] = average of the j-th power
     out = {}
     for k in range(2, n_max + 1):
         total = 0.0
@@ -205,13 +244,17 @@ def empirical_moments(
     tf: TestFunction,
     n_max: int,
     workers: int = 1,
+    shift: float = 0.0,
 ) -> EmpiricalMoments:
     """Mean and centered moments of Z up to order ``n_max``.
 
     The sample set is split into ~sqrt(samples) batches; each batch has
     its own deterministic substream and contributes one point to the
     batch-means standard errors.  Batches may be mapped to worker
-    processes; the reduction runs in batch order either way.
+    processes; the reduction runs in batch order either way.  Power sums
+    are taken of Z - ``shift``: with the shift near the mean, the
+    binomial expansion about the sample mean does not cancel, however
+    large the mean is against the spread of Z.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -221,7 +264,7 @@ def empirical_moments(
     batch_sizes = [base + (1 if i < remainder else 0) for i in range(n_batches)]
     streams = np.random.SeedSequence(spec.seed).spawn(n_batches)
     jobs = [
-        (spec, tf, n_max, batch_sizes[i], streams[i])
+        (spec, tf, n_max, batch_sizes[i], streams[i], shift)
         for i in range(n_batches)
         if batch_sizes[i] > 0
     ]
@@ -238,8 +281,9 @@ def empirical_moments(
     for sums in batch_sums:  # fixed order: reproducible reduction
         total += sums
     count = total[0]
-    mean = float(total[1] / count)
-    centered = {k: float(v) for k, v in _centered_from_power_sums(total, mean, n_max).items()}
+    offset = float(total[1] / count)  # sample mean of Z - shift
+    mean = shift + offset
+    centered = {k: float(v) for k, v in _centered_from_power_sums(total, offset, n_max).items()}
 
     std_errors = None
     mean_std_error = None
@@ -249,7 +293,7 @@ def empirical_moments(
         batch_means = []
         for sums in batch_sums:
             batch_means.append(sums[1] / sums[0])
-            vals = _centered_from_power_sums(sums, mean, n_max)
+            vals = _centered_from_power_sums(sums, offset, n_max)
             for k in range(2, n_max + 1):
                 per_batch[k].append(vals[k])
         std_errors = {
@@ -407,12 +451,12 @@ def verify_moments(
     The acceptance band is 3 standard errors plus the exact bias of this
     dimension, |finite_n_moments - predicted| at each order.  An order
     with no prediction raises :class:`SupportRegimeError` before any
-    sampling.
+    sampling.  The exact mean is the shift of the power sums.
     """
     predictions = [(order, predicted_moment(tf, spec.group, order)) for order in orders]
     n_max = max(orders)
-    emp = empirical_moments(spec, tf, n_max, workers=workers)
-    _, exact = finite_n_moments(tf, spec.group, spec.half_dim, n_max)
+    exact_mean, exact = finite_n_moments(tf, spec.group, spec.half_dim, n_max)
+    emp = empirical_moments(spec, tf, n_max, workers=workers, shift=exact_mean)
     out = []
     for order, predicted in predictions:
         se = emp.std_errors[order] if emp.std_errors else float("nan")

@@ -476,11 +476,12 @@ def test_rmt_verify_small_run(capsys):
 
 
 def test_rmt_verify_records_do_not_depend_on_workers(capsys):
-    argv = ["rmt-verify", "--group", "so-even", "--N", "20", "--samples", "400"]
-    argv += ["--testfn", "gen:cos:1:half=1/6", "--orders", "2,3,4", "--seed", "3"]
-    one = run_cli(argv + ["--workers", "1"], capsys)
-    assert one[0] == 0 and len(parse_records(one[1])) == 3
-    assert run_cli(argv + ["--workers", "2"], capsys) == one
+    for group in ("so-even", "u"):
+        argv = ["rmt-verify", "--group", group, "--N", "20", "--samples", "400"]
+        argv += ["--testfn", "gen:cos:1:half=1/6", "--orders", "2,3,4", "--seed", "3"]
+        one = run_cli(argv + ["--workers", "1"], capsys)
+        assert one[0] == 0 and len(parse_records(one[1])) == 3, group
+        assert run_cli(argv + ["--workers", "2"], capsys) == one, group
 
 
 def test_rmt_verify_refuses_a_second_testfn(capsys):

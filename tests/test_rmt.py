@@ -1,6 +1,7 @@
 """Haar sampling, linear statistics, empirical moments."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,12 +21,7 @@ from momentbounds import (
     verify_moments,
 )
 from momentbounds import rmt
-from momentbounds.rmt import (
-    _haar_unitary_block,
-    _unitary_angles,
-    finite_n_moments,
-    sample_haar_batch,
-)
+from momentbounds.rmt import finite_n_moments, sample_haar_batch
 
 G = SymmetryGroup
 
@@ -46,6 +42,38 @@ def _haar_orthogonal_block(dim, rng, count):
     q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
     q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q
+
+
+def _haar_unitary_block(dim, rng, count):
+    """Haar unitary matrices, stacked (count, dim, dim), by Gaussian QR
+    with the phases fixed so the triangular factor has a positive diagonal."""
+    a = (
+        rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    ) / math.sqrt(2.0)
+    q, r = np.linalg.qr(a)
+    diag = np.einsum("bii->bi", r)
+    return q * (diag / np.abs(diag)).conj()[:, None, :]
+
+
+def _unitary_angles(q):
+    """Sorted eigenangles of unitary matrices: i (I + Q)^{-1} (I - Q) is
+    Hermitian with eigenvalues tan(theta / 2)."""
+    eye = np.eye(q.shape[-1])
+    h = 1j * np.linalg.solve(eye + q, eye - q)
+    h = 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
+    return 2.0 * np.arctan(np.linalg.eigvalsh(h))
+
+
+def _dense_cmv(alpha):
+    """The N x N CMV matrix L M of one row of Verblunsky coefficients, built
+    block by block at size N + 1 and cut (rho_{N-1} = 0 decouples the rest)."""
+    n = alpha.size
+    factors = [np.zeros((n + 1, n + 1), dtype=complex) for _ in range(2)]
+    factors[1][0, 0] = 1.0
+    for k, a in enumerate(alpha):
+        rho = math.sqrt(max(1.0 - abs(a) ** 2, 0.0))
+        factors[k % 2][k : k + 2, k : k + 2] = [[np.conj(a), rho], [rho, -a]]
+    return (factors[0] @ factors[1])[:n, :n]
 
 
 def _angles_direct(q):
@@ -134,6 +162,44 @@ def test_cayley_unitary_angles_match_general_eigen_solve():
     assert np.abs(_unitary_angles(q) - _angles_direct(q)).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_banded_cmv_spectrum_matches_dense_cmv(n):
+    # the band of Re C built from alpha holds the cosines of the dense L M's angles
+    alpha = rmt._cue_verblunsky(n, np.random.default_rng(n), 30)
+    assert np.all(np.abs(alpha[:, :-1]) < 1.0)
+    assert np.abs(np.abs(alpha[:, -1]) - 1.0).max() < 1e-15
+    banded = rmt._cmv_cosines(alpha)
+    for row, cos in zip(alpha, banded):
+        c = _dense_cmv(row)
+        assert np.abs(c @ c.conj().T - np.eye(n)).max() < 1e-12
+        dense = np.sort(np.cos(np.angle(np.linalg.eigvals(c))))
+        assert np.abs(cos - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_cmv_sampler_matches_dense_oracle(n):
+    samples = 10_000
+    fast = sample_haar_batch(G.U, n, np.random.default_rng(33), samples)
+    assert np.all((fast >= 0.0) & (fast <= math.pi)) and np.all(np.diff(fast, axis=1) >= 0)
+    dense = _unitary_angles(_haar_unitary_block(n, np.random.default_rng(34), samples))
+    for j in (1, 2, 3, 4, 5, n + 1):
+        m1, se_m1, v1, se_v1 = _trace_power_stats(fast, j)
+        m2, se_m2, v2, se_v2 = _trace_power_stats(dense, j)
+        assert abs(m1 - m2) <= 5.0 * math.hypot(se_m1, se_m2), (j, m1, m2)
+        assert abs(v1 - v2) <= 5.0 * math.hypot(se_v1, se_v2), (j, v1, v2)
+
+
+def test_cmv_sampler_diaconis_shahshahani():
+    # E sum_k cos(j theta_k) = 0 and Var = E |Tr U^j|^2 / 2 = min(j, N) / 2;
+    # a wrong Beta parameter moves the plateau at j >= N
+    n = 10
+    angles = sample_haar_batch(G.U, n, np.random.default_rng(43), 10_000)
+    for j in range(1, n + 3):
+        mean, se_mean, var, se_var = _trace_power_stats(angles, j)
+        assert abs(mean) <= 5.0 * se_mean, (j, mean)
+        assert abs(var - min(j, n) / 2.0) <= 5.0 * se_var, (j, var)
+
+
 @pytest.mark.parametrize("solution", [(np.full(4, 2.5), 0), (np.zeros(4), 3)])
 def test_bad_tridiagonal_spectrum_is_refused(monkeypatch, solution):
     # a cosine outside [-1, 1] or a failed solve raises, never clips silently;
@@ -141,6 +207,13 @@ def test_bad_tridiagonal_spectrum_is_refused(monkeypatch, solution):
     monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: solution)
     with pytest.raises(ArithmeticError):
         sample_haar_batch(G.SO_EVEN, 4, np.random.default_rng(0), 3)
+
+
+@pytest.mark.parametrize("solution", [(np.full(4, 2.5), None, 0), (np.zeros(4), None, 3)])
+def test_bad_banded_spectrum_is_refused(monkeypatch, solution):
+    monkeypatch.setattr(scipy.linalg.lapack, "zhbevd", lambda ab, compute_v: solution)
+    with pytest.raises(ArithmeticError):
+        sample_haar_batch(G.U, 4, np.random.default_rng(0), 3)
 
 
 def test_conjugation_by_permutation_leaves_statistic_unchanged(rng, naive_third):
@@ -296,6 +369,27 @@ def test_verify_moments_allows_the_exact_bias(naive_third):
         bias = abs(exact[comp.order] - comp.predicted)
         assert comp.allowance == pytest.approx(3.0 * comp.std_error + bias, rel=1e-12)
         assert comp.passed, comp
+
+
+def test_centered_moments_do_not_cancel_at_a_large_mean(monkeypatch, gen_sinx2):
+    # mean / sigma is about 9.8 here: centering raw power sums of Z would
+    # lose about 1e-9 of the third moment to cancellation
+    draws = []
+    statistic = rmt.linear_statistic
+
+    def recording(angles, tf, total_dim):
+        z = statistic(angles, tf, total_dim)
+        draws.extend(z)
+        return z
+
+    monkeypatch.setattr(rmt, "linear_statistic", recording)
+    spec = EnsembleSpec(G.SO_ODD, 20, 2000, seed=5)
+    comparisons = verify_moments(spec, gen_sinx2, (2, 3, 4))
+    z = [Fraction(float(v)) for v in draws]
+    mean = sum(z) / len(z)
+    for comp in comparisons:
+        exact = float(sum((v - mean) ** comp.order for v in z) / len(z))
+        assert abs(comp.empirical - exact) <= 1e-12 * abs(exact), comp.order
 
 
 @pytest.mark.parametrize("group", [G.SO_EVEN, G.SO_ODD, G.U])
