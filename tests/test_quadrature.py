@@ -7,11 +7,35 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from momentbounds import quadrature
 from momentbounds.quadrature import gauss_legendre, legendre_rule
 
 # Midpoint Riemann sum, step 1e-6 (independent oracle, frozen):
 # int_{-50}^{50} (sin(pi x)/(pi x))^2 dx
 RIEMANN_SINC2_50 = 0.9979736173890956
+
+# The rule sizes of the benchmark workloads: the basis autocorrelation (128),
+# the exact finite-N moments (182, 242, 326, 652) and the generator phi (512).
+WORKLOAD_SIZES = [128, 182, 242, 326, 512, 652]
+
+
+def _reference_rule(n):
+    """The previous builder, kept as the oracle: Newton's method on all n
+    roots from Tricomi's first-order estimates, four steps, then the weights
+    2 / ((1 - x^2) P_n'(x)^2), five recurrences in all."""
+
+    def legendre_and_derivative(x):
+        p_prev, p = np.ones_like(x), x
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    x = -np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(4):
+        p, dp = legendre_and_derivative(x)
+        x -= p / dp
+    _, dp = legendre_and_derivative(x)
+    return x, 2.0 / ((1.0 - x * x) * dp**2)
 
 
 def test_polynomial_antiderivative():
@@ -95,7 +119,7 @@ def test_array_of_upper_limits():
     assert np.allclose(got, uppers**3, rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 652])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 128, 512, 652])
 def test_legendre_rule_exact_at_the_ends(n):
     # ((1 -+ x)/2)^m, m <= 2n - 1, piles its mass onto the end nodes; numpy's
     # leggauss weights miss these integrals by 7.5e-12 at 652 nodes
@@ -105,3 +129,48 @@ def test_legendre_rule_exact_at_the_ends(n):
         exact = 2.0 / (m + 1)
         for end in (1.0 - x, 1.0 + x):
             assert w @ (end / 2.0) ** m == pytest.approx(exact, rel=1e-13, abs=0), m
+
+
+@pytest.mark.parametrize("n", [*range(1, 81), *WORKLOAD_SIZES, 1000, 2000])
+def test_legendre_rule_matches_reference(n):
+    x, w = legendre_rule(n)
+    x_ref, w_ref = _reference_rule(n)
+    assert np.max(np.abs(x - x_ref)) <= 4e-16
+    # the reference's own end weight at 2000 nodes is 4.1e-11 off a
+    # 34-digit value (this rule's 3.9e-12), so there the bound is wider
+    assert np.max(np.abs(w - w_ref) / w_ref) <= (1e-11 if n <= 1000 else 5e-11)
+    # sum_i w_i P_k(x_i) = 2 delta_k0 for every k the rule is exact to
+    p_prev, p = np.ones_like(x), x
+    moments = [w.sum(), w @ x]
+    for k in range(1, 2 * n - 1):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        moments.append(w @ p)
+    assert np.max(np.abs(np.array(moments) - 2.0 * (np.arange(2 * n) == 0))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [*range(1, 81), *WORKLOAD_SIZES])
+def test_legendre_rule_is_mirror_symmetric(n):
+    # the 512-node phi rule is folded onto its positive half and the
+    # finite-N moments keep the nodes x > 0 and double: both need exact mirrors
+    x, w = legendre_rule(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+
+
+@pytest.mark.parametrize("n", [58, 68, 128, 512, 2000])
+def test_one_recurrence_from_58_nodes(n, monkeypatch):
+    calls = []
+    pair = quadrature._legendre_pair
+    monkeypatch.setattr(quadrature, "_legendre_pair", lambda m, x: calls.append(m) or pair(m, x))
+    legendre_rule.__wrapped__(n)  # bypass the cache
+    assert calls == [n]
+
+
+def test_empty_rules_rejected():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            legendre_rule(n)
+    for degree in (-1, -3):
+        with pytest.raises(ValueError, match="degree >= 0"):
+            gauss_legendre(np.ones_like, 0.0, 1.0, degree)
