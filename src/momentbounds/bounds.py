@@ -8,28 +8,33 @@ the contribution of the central zeros:
 * two-level:  E_2 / (r (r-2)) for even r,  E_2 / (r-1)^2 for odd r,
 * 2m-th centered moment with slot functions phi_1..phi_m (each used
   twice):  M / prod_s (r phi_s(0) - (phihat_s(0) + phi_s(0)/2))^2,
-  valid once r clears every slot's minimum usable rank.  M does not
-  depend on r, so :func:`bound_moment` takes a sequence of ranks and
-  computes one moment per slot set, then one denominator per rank.
+  valid once r clears every slot's minimum usable rank.
+
+No numerator depends on r, so every bound takes a sequence of ranks and
+runs one sweep: check every rank, compute the numerator once, divide it
+by each rank's denominator.  The level bounds take one test function
+(level1) or two (level2), or none for the published optimal expectation
+(the tables' reference column); the moment bound takes m slots.
 
 Even vanishing orders belong to the even split family and odd orders to
 the odd one; a parity mismatch is a hard error, never a silent zero.
 
 :func:`reproduce_table` recomputes every computable cell of the published
-tables: moment columns from first principles, one-/two-level columns from
-the stored reference expectations (deriving those optimal test functions
-is out of scope here).
+tables by these sweeps: moment columns from first principles,
+one-/two-level columns as the reference column (deriving those optimal
+test functions is out of scope here).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
-from . import reference
 from .kernels import SymmetryGroup, expectation_1level, expectation_2level
-from .moments import MomentRequest, MomentResult, centered_moment
+from .moments import MomentRequest, centered_moment
+from .reference import expectation_level1, expectation_level2, table_cells
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator, make_naive, min_rank
 
 
@@ -68,41 +73,56 @@ class BoundResult:
         }
 
 
-def _check_parity(family: SymmetryGroup, r: int) -> None:
-    if r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r}")
-    if (-1) ** r != family.sign:
-        raise ParityError(
-            f"rank {r} has the wrong parity for {family.value}: the even family "
-            "admits only even central vanishing orders and the odd family only odd ones"
-        )
-
-
 def _tf_labels(tfs: Sequence[TestFunction]) -> tuple[str, ...]:
     return tuple(tf.spec_string for tf in tfs)
 
 
-def bound_level1(
-    tf: TestFunction | None,
+def _sweep(
+    method: str,
+    labels: tuple[str, ...],
     family: SymmetryGroup,
-    r: int,
-    expectation: float | None = None,
-) -> BoundResult:
-    """One-level bound E_1 / r.
+    ranks: Sequence[int],
+    denominator: Callable[[int], float],
+    numerator: Callable[[], float],
+) -> list[BoundResult]:
+    """The one path every bound takes: ``numerator() / denominator(r)`` per rank.
 
-    Pass ``expectation`` to use a precomputed reference expectation (the
-    published optimal-test-function columns) instead of evaluating one
-    for ``tf``.
+    Every rank is checked first, in the order given: its parity, then
+    whatever ``denominator`` refuses.  Only then is the rank-free
+    numerator computed, once for the whole sweep.
     """
-    _check_parity(family, r)
-    if expectation is None:
-        if tf is None:
-            raise ValueError("bound_level1 needs a test function or an expectation")
-        expectation = expectation_1level(tf, family)
-        labels = _tf_labels([tf])
-    else:
+    ranks = tuple(ranks)
+    denominators = []
+    for r in ranks:
+        if r < 1:
+            raise ValueError(f"rank must be a positive integer, got {r}")
+        if (-1) ** r != family.sign:
+            raise ParityError(
+                f"rank {r} has the wrong parity for {family.value}: the even family "
+                "admits only even central vanishing orders and the odd family only odd ones"
+            )
+        denominators.append(denominator(r))
+    if not ranks:
+        return []
+    value = numerator()
+    moment_value = value if method.startswith("moment") else None
+    return [
+        BoundResult(family, r, method, labels, value / d, d, moment_value)
+        for r, d in zip(ranks, denominators)
+    ]
+
+
+def bound_level1(
+    tf: TestFunction | None, family: SymmetryGroup, ranks: Sequence[int]
+) -> list[BoundResult]:
+    """One-level bounds E_1 / r, one per rank: E_1 of ``tf``, or with
+    ``tf=None`` the published optimal expectation."""
+    if tf is None:
         labels = (f"reference:{family.value}:level1",)
-    return BoundResult(family, r, "level1", labels, expectation / r, float(r))
+        numerator = partial(expectation_level1, family)
+    else:
+        labels, numerator = _tf_labels([tf]), partial(expectation_1level, tf, family)
+    return _sweep("level1", labels, family, ranks, float, numerator)
 
 
 def level2_coefficient(r: int) -> int:
@@ -112,28 +132,36 @@ def level2_coefficient(r: int) -> int:
     return (r - 1) ** 2
 
 
+def _level2_denominator(r: int) -> float:
+    coeff = level2_coefficient(r)
+    if coeff == 0:
+        raise ValueError(f"the two-level coefficient vanishes at rank {r}; no bound is available")
+    return float(coeff)
+
+
 def bound_level2(
     tf1: TestFunction | None,
     tf2: TestFunction | None,
     family: SymmetryGroup,
-    r: int,
-    expectation: float | None = None,
-) -> BoundResult:
-    """Two-level bound E_2 / (r (r-2)) (even r) or E_2 / (r-1)^2 (odd r)."""
-    _check_parity(family, r)
-    coeff = level2_coefficient(r)
-    if coeff == 0:
-        raise ValueError(
-            f"the two-level coefficient vanishes at rank {r}; no bound is available"
-        )
-    if expectation is None:
-        if tf1 is None or tf2 is None:
-            raise ValueError("bound_level2 needs two test functions or an expectation")
-        expectation = expectation_2level(tf1, tf2, family)
-        labels = _tf_labels([tf1, tf2])
-    else:
+    ranks: Sequence[int],
+) -> list[BoundResult]:
+    """Two-level bounds E_2 / (r (r-2)) (even r) or E_2 / (r-1)^2 (odd r),
+    one per rank: E_2 of the pair, or with both ``None`` the published
+    optimal expectation."""
+    if tf1 is None and tf2 is None:
         labels = (f"reference:{family.value}:level2",)
-    return BoundResult(family, r, "level2", labels, expectation / coeff, float(coeff))
+        numerator = partial(expectation_level2, family)
+    elif tf1 is None or tf2 is None:
+        raise ValueError("bound_level2 takes two test functions, or none for the reference column")
+    else:
+        labels, numerator = _tf_labels([tf1, tf2]), partial(expectation_2level, tf1, tf2, family)
+    return _sweep("level2", labels, family, ranks, _level2_denominator, numerator)
+
+
+def zero_margin(tf: TestFunction, r: int) -> float:
+    """Per-zero margin ``r phi(0) - (phihat(0) + phi(0)/2)`` of a moment
+    slot at rank r; the moment method needs it strictly positive."""
+    return r * tf.phi0 - (tf.phihat0 + 0.5 * tf.phi0)
 
 
 def bound_moment(
@@ -147,24 +175,20 @@ def bound_moment(
     one per rank in ``ranks``.
 
     Doubling the slots keeps every family member's contribution
-    non-negative, which is what lets the tail be dropped.  Ranks are
-    checked in the order given; each needs the family's parity and
-    ``r >= min_rank(phi_s)`` for every slot so each denominator factor
-    ``r phi_s(0) - (phihat_s(0) + phi_s(0)/2)`` is strictly positive.
-    The moment does not depend on the rank: it is computed once, at the
-    first rank that passes, and then only each rank's denominator.
-    Raises :class:`UncertifiedBoundError` when the moment is negative or
-    not finite, rather than return a quotient that bounds nothing.
+    non-negative, which is what lets the tail be dropped.  Each rank
+    needs the family's parity and ``r >= min_rank(phi_s)`` for every
+    slot, so each denominator factor :func:`zero_margin` is strictly
+    positive.  Raises :class:`UncertifiedBoundError` when the moment is
+    negative or not finite, rather than return a quotient that bounds
+    nothing.
     """
     slots = tuple(slot_functions)
     if not slots:
         raise ValueError("bound_moment needs at least one slot function")
-    doubled = tuple(tf for tf in slots for _ in range(2))
     labels = _tf_labels(slots)
-    result = None
-    out = []
-    for r in ranks:
-        _check_parity(family, r)
+
+    def denominator(r: int) -> float:
+        out = 1.0
         for tf in slots:
             c = min_rank(tf)
             if r < c:
@@ -172,37 +196,22 @@ def bound_moment(
                     f"rank {r} is below the minimum usable rank c = {c} of {tf.spec_string} "
                     "(the per-zero margin must stay positive)"
                 )
-        if result is None:
-            result = centered_moment(
-                MomentRequest(doubled, family, weight_k=weight_k, regime=regime)
+            margin = zero_margin(tf, r)
+            out *= margin * margin
+        return out
+
+    def moment() -> float:
+        doubled = tuple(tf for tf in slots for _ in range(2))
+        request = MomentRequest(doubled, family, weight_k=weight_k, regime=regime)
+        value = centered_moment(request).value
+        # An even moment of a real statistic is never negative.
+        if not (math.isfinite(value) and value >= 0.0):
+            raise UncertifiedBoundError(
+                f"moment {value!r} of {', '.join(labels)} is negative or not finite"
             )
-            _certify(result, labels, r)
+        return value
 
-        denominator = 1.0
-        for tf in slots:
-            margin = r * tf.phi0 - (tf.phihat0 + 0.5 * tf.phi0)
-            denominator *= margin * margin
-        out.append(
-            BoundResult(
-                family,
-                r,
-                f"moment{len(doubled)}",
-                labels,
-                result.value / denominator,
-                denominator,
-                moment_value=result.value,
-            )
-        )
-    return out
-
-
-def _certify(result: MomentResult, labels: tuple[str, ...], r: int) -> None:
-    # An even moment of a real statistic is never negative.
-    if not (math.isfinite(result.value) and result.value >= 0.0):
-        raise UncertifiedBoundError(
-            f"moment {result.value!r} of {', '.join(labels)} at rank {r} "
-            "is negative or not finite"
-        )
+    return _sweep(f"moment{2 * len(slots)}", labels, family, ranks, denominator, moment)
 
 
 @dataclass(frozen=True)
@@ -230,15 +239,14 @@ class TableCell:
         }
 
 
-def _moment_naive_slots() -> tuple[TestFunction, ...]:
-    return (make_naive(1.0 / 3.0), make_naive(1.0 / 3.0))
+def _moment4_naive(family: SymmetryGroup, ranks: Sequence[int]) -> list[BoundResult]:
+    slots = (make_naive(1.0 / 3.0), make_naive(1.0 / 3.0))
+    return bound_moment(slots, family, ranks, regime="with_R")
 
 
-def _moment_mixed_slots() -> tuple[TestFunction, ...]:
-    return (
-        make_from_generator(GeneratorSpec("sin-of-square", (), 0.125)),
-        make_naive(0.25),
-    )
+def _moment4_mixed(family: SymmetryGroup, ranks: Sequence[int]) -> list[BoundResult]:
+    slots = (make_from_generator(GeneratorSpec("sin-of-square", (), 0.125)), make_naive(0.25))
+    return bound_moment(slots, family, ranks, regime="mock_gaussian")
 
 
 def reproduce_table(which: str) -> list[TableCell]:
@@ -247,38 +255,31 @@ def reproduce_table(which: str) -> list[TableCell]:
     Moment columns are computed from first principles (the naive column
     in the split-family regime carrying the correction term, the mixed
     column in the mock-Gaussian regime, both as the captions state); the
-    one-/two-level columns divide the stored reference expectations by
-    the rank coefficients.
+    one-/two-level columns are the reference-column bounds.  Each
+    (column, family) is one rank sweep.
     """
-    cells = reference.table_cells(which)
-    # One bound_moment call per (column, family): the moment is computed
-    # once and divided by each rank's denominator.
-    moment_columns = {
-        "moment4_naive": (_moment_naive_slots, "with_R"),
-        "moment4_mixed": (_moment_mixed_slots, "mock_gaussian"),
+    cells = table_cells(which)
+    columns = {
+        "level1": partial(bound_level1, None),
+        "level2": partial(bound_level2, None, None),
+        "moment4_naive": _moment4_naive,
+        "moment4_mixed": _moment4_mixed,
     }
     groups: dict[tuple[str, SymmetryGroup], list[int]] = {}
     for cell in cells:
-        if cell.column in moment_columns:
+        if cell.column in columns:
             groups.setdefault((cell.column, cell.family), []).append(cell.rank)
-    moment_bounds: dict[tuple[str, SymmetryGroup, int], float] = {}
+    bounds: dict[tuple[str, SymmetryGroup, int], float] = {}
     for (column, family), ranks in groups.items():
-        make_slots, regime = moment_columns[column]
-        for res in bound_moment(make_slots(), family, ranks, regime=regime):
-            moment_bounds[column, family, res.rank] = res.upper_bound
+        for res in columns[column](family, ranks):
+            bounds[column, family, res.rank] = res.upper_bound
 
     out: list[TableCell] = []
     for cell in cells:
-        if cell.column == "level1":
-            computed = reference.expectation_level1(cell.family) / cell.rank
-        elif cell.column == "level2":
-            computed = reference.expectation_level2(cell.family) / level2_coefficient(cell.rank)
-        elif cell.column in moment_columns:
-            computed = moment_bounds[cell.column, cell.family, cell.rank]
-        else:
+        computed = bounds.get((cell.column, cell.family, cell.rank))
+        if computed is None:
             continue
-        printed_value = cell.value
-        rel_dev = (computed - printed_value) / printed_value
+        rel_dev = (computed - cell.value) / cell.value
         out.append(
             TableCell(cell.table, cell.rank, cell.column, cell.family, computed, cell.printed, rel_dev)
         )
@@ -293,7 +294,7 @@ def table_tolerance(cell: TableCell) -> float:
     """
     ref = next(
         c
-        for c in reference.table_cells(cell.table)
+        for c in table_cells(cell.table)
         if c.rank == cell.rank and c.column == cell.column
     )
     return max(1e-4, 1.5 * ref.print_ulp / abs(ref.value))

@@ -59,15 +59,10 @@ ERROR_CODES = {
 }
 
 
-def parse_testfn(spec: str):
-    """CLI spec string -> TestFunction (see testfunc.from_spec_string)."""
-    return from_spec_string(spec)
-
-
 def _parse_testfns(specs: list[str]) -> list:
     """One TestFunction per distinct spec string: repeated slots share it,
     and with it the sigma^2 memo and R's one transform per function."""
-    parsed = {s: parse_testfn(s) for s in dict.fromkeys(specs)}
+    parsed = {s: from_spec_string(s) for s in dict.fromkeys(specs)}
     return [parsed[s] for s in specs]
 
 
@@ -140,11 +135,11 @@ def _require(args, *names: str) -> None:
 METHODS = "level1 | level2 | moment4 | moment2m:<m>"
 
 
-def _moment_slots(method: str) -> int | None:
-    """Slot count m of a moment method (2 for moment4), None for level1 / level2."""
-    if method in ("level1", "level2"):
-        return None
-    if method == "moment4":
+def _slot_count(method: str) -> int:
+    """Test functions a method takes: 1 for level1, 2 for level2 and moment4, m for moment2m:<m>."""
+    if method == "level1":
+        return 1
+    if method in ("level2", "moment4"):
         return 2
     name, _, m = method.partition(":")
     if name == "moment2m" and m.isdecimal() and int(m) >= 1:
@@ -154,36 +149,21 @@ def _moment_slots(method: str) -> int | None:
 
 def _cmd_bound(args) -> int:
     _require(args, "family")
-    m = _moment_slots(args.method)
+    slots = _slot_count(args.method)
     family = SymmetryGroup.from_string(args.family)
     tfs = _parse_testfns(args.testfn or [])
     ranks = _ranks(args)
-    if m is None:
-        results = []
-        for r in ranks:
-            if args.method == "level1":
-                if tfs:
-                    result = bound_level1(tfs[0], family, r)
-                else:
-                    result = bound_level1(
-                        None, family, r, expectation=reference.expectation_level1(family)
-                    )
-            else:
-                if tfs:
-                    if len(tfs) == 1:
-                        tfs = tfs * 2
-                    result = bound_level2(tfs[0], tfs[1], family, r)
-                else:
-                    result = bound_level2(
-                        None, None, family, r, expectation=reference.expectation_level2(family)
-                    )
-            results.append(result)
+    if len(tfs) == 1:
+        tfs *= slots  # one spec fills every slot
+    level = args.method.startswith("level")
+    # with no --testfn, a level method bounds the tables' reference column
+    if len(tfs) != slots and (tfs or not level):
+        raise ValueError(f"{args.method} needs {slots} slot test functions, got {len(tfs)}")
+    if args.method == "level1":
+        results = bound_level1(tfs[0] if tfs else None, family, ranks)
+    elif level:
+        results = bound_level2(*(tfs or (None, None)), family, ranks)
     else:
-        if len(tfs) == 1:
-            tfs = tfs * m
-        if len(tfs) != m:
-            raise ValueError(f"{args.method} needs {m} slot test functions, got {len(tfs)}")
-        # one moment for all the ranks, divided by each rank's denominator
         results = bound_moment(tfs, family, ranks, weight_k=args.weight_k, regime=args.regime)
     _emit([result.record() for result in results], args)
     return 0
@@ -236,7 +216,7 @@ def _parse_basis(spec: str, budget: float) -> GeneratorBasis:
     ``sinx2`` has no parameters: it is the fixed slot ``gen:sinx2:half=<r>``.
     """
     if spec.startswith("fixed:"):
-        return GeneratorBasis("fixed", fixed_function=parse_testfn(spec[6:]))
+        return GeneratorBasis("fixed", fixed_function=from_spec_string(spec[6:]))
     parts = spec.split(":")
     fields = {}
     for p in parts[1:]:
@@ -244,7 +224,7 @@ def _parse_basis(spec: str, budget: float) -> GeneratorBasis:
         fields[key] = value
     half = parse_rational(fields.get("half", str(budget / 2)))
     if parts[0] == "sinx2":
-        return GeneratorBasis("fixed", fixed_function=parse_testfn(f"gen:sinx2:half={half!r}"))
+        return GeneratorBasis("fixed", fixed_function=from_spec_string(f"gen:sinx2:half={half!r}"))
     kind = {"cos": "cosine-series", "poly": "polynomial"}.get(parts[0])
     if kind is None or "dim" not in fields:
         raise ValueError(
@@ -304,7 +284,7 @@ def _cmd_rmt_verify(args) -> int:
     group = SymmetryGroup.from_string(args.group)
     if len(args.testfn) != 1:
         raise ValueError(f"rmt-verify takes one --testfn, got {len(args.testfn)}")
-    tf = parse_testfn(args.testfn[0])
+    tf = from_spec_string(args.testfn[0])
     orders = tuple(int(o) for o in args.orders.split(","))
     spec = EnsembleSpec(group=group, half_dim=args.N, samples=args.samples, seed=args.seed)
     comparisons = verify_moments(spec, tf, orders, workers=args.workers)

@@ -21,9 +21,9 @@ Two support regimes are implemented:
   moments are exactly Gaussian (matching sums, zero for odd n).
 
 ``auto`` resolves to ``mock_gaussian`` whenever its support condition
-holds, else to ``with_R``.  Support bounds are compared inclusively:
-transforms vanish at their support endpoints, which satisfies the open
-interval hypotheses.
+holds, else to ``with_R``.  Support bounds are compared inclusively
+(:func:`support_within`): transforms vanish at their support endpoints,
+which satisfies the open interval hypotheses.
 """
 
 from __future__ import annotations
@@ -114,13 +114,11 @@ class MomentResult:
     regime: str
 
 
-def _max_support(tfs: Sequence[TestFunction]) -> float:
-    return max(tf.support_bound for tf in tfs)
-
-
-def _support_ok(tfs: Sequence[TestFunction], threshold: float) -> bool:
-    # inclusive comparison: phihat vanishes at its support endpoints
-    return _max_support(tfs) <= threshold * (1.0 + 1e-12) + 1e-15
+def support_within(support: float, threshold: float) -> bool:
+    """Inclusive support comparison, with a relative slack of 1e-12 for
+    rounding in rational supports: phihat vanishes at its support
+    endpoints, which satisfies the open-interval hypotheses."""
+    return support <= threshold * (1.0 + 1e-12)
 
 
 def r_term(tfs: Sequence[TestFunction]) -> float:
@@ -148,10 +146,10 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
         raise ValueError("r_term needs at least two test functions")
     supports = [tf.support_bound for tf in tfs]
     total = math.fsum(supports)
-    if total <= 1.0 + 1e-12:
+    if support_within(total, 1.0):
         return 0.0
     delta = total - 1.0
-    if delta > min(supports) * (1.0 + 1e-12) + 1e-12:
+    if not support_within(delta, min(supports)):
         raise SupportRegimeError(
             f"R in closed form needs S - 1 = {delta:.6g} within every support; "
             f"the smallest is {min(supports):.6g}"
@@ -191,23 +189,22 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
 
 
 def _resolve_regime(req: MomentRequest) -> str:
-    tfs = req.test_functions
-    mock_ok = _support_ok(tfs, req.mock_gaussian_threshold())
-    with_r_ok = _support_ok(tfs, req.with_r_threshold())
+    largest = max(tf.support_bound for tf in req.test_functions)
+    mock_ok = support_within(largest, req.mock_gaussian_threshold())
+    with_r_ok = support_within(largest, req.with_r_threshold())
     if req.regime == "mock_gaussian":
         if not mock_ok:
             raise SupportRegimeError(
                 f"mock_gaussian regime needs every support within "
                 f"{req.mock_gaussian_threshold():.6g} (weight k={req.weight_k}, "
-                f"n={req.n}); largest is {_max_support(tfs):.6g}"
+                f"n={req.n}); largest is {largest:.6g}"
             )
         return "mock_gaussian"
     if req.regime == "with_R":
         if not with_r_ok:
             raise SupportRegimeError(
                 f"with_R regime needs every support within 1/(n-1) = "
-                f"{req.with_r_threshold():.6g} (n={req.n}); largest is "
-                f"{_max_support(tfs):.6g}"
+                f"{req.with_r_threshold():.6g} (n={req.n}); largest is {largest:.6g}"
             )
         return "with_R"
     # auto: prefer mock_gaussian whenever its support condition holds
@@ -216,7 +213,7 @@ def _resolve_regime(req: MomentRequest) -> str:
     if with_r_ok:
         return "with_R"
     raise SupportRegimeError(
-        f"supports up to {_max_support(tfs):.6g} satisfy neither the "
+        f"supports up to {largest:.6g} satisfy neither the "
         f"mock_gaussian threshold {req.mock_gaussian_threshold():.6g} nor the "
         f"with_R threshold {req.with_r_threshold():.6g} for n={req.n}"
     )

@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import RankTooSmallError, UncertifiedBoundError, bound_moment
+from .bounds import RankTooSmallError, UncertifiedBoundError, bound_moment, zero_margin
 from .kernels import SymmetryGroup
-from .moments import SupportRegimeError, support_threshold
+from .moments import SupportRegimeError, support_threshold, support_within
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator
 
 PENALTY_SCALE = 1e6
@@ -121,13 +121,13 @@ class OptimizationProblem:
         if not self.support_budget > 0:
             raise ValueError("support_budget must be positive")
         for basis in self.bases:
-            if basis.support_bound > self.support_budget * (1 + 1e-12):
+            if not support_within(basis.support_bound, self.support_budget):
                 raise ValueError(
                     f"slot support {basis.support_bound:.6g} exceeds the budget "
                     f"{self.support_budget:.6g}"
                 )
         limit = support_threshold(self.regime, self.moment_order, self.weight_k)
-        if self.support_budget > limit * (1 + 1e-12):
+        if not support_within(self.support_budget, limit):
             raise ValueError(
                 f"support budget {self.support_budget:.6g} violates the {self.regime} "
                 f"support hypothesis ({limit:.6g}) at moment order {self.moment_order}"
@@ -185,7 +185,7 @@ def objective(
         # rank below c_phi: penalize by the violation magnitude
         magnitude = 0.0
         for tf in slots:
-            margin = problem.rank * tf.phi0 - (tf.phihat0 + 0.5 * tf.phi0)
+            margin = zero_margin(tf, problem.rank)
             if margin <= 0 and tf.phi0 > 0:
                 magnitude = max(magnitude, -margin / tf.phi0)
         return PENALTY_SCALE * (1.0 + magnitude)

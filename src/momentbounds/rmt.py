@@ -42,7 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SymmetryGroup
-from .moments import MomentRequest, SupportRegimeError, centered_moment, double_factorial
+from .moments import (
+    MomentRequest,
+    SupportRegimeError,
+    centered_moment,
+    double_factorial,
+    support_within,
+)
 from .quadrature import legendre_rule
 from .testfunc import TestFunction, sigma2
 
@@ -323,7 +329,7 @@ def predicted_moment(tf: TestFunction, group: SymmetryGroup, order: int) -> floa
         raise ValueError("order must be >= 2")
     if group is not SymmetryGroup.U:
         return centered_moment(MomentRequest((tf,) * order, group, regime="with_R")).value
-    if tf.support_bound > 2.0 / order * (1.0 + 1e-12):
+    if not support_within(tf.support_bound, 2.0 / order):
         raise SupportRegimeError(
             f"U(N) moments are Gaussian only for supports within 2/n = {2.0 / order:.6g} "
             f"(n={order}); the support is {tf.support_bound:.6g}"

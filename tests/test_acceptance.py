@@ -173,7 +173,7 @@ def test_criterion_6_property_suite(naive_slots):
     with pytest.raises(ParityError):
         bound_moment(naive_slots, G.SO_ODD, [20], regime="with_R")
     with pytest.raises(ParityError):
-        bound_level1(None, G.SO_EVEN, 5, expectation=0.86454)
+        bound_level1(None, G.SO_EVEN, [5])
     print("[criterion 6] PASS: matchings, sigma2 invariance, reduction, permutation, monotonicity, scaling, parity")
 
 

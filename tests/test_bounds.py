@@ -29,30 +29,55 @@ G = SymmetryGroup
 
 
 def test_level1_reference_even():
-    res = bound_level1(None, G.SO_EVEN, 10, expectation=0.86454)
+    (res,) = bound_level1(None, G.SO_EVEN, [10])
+    assert res.test_functions == ("reference:so-even:level1",)
     assert res.upper_bound == pytest.approx(0.086454, rel=1e-12)
     assert res.method == "level1"
 
 
 def test_level1_reference_odd():
-    res = bound_level1(None, G.SO_ODD, 5, expectation=1.11454)
+    (res,) = bound_level1(None, G.SO_ODD, [5])
     assert res.upper_bound == pytest.approx(0.222908, rel=1e-10)
 
 
 def test_level1_computed_from_naive(naive_one):
-    res = bound_level1(naive_one, G.SO_EVEN, 6)
+    (res,) = bound_level1(naive_one, G.SO_EVEN, [6])
     assert res.upper_bound == pytest.approx(1.5 / 6.0, rel=1e-10)
 
 
 def test_level1_parity_and_family_errors(naive_one):
     with pytest.raises(ParityError):
-        bound_level1(naive_one, G.SO_EVEN, 5)
+        bound_level1(naive_one, G.SO_EVEN, [5])
     with pytest.raises(ParityError):
-        bound_level1(naive_one, G.SO_ODD, 6)
+        bound_level1(naive_one, G.SO_ODD, [6])
     with pytest.raises(ValueError):
-        bound_level1(naive_one, G.U, 2)
+        bound_level1(naive_one, G.U, [2])
     with pytest.raises(ValueError):
-        bound_level1(naive_one, G.SO_ODD, 0)
+        bound_level1(naive_one, G.SO_ODD, [0])
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("family,ranks", [(G.SO_EVEN, [6, 10, 8]), (G.SO_ODD, [9, 5, 7])])
+def test_level_sweep_matches_one_rank_runs_with_one_expectation(
+    monkeypatch, reference, family, ranks
+):
+    tf = None if reference else make_naive(0.5)
+    sweeps = [
+        (lambda rs: bound_level1(tf, family, rs), "expectation_level1", "expectation_1level"),
+        (lambda rs: bound_level2(tf, tf, family, rs), "expectation_level2", "expectation_2level"),
+    ]
+    for bound, reference_name, computed_name in sweeps:
+        name = reference_name if reference else computed_name
+        calls = []
+        original = getattr(bounds_module, name)
+        monkeypatch.setattr(bounds_module, name, lambda *a, f=original: calls.append(a) or f(*a))
+        together = bound(ranks)
+        assert len(calls) == 1  # one expectation for all the ranks
+        assert [r.rank for r in together] == ranks
+        apart = [bound([r])[0] for r in ranks]
+        assert [json.dumps(r.record()) for r in together] == [
+            json.dumps(r.record()) for r in apart
+        ]
 
 
 # ---- level-2 bounds ----
@@ -67,15 +92,17 @@ def test_level2_coefficients():
 
 
 def test_level2_reference_values():
-    res = bound_level2(None, None, G.SO_EVEN, 8, expectation=0.378449)
+    (res,) = bound_level2(None, None, G.SO_EVEN, [8])
     assert res.upper_bound == pytest.approx(0.00788434, rel=2e-6)
-    res = bound_level2(None, None, G.SO_ODD, 7, expectation=expectation_level2(G.SO_ODD))
+    (res,) = bound_level2(None, None, G.SO_ODD, [7])
     assert res.upper_bound == pytest.approx(0.0299746, rel=1e-5)
 
 
 def test_level2_zero_coefficient_rejected(naive_one):
     with pytest.raises(ValueError, match="coefficient"):
-        bound_level2(None, None, G.SO_EVEN, 2, expectation=1.0)
+        bound_level2(None, None, G.SO_EVEN, [2])
+    with pytest.raises(ValueError, match="two test functions"):
+        bound_level2(naive_one, None, G.SO_EVEN, [6])
 
 
 # ---- moment bounds ----
@@ -129,12 +156,10 @@ def test_rank_errors_name_the_first_failing_rank_in_order(naive_third, moment_ca
         bound_moment(slots, G.SO_EVEN, [6, 2], regime="with_R")
     with pytest.raises(ParityError, match="^rank 5 has the wrong parity"):
         bound_moment(slots, G.SO_EVEN, [6, 5], regime="with_R")
-    # the moment is computed at the first rank that passes, before a later
-    # rank fails
-    assert len(moment_calls) == 2
     with pytest.raises(RankTooSmallError, match="^rank 2 is below"):
         bound_moment(slots, G.SO_EVEN, [2, 4], regime="with_R")
-    assert len(moment_calls) == 2
+    # every rank is checked before the moment is computed
+    assert moment_calls == []
 
 
 @pytest.mark.parametrize(
@@ -166,7 +191,7 @@ def test_rank_monotonicity(naive_third):
         for r in (6, 8, 10, 20, 50)
     ]
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
-    lev1 = [bound_level1(None, G.SO_EVEN, r, expectation=0.86454).upper_bound for r in (6, 8, 10)]
+    lev1 = [res.upper_bound for res in bound_level1(None, G.SO_EVEN, [6, 8, 10])]
     assert lev1[0] > lev1[1] > lev1[2]
 
 
@@ -177,8 +202,8 @@ def test_scale_invariance_of_bounds():
         tf = make_from_generator(GeneratorSpec("polynomial", (c,), 1.0 / 6.0))
         return (
             bound_moment((tf, tf), G.SO_EVEN, [20], regime="with_R")[0].upper_bound,
-            bound_level1(tf, G.SO_EVEN, 6).upper_bound,
-            bound_level2(tf, tf, G.SO_EVEN, 6).upper_bound,
+            bound_level1(tf, G.SO_EVEN, [6])[0].upper_bound,
+            bound_level2(tf, tf, G.SO_EVEN, [6])[0].upper_bound,
         )
 
     reference = bounds(1.0)
@@ -213,8 +238,8 @@ def test_tail_dominance(naive_third, naive_one):
         m4 = bound_moment(
             (naive_third, naive_third), G.SO_EVEN, [r], regime="with_R"
         )[0].upper_bound
-        l2 = bound_level2(naive_one, naive_one, G.SO_EVEN, r).upper_bound
-        l1 = bound_level1(naive_one, G.SO_EVEN, r).upper_bound
+        l2 = bound_level2(naive_one, naive_one, G.SO_EVEN, [r])[0].upper_bound
+        l1 = bound_level1(naive_one, G.SO_EVEN, [r])[0].upper_bound
         assert m4 < l2 < l1
 
 

@@ -9,8 +9,8 @@ import pytest
 
 import momentbounds
 from momentbounds import MomentResult, bounds, cli
-from momentbounds.cli import main, parse_testfn
-from momentbounds.testfunc import NaiveTestFunction
+from momentbounds.cli import main
+from momentbounds.testfunc import NaiveTestFunction, from_spec_string
 
 
 def run_cli(args, capsys):
@@ -75,19 +75,19 @@ def test_scipy_commands_run_in_a_fresh_process(argv):
 
 
 def test_parse_testfn_naive():
-    tf = parse_testfn("naive:v=1/3")
+    tf = from_spec_string("naive:v=1/3")
     assert isinstance(tf, NaiveTestFunction)
     assert tf.v == pytest.approx(1.0 / 3.0)
 
 
 def test_parse_testfn_generator():
-    tf = parse_testfn("gen:sinx2:half=1/8")
+    tf = from_spec_string("gen:sinx2:half=1/8")
     assert tf.support_bound == pytest.approx(0.25)
 
 
 def test_parse_testfn_rejects_zero_v():
     with pytest.raises(ValueError):
-        parse_testfn("naive:v=0")
+        from_spec_string("naive:v=0")
 
 
 # ---- bound command ----
@@ -217,6 +217,16 @@ def test_bound_ranks_error_names_the_failing_rank(capsys):
     }
 
 
+@pytest.mark.parametrize("method,count", [("level1", 2), ("level2", 3), ("moment4", 3)])
+def test_bound_refuses_surplus_testfn(capsys, method, count):
+    argv = ["bound", "--family", "so-even", "--ranks", "6,8", "--method", method]
+    code, out, err = run_cli(argv + ["--testfn", "naive:v=1/3"] * count, capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "invalid-input"
+    assert error["message"].startswith(f"{method} needs") and error["message"].endswith(f"got {count}")
+
+
 def test_bound_malformed_testfn(capsys):
     code, _, err = run_cli(
         ["bound", "--family", "so-even", "--rank", "6", "--testfn", "naive:v=oops"],
@@ -259,10 +269,12 @@ def test_repeated_testfn_specs_share_one_function(capsys, monkeypatch):
     argv = ["moment", "--family", "so-even", "--regime", "with_R"]
     argv += ["--testfn", "naive:v=1/3"] * 4
     parsed = []
-    monkeypatch.setattr(cli, "parse_testfn", lambda spec: parsed.append(spec) or parse_testfn(spec))
+    monkeypatch.setattr(
+        cli, "from_spec_string", lambda spec: parsed.append(spec) or from_spec_string(spec)
+    )
     shared = run_cli(argv, capsys)
     assert parsed == ["naive:v=1/3"]
-    monkeypatch.setattr(cli, "_parse_testfns", lambda specs: [parse_testfn(s) for s in specs])
+    monkeypatch.setattr(cli, "_parse_testfns", lambda specs: [from_spec_string(s) for s in specs])
     assert run_cli(argv, capsys) == shared
     assert shared[0] == 0
 
