@@ -20,7 +20,9 @@ constructions are provided:
   phihat is then the exact polynomial piece whose coefficients are
   ``c^T T_j c``.  Its phi is |ghat|^2, read from Chebyshev series of the
   real and imaginary parts of ghat on fixed panels of 2 pi |x| h, each
-  interpolated from a 512-node Gauss-Legendre sum when first needed.
+  interpolated from a 512-node Gauss-Legendre sum when first needed.  The
+  basis values at those 512 nodes are cached per basis as well, so
+  building a function evaluates no basis function.
 
 Support intervals are treated as open: the transforms vanish at their
 support endpoints, so a function with ``support_bound == t`` satisfies a
@@ -29,7 +31,10 @@ support endpoints, so a function with ``support_bound == t`` satisfies a
 The scalar functionals live at module level: :func:`sigma2` (the
 pairwise variance ``2 int |y| phihat_a phihat_b dy``) and
 :func:`min_rank` (the smallest vanishing order the moment inequality
-can see for a given function).
+can see for a given function).  sigma2 is an exact Gauss-Legendre sum
+whose nodes, weights and Chebyshev basis values depend only on the two
+supports and phihat degrees, so they too are cached, once per such
+pair; a call multiplies them by the two functions' coefficients.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .quadrature import gauss_legendre, legendre_rule
+from .quadrature import legendre_rule
 
 GENERATOR_KINDS = ("sin-of-square", "polynomial", "cosine-series")
 
@@ -123,6 +128,20 @@ def _basis_values(kind: str, dim: int, half_support: float, t) -> np.ndarray:
     else:  # cosine-series
         vals = np.cos(np.multiply.outer(t, np.arange(dim)) * (math.pi / (2.0 * half_support)))
     return np.where((np.abs(t) < half_support)[..., None], vals, 0.0)
+
+
+@lru_cache(maxsize=16)
+def _rule_basis(kind: str, dim: int, half_support: float) -> np.ndarray:
+    """Basis values b_k(t_q) at the generator rule's nodes on (-h, h), shape (512, d).
+
+    Read-only: shared by every generator of the same basis, whose values
+    there are this matrix times its weights.
+    """
+    nodes, _ = legendre_rule(GeneratorBackedTestFunction._GL_NODES)
+    h = half_support
+    out = _basis_values(kind, dim, h, 0.5 * (nodes + 1.0) * (2 * h) - h)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -217,6 +236,14 @@ class NaiveTestFunction(TestFunction):
         y = np.abs(np.asarray(y, dtype=float))
         return np.where(y < self.v, (1.0 / self.v) * (1.0 - y / self.v), 0.0)
 
+    @property
+    def phi0(self) -> float:
+        return 1.0
+
+    @property
+    def phihat0(self) -> float:
+        return 1.0 / self.v
+
 
 class GeneratorBackedTestFunction(TestFunction):
     """phi = |inverse transform of g|^2, phihat = autocorrelation of g.
@@ -271,9 +298,8 @@ class GeneratorBackedTestFunction(TestFunction):
         # there, so the rule is exact to machine precision for the
         # non-oscillatory factors.
         nodes, weights = legendre_rule(self._GL_NODES)
-        t = 0.5 * (nodes + 1.0) * (2 * h) - h
         w = weights * h
-        g = np.asarray(generator.evaluate(t), dtype=float)
+        g = _rule_basis(generator.kind, generator.dimension, h) @ generator.weights
 
         int_g = float(w @ g)
         int_abs_g = float(w @ np.abs(g))
@@ -426,11 +452,43 @@ def sigma2(a: TestFunction, b: TestFunction) -> float:
     The integrand vanishes outside the intersection of the transform
     supports, so only ``[0, min(support_a, support_b)]`` is integrated
     (doubled by evenness).  There both transforms are polynomial pieces,
-    so the Gauss-Legendre sum of the integrand's degree is exact.
+    so the Gauss-Legendre sum of the integrand's degree is exact.  Its
+    weights times ``4 y`` and each transform's Chebyshev basis at its
+    nodes depend only on the supports and degrees, so they are cached
+    (:func:`_sigma2_rule`) and a call is the same sum taken in value
+    space: phihat_a and phihat_b at the nodes, each one matrix-vector
+    product, and one dot product.
     """
-    s = min(a.support_bound, b.support_bound)
-    degree = 1 + a.phihat_degree + b.phihat_degree
-    return 4.0 * gauss_legendre(lambda y: y * a.phihat(y) * b.phihat(y), 0.0, s, degree)
+    wy, va, vb = _sigma2_rule(a.support_bound, b.support_bound, a.phihat_degree, b.phihat_degree)
+    return float((wy * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
+
+
+# A search reads a few pairs over and over; a moment of many distinct
+# functions reads each of its pairs once, so more entries would mostly
+# hold rules that are never read again.
+@lru_cache(maxsize=32)
+def _sigma2_rule(
+    support_a: float, support_b: float, degree_a: int, degree_b: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sigma2 rule of one support and degree pair: ``(4 w y, V_a, V_b)``.
+
+    ``y`` and ``w`` are the nodes and weights of the Gauss-Legendre rule
+    of ``(1 + degree_a + degree_b) // 2 + 1`` nodes on
+    ``[0, min(support_a, support_b)]``, and ``V_a`` the Chebyshev
+    Vandermonde matrix of degree ``degree_a`` at ``y`` mapped from
+    ``[0, support_a]`` to ``[-1, 1]`` (so ``V_a @ phihat_coef`` is phihat
+    at the nodes); likewise ``V_b``.  Read-only: shared by every pair of
+    functions with these supports and degrees.
+    """
+    nodes, weights = legendre_rule((1 + degree_a + degree_b) // 2 + 1)
+    half = 0.5 * min(support_a, support_b)
+    y = half * (nodes + 1.0)
+    wy = 4.0 * weights * half * y
+    va = chebyshev.chebvander(y * (2.0 / support_a) - 1.0, degree_a)
+    vb = chebyshev.chebvander(y * (2.0 / support_b) - 1.0, degree_b)
+    for arr in (wy, va, vb):
+        arr.flags.writeable = False
+    return wy, va, vb
 
 
 def min_rank(tf: TestFunction) -> int:

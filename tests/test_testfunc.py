@@ -1,6 +1,8 @@
 """Test functions: closed forms, autocorrelation, functionals, spec strings."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +11,16 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from momentbounds import (
+    GeneratorBasis,
     GeneratorSpec,
+    OptimizationProblem,
+    SymmetryGroup,
     from_spec_string,
     make_from_generator,
     make_naive,
     min_rank,
+    moments,
+    objective,
     sigma2,
 )
 from momentbounds.quadrature import gauss_legendre, legendre_rule
@@ -22,6 +29,7 @@ from momentbounds.testfunc import (
     NaiveTestFunction,
     TestFunction,
     _basis_autocorrelation,
+    _sigma2_rule,
     parse_rational,
 )
 
@@ -31,10 +39,15 @@ SINX2_INT_G = 0.0013020606269783766
 SINX2_INT_G2 = 1.2206479367578338e-05
 
 
-def exact_naive_sigma2(v1: float, v2: float) -> float:
-    """Closed form of 2 int |y| phihat_{v1} phihat_{v2} dy for triangles."""
-    lo, hi = min(v1, v2), max(v1, v2)
-    return (lo / (3.0 * hi * hi)) * (2.0 * hi - lo)
+def exact_naive_sigma2(v1, v2) -> Fraction:
+    """Closed form of 2 int |y| phihat_{v1} phihat_{v2} dy for triangles,
+    exact in the values of v1 and v2 (floats or Fractions)."""
+    lo, hi = sorted((Fraction(v1), Fraction(v2)))
+    return lo / (3 * hi * hi) * (2 * hi - lo)
+
+
+def _rel_error(got: float, exact: Fraction) -> float:
+    return float(abs(Fraction(got) / exact - 1))
 
 
 # ---- naive family ----
@@ -304,15 +317,25 @@ def test_fourier_inversion_consistency(gen_sinx2):
 @pytest.mark.parametrize("v", [1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 1.0])
 def test_sigma2_naive_scale_invariance(v):
     tf = make_naive(v)
-    assert sigma2(tf, tf) == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert exact_naive_sigma2(tf.v, tf.v) == Fraction(1, 3)
+    assert _rel_error(sigma2(tf, tf), Fraction(1, 3)) <= 2e-15
 
 
 def test_sigma2_cross_naive_closed_form():
     pairs = [(0.25, 1.0 / 3.0), (1.0 / 6.0, 0.5), (0.2, 0.2)]
     for v1, v2 in pairs:
-        got = sigma2(make_naive(v1), make_naive(v2))
-        assert got == pytest.approx(exact_naive_sigma2(v1, v2), abs=1e-11)
-    assert exact_naive_sigma2(0.25, 1.0 / 3.0) == pytest.approx(5.0 / 16.0, abs=1e-15)
+        a, b = make_naive(v1), make_naive(v2)
+        assert _rel_error(sigma2(a, b), exact_naive_sigma2(a.v, b.v)) <= 2e-15
+    assert exact_naive_sigma2(Fraction(1, 4), Fraction(1, 3)) == Fraction(5, 16)
+
+
+def test_sigma2_widely_different_supports():
+    # the integrand lives on [0, 1/11]: the rule is taken there, not on the
+    # wide triangle's support
+    narrow, wide = from_spec_string("naive:v=1/11"), from_spec_string("naive:v=1")
+    exact = exact_naive_sigma2(narrow.v, wide.v)
+    assert _rel_error(sigma2(narrow, wide), exact) <= 2e-15
+    assert _rel_error(sigma2(wide, narrow), exact) <= 2e-15
 
 
 def test_sigma2_scale_invariant():
@@ -333,27 +356,72 @@ def test_sigma2_symmetric(gen_sinx2, naive_quarter):
     )
 
 
-class _ShiftedBump(TestFunction):
-    """Test double with transform supported away from the origin."""
+# Mixed supports and phihat degrees (1 for the triangles, 3 and 7 for the
+# polynomials, the chopped degrees of the entire bases), and the cosine
+# slot the README's optimize command finds against naive:v=1/4.
+SIGMA2_SPECS = [
+    "naive:v=1/11",
+    "naive:v=1/4",
+    "naive:v=1",
+    "gen:sinx2:half=1/8",
+    "gen:cos:1,-0.75,0.5,0.5:half=1/8",
+    "gen:cos:1,0.3:half=0.15",
+    "gen:cos:1:half=1/6",
+    "gen:poly:1,-3,20,0.5:half=1/8",
+    "gen:poly:1,-2:half=1/3",
+    "gen:cos:0.57580482646212,-0.9996651907165639,0.5441224236748538,"
+    "-0.19813434406707434:half=1/8",
+]
 
-    phihat_degree = 2  # on 1 < y < 2; zero, so of any degree, below
 
-    def __init__(self):
-        self.support_bound = 2.0
-        self.spec_string = "test:shifted-bump"
-
-    def phi(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def phihat(self, y):
-        y = np.abs(np.asarray(y, dtype=float))
-        return np.where((y > 1.0) & (y < 2.0), (y - 1.0) * (2.0 - y), 0.0)
+def _reference_sigma2(a: TestFunction, b: TestFunction) -> float:
+    """sigma2 as one Gauss-Legendre sum of y phihat_a(y) phihat_b(y) on the
+    common support, with phihat evaluated by each function."""
+    s = min(a.support_bound, b.support_bound)
+    degree = 1 + a.phihat_degree + b.phihat_degree
+    return 4.0 * gauss_legendre(lambda y: y * a.phihat(y) * b.phihat(y), 0.0, s, degree)
 
 
-def test_sigma2_disjoint_transform_overlap_is_zero():
-    # the bump lives on 1 < |y| < 2, the triangle on |y| < 1/2: the
-    # integrand vanishes identically
-    assert sigma2(_ShiftedBump(), make_naive(0.5)) == pytest.approx(0.0, abs=1e-14)
+def test_sigma2_matches_direct_rule():
+    tfs = [from_spec_string(spec) for spec in SIGMA2_SPECS]
+    for a, b in itertools.product(tfs, repeat=2):
+        assert sigma2(a, b) == pytest.approx(_reference_sigma2(a, b), rel=1e-13, abs=0)
+
+
+def test_sigma2_rule_is_built_once_per_support_pair(monkeypatch):
+    # the README problem: a 4-term cosine slot and the fixed naive:v=1/4
+    # slot, both of support 1/4, so three pairs of (support, degree)
+    problem = OptimizationProblem(
+        family=SymmetryGroup.SO_EVEN,
+        rank=100,
+        moment_order=4,
+        bases=(
+            GeneratorBasis("cosine-series", dimension=4, half_support=0.125),
+            GeneratorBasis("fixed", fixed_function=make_naive(0.25)),
+        ),
+        support_budget=0.25,
+        regime="mock_gaussian",
+    )
+    pairs = []
+
+    def recording(a, b):
+        pairs.append(frozenset({(a.support_bound, a.phihat_degree),
+                                (b.support_bound, b.phihat_degree)}))
+        return sigma2(a, b)
+
+    monkeypatch.setattr(moments, "sigma2", recording)
+    _sigma2_rule.cache_clear()
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        objective(problem.split_params(rng.uniform(-1.0, 1.0, 4)), problem)
+    info = _sigma2_rule.cache_info()
+    assert len(pairs) > 40 and len(set(pairs)) == 3  # feasible points make three calls
+    assert (info.misses, info.hits) == (3, len(pairs) - 3)
+    cos = problem.bases[0].build((1.0, -0.75, 0.5, 0.5))
+    for array in _sigma2_rule(0.25, 0.25, 1, cos.phihat_degree):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 # ---- min_rank ----
