@@ -17,6 +17,12 @@ A config file that cannot be read, a line without ``=``, a key that
 names no option of any subcommand, a value its option's type cannot
 convert and a value outside its option's choices are ``invalid-input``
 errors.
+
+In-process callers of ``main`` share one parser (and one ``--config``
+pre-scan parser), built on the first call and never mutated; a
+``--config`` run applies the file's defaults to a parser built for that
+run alone, so they never reach a later call.  ``build_parser`` builds a
+fresh parser each time it is called.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import reference
@@ -353,6 +360,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Build a new parser of every subcommand; ``main`` reuses one per process."""
     parser = argparse.ArgumentParser(
         prog="momentbounds",
         description="Vanishing-order bounds from density expectations and centered moments",
@@ -420,16 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-
-    # Pre-scan for --config so its values become parser defaults.
+@lru_cache(maxsize=1)
+def _shared_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command parser and the ``--config`` pre-scan parser, built once per
+    process and shared by every ``main`` call.  Parsing does not change a
+    parser and nothing else may: a config run parses with a parser of its own."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
+    return build_parser(), probe
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, probe = _shared_parsers()
+    # Pre-scan for --config so its values become parser defaults.
     known, _ = probe.parse_known_args(argv)
     try:
         if known.config:
+            parser = build_parser()  # set_defaults must not reach later calls
             _apply_config(parser, known.config)
         args = parser.parse_args(argv)
         return args.func(args)

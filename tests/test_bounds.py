@@ -275,3 +275,39 @@ def test_row_constant_products_match_reference_constants():
                 continue
             tol = max(5e-5, 1.5 * cell.print_ulp / abs(cell.value))
             assert abs(product - constant) / constant <= tol
+
+
+# ---- the abstract's claims, against printed table cells ----
+
+
+def _printed(table, rank, column):
+    (cell,) = [c for c in table_cells(table) if (c.rank, c.column) == (rank, column)]
+    return cell.value
+
+
+def test_claim_improvement_as_early_as_rank_5(naive_third):
+    """"Improvement as early as the 5th order": at rank 5 (so-odd) the fourth
+    moment bound is below the two-level one, printed and computed."""
+    moment4, level2 = _printed("T1", 5, "moment4_naive"), _printed("T1", 5, "level2")
+    assert moment4 < level2
+    (computed,) = bound_moment([naive_third] * 2, G.SO_ODD, [5], regime="with_R")
+    (two_level,) = bound_level2(None, None, G.SO_ODD, [5])
+    assert computed.upper_bound == pytest.approx(moment4, rel=1e-4)
+    assert two_level.upper_bound == pytest.approx(level2, rel=1e-4)
+    assert computed.upper_bound < two_level.upper_bound
+
+
+@pytest.mark.parametrize(
+    "rank,slots,v,expected,factor",
+    [(10, 4, 3 / 16, 1.4269e-5, 1e1), (50, 12, 1 / 16, 1.491e-31, 1e4)],
+)
+def test_claim_higher_moments_beat_the_fourth_by_orders_of_magnitude(
+    rank, slots, v, expected, factor
+):
+    """"More than one order of magnitude better for rank 10 and more than four
+    orders of magnitude for rank 50": the 8th and 24th moments of naive slots in
+    the mock_gaussian regime against Table 2's fourth-moment cell (so-even)."""
+    (res,) = bound_moment([make_naive(v)] * slots, G.SO_EVEN, [rank], regime="mock_gaussian")
+    assert res.method == f"moment{2 * slots}"
+    assert res.upper_bound == pytest.approx(expected, rel=1e-4)
+    assert res.upper_bound * factor < _printed("T2", rank, "moment4_naive")

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, records, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -416,6 +417,72 @@ def test_config_errors_are_invalid_input(tmp_path, capsys, text, message):
     error = json.loads(err)
     assert error["error"] == "invalid-input"
     assert message in error["message"]
+
+
+# ---- one parser per process ----
+
+
+@pytest.fixture
+def fresh_process(monkeypatch):
+    """main's parsers as a new process finds them, none built yet.  Counts
+    calls of the builder and every ArgumentParser constructed from here on."""
+    counts = {"build_parser": 0, "ArgumentParser": 0}
+    build_parser, init = cli.build_parser, argparse.ArgumentParser.__init__
+
+    def counting_build_parser():
+        counts["build_parser"] += 1
+        return build_parser()
+
+    def counting_init(self, *args, **kwargs):
+        counts["ArgumentParser"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._shared_parsers.cache_clear()
+    yield counts
+    cli._shared_parsers.cache_clear()
+
+
+def test_main_builds_its_parsers_once_per_process(fresh_process, capsys):
+    runs = [
+        ["bound", "--family", "so-even", "--rank", "10", "--method", "level1"],
+        ["moment", "--family", "so-even", "--testfn", "naive:v=1/3", "--testfn", "naive:v=1/3"],
+        ["bound", "--family", "so-even", "--regime", "exact"],  # argparse exits 2
+        ["--help"],
+        ["table", "--help"],
+        ["table", "T9"],  # argparse exits 2
+        ["bound", "--family", "so-odd", "--rank", "5", "--method", "level2"],
+    ]
+    codes = [main(runs[0])]
+    after_first = dict(fresh_process)
+    for argv in runs[1:]:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    capsys.readouterr()
+    assert codes == [0, 0, 2, 0, 0, 2, 0]
+    # the first call builds the command parser and the --config pre-scan
+    # parser; no later call constructs any parser
+    assert after_first["build_parser"] == 1
+    assert fresh_process == after_first
+
+
+def test_config_defaults_do_not_reach_later_calls(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = so-odd\nranks = 5,7\nmethod = moment4\ntestfn = naive:v=1/3\n")
+    plain = [["bound", "--rank", "6"], ["moment", "--family", "so-even", "--regime", "with_R"]]
+    before = [run_cli(argv, capsys) for argv in plain]
+    code, out, _ = run_cli(["--config", str(cfg), "bound"], capsys)
+    assert code == 0
+    assert [(r["family"], r["rank"]) for r in parse_records(out)] == [("so-odd", 5), ("so-odd", 7)]
+    assert [run_cli(argv, capsys) for argv in plain] == before
+    assert [(code, out) for code, out, _ in before] == [(1, ""), (1, "")]
+    assert [json.loads(err) for _, _, err in before] == [
+        {"error": "invalid-input", "message": "missing required option(s): --family"},
+        {"error": "invalid-input", "message": "missing required option(s): --testfn"},
+    ]
 
 
 @pytest.mark.parametrize("method", ["momentx", "level3", "moment2m", "moment2m:x", "moment2m:0"])
