@@ -216,7 +216,12 @@ def bound_moment(
 
 @dataclass(frozen=True)
 class TableCell:
-    """One recomputed table cell next to its printed reference value."""
+    """One recomputed table cell next to its printed reference value.
+
+    ``tolerance`` is the relative deviation the golden comparison allows:
+    at least 1e-4 (the reproduction target), widened to 1.5 print-ulps
+    for cells printed with few digits (some are truncated, not rounded).
+    """
 
     table: str
     rank: int
@@ -225,6 +230,11 @@ class TableCell:
     computed: float
     printed: str
     rel_dev: float
+    tolerance: float
+
+    @property
+    def within_tolerance(self) -> bool:
+        return abs(self.rel_dev) <= self.tolerance
 
     def record(self) -> dict:
         return {
@@ -236,6 +246,8 @@ class TableCell:
             "paper_value": float(self.printed),
             "printed": self.printed,
             "rel_dev": self.rel_dev,
+            "tolerance": self.tolerance,
+            "within_tolerance": self.within_tolerance,
         }
 
 
@@ -280,21 +292,11 @@ def reproduce_table(which: str) -> list[TableCell]:
         if computed is None:
             continue
         rel_dev = (computed - cell.value) / cell.value
+        tolerance = max(1e-4, 1.5 * cell.print_ulp / abs(cell.value))
         out.append(
-            TableCell(cell.table, cell.rank, cell.column, cell.family, computed, cell.printed, rel_dev)
+            TableCell(
+                cell.table, cell.rank, cell.column, cell.family, computed, cell.printed, rel_dev,
+                tolerance,
+            )
         )
     return out
-
-
-def table_tolerance(cell: TableCell) -> float:
-    """Relative tolerance for a golden comparison against a printed value.
-
-    At least 1e-4 (the reproduction target), widened to 1.5 print-ulps
-    for cells printed with few digits (some are truncated, not rounded).
-    """
-    ref = next(
-        c
-        for c in table_cells(cell.table)
-        if c.rank == cell.rank and c.column == cell.column
-    )
-    return max(1e-4, 1.5 * ref.print_ulp / abs(ref.value))

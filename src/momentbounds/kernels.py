@@ -15,12 +15,15 @@ oscillatory factor ``sin(2 pi x)/(2 pi x)`` integrates exactly to
 ``(1/2) int_{-1}^{1} phihat``, which removes all oscillation from the
 integrals.  The SO(odd) two-level point masses are reduced analytically
 to one-dimensional integrals.  Every integral left is of polynomial
-pieces of known degree, so each is one exact Gauss-Legendre sum.
+pieces of known degree: one of a single transform is read from the
+antiderivative of its piece, any other is one exact Gauss-Legendre sum.
 """
 
 from __future__ import annotations
 
 import enum
+
+from numpy.polynomial import chebyshev
 
 from .quadrature import gauss_legendre
 from .testfunc import TestFunction
@@ -55,10 +58,14 @@ class SymmetryGroup(enum.Enum):
         return 1 if self is SymmetryGroup.SO_EVEN else -1
 
 
-def _half_transform_integral(tf: TestFunction) -> float:
-    """(1/2) int_{-1}^{1} phihat(y) dy == int phi(x) sin(2 pi x)/(2 pi x) dx."""
-    upper = min(1.0, tf.support_bound)
-    return gauss_legendre(tf.phihat, 0.0, upper, tf.phihat_degree)
+def _phihat_integral(tf: TestFunction, u):
+    """``int_0^u phihat`` for 0 <= u <= support_bound (a float or an array),
+    from the Chebyshev antiderivative of the piece: exact up to rounding.
+    At ``u = min(1, support_bound)`` it is ``int phi(x) sin(2 pi x)/(2 pi x) dx``.
+    """
+    s = tf.support_bound
+    antiderivative = chebyshev.chebint(tf.phihat_coef, lbnd=-1.0, scl=0.5 * s)
+    return chebyshev.chebval(u * (2.0 / s) - 1.0, antiderivative)
 
 
 def expectation_1level(tf: TestFunction, group: SymmetryGroup) -> float:
@@ -67,10 +74,10 @@ def expectation_1level(tf: TestFunction, group: SymmetryGroup) -> float:
     if not phi0 > 0:
         raise ValueError("expectation_1level needs phi(0) > 0")
     eps = group.sign
-    total = tf.phihat0 + eps * _half_transform_integral(tf)
+    total = tf.phihat0 + eps * _phihat_integral(tf, min(1.0, tf.support_bound))
     if group is SymmetryGroup.SO_ODD:
         total += phi0  # the point mass at the origin
-    return total / phi0
+    return float(total / phi0)
 
 
 def _pair_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
@@ -92,20 +99,19 @@ def _cross_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
     phihat_2(b) db`` with ``P_1(u) = int_0^u phihat_1``.  For b up to
     1 - s_1 the inner integral is the whole half transform,
     ``P_1(s_1) = phi_1(0)/2``; beyond it ``P_1(1 - b)`` is a polynomial in
-    b of one degree more than phihat_1.  So the rhombus is two exact
-    Gauss-Legendre sums, the second with an inner sum per node (empty
-    when the supports fit inside the rhombus).
+    b of one degree more than phihat_1, read from its antiderivative.  So
+    the rhombus is ``phi_1(0) P_2(1 - s_1)`` plus one exact Gauss-Legendre
+    sum (empty when the supports fit inside the rhombus).
     """
     s1, s2 = tf1.support_bound, tf2.support_bound
     b_max = min(s2, 1.0)
     split = min(max(1.0 - s1, 0.0), b_max)
-    d1, d2 = tf1.phihat_degree, tf2.phihat_degree
-    full = tf1.phi0 * gauss_legendre(tf2.phihat, 0.0, split, d2)
+    full = tf1.phi0 * _phihat_integral(tf2, split)
 
     def partial(b):
-        return 2.0 * gauss_legendre(tf1.phihat, 0.0, 1.0 - b, d1) * tf2.phihat(b)
+        return 2.0 * _phihat_integral(tf1, 1.0 - b) * tf2.phihat(b)
 
-    return full + gauss_legendre(partial, split, b_max, 1 + d1 + d2)
+    return full + gauss_legendre(partial, split, b_max, 1 + tf1.phihat_degree + tf2.phihat_degree)
 
 
 def expectation_2level(
@@ -122,13 +128,11 @@ def expectation_2level(
         raise ValueError("expectation_2level needs phi_1(0) phi_2(0) > 0")
     eps = group.sign
     t_pair = _pair_transform_integral(tf1, tf2)
-    s1 = _half_transform_integral(tf1)
-    s2 = _half_transform_integral(tf2)
-    i1 = tf1.phihat0 + eps * s1
-    i2 = tf2.phihat0 + eps * s2
+    i1 = tf1.phihat0 + eps * _phihat_integral(tf1, min(1.0, tf1.support_bound))
+    i2 = tf2.phihat0 + eps * _phihat_integral(tf2, min(1.0, tf2.support_bound))
     cross = _cross_transform_integral(tf1, tf2)
     total = i1 * i2 - (2.0 * t_pair + 2.0 * eps * cross)
     if group is SymmetryGroup.SO_ODD:
         # delta(x) K_{-1}(y,y) and delta(y) K_{-1}(x,x) minors
         total += tf1.phi0 * i2 + tf2.phi0 * i1
-    return total / norm
+    return float(total / norm)

@@ -44,6 +44,7 @@ from .testfunc import TestFunction, sigma2
 MAX_EVEN_ORDER = 24
 
 REGIMES = ("auto", "with_R", "mock_gaussian")
+_THRESHOLD_FORMULAS = {"with_R": "1/(n-1)", "mock_gaussian": "(2k-1)/(nk)"}
 
 
 class SupportRegimeError(ValueError):
@@ -95,12 +96,6 @@ class MomentRequest:
     @property
     def n(self) -> int:
         return len(self.test_functions)
-
-    def with_r_threshold(self) -> float:
-        return support_threshold("with_R", self.n)
-
-    def mock_gaussian_threshold(self) -> float:
-        return support_threshold("mock_gaussian", self.n, self.weight_k)
 
 
 @dataclass(frozen=True)
@@ -189,33 +184,19 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
 
 
 def _resolve_regime(req: MomentRequest) -> str:
+    """The requested regime, or for auto the first of mock_gaussian and
+    with_R whose support threshold admits every transform."""
     largest = max(tf.support_bound for tf in req.test_functions)
-    mock_ok = support_within(largest, req.mock_gaussian_threshold())
-    with_r_ok = support_within(largest, req.with_r_threshold())
-    if req.regime == "mock_gaussian":
-        if not mock_ok:
-            raise SupportRegimeError(
-                f"mock_gaussian regime needs every support within "
-                f"{req.mock_gaussian_threshold():.6g} (weight k={req.weight_k}, "
-                f"n={req.n}); largest is {largest:.6g}"
-            )
-        return "mock_gaussian"
-    if req.regime == "with_R":
-        if not with_r_ok:
-            raise SupportRegimeError(
-                f"with_R regime needs every support within 1/(n-1) = "
-                f"{req.with_r_threshold():.6g} (n={req.n}); largest is {largest:.6g}"
-            )
-        return "with_R"
-    # auto: prefer mock_gaussian whenever its support condition holds
-    if mock_ok:
-        return "mock_gaussian"
-    if with_r_ok:
-        return "with_R"
+    candidates = ("mock_gaussian", "with_R") if req.regime == "auto" else (req.regime,)
+    thresholds = {regime: support_threshold(regime, req.n, req.weight_k) for regime in candidates}
+    for regime, threshold in thresholds.items():
+        if support_within(largest, threshold):
+            return regime
+    missed = " and ".join(
+        f"the {r} threshold {_THRESHOLD_FORMULAS[r]} = {t:.6g}" for r, t in thresholds.items()
+    )
     raise SupportRegimeError(
-        f"supports up to {largest:.6g} satisfy neither the "
-        f"mock_gaussian threshold {req.mock_gaussian_threshold():.6g} nor the "
-        f"with_R threshold {req.with_r_threshold():.6g} for n={req.n}"
+        f"supports up to {largest:.6g} exceed {missed} (n={req.n}, weight k={req.weight_k})"
     )
 
 

@@ -3,9 +3,10 @@
 Every transform in the package is a polynomial piece of known degree on
 its support (the Fejer triangle is linear, a generator transform is a
 chopped Chebyshev series), so every integral of transforms is a
-polynomial integral of known degree.  :func:`gauss_legendre` sums it
-with the Gauss-Legendre rule of just enough nodes, which is exact up to
-rounding: there is no error estimate and no adaptivity.
+polynomial integral of known degree.  An integral of one transform is
+read from the antiderivative of its piece; :func:`gauss_legendre` sums
+the others with the Gauss-Legendre rule of just enough nodes, which is
+exact up to rounding: there is no error estimate and no adaptivity.
 :func:`legendre_rule` builds every rule in the package, the small ones
 of :func:`gauss_legendre`, of the generator transforms and of the
 correction term R in :mod:`.moments` as well as the large ones of the
@@ -124,25 +125,22 @@ def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b, degree: int
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, degree: int
 ):
     """``int_a^b f(y) dy`` by the Gauss-Legendre rule of ``degree // 2 + 1`` nodes.
 
     Exact up to rounding when ``f`` is a polynomial of degree at most
     ``degree`` on ``[a, b]``.  ``f`` is called once, on an array of nodes,
     and may broadcast it to a result with leading axes (its last axis over
-    the nodes), giving one integral per leading index.  ``b`` may be an
-    array of upper limits, giving one integral each (``f`` then sees one
-    row of nodes per limit).
+    the nodes), giving one integral per leading index.
     """
     if degree < 0:
         raise ValueError(f"gauss_legendre needs degree >= 0, got {degree}")
-    b = np.asarray(b, dtype=float)
-    if not (math.isfinite(a) and np.all(np.isfinite(b))):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("gauss_legendre requires finite endpoints")
-    if np.any(b < a):
+    if b < a:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     nodes, weights = legendre_rule(degree // 2 + 1)
-    half = 0.5 * (b - a)[..., None]
+    half = 0.5 * (b - a)
     total = (f(a + half * (nodes + 1.0)) * weights * half).sum(axis=-1)
     return float(total) if total.ndim == 0 else total

@@ -49,7 +49,9 @@ from numpy.polynomial import chebyshev
 
 from .quadrature import legendre_rule
 
-GENERATOR_KINDS = ("sin-of-square", "polynomial", "cosine-series")
+# Each generator kind and its name in the spec-string and basis grammars.
+GENERATOR_NAMES = {"sin-of-square": "sinx2", "polynomial": "poly", "cosine-series": "cos"}
+GENERATOR_KINDS = tuple(GENERATOR_NAMES)
 
 # Basis autocorrelation tables: Gauss-Legendre nodes per overlap interval
 # (exact for polynomial integrands up to degree 255), Chebyshev sample
@@ -110,16 +112,9 @@ class GeneratorSpec:
         """Basis weights c with g = sum_k c_k b_k (the single weight 1 for sin-of-square)."""
         return np.asarray(self.coefficients or (1.0,))
 
-    def basis(self, t) -> np.ndarray:
-        """Basis values b_k(t), shape ``t.shape + (d,)``; zero outside the open support."""
-        return _basis_values(self.kind, self.dimension, self.half_support, t)
-
-    def evaluate(self, t) -> np.ndarray:
-        """g(t) = basis(t) @ weights, vectorized; zero outside the open support interval."""
-        return self.basis(t) @ self.weights
-
 
 def _basis_values(kind: str, dim: int, half_support: float, t) -> np.ndarray:
+    """Basis values b_k(t), shape ``t.shape + (dim,)``; zero outside the open support."""
     t = np.asarray(t, dtype=float)
     if kind == "sin-of-square":
         vals = np.sin(t * t)[..., None]
@@ -185,15 +180,19 @@ def _basis_autocorrelation(kind: str, dim: int, half_support: float) -> np.ndarr
 class TestFunction:
     """Base class: an admissible pair (phi, phihat).
 
-    Subclasses provide vectorized ``phi``/``phihat``, the support bound
-    of the transform, ``phihat`` on ``[0, support_bound]`` as one
-    polynomial (its Chebyshev coefficients ``phihat_coef`` on that
-    interval, whose degree sizes every integral of it) and a
-    round-trippable spec string.
+    A transform is described once, by ``phihat_coef``: the Chebyshev
+    coefficients of phihat on ``[0, support_bound]`` as one polynomial
+    piece, whose degree sizes every integral of it.  ``phihat`` reads that
+    piece (even, zero from the support bound on).  Each constructor sets
+    the piece, the support bound, ``phi0 = phi(0)``, ``phihat0 =
+    phihat(0)`` and a round-trippable spec string; subclasses provide a
+    vectorized ``phi``.
     """
 
     support_bound: float
     phihat_coef: np.ndarray
+    phi0: float
+    phihat0: float
     spec_string: str
 
     @property
@@ -204,15 +203,10 @@ class TestFunction:
         raise NotImplementedError
 
     def phihat(self, y) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def phi0(self) -> float:
-        return float(self.phi(0.0))
-
-    @property
-    def phihat0(self) -> float:
-        return float(self.phihat(0.0))
+        y = np.abs(np.asarray(y, dtype=float))
+        inside = y < self.support_bound
+        x = np.where(inside, y, 0.0) * (2.0 / self.support_bound) - 1.0
+        return np.where(inside, chebyshev.chebval(x, self.phihat_coef), 0.0)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string!r})"
@@ -227,28 +221,18 @@ class NaiveTestFunction(TestFunction):
         self.v = float(v)
         self.support_bound = self.v
         self.phihat_coef = np.array([0.5, -0.5]) / self.v  # (1 - x) / (2v), x = 2y/v - 1
+        self.phi0 = 1.0
+        self.phihat0 = 1.0 / self.v
         self.spec_string = f"naive:v={self.v!r}"
 
     def phi(self, x):
         return np.sinc(self.v * np.asarray(x, dtype=float)) ** 2
 
-    def phihat(self, y):
-        y = np.abs(np.asarray(y, dtype=float))
-        return np.where(y < self.v, (1.0 / self.v) * (1.0 - y / self.v), 0.0)
-
-    @property
-    def phi0(self) -> float:
-        return 1.0
-
-    @property
-    def phihat0(self) -> float:
-        return 1.0 / self.v
-
 
 class GeneratorBackedTestFunction(TestFunction):
     """phi = |inverse transform of g|^2, phihat = autocorrelation of g.
 
-    ``phihat`` is the Chebyshev series on [0, 2*half_support] with
+    ``phihat_coef`` is the Chebyshev series on [0, 2*half_support] with
     coefficients ``c^T T_j c``, from the cached basis autocorrelation
     table ``T`` and the generator's weights ``c``.
 
@@ -311,8 +295,8 @@ class GeneratorBackedTestFunction(TestFunction):
                 "generator integrates to zero: phi(0) vanishes and every "
                 "bound denominator would vanish with it"
             )
-        self._phi0 = int_g**2
-        self._phihat0 = int_g2
+        self.phi0 = int_g**2
+        self.phihat0 = int_g2
         self._max_x = self._MAX_PHASE / (2.0 * math.pi * h)
 
         # The rule is symmetric about 0: fold it onto its positive nodes,
@@ -366,30 +350,10 @@ class GeneratorBackedTestFunction(TestFunction):
             out[at] = re**2 + im**2
         return out.reshape(x.shape)
 
-    def phihat(self, y):
-        y = np.abs(np.asarray(y, dtype=float))
-        inside = y < self.support_bound
-        x = np.where(inside, y, 0.0) * (2.0 / self.support_bound) - 1.0
-        return np.where(inside, chebyshev.chebval(x, self.phihat_coef), 0.0)
-
-    @property
-    def phi0(self) -> float:
-        return self._phi0
-
-    @property
-    def phihat0(self) -> float:
-        return self._phihat0
-
 
 def _generator_spec_string(g: GeneratorSpec) -> str:
-    half = repr(g.half_support)
-    if g.kind == "sin-of-square":
-        return f"gen:sinx2:half={half}"
-    if g.kind == "polynomial":
-        coeffs = ",".join(repr(c) for c in g.coefficients)
-        return f"gen:poly:{coeffs}:half={half}"
-    coeffs = ",".join(repr(c) for c in g.coefficients)
-    return f"gen:cos:{coeffs}:half={half}"
+    coeffs = ",".join(repr(c) for c in g.coefficients)  # empty for sin-of-square
+    return ":".join(filter(None, ("gen", GENERATOR_NAMES[g.kind], coeffs, f"half={g.half_support!r}")))
 
 
 def make_naive(v: float) -> NaiveTestFunction:
@@ -427,11 +391,9 @@ def from_spec_string(spec: str) -> TestFunction:
                 half = parse_rational(parts[-1][5:])
             else:
                 raise ValueError
-            if parts[1] == "sinx2" and len(parts) == 3:
-                return make_from_generator(GeneratorSpec("sin-of-square", (), half))
-            if parts[1] in ("cos", "poly") and len(parts) == 4:
-                kind = {"cos": "cosine-series", "poly": "polynomial"}[parts[1]]
-                coeffs = tuple(parse_rational(c) for c in parts[2].split(","))
+            kind = {name: kind for kind, name in GENERATOR_NAMES.items()}.get(parts[1])
+            if kind is not None and len(parts) == (3 if kind == "sin-of-square" else 4):
+                coeffs = tuple(parse_rational(c) for field in parts[2:-1] for c in field.split(","))
                 return make_from_generator(GeneratorSpec(kind, coeffs, half))
         raise ValueError
     except (ValueError, ZeroDivisionError, IndexError) as exc:

@@ -18,7 +18,7 @@ from momentbounds import (
     reproduce_table,
 )
 from momentbounds import bounds as bounds_module
-from momentbounds.bounds import level2_coefficient, table_tolerance
+from momentbounds.bounds import level2_coefficient
 from momentbounds.reference import expectation_level1, expectation_level2, table_cells
 from momentbounds.testfunc import GeneratorSpec
 
@@ -253,10 +253,9 @@ def test_reproduce_tables_within_print_precision(table):
     printed = {(c.rank, c.column) for c in table_cells(table)}
     assert {(c.rank, c.column) for c in cells} == printed
     for cell in cells:
-        tol = table_tolerance(cell)
-        assert abs(cell.rel_dev) <= tol, (
+        assert cell.within_tolerance, (
             f"{table} r={cell.rank} {cell.column}: computed {cell.computed:.8e} "
-            f"vs printed {cell.printed} (rel dev {cell.rel_dev:.2e} > {tol:.2e})"
+            f"vs printed {cell.printed} (rel dev {cell.rel_dev:.2e} > {cell.tolerance:.2e})"
         )
 
 

@@ -8,9 +8,11 @@ from momentbounds import (
     SymmetryGroup,
     expectation_1level,
     expectation_2level,
+    from_spec_string,
     make_from_generator,
     make_naive,
 )
+from momentbounds.kernels import _phihat_integral
 
 G = SymmetryGroup
 
@@ -20,9 +22,11 @@ G = SymmetryGroup
 
 def test_expectation_1level_naive_one(naive_one):
     # transform support inside (-1, 1): both split families give
-    # (phihat(0) + phi(0)/2) / phi(0)
-    assert expectation_1level(naive_one, G.SO_EVEN) == pytest.approx(1.5, abs=1e-10)
-    assert expectation_1level(naive_one, G.SO_ODD) == pytest.approx(1.5, abs=1e-10)
+    # (phihat(0) + phi(0)/2) / phi(0), exactly: the half transform is read
+    # from the antiderivative of the piece
+    assert expectation_1level(naive_one, G.SO_EVEN) == 1.5
+    assert expectation_1level(naive_one, G.SO_ODD) == 1.5
+    assert type(expectation_1level(naive_one, G.SO_EVEN)) is float
 
 
 def test_expectation_1level_small_support_identity(naive_third, gen_sinx2):
@@ -36,9 +40,26 @@ def test_expectation_1level_wide_support():
     # support beyond (-1, 1): the transform integral truncates at 1
     tf = make_naive(2.0)
     # S = (1/2) int_{-1}^{1} phihat = (1/2) * 2 * int_0^1 (1/2)(1-y/2) = 3/8
-    assert expectation_1level(tf, G.SO_EVEN) == pytest.approx(0.5 + 0.375, rel=1e-10)
+    assert expectation_1level(tf, G.SO_EVEN) == 7.0 / 8.0
     # SO(odd): the reflection enters with eps = -1, plus the point mass phi(0)
-    assert expectation_1level(tf, G.SO_ODD) == pytest.approx(0.5 - 0.375 + 1.0, rel=1e-10)
+    assert expectation_1level(tf, G.SO_ODD) == 9.0 / 8.0
+
+
+@pytest.mark.parametrize("v", [1.0 / 3.0, 1.0])
+def test_whole_half_transform_is_half_phi0_naive(v):
+    # int_0^s phihat = phi(0)/2 for the Fejer pair, exactly
+    tf = make_naive(v)
+    assert 2.0 * _phihat_integral(tf, tf.support_bound) == tf.phi0
+
+
+@pytest.mark.parametrize(
+    "spec", ["gen:cos:1,0.3:half=0.15", "gen:poly:1,-3,20:half=0.15", "gen:sinx2:half=1/8"]
+)
+def test_whole_half_transform_is_half_phi0_generator(spec):
+    # phi(0) = (int g)^2 comes from the 512-node rule, phihat from the
+    # autocorrelation table: two routes to the same number
+    tf = from_spec_string(spec)
+    assert 2.0 * _phihat_integral(tf, tf.support_bound) == pytest.approx(tf.phi0, rel=1e-14, abs=0)
 
 
 def test_expectations_refuse_u(naive_one):
@@ -54,13 +75,15 @@ def test_expectations_refuse_u(naive_one):
 
 def test_expectation_2level_exact_naive_one(naive_one):
     # hand-reduced closed forms for the v=1 pair
-    assert expectation_2level(naive_one, naive_one, G.SO_EVEN) == pytest.approx(5.0 / 12.0, abs=1e-10)
-    assert expectation_2level(naive_one, naive_one, G.SO_ODD) == pytest.approx(13.0 / 12.0, abs=1e-10)
+    assert expectation_2level(naive_one, naive_one, G.SO_EVEN) == pytest.approx(5.0 / 12.0, rel=1e-15)
+    assert expectation_2level(naive_one, naive_one, G.SO_ODD) == pytest.approx(13.0 / 12.0, rel=1e-15)
 
 
 def test_expectation_2level_exact_naive_half():
     tf = make_naive(0.5)
-    assert expectation_2level(tf, tf, G.SO_EVEN) == pytest.approx(35.0 / 12.0, abs=1e-10)
+    assert expectation_2level(tf, tf, G.SO_EVEN) == pytest.approx(35.0 / 12.0, rel=1e-15)
+    assert expectation_2level(tf, tf, G.SO_ODD) == pytest.approx(47.0 / 12.0, rel=1e-15)
+    assert type(expectation_2level(tf, tf, G.SO_ODD)) is float
 
 
 def _brute_2level(v1: float, v2: float, group: SymmetryGroup, L: float = 30.0, n: int = 6000):

@@ -24,7 +24,7 @@ from momentbounds import (
     sigma2,
 )
 from momentbounds import cli, moments
-from momentbounds.moments import MAX_EVEN_ORDER, _hafnian, double_factorial
+from momentbounds.moments import MAX_EVEN_ORDER, _hafnian, double_factorial, support_threshold
 
 G = SymmetryGroup
 
@@ -472,7 +472,8 @@ def test_support_violations_name_threshold(naive_third):
         centered_moment(MomentRequest((wide,) * 4, G.SO_EVEN, regime="with_R"))
     with pytest.raises(SupportRegimeError, match="0.375"):
         centered_moment(MomentRequest((wide,) * 4, G.SO_EVEN, regime="mock_gaussian"))
-    with pytest.raises(SupportRegimeError):
+    # auto names both thresholds it missed, n and the weight
+    with pytest.raises(SupportRegimeError, match=r"= 0.75 and the with_R .* = 1 \(n=2, weight k=2\)"):
         centered_moment(MomentRequest((make_naive(1.5),) * 2, G.SO_EVEN, regime="auto"))
 
 
@@ -487,12 +488,10 @@ def test_moment_request_validation(naive_third):
         MomentRequest((naive_third,) * 2, G.SO_EVEN, regime="bogus")
 
 
-def test_weight_k_widens_mock_threshold(naive_third):
+def test_weight_k_widens_mock_threshold():
     # n = 4: k = 2 gives 3/8, k -> large approaches 1/2
-    req2 = MomentRequest((naive_third,) * 4, G.SO_EVEN, weight_k=2)
-    req9 = MomentRequest((naive_third,) * 4, G.SO_EVEN, weight_k=9)
-    assert req2.mock_gaussian_threshold() == pytest.approx(3.0 / 8.0)
-    assert req9.mock_gaussian_threshold() == pytest.approx(17.0 / 36.0)
+    assert support_threshold("mock_gaussian", 4, 2) == pytest.approx(3.0 / 8.0)
+    assert support_threshold("mock_gaussian", 4, 9) == pytest.approx(17.0 / 36.0)
 
 
 def test_double_factorial():

@@ -112,13 +112,6 @@ def test_rule_is_exact_to_its_degree():
             assert abs(gauss_legendre(lambda x: x**k, a, b, degree) - exact) > 1e-6 * abs(exact)
 
 
-def test_array_of_upper_limits():
-    uppers = np.array([0.0, 0.25, 1.0, 2.0])
-    got = gauss_legendre(lambda x: 3.0 * x * x, 0.0, uppers, 2)
-    assert got.shape == uppers.shape
-    assert np.allclose(got, uppers**3, rtol=1e-15, atol=0)
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 128, 512, 652])
 def test_legendre_rule_exact_at_the_ends(n):
     # ((1 -+ x)/2)^m, m <= 2n - 1, piles its mass onto the end nodes; numpy's

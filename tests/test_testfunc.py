@@ -29,6 +29,7 @@ from momentbounds.testfunc import (
     NaiveTestFunction,
     TestFunction,
     _basis_autocorrelation,
+    _basis_values,
     _sigma2_rule,
     parse_rational,
 )
@@ -255,7 +256,7 @@ def test_folded_phi_matches_full_rule(spec):
     nodes, weights = legendre_rule(GeneratorBackedTestFunction._GL_NODES)
     h = spec.half_support
     t = 0.5 * (nodes + 1.0) * (2 * h) - h
-    wg = weights * h * spec.evaluate(t)
+    wg = weights * h * (_basis_values(spec.kind, spec.dimension, h, t) @ spec.weights)
     xs = np.linspace(-tf._max_x, tf._max_x, 4001)
     phase = 2.0 * math.pi * np.multiply.outer(xs, t)
     full = (np.cos(phase) @ wg) ** 2 + (np.sin(phase) @ wg) ** 2
