@@ -16,13 +16,17 @@ constructions are provided:
   (polynomial bases) or an entire function that a Chebyshev series
   represents to roundoff at modest degree (cosine and sin(t^2) bases), so
   ``T`` is stored once per basis (kind, dimension, support) as a chopped
-  table of Chebyshev coefficients on [0, 2h] and cached.  Each function's
-  phihat is then the exact polynomial piece whose coefficients are
-  ``c^T T_j c``.  Its phi is |ghat|^2, read from Chebyshev series of the
-  real and imaginary parts of ghat on fixed panels of 2 pi |x| h, each
-  interpolated from a 512-node Gauss-Legendre sum when first needed.  The
-  basis values at those 512 nodes are cached per basis as well, so
-  building a function evaluates no basis function.
+  table of Chebyshev coefficients on [0, 2h] and cached.  The table is
+  interpolated from exact values of ``T`` at 128 Chebyshev points: a
+  product-to-sum closed form for cosine bases, the d-node Gauss-Legendre
+  rule (exact for the degree 2d - 2 integrand) for polynomial bases, and
+  a 128-node rule only for sin(t^2), whose autocorrelation needs Fresnel
+  integrals.  Each function's phihat is then the exact polynomial piece
+  whose coefficients are ``c^T T_j c``.  Its phi is |ghat|^2, read from
+  Chebyshev series of the real and imaginary parts of ghat on fixed
+  panels of 2 pi |x| h, each interpolated from a 512-node Gauss-Legendre
+  sum when first needed.  The basis values at those 512 nodes are cached
+  per basis as well, so building a function evaluates no basis function.
 
 Support intervals are treated as open: the transforms vanish at their
 support endpoints, so a function with ``support_bound == t`` satisfies a
@@ -54,10 +58,11 @@ GENERATOR_NAMES = {"sin-of-square": "sinx2", "polynomial": "poly", "cosine-serie
 GENERATOR_KINDS = tuple(GENERATOR_NAMES)
 
 # Basis autocorrelation tables: Gauss-Legendre nodes per overlap interval
-# (exact for polynomial integrands up to degree 255), Chebyshev sample
-# points on [0, 2h], and the chop level relative to each entry's
-# Cauchy-Schwarz scale sqrt(T_kk(0) T_ll(0)).  A series that is not below
-# the chop level from _MAX_PHIHAT_DEGREE on is refused.
+# of the sin(t^2) basis, the only one without a closed form or an exact
+# rule of its own (the rule resolves its smooth integrand to roundoff),
+# Chebyshev sample points on [0, 2h], and the chop level relative to each
+# entry's Cauchy-Schwarz scale sqrt(T_kk(0) T_ll(0)).  A series that is
+# not below the chop level from _MAX_PHIHAT_DEGREE on is refused.
 _AUTOCORR_NODES = 128
 _CHEB_POINTS = 128
 _MAX_PHIHAT_DEGREE = 95
@@ -139,31 +144,67 @@ def _rule_basis(kind: str, dim: int, half_support: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _chebyshev_points() -> tuple[np.ndarray, np.ndarray]:
+    """The 128 Chebyshev points x_j = cos(theta_j) on [-1, 1] and the DCT matrix
+    taking values there to Chebyshev coefficients.  Read-only, built on first use."""
+    theta = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
+    dct = np.cos(np.outer(np.arange(_CHEB_POINTS), theta)) * (2.0 / _CHEB_POINTS)
+    dct[0] *= 0.5
+    x = np.cos(theta)
+    x.flags.writeable = dct.flags.writeable = False
+    return x, dct
+
+
+def _autocorrelation_values(kind: str, dim: int, h: float, y: np.ndarray) -> np.ndarray:
+    """T(y)_kl = int b_k(t) b_l(t - y) dt at points y of [0, 2h], shape (len(y), d, d).
+
+    Cosine bases b_k(t) = cos(k a t), a = pi / (2h), by product-to-sum on
+    the overlap (y - h, h) of midpoint y/2 and half-width u = h - y/2:
+    T_kl = u [cos(a(k - l)y/2) sinc(a(k + l)u/pi) + cos(a(k + l)y/2) sinc(a(k - l)u/pi)].
+    Polynomial bases by the d-node Gauss-Legendre rule on the overlap,
+    exact for the integrand's degree 2d - 2; sin(t^2), whose
+    autocorrelation needs Fresnel integrals, by the _AUTOCORR_NODES rule.
+    """
+    if kind == "cosine-series":
+        k = np.arange(dim)
+        plus, minus = np.add.outer(k, k), np.subtract.outer(k, k)
+        u = (h - 0.5 * y)[:, None, None]
+        phase = (y * (math.pi / (4.0 * h)))[:, None, None]  # a y / 2
+        ratio = u / (2.0 * h)  # a u / pi
+        return u * (np.cos(phase * minus) * np.sinc(plus * ratio)
+                    + np.cos(phase * plus) * np.sinc(minus * ratio))
+    base, wts = legendre_rule(dim if kind == "polynomial" else _AUTOCORR_NODES)
+    width = 2.0 * h - y
+    t = (y - h)[:, None] + (base + 1.0) * 0.5 * width[:, None]
+    # In this order, with t freed before the weights and left weighted in
+    # place, the 128 x 128 sin(t^2) grid holds four arrays of its size at
+    # its peak, not five: the saving offsets the cached DCT matrix.
+    right = _basis_values(kind, dim, h, t - y[:, None])
+    left = _basis_values(kind, dim, h, t)
+    del t
+    left *= (wts * 0.5 * width[:, None])[..., None]
+    return np.swapaxes(left, 1, 2) @ right
+
+
 @lru_cache(maxsize=16)
 def _basis_autocorrelation(kind: str, dim: int, half_support: float) -> np.ndarray:
     """Chebyshev coefficients on [0, 2h] of T(y)_kl = int b_k(t) b_l(t - y) dt.
 
-    T is sampled at Chebyshev points (one Gauss-Legendre rule per y on
-    the overlap interval (y - h, h)), converted to coefficients and
-    chopped where every entry's tail falls below roundoff.  Shape
-    (degree + 1, d, d), read-only: it is shared by every generator of the
-    same basis, whose phihat then has the coefficients c^T T_j c.  Raises
-    ValueError when the series does not chop below the degree cap, rather
-    than represent phihat approximately.
+    T is evaluated at 128 Chebyshev points of [0, 2h] by
+    :func:`_autocorrelation_values` (a closed form for cosine bases, the
+    Gauss-Legendre rule of the integrand's degree for polynomial ones, a
+    128-node rule that resolves sin(t^2) to roundoff), converted to
+    coefficients by the cached DCT matrix and chopped where every entry's
+    tail falls below roundoff.  Shape (degree + 1, d, d), read-only: it is
+    shared by every generator of the same basis, whose phihat then has the
+    coefficients c^T T_j c.  Raises ValueError when the series does not
+    chop below the degree cap, rather than represent phihat approximately.
     """
     h = half_support
-    theta = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
-    y = h * (np.cos(theta) + 1.0)
-    base, wts = legendre_rule(_AUTOCORR_NODES)
-    width = 2.0 * h - y
-    t = (y - h)[:, None] + (base + 1.0) * 0.5 * width[:, None]
-    left = (wts * 0.5 * width[:, None])[..., None] * _basis_values(kind, dim, h, t)
-    right = _basis_values(kind, dim, h, t - y[:, None])
-    values = np.swapaxes(left, 1, 2) @ right  # (points, d, d)
-    coef = np.cos(np.outer(np.arange(_CHEB_POINTS), theta)) @ values.reshape(_CHEB_POINTS, -1)
-    coef *= 2.0 / _CHEB_POINTS
-    coef[0] *= 0.5
-    coef = coef.reshape(_CHEB_POINTS, dim, dim)
+    x, dct = _chebyshev_points()
+    values = _autocorrelation_values(kind, dim, h, h * (x + 1.0))
+    coef = (dct @ values.reshape(_CHEB_POINTS, -1)).reshape(_CHEB_POINTS, dim, dim)
     norms = np.sqrt(np.abs(np.diagonal(chebyshev.chebval(-1.0, coef))))
     above = np.abs(coef) > _CHOP_TOL * np.outer(norms, norms)
     degree = int(np.flatnonzero(above.any(axis=(1, 2))).max(initial=0))
@@ -425,10 +466,11 @@ def sigma2(a: TestFunction, b: TestFunction) -> float:
     return float((wy * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
 
 
-# A search reads a few pairs over and over; a moment of many distinct
-# functions reads each of its pairs once, so more entries would mostly
-# hold rules that are never read again.
-@lru_cache(maxsize=32)
+# A search reads a few pairs over and over.  A moment of 2m distinct
+# functions reads up to m(2m - 1) (support, degree) pairs, 91 at 2m = 14,
+# and a process that evaluates it again, or a moment sharing its slots,
+# reads them all again: the cache holds one such moment whole.
+@lru_cache(maxsize=128)
 def _sigma2_rule(
     support_a: float, support_b: float, degree_a: int, degree_b: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial import Polynomial
+from numpy.polynomial import Polynomial, chebyshev
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
@@ -22,6 +22,7 @@ from momentbounds import (
     moments,
     objective,
     sigma2,
+    testfunc,
 )
 from momentbounds.quadrature import gauss_legendre, legendre_rule
 from momentbounds.testfunc import (
@@ -144,10 +145,18 @@ def test_polynomial_phihat_matches_exact_autocorrelation():
     tf = make_from_generator(GeneratorSpec("polynomial", coeffs, half))
     p = Polynomial(coeffs)
     ys = _off_grid_points(half)
-    exact = []
-    for y in ys:
-        antiderivative = (p * p(Polynomial([-y, 1.0]))).integ()
-        exact.append(antiderivative(half) - antiderivative(y - half))
+    # p(t - y) = sum_j t^j p^(j)(-y) / j!, so the integrand p(t) p(t - y) has
+    # t-coefficients sum_{i+j=n} c_i p^(j)(-y) / j!, one column per y; the
+    # antiderivative in t is read at both ends of the overlap (y - h, h)
+    shifted = np.array([p.deriv(j)(-ys) / math.factorial(j) for j in range(len(coeffs))])
+    integrand = np.zeros((2 * len(coeffs) - 1, ys.size))
+    for i, c in enumerate(coeffs):
+        integrand[i : i + len(coeffs)] += c * shifted
+    antiderivative = np.vstack(
+        [np.zeros(ys.size), integrand / np.arange(1, len(integrand) + 1)[:, None]]
+    )
+    exact = (np.polynomial.polynomial.polyval(half, antiderivative)
+             - np.polynomial.polynomial.polyval(ys - half, antiderivative, tensor=False))
     assert np.max(np.abs(tf.phihat(ys) - exact)) <= 1e-13 * tf.phihat0
 
 
@@ -208,6 +217,71 @@ def test_basis_autocorrelation_is_built_once_per_basis(rng):
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0, 0] = 1.0
+
+
+def _reference_autocorrelation(kind: str, dim: int, half: float) -> np.ndarray:
+    """The basis table from a 128-node Gauss-Legendre sum at each of the
+    128 Chebyshev points, chopped and capped like the package's tables."""
+    theta = math.pi * (np.arange(128) + 0.5) / 128
+    y = half * (np.cos(theta) + 1.0)
+    base, wts = legendre_rule(128)
+    width = 2.0 * half - y
+    t = (y - half)[:, None] + (base + 1.0) * 0.5 * width[:, None]
+    left = (wts * 0.5 * width[:, None])[..., None] * _basis_values(kind, dim, half, t)
+    right = _basis_values(kind, dim, half, t - y[:, None])
+    values = np.swapaxes(left, 1, 2) @ right
+    coef = np.cos(np.outer(np.arange(128), theta)) @ values.reshape(128, -1)
+    coef *= 2.0 / 128
+    coef[0] *= 0.5
+    coef = coef.reshape(128, dim, dim)
+    norms = np.sqrt(np.abs(np.diagonal(chebyshev.chebval(-1.0, coef))))
+    above = np.abs(coef) > 1e-14 * np.outer(norms, norms)
+    degree = int(np.flatnonzero(above.any(axis=(1, 2))).max(initial=0))
+    assert degree < 95
+    return coef[: degree + 1]
+
+
+REFERENCE_HALVES = (1.0 / 20.0, 1.0 / 9.0, 1.0 / 8.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kind, dim",
+    [("cosine-series", d) for d in range(1, 9)] + [("polynomial", d) for d in range(1, 6)],
+)
+def test_basis_autocorrelation_matches_reference(kind, dim):
+    # closed forms and d-node rules against the 128 x 128 quadrature grid:
+    # the same chopped degree, every coefficient within 2e-15 of its
+    # entry's Cauchy-Schwarz scale sqrt(T_kk(0) T_ll(0))
+    for half in REFERENCE_HALVES:
+        ref = _reference_autocorrelation(kind, dim, half)
+        got = _basis_autocorrelation.__wrapped__(kind, dim, half)
+        assert got.shape == ref.shape
+        norms = np.sqrt(np.diagonal(chebyshev.chebval(-1.0, ref)))
+        assert np.all(np.abs(got - ref) <= 2e-15 * np.outer(norms, norms))
+
+
+def test_sin_of_square_autocorrelation_is_the_reference():
+    for half in REFERENCE_HALVES:
+        got = _basis_autocorrelation.__wrapped__("sin-of-square", 1, half)
+        ref = _reference_autocorrelation("sin-of-square", 1, half)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_basis_autocorrelation_asks_only_for_exact_rules(monkeypatch):
+    # a cosine table is a closed form, a polynomial one the d-node rule
+    sizes = []
+
+    def recording(n):
+        sizes.append(n)
+        return legendre_rule(n)
+
+    monkeypatch.setattr(testfunc, "legendre_rule", recording)
+    _basis_autocorrelation.__wrapped__("cosine-series", 4, 0.125)
+    assert sizes == []
+    for dim in (1, 3, 5):
+        _basis_autocorrelation.__wrapped__("polynomial", dim, 0.05)
+        assert sizes == [dim]
+        sizes.clear()
 
 
 def test_phihat_grid_independent_of_amplitude():
@@ -423,6 +497,31 @@ def test_sigma2_rule_is_built_once_per_support_pair(monkeypatch):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+def test_sigma2_rules_of_a_distinct_14_moment_stay_cached():
+    # the 2m = 14 moment of 14 distinct functions (7 triangles, 7 generators
+    # on half-support 1/20), evaluated twice from fresh spec strings as two
+    # commands in one process do: the second evaluation builds no rule
+    specs = [f"naive:v=1/{q}" for q in range(10, 17)] + [
+        "gen:cos:1:half=1/20",
+        "gen:cos:1,0.3:half=1/20",
+        "gen:poly:1,-2:half=1/20",
+        "gen:cos:1,-0.2,0.1:half=1/20",
+        "gen:poly:1,0,-50:half=1/20",
+        "gen:cos:1,0.5:half=1/20",
+        "gen:poly:2,3:half=1/20",
+    ]
+    _sigma2_rule.cache_clear()
+    values, misses = [], []
+    for _ in range(2):
+        tfs = [from_spec_string(spec) for spec in specs]
+        before = _sigma2_rule.cache_info().misses
+        values.append(moments.centered_moment(
+            moments.MomentRequest(tfs, SymmetryGroup.SO_ODD, regime="mock_gaussian")).value)
+        misses.append(_sigma2_rule.cache_info().misses - before)
+    assert misses[0] > 32 and misses[1] == 0
+    assert values[0] == values[1]
 
 
 # ---- min_rank ----
