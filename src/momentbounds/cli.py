@@ -206,10 +206,11 @@ def _cmd_table(args) -> int:
 
 
 def _parse_basis(spec: str, budget: float) -> GeneratorBasis:
-    """Basis grammar: sinx2:half=<r> | cos:dim=<d>:half=<r>[:box=lo,hi] |
-    poly:dim=<d>:half=<r>[:box=lo,hi] | fixed:<testfn spec>
+    """Basis grammar: sinx2:half=<r> | cos:dim=<d>:half=<r> |
+    poly:dim=<d>:half=<r> | fixed:<testfn spec>
 
     ``sinx2`` has no parameters: it is the fixed slot ``gen:sinx2:half=<r>``.
+    A field other than ``dim`` and ``half`` is refused, not ignored.
     """
     if spec.startswith("fixed:"):
         return GeneratorBasis("fixed", fixed_function=from_spec_string(spec[6:]))
@@ -218,6 +219,9 @@ def _parse_basis(spec: str, budget: float) -> GeneratorBasis:
     for p in parts[1:]:
         key, _, value = p.partition("=")
         fields[key] = value
+    unknown = sorted(set(fields) - {"dim", "half"})
+    if unknown:
+        raise ValueError(f"unknown basis field {unknown[0]!r} in {spec!r} (expected dim, half)")
     half = parse_rational(fields.get("half", str(budget / 2)))
     kind = {name: kind for kind, name in GENERATOR_NAMES.items()}.get(parts[0])
     if kind == "sin-of-square":
@@ -228,12 +232,7 @@ def _parse_basis(spec: str, budget: float) -> GeneratorBasis:
             f"cannot parse basis {spec!r} (expected sinx2:half=<r> | "
             "cos:dim=<d>:half=<r> | poly:dim=<d>:half=<r> | fixed:<testfn>)"
         )
-    dim = int(fields["dim"])
-    box: tuple[tuple[float, float], ...] = ()
-    if "box" in fields:
-        lo, hi = (parse_rational(v) for v in fields["box"].split(","))
-        box = tuple((lo, hi) for _ in range(dim))
-    return GeneratorBasis(kind, dimension=dim, coefficient_box=box, half_support=half)
+    return GeneratorBasis(kind, dimension=int(fields["dim"]), half_support=half)
 
 
 def _cmd_optimize(args) -> int:
@@ -394,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--basis",
         action=_Repeatable,
-        help="per-slot basis: sinx2:half=<r> | cos:dim=<d>:half=<r>[:box=lo,hi] | "
-        "poly:dim=<d>:half=<r>[:box=lo,hi] | fixed:<testfn>",
+        help="per-slot basis: sinx2:half=<r> | cos:dim=<d>:half=<r> | "
+        "poly:dim=<d>:half=<r> | fixed:<testfn>",
     )
     p_opt.add_argument("--support", help="support budget for every slot")
     p_opt.add_argument("--weight-k", type=int, default=2)

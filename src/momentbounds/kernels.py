@@ -15,17 +15,18 @@ oscillatory factor ``sin(2 pi x)/(2 pi x)`` integrates exactly to
 ``(1/2) int_{-1}^{1} phihat``, which removes all oscillation from the
 integrals.  The SO(odd) two-level point masses are reduced analytically
 to one-dimensional integrals.  Every integral left is of polynomial
-pieces of known degree: one of a single transform is read from the
-antiderivative of its piece, any other is one exact Gauss-Legendre sum.
+pieces: one of a single transform is read from the antiderivative of
+its piece, one of a product from the antiderivative of the product of
+the pieces, each re-expanded exactly on the interval of integration.
 """
 
 from __future__ import annotations
 
 import enum
 
-from numpy.polynomial import chebyshev
+import numpy as np
+from numpy.polynomial import Chebyshev, chebyshev
 
-from .quadrature import gauss_legendre
 from .testfunc import TestFunction
 
 
@@ -58,14 +59,22 @@ class SymmetryGroup(enum.Enum):
         return 1 if self is SymmetryGroup.SO_EVEN else -1
 
 
+def _antiderivative(tf: TestFunction) -> np.ndarray:
+    """Chebyshev coefficients on [0, support_bound] of ``P(u) = int_0^u phihat``."""
+    return chebyshev.chebint(tf.phihat_coef, lbnd=-1.0, scl=0.5 * tf.support_bound)
+
+
 def _phihat_integral(tf: TestFunction, u):
     """``int_0^u phihat`` for 0 <= u <= support_bound (a float or an array),
     from the Chebyshev antiderivative of the piece: exact up to rounding.
     At ``u = min(1, support_bound)`` it is ``int phi(x) sin(2 pi x)/(2 pi x) dx``.
     """
-    s = tf.support_bound
-    antiderivative = chebyshev.chebint(tf.phihat_coef, lbnd=-1.0, scl=0.5 * s)
-    return chebyshev.chebval(u * (2.0 / s) - 1.0, antiderivative)
+    return chebyshev.chebval(u * (2.0 / tf.support_bound) - 1.0, _antiderivative(tf))
+
+
+def _piece(tf: TestFunction, domain: list[float]) -> Chebyshev:
+    """phihat's piece re-expanded on ``domain`` inside [0, support_bound]."""
+    return Chebyshev(tf.phihat_coef, domain=[0.0, tf.support_bound]).convert(domain=domain)
 
 
 def expectation_1level(tf: TestFunction, group: SymmetryGroup) -> float:
@@ -82,11 +91,9 @@ def expectation_1level(tf: TestFunction, group: SymmetryGroup) -> float:
 
 def _pair_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
     """int (1 - |t|)_+ phihat_1(t) phihat_2(t) dt  (== int int Phi K(x-y)^2)."""
-    upper = min(1.0, tf1.support_bound, tf2.support_bound)
-    degree = 1 + tf1.phihat_degree + tf2.phihat_degree
-    return 2.0 * gauss_legendre(
-        lambda t: (1.0 - t) * tf1.phihat(t) * tf2.phihat(t), 0.0, upper, degree
-    )
+    domain = [0.0, min(1.0, tf1.support_bound, tf2.support_bound)]
+    product = (1.0 - Chebyshev.identity(domain=domain)) * _piece(tf1, domain) * _piece(tf2, domain)
+    return 2.0 * float(product.integ(lbnd=0.0)(domain[1]))
 
 
 def _cross_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
@@ -98,20 +105,21 @@ def _cross_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
     {|a| + |b| < 1}, that is ``int_0^min(s_2, 1) 2 P_1(min(1 - b, s_1))
     phihat_2(b) db`` with ``P_1(u) = int_0^u phihat_1``.  For b up to
     1 - s_1 the inner integral is the whole half transform,
-    ``P_1(s_1) = phi_1(0)/2``; beyond it ``P_1(1 - b)`` is a polynomial in
-    b of one degree more than phihat_1, read from its antiderivative.  So
-    the rhombus is ``phi_1(0) P_2(1 - s_1)`` plus one exact Gauss-Legendre
-    sum (empty when the supports fit inside the rhombus).
+    ``P_1(s_1) = phi_1(0)/2``; beyond it ``P_1(1 - b)`` is the
+    antiderivative's series read on the reversed domain [1, 1 - s_1].  So
+    the rhombus is ``phi_1(0) P_2(1 - s_1)`` plus the integral of one
+    Chebyshev product (none when the supports fit inside the rhombus).
     """
     s1, s2 = tf1.support_bound, tf2.support_bound
     b_max = min(s2, 1.0)
     split = min(max(1.0 - s1, 0.0), b_max)
     full = tf1.phi0 * _phihat_integral(tf2, split)
-
-    def partial(b):
-        return 2.0 * _phihat_integral(tf1, 1.0 - b) * tf2.phihat(b)
-
-    return full + gauss_legendre(partial, split, b_max, 1 + tf1.phihat_degree + tf2.phihat_degree)
+    if split == b_max:
+        return full
+    domain = [split, b_max]
+    reflected = Chebyshev(_antiderivative(tf1), domain=[1.0, 1.0 - s1]).convert(domain=domain)
+    partial = 2.0 * reflected * _piece(tf2, domain)
+    return full + float(partial.integ(lbnd=split)(b_max))
 
 
 def expectation_2level(

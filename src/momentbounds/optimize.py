@@ -12,8 +12,9 @@ Every quantity in the objective is exact up to rounding: the integrals
 are Gauss-Legendre sums and the correction term R is multilinear in the
 transforms' end pieces.  Infeasible points return a flat penalty, so the
 local search is a derivative-free simplex (Nelder-Mead, with fixed
-stopping tolerances) restarted from uniform random points inside the
-coefficient box.
+stopping tolerances) restarted from uniform random points with every
+coefficient in [-1, 1], where the simplex stays.  The bound does not
+move under g -> c g, so one fixed box loses no test function.
 Restarts own deterministic random substreams derived from
 (seed, restart index), so results are reproducible and independent of
 scheduling.
@@ -33,6 +34,7 @@ from .moments import SupportRegimeError, support_threshold, support_within
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator
 
 PENALTY_SCALE = 1e6
+COEFFICIENT_BOX = (-1.0, 1.0)  # every free coefficient's search interval
 
 BASIS_KINDS = ("cosine-series", "polynomial", "fixed")
 
@@ -46,13 +48,12 @@ class GeneratorBasis:
     """Parametrization of one slot's generator.
 
     ``cosine-series`` and ``polynomial`` expose ``dimension`` free
-    coefficients constrained to ``coefficient_box``; ``fixed`` is
+    coefficients, each searched over ``COEFFICIENT_BOX``; ``fixed`` is
     parameter-free and pins a prebuilt test function.
     """
 
     kind: str
     dimension: int = 0
-    coefficient_box: tuple[tuple[float, float], ...] = ()
     half_support: float = 0.0
     fixed_function: TestFunction | None = None
 
@@ -67,13 +68,6 @@ class GeneratorBasis:
             raise ValueError("half_support must be positive")
         if self.dimension < 1:
             raise ValueError(f"{self.kind} basis needs dimension >= 1")
-        box = self.coefficient_box or tuple((-1.0, 1.0) for _ in range(self.dimension))
-        if len(box) != self.dimension:
-            raise ValueError("coefficient_box length must equal dimension")
-        for lo, hi in box:
-            if not lo < hi:
-                raise ValueError("coefficient_box entries need lo < hi")
-        object.__setattr__(self, "coefficient_box", tuple((float(lo), float(hi)) for lo, hi in box))
 
     @property
     def n_params(self) -> int:
@@ -145,12 +139,6 @@ class OptimizationProblem:
             i += basis.n_params
         return out
 
-    def box(self) -> list[tuple[float, float]]:
-        out: list[tuple[float, float]] = []
-        for basis in self.bases:
-            out.extend(basis.coefficient_box[: basis.n_params])
-        return out
-
 
 def objective(
     coeffs_per_slot: Sequence[Sequence[float]],
@@ -220,7 +208,7 @@ def search(
     problem: OptimizationProblem,
     settings: SearchSettings = SearchSettings(),
 ) -> SearchResult:
-    """Minimize the bound over the coefficient box.
+    """Minimize the bound with every coefficient in ``COEFFICIENT_BOX``.
 
     Deterministic given the seed; the reported best is the minimum over
     every point evaluated in any restart and never comes from the
@@ -247,9 +235,7 @@ def search(
         value = evaluate(np.empty(0))
         traces.append(RestartTrace(0, (), value, value, 1, True))
     else:
-        box = problem.box()
-        lo = np.array([b[0] for b in box])
-        hi = np.array([b[1] for b in box])
+        lo, hi = COEFFICIENT_BOX
         streams = np.random.SeedSequence(settings.seed).spawn(settings.restarts)
         for i in range(settings.restarts):
             rng = np.random.default_rng(streams[i])
@@ -259,7 +245,7 @@ def search(
                 evaluate,
                 x0,
                 method="Nelder-Mead",
-                bounds=list(zip(lo, hi)),
+                bounds=[COEFFICIENT_BOX] * n,
                 options={
                     "maxfev": settings.max_evals,
                     "fatol": 1e-12,

@@ -3,10 +3,11 @@
 Every transform in the package is a polynomial piece of known degree on
 its support (the Fejer triangle is linear, a generator transform is a
 chopped Chebyshev series), so every integral of transforms is a
-polynomial integral of known degree.  An integral of one transform is
-read from the antiderivative of its piece; :func:`gauss_legendre` sums
-the others with the Gauss-Legendre rule of just enough nodes, which is
-exact up to rounding: there is no error estimate and no adaptivity.
+polynomial integral of known degree.  The expectations in
+:mod:`.kernels` read theirs from antiderivatives of the pieces and of
+their products; :func:`gauss_legendre` sums the others with the
+Gauss-Legendre rule of just enough nodes, which is exact up to
+rounding: there is no error estimate and no adaptivity.
 :func:`legendre_rule` builds every rule in the package, the small ones
 of :func:`gauss_legendre`, of the generator transforms and of the
 correction term R in :mod:`.moments` as well as the large ones of the

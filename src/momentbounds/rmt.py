@@ -12,12 +12,12 @@ SO(2N+1) the split-family moment with its signed correction term, for
 transforms supported within 1/(n-1) at order n; for U(N) the Gaussian
 moment, for transforms supported within 2/n (Hughes and Rudnick,
 J. Phys. A 36, 2003).  Outside those ranges no limit is predicted.
-This module samples ensembles, forms Z and its empirical centered
-moments with batch-means standard errors, and reports z-scores against
-the predictions.  At a finite dimension the free eigenangles form a
-determinantal process, so the exact law of Z is computable too
-(:func:`finite_n_moments`); its distance from the limit is the bias a
-comparison allows for beyond the sampling error.
+This module samples ensembles, forms Z, takes its empirical centered
+moments from the centered samples with batch-means standard errors, and
+reports z-scores against the predictions.  At a finite dimension the
+free eigenangles form a determinantal process, so the exact law of Z is
+computable too (:func:`finite_n_moments`); its distance from the limit
+is the bias a comparison allows for beyond the sampling error.
 
 Orthogonal eigenangles come in conjugate pairs (plus the forced angle 0
 of SO(2N+1)); the cosines of the N free angles form a Jacobi ensemble,
@@ -215,34 +215,16 @@ def linear_statistic(angles: np.ndarray, tf: TestFunction, total_dim: int) -> np
     return np.sum(tf.phi(angles * (total_dim / (2.0 * math.pi))), axis=-1)
 
 
-def _batch_power_sums(args) -> np.ndarray:
-    """Power sums (count, sum Y, sum Y^2, ...) of Y = Z - shift for one batch."""
-    spec, tf, n_max, batch_size, stream, shift = args
+def _batch_statistic(args) -> np.ndarray:
+    """Z of one batch's samples, in draw order, from the batch's own substream."""
+    spec, tf, batch_size, stream = args
     rng = np.random.default_rng(stream)
-    sums = np.zeros(n_max + 1)
-    sums[0] = batch_size
-    done = 0
-    while done < batch_size:
+    blocks = []
+    for done in range(0, batch_size, _BATCH_MATRIX_LIMIT):
         block = min(_BATCH_MATRIX_LIMIT, batch_size - done)
         angles = sample_haar_batch(spec.group, spec.half_dim, rng, block)
-        z = linear_statistic(angles, tf, spec.dim) - shift
-        for j in range(1, n_max + 1):
-            sums[j] += np.sum(z**j)
-        done += block
-    return sums
-
-
-def _centered_from_power_sums(sums: np.ndarray, mean: float, n_max: int) -> dict[int, float]:
-    """Centered moments about ``mean`` from power sums of the same variable."""
-    count = sums[0]
-    raw = sums / count  # raw[j] = average of the j-th power
-    out = {}
-    for k in range(2, n_max + 1):
-        total = 0.0
-        for j in range(k + 1):
-            total += math.comb(k, j) * (-mean) ** (k - j) * (raw[j] if j else 1.0)
-        out[k] = total
-    return out
+        blocks.append(linear_statistic(angles, tf, spec.dim))
+    return np.concatenate(blocks)
 
 
 def empirical_moments(
@@ -250,69 +232,57 @@ def empirical_moments(
     tf: TestFunction,
     n_max: int,
     workers: int = 1,
-    shift: float = 0.0,
 ) -> EmpiricalMoments:
     """Mean and centered moments of Z up to order ``n_max``.
 
     The sample set is split into ~sqrt(samples) batches; each batch has
     its own deterministic substream and contributes one point to the
     batch-means standard errors.  Batches may be mapped to worker
-    processes; the reduction runs in batch order either way.  Power sums
-    are taken of Z - ``shift``: with the shift near the mean, the
-    binomial expansion about the sample mean does not cancel, however
-    large the mean is against the spread of Z.
+    processes; their samples are joined in batch order either way.  The
+    samples are centered twice, at their mean and then at the mean of
+    the residuals (the corrected two-pass form), before any power is
+    taken, so the moments do not cancel however large the mean is
+    against the spread of Z.  Holding the samples costs 8 bytes each.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    n_batches = max(1, min(spec.samples, int(math.isqrt(spec.samples))))
-    base = spec.samples // n_batches
-    remainder = spec.samples % n_batches
-    batch_sizes = [base + (1 if i < remainder else 0) for i in range(n_batches)]
+    n_batches = math.isqrt(spec.samples)
+    base, remainder = divmod(spec.samples, n_batches)
     streams = np.random.SeedSequence(spec.seed).spawn(n_batches)
-    jobs = [
-        (spec, tf, n_max, batch_sizes[i], streams[i], shift)
-        for i in range(n_batches)
-        if batch_sizes[i] > 0
-    ]
+    jobs = [(spec, tf, base + (i < remainder), streams[i]) for i in range(n_batches)]
 
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batch_sums = list(pool.map(_batch_power_sums, jobs, chunksize=4))
+            batches = list(pool.map(_batch_statistic, jobs, chunksize=4))
     else:
-        batch_sums = [_batch_power_sums(job) for job in jobs]
+        batches = [_batch_statistic(job) for job in jobs]
 
-    total = np.zeros(n_max + 1)
-    for sums in batch_sums:  # fixed order: reproducible reduction
-        total += sums
-    count = total[0]
-    offset = float(total[1] / count)  # sample mean of Z - shift
-    mean = shift + offset
-    centered = {k: float(v) for k, v in _centered_from_power_sums(total, offset, n_max).items()}
+    z = np.concatenate(batches)
+    mean = z.mean()
+    dev = z - mean
+    correction = dev.mean()
+    dev -= correction
+    orders = range(2, n_max + 1)
+    centered = {k: float(np.mean(dev**k)) for k in orders}
 
     std_errors = None
     mean_std_error = None
-    if spec.samples >= 2 and len(batch_sums) >= 2:
-        b = len(batch_sums)
-        per_batch = {k: [] for k in range(2, n_max + 1)}
-        batch_means = []
-        for sums in batch_sums:
-            batch_means.append(sums[1] / sums[0])
-            vals = _centered_from_power_sums(sums, offset, n_max)
-            for k in range(2, n_max + 1):
-                per_batch[k].append(vals[k])
+    if len(batches) >= 2:
+        parts = np.split(dev, np.cumsum([len(b) for b in batches[:-1]]))
+        root_b = math.sqrt(len(parts))
         std_errors = {
-            k: float(np.std(per_batch[k], ddof=1) / math.sqrt(b)) for k in per_batch
+            k: float(np.std([np.mean(p**k) for p in parts], ddof=1) / root_b) for k in orders
         }
-        mean_std_error = float(np.std(batch_means, ddof=1) / math.sqrt(b))
+        mean_std_error = float(np.std([p.mean() for p in parts], ddof=1) / root_b)
 
     return EmpiricalMoments(
-        mean=float(mean),
+        mean=float(mean + correction),
         centered=centered,
         std_errors=std_errors,
         mean_std_error=mean_std_error,
-        sample_count=int(count),
+        sample_count=len(z),
     )
 
 
@@ -457,12 +427,12 @@ def verify_moments(
     The acceptance band is 3 standard errors plus the exact bias of this
     dimension, |finite_n_moments - predicted| at each order.  An order
     with no prediction raises :class:`SupportRegimeError` before any
-    sampling.  The exact mean is the shift of the power sums.
+    sampling.
     """
     predictions = [(order, predicted_moment(tf, spec.group, order)) for order in orders]
     n_max = max(orders)
-    exact_mean, exact = finite_n_moments(tf, spec.group, spec.half_dim, n_max)
-    emp = empirical_moments(spec, tf, n_max, workers=workers, shift=exact_mean)
+    _, exact = finite_n_moments(tf, spec.group, spec.half_dim, n_max)
+    emp = empirical_moments(spec, tf, n_max, workers=workers)
     out = []
     for order, predicted in predictions:
         se = emp.std_errors[order] if emp.std_errors else float("nan")

@@ -529,6 +529,20 @@ def test_optimize_command_singleton(capsys):
     assert result["bound"] == pytest.approx(3.7858e-9, rel=1e-3)
 
 
+@pytest.mark.parametrize("basis", ["cos:dim=2:half=1/8:box=-2,2", "poly:dim=2:hlaf=1/8"])
+def test_optimize_refuses_an_unknown_basis_field(capsys, basis):
+    # a field the grammar does not know would otherwise be dropped unseen
+    code, out, err = run_cli(
+        ["optimize", "--family", "so-even", "--rank", "100", "--support", "1/4",
+         "--basis", basis, "--basis", "fixed:naive:v=1/4", "--regime", "mock_gaussian"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "invalid-input"
+    assert "unknown basis field" in error["message"]
+
+
 def test_rmt_verify_small_run(capsys):
     code, out, _ = run_cli(
         [

@@ -79,6 +79,16 @@ def test_expectation_2level_exact_naive_one(naive_one):
     assert expectation_2level(naive_one, naive_one, G.SO_ODD) == pytest.approx(13.0 / 12.0, rel=1e-15)
 
 
+def test_products_of_transforms_are_exact_chebyshev_products(naive_one):
+    # (1 - t)^3 integrates to 1/4 on [0, 1] with no rounding left, and
+    # E_2(so-even) of the v=1 pair = 9/4 - 2 (1/2 + 5/12) lands 1 ulp above
+    # 5/12, at 0.41666666666666674
+    from momentbounds.kernels import _pair_transform_integral
+
+    assert _pair_transform_integral(naive_one, naive_one) == 0.5
+    assert expectation_2level(naive_one, naive_one, G.SO_EVEN) == np.nextafter(5.0 / 12.0, 1.0)
+
+
 def test_expectation_2level_exact_naive_half():
     tf = make_naive(0.5)
     assert expectation_2level(tf, tf, G.SO_EVEN) == pytest.approx(35.0 / 12.0, rel=1e-15)

@@ -193,10 +193,7 @@ def test_basis_validation():
         GeneratorBasis("fixed")
     with pytest.raises(ValueError):
         GeneratorBasis("cosine-series", dimension=0, half_support=0.1)
-    with pytest.raises(ValueError):
-        GeneratorBasis("cosine-series", dimension=2, coefficient_box=((0.0, 0.0), (0.0, 1.0)), half_support=0.1)
     basis = GeneratorBasis("cosine-series", dimension=3, half_support=0.1)
-    assert basis.coefficient_box == ((-1.0, 1.0),) * 3
     assert basis.n_params == 3
     assert _sinx2_basis(0.1).n_params == 0
     with pytest.raises(ValueError, match="unknown basis kind"):

@@ -371,9 +371,11 @@ def test_verify_moments_allows_the_exact_bias(naive_third):
         assert comp.passed, comp
 
 
-def test_centered_moments_do_not_cancel_at_a_large_mean(monkeypatch, gen_sinx2):
-    # mean / sigma is about 9.8 here: centering raw power sums of Z would
-    # lose about 1e-9 of the third moment to cancellation
+@pytest.mark.parametrize("group", [G.SO_EVEN, G.SO_ODD, G.U])
+def test_centered_moments_do_not_cancel_at_a_large_mean(monkeypatch, gen_sinx2, group):
+    # mean / sigma is about 9.8 on so-odd: centering raw power sums of Z
+    # would lose about 1e-9 of the third moment to cancellation, and
+    # centering once at the rounded sample mean about 2e-12
     draws = []
     statistic = rmt.linear_statistic
 
@@ -383,7 +385,7 @@ def test_centered_moments_do_not_cancel_at_a_large_mean(monkeypatch, gen_sinx2):
         return z
 
     monkeypatch.setattr(rmt, "linear_statistic", recording)
-    spec = EnsembleSpec(G.SO_ODD, 20, 2000, seed=5)
+    spec = EnsembleSpec(group, 20, 2000, seed=5)
     comparisons = verify_moments(spec, gen_sinx2, (2, 3, 4))
     z = [Fraction(float(v)) for v in draws]
     mean = sum(z) / len(z)

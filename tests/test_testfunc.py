@@ -29,8 +29,10 @@ from momentbounds.testfunc import (
     GeneratorBackedTestFunction,
     NaiveTestFunction,
     TestFunction,
+    _autocorrelation_values,
     _basis_autocorrelation,
     _basis_values,
+    _chebyshev_points,
     _sigma2_rule,
     parse_rational,
 )
@@ -265,6 +267,29 @@ def test_sin_of_square_autocorrelation_is_the_reference():
         got = _basis_autocorrelation.__wrapped__("sin-of-square", 1, half)
         ref = _reference_autocorrelation("sin-of-square", 1, half)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+CHOP_HALVES = (1 / 20, 1 / 10, 1 / 9, 1 / 8, 0.15, 1 / 6, 1 / 3, 0.4, 1 / 2, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kind, dim",
+    [(kind, d) for kind in ("cosine-series", "polynomial") for d in range(1, 9)]
+    + [("sin-of-square", 1)],
+)
+def test_chop_scale_from_the_alternating_sum_is_the_chebval_one(kind, dim):
+    # T(0) read by Clenshaw at x = -1 and as the alternating coefficient
+    # sum chop every table at the same degree, so the tables are the same bytes
+    x, dct = _chebyshev_points()
+    for half in CHOP_HALVES:
+        values = _autocorrelation_values(kind, dim, half, half * (x + 1.0))
+        coef = (dct @ values.reshape(128, -1)).reshape(128, dim, dim)
+        norms = np.sqrt(np.abs(np.diagonal(chebyshev.chebval(-1.0, coef))))
+        above = np.abs(coef) > 1e-14 * np.outer(norms, norms)
+        degree = int(np.flatnonzero(above.any(axis=(1, 2))).max(initial=0))
+        got = _basis_autocorrelation.__wrapped__(kind, dim, half)
+        assert got.shape == coef[: degree + 1].shape, half
+        assert got.tobytes() == coef[: degree + 1].tobytes(), half
 
 
 def test_basis_autocorrelation_asks_only_for_exact_rules(monkeypatch):
