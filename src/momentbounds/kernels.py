@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from numpy.polynomial import Chebyshev, chebyshev
+from numpy.polynomial import chebyshev
 
 from .testfunc import TestFunction
 
@@ -72,9 +72,46 @@ def _phihat_integral(tf: TestFunction, u):
     return chebyshev.chebval(u * (2.0 / tf.support_bound) - 1.0, _antiderivative(tf))
 
 
-def _piece(tf: TestFunction, domain: list[float]) -> Chebyshev:
-    """phihat's piece re-expanded on ``domain`` inside [0, support_bound]."""
-    return Chebyshev(tf.phihat_coef, domain=[0.0, tf.support_bound]).convert(domain=domain)
+def _reexpand(coef: np.ndarray, old: tuple[float, float], new: tuple[float, float]) -> np.ndarray:
+    """The Chebyshev series ``coef`` (two or more coefficients) on the
+    interval ``old`` re-expanded on ``new``.
+
+    A point u of the new window [-1, 1] is w = off + scl u in the old one,
+    so Clenshaw's recurrence in w, run on coefficient arrays in u, gives
+    the same polynomial at the same degree, exact up to rounding.  ``old``
+    may be reversed.  Interpolating at the Chebyshev points of ``new``
+    (``chebinterpolate``) would round even a linear piece: the pair integral
+    of naive:v=1 would read 0.4999999999999999, not 0.5.
+    """
+    (lo, hi), (a, b) = old, new
+    scl = (b - a) / (hi - lo)
+    off = (a + b - lo - hi) / (hi - lo)
+    n = len(coef)
+
+    def times_w(p):  # p has degree below n - 1, so the product fits in n
+        half = 0.5 * scl * p  # u T_0 = T_1, u T_k = (T_(k-1) + T_(k+1)) / 2
+        out = off * p
+        out[1] += half[0]
+        out[1:] += half[:-1]
+        out[:-1] += half[1:]
+        return out
+
+    c0, c1 = np.zeros(n), np.zeros(n)
+    c0[0], c1[0] = coef[-2], coef[-1]
+    for ck in coef[-3::-1]:
+        c0, c1 = -c1, c0 + 2.0 * times_w(c1)
+        c0[0] += ck
+    return c0 + times_w(c1)
+
+
+def _piece(tf: TestFunction, a: float, b: float) -> np.ndarray:
+    """Chebyshev coefficients of phihat's piece on ``[a, b]`` inside [0, support_bound]."""
+    return _reexpand(tf.phihat_coef, (0.0, tf.support_bound), (a, b))
+
+
+def _integral(coef: np.ndarray, a: float, b: float) -> float:
+    """``int_a^b`` of the Chebyshev series ``coef`` on ``[a, b]``: its antiderivative at 1."""
+    return float(chebyshev.chebint(coef, lbnd=-1.0, scl=0.5 * (b - a)).sum())
 
 
 def expectation_1level(tf: TestFunction, group: SymmetryGroup) -> float:
@@ -91,9 +128,10 @@ def expectation_1level(tf: TestFunction, group: SymmetryGroup) -> float:
 
 def _pair_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
     """int (1 - |t|)_+ phihat_1(t) phihat_2(t) dt  (== int int Phi K(x-y)^2)."""
-    domain = [0.0, min(1.0, tf1.support_bound, tf2.support_bound)]
-    product = (1.0 - Chebyshev.identity(domain=domain)) * _piece(tf1, domain) * _piece(tf2, domain)
-    return 2.0 * float(product.integ(lbnd=0.0)(domain[1]))
+    d = min(1.0, tf1.support_bound, tf2.support_bound)
+    one_minus = np.array([1.0 - 0.5 * d, -0.5 * d])  # 1 - t on [0, d]
+    product = chebyshev.chebmul(chebyshev.chebmul(one_minus, _piece(tf1, 0.0, d)), _piece(tf2, 0.0, d))
+    return 2.0 * _integral(product, 0.0, d)
 
 
 def _cross_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
@@ -116,10 +154,8 @@ def _cross_transform_integral(tf1: TestFunction, tf2: TestFunction) -> float:
     full = tf1.phi0 * _phihat_integral(tf2, split)
     if split == b_max:
         return full
-    domain = [split, b_max]
-    reflected = Chebyshev(_antiderivative(tf1), domain=[1.0, 1.0 - s1]).convert(domain=domain)
-    partial = 2.0 * reflected * _piece(tf2, domain)
-    return full + float(partial.integ(lbnd=split)(b_max))
+    reflected = _reexpand(_antiderivative(tf1), (1.0, 1.0 - s1), (split, b_max))
+    return full + 2.0 * _integral(chebyshev.chebmul(reflected, _piece(tf2, split, b_max)), split, b_max)
 
 
 def expectation_2level(

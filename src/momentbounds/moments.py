@@ -52,7 +52,16 @@ class SupportRegimeError(ValueError):
 
 
 def support_threshold(regime: str, n: int, weight_k: int = 2) -> float:
-    """Largest transform support the regime's hypothesis admits at moment order n."""
+    """Largest transform support the regime's hypothesis admits at moment order n.
+
+    The thresholds are the support hypotheses of the moment formulas for
+    general n, which rest on the centered-moment theorem of Hughes and
+    Miller, "Low-lying zeros of L-functions with orthogonal symmetry",
+    Duke Math. J. 136 (2007), 115-172: within 1/(n-1) (``with_R``) the
+    n-th centered moment is the matching sum plus the signed correction
+    R_n; within (2k-1)/(nk) for weight k (``mock_gaussian``) the
+    correction is dropped.
+    """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
     with_r = 1.0 / (n - 1)

@@ -22,11 +22,15 @@ constructions are provided:
   rule (exact for the degree 2d - 2 integrand) for polynomial bases, and
   a 128-node rule only for sin(t^2), whose autocorrelation needs Fresnel
   integrals.  Each function's phihat is then the exact polynomial piece
-  whose coefficients are ``c^T T_j c``.  Its phi is |ghat|^2, read from
-  Chebyshev series of the real and imaginary parts of ghat on fixed
-  panels of 2 pi |x| h, each interpolated from a 512-node Gauss-Legendre
-  sum when first needed.  The basis values at those 512 nodes are cached
-  per basis as well, so building a function evaluates no basis function.
+  whose coefficients are ``c^T T_j c``.  The basis integrals
+  ``m_k = int b_k`` and the Gram matrix ``G = T(0)`` are cached per basis
+  too, so a build sets ``phi(0) = (c.m)^2`` and ``phihat(0) = c^T G c``
+  and evaluates no basis function.  Only phi away from 0 needs more: it
+  is |ghat|^2, read from Chebyshev series of the real and imaginary parts
+  of ghat on fixed panels of 2 pi |x| h, each interpolated from a
+  512-node Gauss-Legendre sum when first needed.  That rule, with the
+  basis values at its nodes (cached per basis), is built on the first
+  phi, so bounds, moments, expectations and the optimizer never build it.
 
 Support intervals are treated as open: the transforms vanish at their
 support endpoints, so a function with ``support_bound == t`` satisfies a
@@ -46,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -189,6 +193,32 @@ def _autocorrelation_values(kind: str, dim: int, h: float, y: np.ndarray) -> np.
 
 
 @lru_cache(maxsize=16)
+def _basis_moments(kind: str, dim: int, half_support: float) -> tuple[np.ndarray, np.ndarray]:
+    """The basis integrals m_k = int b_k and the Gram matrix G = T(0).
+
+    m is in closed form for cosine bases (2h sinc(k/2), exactly 0 for
+    even k > 0) and polynomial ones (2h^(k+1)/(k+1) for even k, 0 for
+    odd); for sin(t^2) it is the _AUTOCORR_NODES rule.  G comes from
+    :func:`_autocorrelation_values` at y = 0, the closed form or exact rule
+    that samples the basis table.  A generator with weights c then has
+    phi(0) = (c.m)^2 and phihat(0) = c^T G c.  Read-only, shared per basis.
+    """
+    h = half_support
+    k = np.arange(dim)
+    if kind == "cosine-series":
+        m = np.where(k % 2, 4.0 * h / math.pi * (-1.0) ** (k // 2) / np.maximum(k, 1), 0.0)
+        m[0] = 2.0 * h
+    elif kind == "polynomial":
+        m = np.where(k % 2, 0.0, 2.0 * h ** (k + 1) / (k + 1))
+    else:  # sin-of-square
+        nodes, weights = legendre_rule(_AUTOCORR_NODES)
+        m = np.array([h * (weights @ np.sin((h * nodes) ** 2))])
+    gram = _autocorrelation_values(kind, dim, h, np.zeros(1))[0]
+    m.flags.writeable = gram.flags.writeable = False
+    return m, gram
+
+
+@lru_cache(maxsize=16)
 def _basis_autocorrelation(kind: str, dim: int, half_support: float) -> np.ndarray:
     """Chebyshev coefficients on [0, 2h] of T(y)_kl = int b_k(t) b_l(t - y) dt.
 
@@ -275,12 +305,17 @@ class NaiveTestFunction(TestFunction):
 class GeneratorBackedTestFunction(TestFunction):
     """phi = |inverse transform of g|^2, phihat = autocorrelation of g.
 
-    ``phihat_coef`` is the Chebyshev series on [0, 2*half_support] with
-    coefficients ``c^T T_j c``, from the cached basis autocorrelation
-    table ``T`` and the generator's weights ``c``.
+    Construction reads only per-basis caches and the generator's weights
+    ``c``: ``phihat_coef`` is the Chebyshev series on [0, 2*half_support]
+    with coefficients ``c^T T_j c``, from the basis autocorrelation table
+    ``T``; ``phi0 = (c.m)^2`` and ``phihat0 = c^T G c``, from the basis
+    integrals ``m`` and Gram matrix ``G = T(0)`` (:func:`_basis_moments`).
+    A generator whose integral is below 1e-12 of sqrt(2h c^T G c), a
+    bound on int |g|, is refused.
 
     phi is |ghat|^2 with ghat(x) = int g(t) e^{2 pi i x t} dt, whose real
-    and imaginary parts are fixed 512-node Gauss-Legendre sums.  In
+    and imaginary parts are fixed 512-node Gauss-Legendre sums, built with
+    the folded rule on the first phi (:attr:`_rule`).  In
     psi = 2 pi |x| h both are entire of exponential type 1, so phi reads
     them from short Chebyshev series on fixed panels of psi.  A panel is
     interpolated from the 512-node sums at its Chebyshev points the first
@@ -319,21 +354,15 @@ class GeneratorBackedTestFunction(TestFunction):
     def __init__(self, generator: GeneratorSpec):
         self.generator = generator
         h = generator.half_support
+        c = generator.weights
         self.support_bound = 2.0 * h
-
-        # Fixed Gauss-Legendre rule on the generator support; g is smooth
-        # there, so the rule is exact to machine precision for the
-        # non-oscillatory factors.
-        nodes, weights = legendre_rule(self._GL_NODES)
-        w = weights * h
-        g = _rule_basis(generator.kind, generator.dimension, h) @ generator.weights
-
-        int_g = float(w @ g)
-        int_abs_g = float(w @ np.abs(g))
-        int_g2 = float(w @ g**2)
+        m, gram = _basis_moments(generator.kind, generator.dimension, h)
+        int_g = float(c @ m)
+        int_g2 = float(c @ gram @ c)
         if int_g2 <= 0.0:
             raise ValueError("generator is identically zero")
-        if abs(int_g) <= 1e-12 * int_abs_g:
+        # sqrt(2h int g^2) >= int |g| by Cauchy-Schwarz
+        if abs(int_g) <= 1e-12 * math.sqrt(2.0 * h * int_g2):
             raise ValueError(
                 "generator integrates to zero: phi(0) vanishes and every "
                 "bound denominator would vanish with it"
@@ -341,33 +370,44 @@ class GeneratorBackedTestFunction(TestFunction):
         self.phi0 = int_g**2
         self.phihat0 = int_g2
         self._max_x = self._MAX_PHASE / (2.0 * math.pi * h)
-
-        # The rule is symmetric about 0: fold it onto its positive nodes,
-        # so a sum needs half the trigonometric evaluations.
-        half = self._GL_NODES // 2
-        wg = w * g
-        self._tau = nodes[half:]  # t / h
-        self._wg_even = wg[half:] + wg[half - 1 :: -1]
-        self._wg_odd = wg[half:] - wg[half - 1 :: -1]
-        self._panel_tail_limit = self._PANEL_TAIL_TOL * int_abs_g
         self._panels: dict[int, np.ndarray] = {}
 
         table = _basis_autocorrelation(generator.kind, generator.dimension, h)
-        self.phihat_coef = (table @ generator.weights) @ generator.weights
+        self.phihat_coef = (table @ c) @ c
         self.spec_string = _generator_spec_string(generator)
 
-    def _transform_sums(self, psi: np.ndarray) -> np.ndarray:
-        """(Re, Im) of ghat at psi = 2 pi |x| h by the 512-node rule, shape (len(psi), 2)."""
-        phase = np.multiply.outer(psi, self._tau)
-        return np.stack([np.cos(phase) @ self._wg_even, np.sin(phase) @ self._wg_odd], axis=1)
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The 512-node rule for ghat, folded: ``(tau, w g even, w g odd, tail limit)``.
+
+        Built on the first panel.  The rule is symmetric about 0, so it is
+        folded onto its positive nodes tau = t / h and a sum needs half the
+        trigonometric evaluations.  The tail limit is _PANEL_TAIL_TOL of
+        sum |w g|, the bound on |ghat|.
+        """
+        nodes, weights = legendre_rule(self._GL_NODES)
+        gen = self.generator
+        w = weights * gen.half_support
+        g = _rule_basis(gen.kind, gen.dimension, gen.half_support) @ gen.weights
+        wg = w * g
+        half = self._GL_NODES // 2
+        return (nodes[half:], wg[half:] + wg[half - 1 :: -1], wg[half:] - wg[half - 1 :: -1],
+                self._PANEL_TAIL_TOL * float(w @ np.abs(g)))
 
     def _panel(self, k: int) -> np.ndarray:
-        """Chebyshev coefficients of (Re, Im) ghat on psi in [8k, 8k + 8], shape (25, 2)."""
+        """Chebyshev coefficients of (Re, Im) ghat on psi in [8k, 8k + 8], shape (25, 2).
+
+        Read from the 512-node sums at the panel's Chebyshev points, psi =
+        2 pi |x| h.
+        """
         if k in self._panels:
             return self._panels[k]
+        tau, wg_even, wg_odd, tail_limit = self._rule
         psi = self._PANEL_WIDTH * (k + 0.5 + 0.5 * self._PANEL_POINTS)
-        coef = self._PANEL_DCT @ self._transform_sums(psi)
-        if np.abs(coef[-2:]).max() > self._panel_tail_limit:
+        phase = np.multiply.outer(psi, tau)
+        sums = np.stack([np.cos(phase) @ wg_even, np.sin(phase) @ wg_odd], axis=1)
+        coef = self._PANEL_DCT @ sums
+        if np.abs(coef[-2:]).max() > tail_limit:
             raise ValueError(
                 f"phi of {self.spec_string} has no degree-{self._PANEL_DEGREE} Chebyshev "
                 f"representation on 2 pi |x| h in [{psi.min():.6g}, {psi.max():.6g}]"

@@ -1,5 +1,6 @@
 """Test functions: closed forms, autocorrelation, functionals, spec strings."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -24,6 +25,8 @@ from momentbounds import (
     sigma2,
     testfunc,
 )
+from momentbounds.bounds import bound_moment
+from momentbounds.kernels import expectation_1level, expectation_2level
 from momentbounds.quadrature import gauss_legendre, legendre_rule
 from momentbounds.testfunc import (
     GeneratorBackedTestFunction,
@@ -110,11 +113,64 @@ def test_generator_phihat_even_and_supported(gen_sinx2):
 
 
 def test_zero_integral_generator_rejected():
-    # odd generator: integral vanishes, phi(0) = 0
-    with pytest.raises(ValueError, match="integrates to zero"):
-        make_from_generator(GeneratorSpec("polynomial", (0.0, 1.0), 0.25))
+    # odd generators, and 1 - (pi/2) cos(pi t/2) on (-1, 1): the integral
+    # vanishes, phi(0) = 0; the guard's scale is sqrt(2h int g^2) >= int |g|
+    for spec in ("gen:poly:0,1:half=1/4", "gen:poly:0,1:half=1",
+                 "gen:cos:1,-1.5707963267948966:half=1"):
+        with pytest.raises(ValueError, match="integrates to zero"):
+            from_spec_string(spec)
+    assert from_spec_string("gen:cos:1,-1.5:half=1").phi0 > 0
     with pytest.raises(ValueError, match="identically zero"):
         make_from_generator(GeneratorSpec("polynomial", (0.0,), 0.25))
+
+
+# (int g)^2 and int g^2 in 40-digit arithmetic; cos and poly are closed
+# forms to rounding, sin(t^2) rests on the 128-node rule
+@pytest.mark.parametrize("spec, g, tol", [
+    ("gen:cos:1,0.3,-0.2:half=1/20",
+     lambda mp, t: 1 + mp.mpf(0.3) * mp.cos(10 * mp.pi * t) - mp.mpf(0.2) * mp.cos(20 * mp.pi * t),
+     1e-15),
+    ("gen:poly:1,0,-50:half=1/20", lambda mp, t: 1 - 50 * t**2, 1e-15),
+    ("gen:sinx2:half=1/8", lambda mp, t: mp.sin(t * t), 5e-15),
+])
+def test_generator_values_at_origin_match_mpmath(spec, g, tol):
+    mpmath = pytest.importorskip("mpmath")
+    g = functools.partial(g, mpmath)
+    tf = from_spec_string(spec)
+    h = mpmath.mpf(tf.generator.half_support)
+    with mpmath.workdps(40):
+        int_g = mpmath.quad(g, [-h, 0, h])
+        int_g2 = mpmath.quad(lambda t: g(t) ** 2, [-h, 0, h])
+        assert abs(tf.phi0 / int_g**2 - 1) <= tol
+        assert abs(tf.phihat0 / int_g2 - 1) <= tol
+
+
+def test_bounds_never_build_the_phi_rule(monkeypatch):
+    # phi(0) and phihat(0) come from the basis moments and Gram matrix, so
+    # bounds, moments, expectations and the optimizer never build the
+    # 512-node rule; only phi away from 0 does
+    def refuse(*args):
+        raise RuntimeError("the 512-node rule was built")
+
+    monkeypatch.setattr(testfunc, "_rule_basis", refuse)
+    tfs = [from_spec_string(spec) for spec in
+           ("gen:cos:1,0.3,-0.2:half=1/20", "gen:poly:1,0,-50:half=1/20", "gen:sinx2:half=1/8")]
+    for tf in tfs:
+        (result,) = bound_moment([tf], SymmetryGroup.SO_EVEN, [30], regime="mock_gaussian")
+        assert result.upper_bound > 0
+        request = moments.MomentRequest((tf,) * 4, SymmetryGroup.SO_EVEN, regime="with_R")
+        assert moments.centered_moment(request).value > 0
+        assert expectation_1level(tf, SymmetryGroup.SO_ODD) > 0
+        assert expectation_2level(tf, tfs[0], SymmetryGroup.SO_EVEN) > 0
+    problem = OptimizationProblem(
+        family=SymmetryGroup.SO_EVEN, rank=100, moment_order=4,
+        bases=(GeneratorBasis("cosine-series", dimension=4, half_support=0.125),
+               GeneratorBasis("fixed", fixed_function=make_naive(0.25))),
+        support_budget=0.25, regime="mock_gaussian",
+    )
+    assert objective([(1.0, -0.75, 0.5, 0.5), ()], problem) < 1e-8
+    with pytest.raises(RuntimeError, match="512-node"):
+        tfs[0].phi(1.0)
 
 
 def test_generator_spec_validation():
@@ -391,8 +447,9 @@ def test_phi_refuses_points_its_rule_cannot_resolve():
 
 
 def test_phi_refuses_a_panel_whose_series_does_not_chop():
+    # the tail limit is read when the first phi builds the rule
     tf = from_spec_string("gen:cos:1:half=1/6")
-    tf._panel_tail_limit = 0.0
+    tf._PANEL_TAIL_TOL = 0.0
     with pytest.raises(ValueError, match="no degree-24 Chebyshev representation"):
         tf.phi(1.0)
 
