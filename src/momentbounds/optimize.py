@@ -186,6 +186,12 @@ class SearchSettings:
     seed: int = 0
     max_evals: int = 2000
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_evals < 1:
+            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
+
 
 @dataclass(frozen=True)
 class RestartTrace:

@@ -59,7 +59,6 @@ def _family_for(table_family: str, rank: int) -> SymmetryGroup:
     return SymmetryGroup.from_string(table_family)
 
 
-@lru_cache(maxsize=8)
 def table_cells(table: str) -> tuple[ReferenceCell, ...]:
     """All printed cells of one table, row-major, ranks ascending."""
     data = _load()

@@ -53,7 +53,6 @@ from .quadrature import legendre_rule
 from .testfunc import TestFunction, sigma2
 
 _EIG_UNIT_TOL = 1e-8  # sampled cosines must lie in [-1, 1] up to this
-_BATCH_MATRIX_LIMIT = 512  # samples drawn per vectorized block
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,8 @@ class EmpiricalMoments:
 
     mean: float
     centered: dict[int, float]
-    std_errors: dict[int, float] | None
-    mean_std_error: float | None
+    std_errors: dict[int, float]
+    mean_std_error: float
     sample_count: int
 
 
@@ -219,12 +218,8 @@ def _batch_statistic(args) -> np.ndarray:
     """Z of one batch's samples, in draw order, from the batch's own substream."""
     spec, tf, batch_size, stream = args
     rng = np.random.default_rng(stream)
-    blocks = []
-    for done in range(0, batch_size, _BATCH_MATRIX_LIMIT):
-        block = min(_BATCH_MATRIX_LIMIT, batch_size - done)
-        angles = sample_haar_batch(spec.group, spec.half_dim, rng, block)
-        blocks.append(linear_statistic(angles, tf, spec.dim))
-    return np.concatenate(blocks)
+    angles = sample_haar_batch(spec.group, spec.half_dim, rng, batch_size)
+    return linear_statistic(angles, tf, spec.dim)
 
 
 def empirical_moments(
@@ -235,9 +230,12 @@ def empirical_moments(
 ) -> EmpiricalMoments:
     """Mean and centered moments of Z up to order ``n_max``.
 
-    The sample set is split into ~sqrt(samples) batches; each batch has
-    its own deterministic substream and contributes one point to the
-    batch-means standard errors.  Batches may be mapped to worker
+    The sample set is split into ~sqrt(samples) batches, at least two, so
+    fewer than 4 samples are refused, as is a worker count below 1.  Each
+    batch is one :func:`sample_haar_batch` call on its own deterministic
+    substream, however many samples it holds: for U(N) every beta draw of
+    a batch precedes its uniform draws.  Each batch contributes one point
+    to the batch-means standard errors.  Batches may be mapped to worker
     processes; their samples are joined in batch order either way.  The
     samples are centered twice, at their mean and then at the mean of
     the residuals (the corrected two-pass form), before any power is
@@ -246,12 +244,16 @@ def empirical_moments(
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    if spec.samples < 4:
+        raise ValueError(f"samples must be >= 4 for two batches, got {spec.samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n_batches = math.isqrt(spec.samples)
     base, remainder = divmod(spec.samples, n_batches)
     streams = np.random.SeedSequence(spec.seed).spawn(n_batches)
     jobs = [(spec, tf, base + (i < remainder), streams[i]) for i in range(n_batches)]
 
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -267,21 +269,15 @@ def empirical_moments(
     orders = range(2, n_max + 1)
     centered = {k: float(np.mean(dev**k)) for k in orders}
 
-    std_errors = None
-    mean_std_error = None
-    if len(batches) >= 2:
-        parts = np.split(dev, np.cumsum([len(b) for b in batches[:-1]]))
-        root_b = math.sqrt(len(parts))
-        std_errors = {
-            k: float(np.std([np.mean(p**k) for p in parts], ddof=1) / root_b) for k in orders
-        }
-        mean_std_error = float(np.std([p.mean() for p in parts], ddof=1) / root_b)
-
+    parts = np.split(dev, np.cumsum([len(b) for b in batches[:-1]]))
+    root_b = math.sqrt(len(parts))
     return EmpiricalMoments(
         mean=float(mean + correction),
         centered=centered,
-        std_errors=std_errors,
-        mean_std_error=mean_std_error,
+        std_errors={
+            k: float(np.std([np.mean(p**k) for p in parts], ddof=1) / root_b) for k in orders
+        },
+        mean_std_error=float(np.std([p.mean() for p in parts], ddof=1) / root_b),
         sample_count=len(z),
     )
 
@@ -435,9 +431,9 @@ def verify_moments(
     emp = empirical_moments(spec, tf, n_max, workers=workers)
     out = []
     for order, predicted in predictions:
-        se = emp.std_errors[order] if emp.std_errors else float("nan")
+        se = emp.std_errors[order]
         allowance = 3.0 * se + abs(exact[order] - predicted)
-        z = (emp.centered[order] - predicted) / se if se and se > 0 else float("nan")
+        z = (emp.centered[order] - predicted) / se if se > 0 else float("nan")
         out.append(
             MomentComparison(order, emp.centered[order], predicted, se, allowance, z)
         )

@@ -23,14 +23,14 @@ constructions are provided:
   a 128-node rule only for sin(t^2), whose autocorrelation needs Fresnel
   integrals.  Each function's phihat is then the exact polynomial piece
   whose coefficients are ``c^T T_j c``.  The basis integrals
-  ``m_k = int b_k`` and the Gram matrix ``G = T(0)`` are cached per basis
-  too, so a build sets ``phi(0) = (c.m)^2`` and ``phihat(0) = c^T G c``
-  and evaluates no basis function.  Only phi away from 0 needs more: it
-  is |ghat|^2, read from Chebyshev series of the real and imaginary parts
-  of ghat on fixed panels of 2 pi |x| h, each interpolated from a
-  512-node Gauss-Legendre sum when first needed.  That rule, with the
-  basis values at its nodes (cached per basis), is built on the first
-  phi, so bounds, moments, expectations and the optimizer never build it.
+  ``m_k = int b_k`` and the Gram matrix ``G = T(0)`` are built and cached
+  with ``T``, so a build sets ``phi(0) = (c.m)^2`` and
+  ``phihat(0) = c^T G c`` and evaluates no basis function.  Only phi away
+  from 0 needs more: it is |ghat|^2, read from Chebyshev series of the
+  real and imaginary parts of ghat on fixed panels of 2 pi |x| h, each
+  interpolated from a 512-node Gauss-Legendre sum when first needed.
+  That rule, with g at its nodes, is built on each function's first phi,
+  so bounds, moments, expectations and the optimizer never build it.
 
 Support intervals are treated as open: the transforms vanish at their
 support endpoints, so a function with ``support_bound == t`` satisfies a
@@ -135,20 +135,6 @@ def _basis_values(kind: str, dim: int, half_support: float, t) -> np.ndarray:
     return np.where((np.abs(t) < half_support)[..., None], vals, 0.0)
 
 
-@lru_cache(maxsize=16)
-def _rule_basis(kind: str, dim: int, half_support: float) -> np.ndarray:
-    """Basis values b_k(t_q) at the generator rule's nodes on (-h, h), shape (512, d).
-
-    Read-only: shared by every generator of the same basis, whose values
-    there are this matrix times its weights.
-    """
-    nodes, _ = legendre_rule(GeneratorBackedTestFunction._GL_NODES)
-    h = half_support
-    out = _basis_values(kind, dim, h, 0.5 * (nodes + 1.0) * (2 * h) - h)
-    out.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=1)
 def _chebyshev_points() -> tuple[np.ndarray, np.ndarray]:
     """The 128 Chebyshev points x_j = cos(theta_j) on [-1, 1] and the DCT matrix
@@ -193,15 +179,24 @@ def _autocorrelation_values(kind: str, dim: int, h: float, y: np.ndarray) -> np.
 
 
 @lru_cache(maxsize=16)
-def _basis_moments(kind: str, dim: int, half_support: float) -> tuple[np.ndarray, np.ndarray]:
-    """The basis integrals m_k = int b_k and the Gram matrix G = T(0).
+def _basis_tables(
+    kind: str, dim: int, half_support: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One basis's ``(m, G, T)``, built once and shared read-only.
 
-    m is in closed form for cosine bases (2h sinc(k/2), exactly 0 for
-    even k > 0) and polynomial ones (2h^(k+1)/(k+1) for even k, 0 for
-    odd); for sin(t^2) it is the _AUTOCORR_NODES rule.  G comes from
-    :func:`_autocorrelation_values` at y = 0, the closed form or exact rule
-    that samples the basis table.  A generator with weights c then has
-    phi(0) = (c.m)^2 and phihat(0) = c^T G c.  Read-only, shared per basis.
+    m_k = int b_k is in closed form for cosine bases (2h sinc(k/2), exactly
+    0 for even k > 0) and polynomial ones (2h^(k+1)/(k+1) for even k, 0 for
+    odd); for sin(t^2) it is the _AUTOCORR_NODES rule.  The Gram matrix
+    G = T(0) and T(y)_kl = int b_k(t) b_l(t - y) dt at 128 Chebyshev points
+    of [0, 2h] come from :func:`_autocorrelation_values` (a closed form for
+    cosine bases, the Gauss-Legendre rule of the integrand's degree for
+    polynomial ones, a 128-node rule that resolves sin(t^2) to roundoff).
+    The cached DCT matrix turns those samples into Chebyshev coefficients
+    on [0, 2h], chopped where every entry's tail falls below roundoff, so
+    T has shape (degree + 1, d, d).  A generator with weights c has
+    phi(0) = (c.m)^2, phihat(0) = c^T G c and phihat coefficients c^T T_j c.
+    Raises ValueError when the series does not chop below the degree cap,
+    rather than represent phihat approximately.
     """
     h = half_support
     k = np.arange(dim)
@@ -214,25 +209,6 @@ def _basis_moments(kind: str, dim: int, half_support: float) -> tuple[np.ndarray
         nodes, weights = legendre_rule(_AUTOCORR_NODES)
         m = np.array([h * (weights @ np.sin((h * nodes) ** 2))])
     gram = _autocorrelation_values(kind, dim, h, np.zeros(1))[0]
-    m.flags.writeable = gram.flags.writeable = False
-    return m, gram
-
-
-@lru_cache(maxsize=16)
-def _basis_autocorrelation(kind: str, dim: int, half_support: float) -> np.ndarray:
-    """Chebyshev coefficients on [0, 2h] of T(y)_kl = int b_k(t) b_l(t - y) dt.
-
-    T is evaluated at 128 Chebyshev points of [0, 2h] by
-    :func:`_autocorrelation_values` (a closed form for cosine bases, the
-    Gauss-Legendre rule of the integrand's degree for polynomial ones, a
-    128-node rule that resolves sin(t^2) to roundoff), converted to
-    coefficients by the cached DCT matrix and chopped where every entry's
-    tail falls below roundoff.  Shape (degree + 1, d, d), read-only: it is
-    shared by every generator of the same basis, whose phihat then has the
-    coefficients c^T T_j c.  Raises ValueError when the series does not
-    chop below the degree cap, rather than represent phihat approximately.
-    """
-    h = half_support
     x, dct = _chebyshev_points()
     values = _autocorrelation_values(kind, dim, h, h * (x + 1.0))
     coef = (dct @ values.reshape(_CHEB_POINTS, -1)).reshape(_CHEB_POINTS, dim, dim)
@@ -245,9 +221,10 @@ def _basis_autocorrelation(kind: str, dim: int, half_support: float) -> np.ndarr
             f"the {kind} basis of dimension {dim} on half-support {h!r} has no "
             f"Chebyshev representation below degree {_MAX_PHIHAT_DEGREE}"
         )
-    out = coef[: degree + 1].copy()
-    out.flags.writeable = False
-    return out
+    table = coef[: degree + 1].copy()
+    for arr in (m, gram, table):
+        arr.flags.writeable = False
+    return m, gram, table
 
 
 class TestFunction:
@@ -305,13 +282,13 @@ class NaiveTestFunction(TestFunction):
 class GeneratorBackedTestFunction(TestFunction):
     """phi = |inverse transform of g|^2, phihat = autocorrelation of g.
 
-    Construction reads only per-basis caches and the generator's weights
-    ``c``: ``phihat_coef`` is the Chebyshev series on [0, 2*half_support]
-    with coefficients ``c^T T_j c``, from the basis autocorrelation table
-    ``T``; ``phi0 = (c.m)^2`` and ``phihat0 = c^T G c``, from the basis
-    integrals ``m`` and Gram matrix ``G = T(0)`` (:func:`_basis_moments`).
-    A generator whose integral is below 1e-12 of sqrt(2h c^T G c), a
-    bound on int |g|, is refused.
+    Construction reads one cached per-basis build and the generator's
+    weights ``c``: ``phihat_coef`` is the Chebyshev series on
+    [0, 2*half_support] with coefficients ``c^T T_j c``, from the basis
+    autocorrelation table ``T``; ``phi0 = (c.m)^2`` and
+    ``phihat0 = c^T G c``, from the basis integrals ``m`` and Gram matrix
+    ``G = T(0)`` (:func:`_basis_tables`).  A generator whose integral is
+    below 1e-12 of sqrt(2h c^T G c), a bound on int |g|, is refused.
 
     phi is |ghat|^2 with ghat(x) = int g(t) e^{2 pi i x t} dt, whose real
     and imaginary parts are fixed 512-node Gauss-Legendre sums, built with
@@ -356,7 +333,7 @@ class GeneratorBackedTestFunction(TestFunction):
         h = generator.half_support
         c = generator.weights
         self.support_bound = 2.0 * h
-        m, gram = _basis_moments(generator.kind, generator.dimension, h)
+        m, gram, table = _basis_tables(generator.kind, generator.dimension, h)
         int_g = float(c @ m)
         int_g2 = float(c @ gram @ c)
         if int_g2 <= 0.0:
@@ -371,8 +348,6 @@ class GeneratorBackedTestFunction(TestFunction):
         self.phihat0 = int_g2
         self._max_x = self._MAX_PHASE / (2.0 * math.pi * h)
         self._panels: dict[int, np.ndarray] = {}
-
-        table = _basis_autocorrelation(generator.kind, generator.dimension, h)
         self.phihat_coef = (table @ c) @ c
         self.spec_string = _generator_spec_string(generator)
 
@@ -387,8 +362,10 @@ class GeneratorBackedTestFunction(TestFunction):
         """
         nodes, weights = legendre_rule(self._GL_NODES)
         gen = self.generator
-        w = weights * gen.half_support
-        g = _rule_basis(gen.kind, gen.dimension, gen.half_support) @ gen.weights
+        h = gen.half_support
+        w = weights * h
+        t = 0.5 * (nodes + 1.0) * (2 * h) - h
+        g = _basis_values(gen.kind, gen.dimension, h, t) @ gen.weights
         wg = w * g
         half = self._GL_NODES // 2
         return (nodes[half:], wg[half:] + wg[half - 1 :: -1], wg[half:] - wg[half - 1 :: -1],

@@ -597,6 +597,54 @@ def test_rmt_verify_refuses_orders_without_a_prediction(capsys):
     assert json.loads(err)["error"] == "support-regime"
 
 
+_RMT_ARGV = ["rmt-verify", "--N", "5", "--testfn", "naive:v=1/4", "--orders", "2,3", "--seed", "2"]
+_OPT_ARGV = ["optimize", "--family", "so-even", "--rank", "100", "--support", "1/4",
+             "--basis", "cos:dim=4:half=1/8", "--regime", "mock_gaussian", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_RMT_ARGV + ["--group", "so-even", "--samples", "3"], "samples must be >= 4"),
+        (_RMT_ARGV + ["--group", "u", "--samples", "100", "--workers", "0"],
+         "workers must be >= 1"),
+        (_OPT_ARGV + ["--restarts", "0"], "restarts must be >= 1"),
+        (_OPT_ARGV + ["--restarts", "1", "--max-evals", "0"], "max_evals must be >= 1"),
+    ],
+)
+def test_counts_below_one_run_are_invalid_input(capsys, monkeypatch, argv, message):
+    # refused before any sampling or objective call: either would raise here
+    def refuse(*args, **kwargs):
+        raise RuntimeError("sampled or evaluated")
+
+    monkeypatch.setattr(momentbounds.rmt, "sample_haar_batch", refuse)
+    monkeypatch.setattr(momentbounds.optimize, "objective", refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "invalid-input"
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _RMT_ARGV + ["--group", "so-odd", "--samples", "4"],
+        _RMT_ARGV + ["--group", "u", "--samples", "4"],
+        _OPT_ARGV + ["--restarts", "2", "--max-evals", "1"],
+    ],
+)
+def test_fewest_accepted_counts_print_strict_json(capsys, argv):
+    # NaN and Infinity are not JSON: every printed value must be a finite number
+    def refuse(name):
+        raise ValueError(f"{name} in a record")
+
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out
+    for line in out.splitlines():
+        json.loads(line, parse_constant=refuse)
+
+
 def test_unsplit_family_is_unknown(capsys):
     argv = ["moment", "--family", "o", "--regime", "mock_gaussian"]
     argv += ["--testfn", "naive:v=1/4"] * 4

@@ -281,6 +281,14 @@ def test_seed_determinism(naive_third):
     assert a.mean != c.mean
 
 
+@pytest.mark.parametrize("group", [G.SO_EVEN, G.SO_ODD, G.U])
+def test_empirical_moments_do_not_depend_on_workers(group, naive_third):
+    # batches own their substreams, so a process pool joins the same samples
+    spec = EnsembleSpec(group, 6, 150, seed=9)
+    one = empirical_moments(spec, naive_third, 4, workers=1)
+    assert repr(empirical_moments(spec, naive_third, 4, workers=2)) == repr(one)
+
+
 def test_empirical_matches_theory_small_dimension(naive_third):
     # N = 12 keeps this fast; the exact finite-N law carries the bias
     for group in (G.SO_EVEN, G.SO_ODD):
