@@ -422,9 +422,12 @@ def verify_moments(
 
     The acceptance band is 3 standard errors plus the exact bias of this
     dimension, |finite_n_moments - predicted| at each order.  An order
-    with no prediction raises :class:`SupportRegimeError` before any
-    sampling.
+    with no prediction raises :class:`SupportRegimeError`, and a repeated
+    order ValueError, before any sampling.
     """
+    repeated = [order for order in orders if orders.count(order) > 1]
+    if repeated:
+        raise ValueError(f"order {repeated[0]} is repeated in orders {list(orders)}")
     predictions = [(order, predicted_moment(tf, spec.group, order)) for order in orders]
     n_max = max(orders)
     _, exact = finite_n_moments(tf, spec.group, spec.half_dim, n_max)

@@ -296,9 +296,12 @@ class GeneratorBackedTestFunction(TestFunction):
     psi = 2 pi |x| h both are entire of exponential type 1, so phi reads
     them from short Chebyshev series on fixed panels of psi.  A panel is
     interpolated from the 512-node sums at its Chebyshev points the first
-    time phi touches it and is cached on the instance; its values depend
-    on the panel alone, so phi(x) does not depend on call history or
-    batch.
+    time phi touches it and is cached on the instance as complex
+    coefficients Re + i Im.  A call runs one Clenshaw recurrence over all
+    its points, each point reading its own panel's coefficients from a
+    table of the panels the call touches; the bits are those of a
+    separate Chebyshev sum of each part.  A point's value depends on its
+    panel alone, so phi(x) does not depend on call history or batch.
     """
 
     _GL_NODES = 512
@@ -372,7 +375,7 @@ class GeneratorBackedTestFunction(TestFunction):
                 self._PANEL_TAIL_TOL * float(w @ np.abs(g)))
 
     def _panel(self, k: int) -> np.ndarray:
-        """Chebyshev coefficients of (Re, Im) ghat on psi in [8k, 8k + 8], shape (25, 2).
+        """Chebyshev coefficients Re + i Im of ghat on psi in [8k, 8k + 8], shape (25,).
 
         Read from the 512-node sums at the panel's Chebyshev points, psi =
         2 pi |x| h.
@@ -389,8 +392,8 @@ class GeneratorBackedTestFunction(TestFunction):
                 f"phi of {self.spec_string} has no degree-{self._PANEL_DEGREE} Chebyshev "
                 f"representation on 2 pi |x| h in [{psi.min():.6g}, {psi.max():.6g}]"
             )
-        self._panels[k] = coef
-        return coef
+        self._panels[k] = coef[:, 0] + 1j * coef[:, 1]
+        return self._panels[k]
 
     def phi(self, x):
         x = np.asarray(x, dtype=float)
@@ -403,12 +406,20 @@ class GeneratorBackedTestFunction(TestFunction):
         scaled = flat * (2.0 * math.pi * self.generator.half_support / self._PANEL_WIDTH)
         panel = scaled.astype(int)
         u = 2.0 * (scaled - panel) - 1.0
-        out = np.empty(flat.size)
-        for k in np.flatnonzero(np.bincount(panel)):
-            at = panel == k
-            re, im = chebyshev.chebval(u[at], self._panel(int(k)))
-            out[at] = re**2 + im**2
-        return out.reshape(x.shape)
+        # chebval's Clenshaw steps over all points at once, each point
+        # reading its own panel's coefficient: a complex coefficient times
+        # the real 2u has an exactly zero cross term, so Re and Im are the
+        # bits of two real chebval sums
+        counts = np.bincount(panel)
+        table = np.zeros((self._PANEL_SIZE, counts.size), dtype=complex)
+        for k in np.flatnonzero(counts):
+            table[:, k] = self._panel(int(k))
+        u2 = 2.0 * u
+        c0, c1 = table[-2][panel], table[-1][panel]
+        for i in range(3, self._PANEL_SIZE + 1):
+            c0, c1 = table[-i][panel] - c1, c0 + c1 * u2
+        v = c0 + c1 * u
+        return (v.real**2 + v.imag**2).reshape(x.shape)
 
 
 def _generator_spec_string(g: GeneratorSpec) -> str:

@@ -627,6 +627,24 @@ def test_counts_below_one_run_are_invalid_input(capsys, monkeypatch, argv, messa
 
 
 @pytest.mark.parametrize(
+    "orders, message",
+    [("2,2", "order 2 is repeated in orders [2, 2]"),
+     ("3,2,4,3", "order 3 is repeated in orders [3, 2, 4, 3]")],
+)
+def test_rmt_verify_refuses_a_repeated_order(capsys, monkeypatch, orders, message):
+    # each order would print its record twice; refused before any sampling
+    def refuse(*args, **kwargs):
+        raise RuntimeError("sampled")
+
+    monkeypatch.setattr(momentbounds.rmt, "sample_haar_batch", refuse)
+    argv = ["rmt-verify", "--group", "so-even", "--N", "10", "--samples", "100",
+            "--testfn", "naive:v=1/4", "--orders", orders]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "invalid-input", "message": message}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         _RMT_ARGV + ["--group", "so-odd", "--samples", "4"],

@@ -437,6 +437,37 @@ def test_phi_does_not_depend_on_call_history(spec):
     assert np.array_equal(first.phi(xs[::7]), batch_first[0][::7])
 
 
+def _per_panel_phi(tf, x):
+    # one chebval per touched panel, Re and Im ghat taken as separate real
+    # series: the evaluation phi's single Clenshaw pass must reproduce bit
+    # for bit
+    x = np.asarray(x, dtype=float)
+    scaled = np.abs(x.reshape(-1)) * (2.0 * math.pi * tf.generator.half_support / tf._PANEL_WIDTH)
+    panel = scaled.astype(int)
+    u = 2.0 * (scaled - panel) - 1.0
+    out = np.empty(scaled.size)
+    for k in np.unique(panel):
+        at = panel == k
+        coef = tf._panel(int(k))
+        out[at] = chebyshev.chebval(u[at], coef.real) ** 2 + chebyshev.chebval(u[at], coef.imag) ** 2
+    return out.reshape(x.shape)
+
+
+@pytest.mark.parametrize("spec", GENERATORS)
+def test_phi_is_the_per_panel_chebval_sum(spec):
+    tf = make_from_generator(spec)
+    width = tf._PANEL_WIDTH / (2.0 * math.pi * spec.half_support)  # one panel, in x
+    last = int(tf._max_x / width)
+    # five points inside every panel up to _max_x, both ends of the range,
+    # and every third point negated
+    inside = np.arange(last + 1)[:, None] + np.random.default_rng(3).uniform(0, 1, (last + 1, 5))
+    xs = np.concatenate([np.minimum(inside.reshape(-1) * width, tf._max_x), [0.0, tf._max_x]])
+    xs = np.concatenate([xs, -xs[::3]])
+    for points in (xs, xs[:210].reshape(6, 35), xs[17], -xs[40:41], xs[:0]):
+        assert np.array_equal(tf.phi(points), _per_panel_phi(tf, points))
+        assert tf.phi(points).shape == np.shape(points)
+
+
 def test_phi_refuses_points_its_rule_cannot_resolve():
     # at x = 1000 (2 pi x h = 1047) the 512-node rule gives 1.18e-3 where
     # the true value is 7.6e-8
