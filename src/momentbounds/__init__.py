@@ -29,7 +29,6 @@ from .optimize import (
     GeneratorBasis,
     NoFeasiblePointError,
     OptimizationProblem,
-    SearchSettings,
     objective,
     search,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "OptimizationProblem",
     "ParityError",
     "RankTooSmallError",
-    "SearchSettings",
     "SupportRegimeError",
     "SymmetryGroup",
     "TestFunction",

@@ -87,11 +87,15 @@ def _sweep(
 ) -> list[BoundResult]:
     """The one path every bound takes: ``numerator() / denominator(r)`` per rank.
 
-    Every rank is checked first, in the order given: its parity, then
+    Every rank is checked first: a repeated rank (which would print its
+    record twice), then in the order given each rank's parity and
     whatever ``denominator`` refuses.  Only then is the rank-free
     numerator computed, once for the whole sweep.
     """
     ranks = tuple(ranks)
+    repeated = [r for r in ranks if ranks.count(r) > 1]
+    if repeated:
+        raise ValueError(f"rank {repeated[0]} is repeated in ranks {list(ranks)}")
     denominators = []
     for r in ranks:
         if r < 1:

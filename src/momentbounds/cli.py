@@ -46,15 +46,16 @@ from .bounds import (
 )
 from .kernels import SymmetryGroup
 from .moments import REGIMES, MomentRequest, SupportRegimeError, centered_moment
-from .optimize import (
-    GeneratorBasis,
-    NoFeasiblePointError,
-    OptimizationProblem,
-    SearchSettings,
-    search,
-)
+from .optimize import GeneratorBasis, NoFeasiblePointError, OptimizationProblem, search
 from .rmt import EnsembleSpec, verify_moments
-from .testfunc import GENERATOR_NAMES, GeneratorSpec, from_spec_string, make_from_generator, parse_rational
+from .testfunc import (
+    GENERATOR_NAMES,
+    GeneratorSpec,
+    TestFunction,
+    from_spec_string,
+    make_from_generator,
+    parse_rational,
+)
 
 ERROR_CODES = {
     ParityError: "parity-mismatch",
@@ -205,19 +206,22 @@ def _cmd_table(args) -> int:
     return 0 if all(cell.within_tolerance for cell in cells) else 1
 
 
-def _parse_basis(spec: str, budget: float) -> GeneratorBasis:
+def _parse_basis(spec: str, budget: float) -> GeneratorBasis | TestFunction:
     """Basis grammar: sinx2:half=<r> | cos:dim=<d>:half=<r> |
     poly:dim=<d>:half=<r> | fixed:<testfn spec>
 
-    ``sinx2`` has no parameters: it is the fixed slot ``gen:sinx2:half=<r>``.
-    A field other than ``dim`` and ``half`` is refused, not ignored.
+    A fixed slot is its test function.  ``sinx2`` has no parameters: it
+    is the fixed slot ``gen:sinx2:half=<r>``.  A field other than ``dim``
+    and ``half``, or a field given twice, is refused, not ignored.
     """
     if spec.startswith("fixed:"):
-        return GeneratorBasis("fixed", fixed_function=from_spec_string(spec[6:]))
+        return from_spec_string(spec[6:])
     parts = spec.split(":")
     fields = {}
     for p in parts[1:]:
         key, _, value = p.partition("=")
+        if key in fields:
+            raise ValueError(f"basis field {key!r} is repeated in {spec!r}")
         fields[key] = value
     unknown = sorted(set(fields) - {"dim", "half"})
     if unknown:
@@ -225,8 +229,7 @@ def _parse_basis(spec: str, budget: float) -> GeneratorBasis:
     half = parse_rational(fields.get("half", str(budget / 2)))
     kind = {name: kind for kind, name in GENERATOR_NAMES.items()}.get(parts[0])
     if kind == "sin-of-square":
-        sinx2 = make_from_generator(GeneratorSpec(kind, (), half))
-        return GeneratorBasis("fixed", fixed_function=sinx2)
+        return make_from_generator(GeneratorSpec(kind, (), half))
     if kind is None or "dim" not in fields:
         raise ValueError(
             f"cannot parse basis {spec!r} (expected sinx2:half=<r> | "
@@ -243,14 +246,12 @@ def _cmd_optimize(args) -> int:
     problem = OptimizationProblem(
         family=family,
         rank=args.rank,
-        moment_order=2 * len(bases),
         bases=bases,
         support_budget=budget,
         weight_k=args.weight_k,
         regime=args.regime,
     )
-    settings = SearchSettings(restarts=args.restarts, seed=args.seed, max_evals=args.max_evals)
-    result = search(problem, settings)
+    result = search(problem, restarts=args.restarts, seed=args.seed, max_evals=args.max_evals)
     records: list[dict] = [
         {
             "kind": "restart",

@@ -5,8 +5,8 @@ it must stay even and non-negative with a compactly supported
 transform), the search varies the generator ``g``: any real compactly
 supported ``g`` yields an admissible test function whose transform is
 supported on twice the generator's support.  Each slot of the moment
-bound gets its own generator basis, slots are optimized jointly, and the
-objective is the bound itself.
+bound is a generator basis or a fixed test function, the bases'
+coefficients are searched jointly, and the objective is the bound itself.
 
 Every quantity in the objective is exact up to rounding: the integrals
 are Gauss-Legendre sums and the correction term R is multilinear in the
@@ -22,7 +22,6 @@ scheduling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,8 +35,6 @@ from .testfunc import GeneratorSpec, TestFunction, make_from_generator
 PENALTY_SCALE = 1e6
 COEFFICIENT_BOX = (-1.0, 1.0)  # every free coefficient's search interval
 
-BASIS_KINDS = ("cosine-series", "polynomial", "fixed")
-
 
 class NoFeasiblePointError(RuntimeError):
     """Every evaluated point fell in the penalty branch."""
@@ -45,73 +42,55 @@ class NoFeasiblePointError(RuntimeError):
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """Parametrization of one slot's generator.
+    """Parametrization of one searched slot's generator.
 
     ``cosine-series`` and ``polynomial`` expose ``dimension`` free
-    coefficients, each searched over ``COEFFICIENT_BOX``; ``fixed`` is
-    parameter-free and pins a prebuilt test function.
+    coefficients, each searched over ``COEFFICIENT_BOX``.  A slot with
+    nothing to search is its :class:`TestFunction`, not a basis.
     """
 
     kind: str
     dimension: int = 0
     half_support: float = 0.0
-    fixed_function: TestFunction | None = None
 
     def __post_init__(self):
-        if self.kind not in BASIS_KINDS:
+        if self.kind not in ("cosine-series", "polynomial"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "fixed":
-            if self.fixed_function is None:
-                raise ValueError("fixed basis needs fixed_function")
-            return
         if not self.half_support > 0:
             raise ValueError("half_support must be positive")
         if self.dimension < 1:
             raise ValueError(f"{self.kind} basis needs dimension >= 1")
 
     @property
-    def n_params(self) -> int:
-        if self.kind == "fixed":
-            return 0
-        return self.dimension
-
-    @property
     def support_bound(self) -> float:
-        if self.kind == "fixed":
-            return self.fixed_function.support_bound
         return 2.0 * self.half_support
 
     def build(self, coeffs: Sequence[float]) -> TestFunction:
         """Test function at the given coefficient vector (may raise for
         degenerate generators, e.g. integral zero)."""
-        if self.kind == "fixed":
-            return self.fixed_function
         return make_from_generator(GeneratorSpec(self.kind, tuple(coeffs), self.half_support))
 
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """A bound-minimization problem at fixed family, rank and moment order.
+    """A bound-minimization problem at fixed family and rank.
 
-    ``moment_order`` is 2m; there are m slot bases, each slot used twice
-    in the moment.  ``support_budget`` caps every slot's transform
-    support and must satisfy the support hypothesis of the chosen regime.
+    Each slot, a :class:`GeneratorBasis` to search or a fixed
+    :class:`TestFunction`, is used twice: m slots give moment order 2m.
+    ``support_budget`` caps every slot's transform support and must
+    satisfy the support hypothesis of the chosen regime.
     """
 
     family: SymmetryGroup
     rank: int
-    moment_order: int
-    bases: tuple[GeneratorBasis, ...]
+    bases: tuple[GeneratorBasis | TestFunction, ...]
     support_budget: float
     weight_k: int = 2
     regime: str = "auto"
 
     def __post_init__(self):
-        if self.moment_order < 2 or self.moment_order % 2 != 0:
-            raise ValueError("moment_order must be an even integer >= 2")
-        m = self.moment_order // 2
-        if len(self.bases) != m:
-            raise ValueError(f"need {m} slot bases for moment order {self.moment_order}")
+        if not self.bases:
+            raise ValueError("an optimization problem needs at least one slot")
         if not self.support_budget > 0:
             raise ValueError("support_budget must be positive")
         for basis in self.bases:
@@ -120,6 +99,9 @@ class OptimizationProblem:
                     f"slot support {basis.support_bound:.6g} exceeds the budget "
                     f"{self.support_budget:.6g}"
                 )
+        # checked before the threshold, which divides by k
+        if self.weight_k < 2:
+            raise ValueError("weight_k must be an integer >= 2")
         limit = support_threshold(self.regime, self.moment_order, self.weight_k)
         if not support_within(self.support_budget, limit):
             raise ValueError(
@@ -128,15 +110,21 @@ class OptimizationProblem:
             )
 
     @property
+    def moment_order(self) -> int:
+        return 2 * len(self.bases)
+
+    @property
     def n_params(self) -> int:
-        return sum(b.n_params for b in self.bases)
+        return sum(b.dimension for b in self.bases if isinstance(b, GeneratorBasis))
 
     def split_params(self, x: Sequence[float]) -> list[tuple[float, ...]]:
+        """One coefficient tuple per slot; a fixed test function takes none."""
         out = []
         i = 0
         for basis in self.bases:
-            out.append(tuple(x[i : i + basis.n_params]))
-            i += basis.n_params
+            n = basis.dimension if isinstance(basis, GeneratorBasis) else 0
+            out.append(tuple(x[i : i + n]))
+            i += n
         return out
 
 
@@ -154,7 +142,7 @@ def objective(
     """
     try:
         slots = [
-            basis.build(coeffs)
+            basis.build(coeffs) if isinstance(basis, GeneratorBasis) else basis
             for basis, coeffs in zip(problem.bases, coeffs_per_slot, strict=True)
         ]
     except ValueError:
@@ -174,29 +162,15 @@ def objective(
         magnitude = 0.0
         for tf in slots:
             margin = zero_margin(tf, problem.rank)
-            if margin <= 0 and tf.phi0 > 0:
+            if margin <= 0:
                 magnitude = max(magnitude, -margin / tf.phi0)
         return PENALTY_SCALE * (1.0 + magnitude)
     return result.upper_bound
 
 
 @dataclass(frozen=True)
-class SearchSettings:
-    restarts: int = 16
-    seed: int = 0
-    max_evals: int = 2000
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_evals < 1:
-            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
-
-
-@dataclass(frozen=True)
 class RestartTrace:
     restart: int
-    start: tuple[float, ...]
     start_value: float
     final_value: float
     evaluations: int
@@ -212,7 +186,10 @@ class SearchResult:
 
 def search(
     problem: OptimizationProblem,
-    settings: SearchSettings = SearchSettings(),
+    *,
+    restarts: int = 16,
+    seed: int = 0,
+    max_evals: int = 2000,
 ) -> SearchResult:
     """Minimize the bound with every coefficient in ``COEFFICIENT_BOX``.
 
@@ -220,56 +197,51 @@ def search(
     every point evaluated in any restart and never comes from the
     penalty branch.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     # imported here so the bound commands never load scipy
     from scipy.optimize import minimize
 
     n = problem.n_params
-
-    best_value = math.inf
-    best_x: np.ndarray | None = None
+    evaluated: list[tuple[float, np.ndarray]] = []  # (value, point) of every call, in order
 
     def evaluate(x: np.ndarray) -> float:
-        nonlocal best_value, best_x
         value = objective(problem.split_params(x), problem)
-        if value < best_value:
-            best_value = value
-            best_x = np.array(x, dtype=float)
+        evaluated.append((value, np.array(x, dtype=float)))
         return value
 
     traces: list[RestartTrace] = []
     if n == 0:
         value = evaluate(np.empty(0))
-        traces.append(RestartTrace(0, (), value, value, 1, True))
+        traces.append(RestartTrace(0, value, value, 1, True))
     else:
         lo, hi = COEFFICIENT_BOX
-        streams = np.random.SeedSequence(settings.seed).spawn(settings.restarts)
-        for i in range(settings.restarts):
+        streams = np.random.SeedSequence(seed).spawn(restarts)
+        for i in range(restarts):
             rng = np.random.default_rng(streams[i])
             x0 = lo + rng.random(n) * (hi - lo)
-            start_value = evaluate(x0)
+            first = len(evaluated)  # the simplex's first call is at x0
             result = minimize(
                 evaluate,
                 x0,
                 method="Nelder-Mead",
                 bounds=[COEFFICIENT_BOX] * n,
                 options={
-                    "maxfev": settings.max_evals,
+                    "maxfev": max_evals,
                     "fatol": 1e-12,
                     "xatol": 1e-10,
                 },
             )
+            start = evaluated[first][0]
             traces.append(
-                RestartTrace(
-                    i,
-                    tuple(float(v) for v in x0),
-                    start_value,
-                    float(result.fun),
-                    int(result.nfev),
-                    bool(result.success),
-                )
+                RestartTrace(i, start, float(result.fun), int(result.nfev), bool(result.success))
             )
 
-    if best_x is None or best_value >= PENALTY_SCALE:
+    # the first call of least value; a penalty value bounds nothing
+    best_value, best_x = min(evaluated, key=lambda e: e[0])
+    if best_value >= PENALTY_SCALE:
         raise NoFeasiblePointError(
             "no feasible point found in any restart; every evaluation hit the penalty branch"
         )

@@ -9,11 +9,9 @@ import itertools
 import pytest
 
 from momentbounds import (
-    GeneratorBasis,
     MomentRequest,
     OptimizationProblem,
     ParityError,
-    SearchSettings,
     SymmetryGroup,
     bound_level1,
     bound_moment,
@@ -200,30 +198,24 @@ def test_criterion_7_monte_carlo_mock_gaussian(naive_slots):
 def test_criterion_8_optimizer_regression(mixed_slots, naive_slots):
     """Search finds the published mixed pair; the naive-only space
     returns the tables' naive value."""
-    fixed_quarter = GeneratorBasis("fixed", fixed_function=mixed_slots[1])
     with_pair = OptimizationProblem(
         family=G.SO_EVEN,
         rank=100,
-        moment_order=4,
-        bases=(GeneratorBasis("fixed", fixed_function=mixed_slots[0]), fixed_quarter),
+        bases=mixed_slots,
         support_budget=0.25,
         regime="mock_gaussian",
     )
-    res_pair = search(with_pair, SearchSettings(restarts=1, seed=5, max_evals=10))
+    res_pair = search(with_pair, restarts=1, seed=5, max_evals=10)
     assert res_pair.bound <= 3.7858e-9 * (1.0 + 1e-3)
 
     naive_only = OptimizationProblem(
         family=G.SO_EVEN,
         rank=100,
-        moment_order=4,
-        bases=(
-            GeneratorBasis("fixed", fixed_function=naive_slots[0]),
-            GeneratorBasis("fixed", fixed_function=naive_slots[1]),
-        ),
+        bases=naive_slots,
         support_budget=1.0 / 3.0,
         regime="with_R",
     )
-    res_naive = search(naive_only, SearchSettings(restarts=1, seed=5, max_evals=10))
+    res_naive = search(naive_only, restarts=1, seed=5, max_evals=10)
     assert res_naive.bound == pytest.approx(3.84617e-9, rel=1e-4)
     print(
         f"[criterion 8] PASS: pair search {res_pair.bound:.5e} <= 3.7858e-9(1+1e-3); "

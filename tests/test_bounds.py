@@ -162,6 +162,26 @@ def test_rank_errors_name_the_first_failing_rank_in_order(naive_third, moment_ca
     assert moment_calls == []
 
 
+@pytest.mark.parametrize("method", ["level1", "level2", "moment"])
+def test_repeated_rank_is_refused_before_the_numerator(
+    naive_third, moment_calls, monkeypatch, method
+):
+    # a repeated rank would print its record twice
+    def refuse(*args):
+        raise RuntimeError("computed an expectation")
+
+    for name in ("expectation_1level", "expectation_2level"):
+        monkeypatch.setattr(bounds_module, name, refuse)
+    sweeps = {
+        "level1": lambda ranks: bound_level1(naive_third, G.SO_EVEN, ranks),
+        "level2": lambda ranks: bound_level2(naive_third, naive_third, G.SO_EVEN, ranks),
+        "moment": lambda ranks: bound_moment((naive_third,) * 2, G.SO_EVEN, ranks, regime="with_R"),
+    }
+    with pytest.raises(ValueError, match=r"^rank 6 is repeated in ranks \[6, 4, 6\]$"):
+        sweeps[method]([6, 4, 6])
+    assert moment_calls == []
+
+
 @pytest.mark.parametrize(
     "table,moments",
     [

@@ -218,6 +218,16 @@ def test_bound_ranks_error_names_the_failing_rank(capsys):
     }
 
 
+def test_bound_refuses_a_repeated_rank(capsys, moment_calls):
+    # the rank's record would print twice; refused before the moment
+    code, out, err = run_cli(NAIVE_SWEEP + ["--family", "so-even", "--ranks", "4,4"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "invalid-input", "message": "rank 4 is repeated in ranks [4, 4]"
+    }
+    assert moment_calls == []
+
+
 @pytest.mark.parametrize("method,count", [("level1", 2), ("level2", 3), ("moment4", 3)])
 def test_bound_refuses_surplus_testfn(capsys, method, count):
     argv = ["bound", "--family", "so-even", "--ranks", "6,8", "--method", method]
@@ -543,6 +553,42 @@ def test_optimize_refuses_an_unknown_basis_field(capsys, basis):
     assert "unknown basis field" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "basis, field",
+    [("cos:dim=2:half=1/8:half=1/16", "half"), ("poly:dim=2:dim=3:half=1/8", "dim")],
+)
+def test_optimize_refuses_a_repeated_basis_field(capsys, monkeypatch, basis, field):
+    # the last value would otherwise win unseen
+    def refuse(*args, **kwargs):
+        raise RuntimeError("evaluated")
+
+    monkeypatch.setattr(momentbounds.optimize, "objective", refuse)
+    code, out, err = run_cli(
+        ["optimize", "--family", "so-even", "--rank", "100", "--support", "1/4",
+         "--basis", basis, "--regime", "mock_gaussian"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "invalid-input",
+        "message": f"basis field {field!r} is repeated in {basis!r}",
+    }
+
+
+def test_optimize_sinx2_basis_is_its_fixed_slot(capsys):
+    outs = []
+    for basis in ("sinx2:half=1/8", "fixed:gen:sinx2:half=1/8"):
+        code, out, _ = run_cli(
+            ["optimize", "--family", "so-even", "--rank", "100", "--support", "1/4",
+             "--basis", basis, "--basis", "cos:dim=2:half=1/8", "--regime", "mock_gaussian",
+             "--restarts", "1", "--max-evals", "12", "--seed", "2"],
+            capsys,
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_rmt_verify_small_run(capsys):
     code, out, _ = run_cli(
         [
@@ -610,6 +656,8 @@ _OPT_ARGV = ["optimize", "--family", "so-even", "--rank", "100", "--support", "1
          "workers must be >= 1"),
         (_OPT_ARGV + ["--restarts", "0"], "restarts must be >= 1"),
         (_OPT_ARGV + ["--restarts", "1", "--max-evals", "0"], "max_evals must be >= 1"),
+        (_OPT_ARGV + ["--weight-k", "0"], "weight_k must be an integer >= 2"),
+        (_OPT_ARGV + ["--weight-k", "1"], "weight_k must be an integer >= 2"),
     ],
 )
 def test_counts_below_one_run_are_invalid_input(capsys, monkeypatch, argv, message):

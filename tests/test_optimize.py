@@ -8,14 +8,13 @@ from momentbounds import (
     MomentResult,
     NoFeasiblePointError,
     OptimizationProblem,
-    SearchSettings,
     SymmetryGroup,
     make_from_generator,
     make_naive,
     objective,
     search,
 )
-from momentbounds import bounds
+from momentbounds import bounds, optimize
 from momentbounds.optimize import PENALTY_SCALE
 
 G = SymmetryGroup
@@ -29,39 +28,30 @@ COSINE_GRID_POINT = (1.0, -0.75, 0.5, 0.5)
 COSINE_GRID_VALUE = 2.6825e-9
 
 
-@pytest.fixture(scope="module")
-def fixed_naive_quarter_basis():
-    return GeneratorBasis("fixed", fixed_function=make_naive(0.25))
-
-
-def _sinx2_basis(half):
+def _sinx2(half):
     """The parameter-free sin(t^2) slot, as the CLI's sinx2:half=<r> builds it."""
-    return GeneratorBasis(
-        "fixed", fixed_function=make_from_generator(GeneratorSpec("sin-of-square", (), half))
-    )
+    return make_from_generator(GeneratorSpec("sin-of-square", (), half))
 
 
 @pytest.fixture(scope="module")
-def mixed_problem(fixed_naive_quarter_basis):
+def mixed_problem(naive_quarter):
     return OptimizationProblem(
         family=G.SO_EVEN,
         rank=100,
-        moment_order=4,
-        bases=(_sinx2_basis(0.125), fixed_naive_quarter_basis),
+        bases=(_sinx2(0.125), naive_quarter),
         support_budget=0.25,
         regime="mock_gaussian",
     )
 
 
 @pytest.fixture(scope="module")
-def cosine_problem(fixed_naive_quarter_basis):
+def cosine_problem(naive_quarter):
     return OptimizationProblem(
         family=G.SO_EVEN,
         rank=100,
-        moment_order=4,
         bases=(
             GeneratorBasis("cosine-series", dimension=4, half_support=0.125),
-            fixed_naive_quarter_basis,
+            naive_quarter,
         ),
         support_budget=0.25,
         regime="mock_gaussian",
@@ -79,7 +69,6 @@ def test_objective_naive_equivalent_generators():
     problem = OptimizationProblem(
         family=G.SO_EVEN,
         rank=20,
-        moment_order=4,
         bases=(basis, basis),
         support_budget=1.0 / 3.0,
         regime="with_R",
@@ -88,17 +77,16 @@ def test_objective_naive_equivalent_generators():
     assert value == pytest.approx(4.49988e-6, rel=1e-4)
 
 
-def test_objective_penalty_branches(cosine_problem, fixed_naive_quarter_basis):
+def test_objective_penalty_branches(cosine_problem, naive_quarter):
     # degenerate generator: integral ~ 0
     assert objective([(0.0, 0.0, 0.0, 0.0), ()], cosine_problem) >= PENALTY_SCALE
     # rank below the minimum usable rank of the second slot (naive 1/4 has c=5)
     low_rank = OptimizationProblem(
         family=G.SO_EVEN,
         rank=4,
-        moment_order=4,
         bases=(
             GeneratorBasis("cosine-series", dimension=4, half_support=0.125),
-            fixed_naive_quarter_basis,
+            naive_quarter,
         ),
         support_budget=0.25,
         regime="mock_gaussian",
@@ -124,7 +112,7 @@ def test_grid_scan_point_beats_sin_of_square(cosine_problem, mixed_problem):
 
 
 def test_singleton_search_returns_fixed_value(mixed_problem):
-    res = search(mixed_problem, SearchSettings(restarts=1, seed=3, max_evals=5))
+    res = search(mixed_problem, restarts=1, seed=3, max_evals=5)
     assert res.bound == pytest.approx(MIXED_R100, rel=1e-3)
     assert res.coefficients == ((), ())
     assert len(res.trace) == 1
@@ -132,9 +120,9 @@ def test_singleton_search_returns_fixed_value(mixed_problem):
 
 @pytest.mark.slow
 def test_search_improves_and_is_deterministic(cosine_problem):
-    settings = SearchSettings(restarts=2, seed=7, max_evals=60)
-    res = search(cosine_problem, settings)
-    again = search(cosine_problem, settings)
+    settings = dict(restarts=2, seed=7, max_evals=60)
+    res = search(cosine_problem, **settings)
+    again = search(cosine_problem, **settings)
     assert res.bound == again.bound
     assert [t.final_value for t in res.trace] == [t.final_value for t in again.trace]
     # improvement: never worse than any restart's starting point
@@ -143,47 +131,72 @@ def test_search_improves_and_is_deterministic(cosine_problem):
     assert res.bound < 1.0
 
 
-def test_search_raises_when_nothing_feasible(fixed_naive_quarter_basis):
+def test_search_evaluates_each_start_point_once(cosine_problem, monkeypatch):
+    # the benchmark's search op: 2 restarts of at most 30 evaluations, seed 1
+    calls = []
+
+    def recording(coeffs_per_slot, problem):
+        value = objective(coeffs_per_slot, problem)
+        calls.append((coeffs_per_slot, value))
+        return value
+
+    monkeypatch.setattr(optimize, "objective", recording)
+    res = search(cosine_problem, restarts=2, seed=1, max_evals=30)
+    assert len(calls) == sum(t.evaluations for t in res.trace) == 60
+    first = 0
+    for t in res.trace:
+        # the start value is the simplex's first call, and that point is not called again next
+        assert t.start_value == calls[first][1]
+        assert calls[first + 1][0] != calls[first][0]
+        first += t.evaluations
+
+
+def test_search_raises_when_nothing_feasible(naive_quarter):
     problem = OptimizationProblem(
         family=G.SO_EVEN,
         rank=4,  # below the naive quarter's minimum usable rank 5
-        moment_order=4,
         bases=(
             GeneratorBasis("cosine-series", dimension=2, half_support=0.125),
-            fixed_naive_quarter_basis,
+            naive_quarter,
         ),
         support_budget=0.25,
         regime="mock_gaussian",
     )
     with pytest.raises(NoFeasiblePointError):
-        search(problem, SearchSettings(restarts=1, seed=0, max_evals=8))
+        search(problem, restarts=1, seed=0, max_evals=8)
 
 
-def test_problem_validation(fixed_naive_quarter_basis):
-    with pytest.raises(ValueError, match="slot bases"):
-        OptimizationProblem(G.SO_EVEN, 100, 4, (fixed_naive_quarter_basis,), 0.25)
+def test_problem_validation(naive_quarter):
+    with pytest.raises(ValueError, match="at least one slot"):
+        OptimizationProblem(G.SO_EVEN, 100, (), 0.25)
     with pytest.raises(ValueError, match="budget"):
         OptimizationProblem(
             G.SO_EVEN,
             100,
-            4,
-            (_sinx2_basis(0.2), fixed_naive_quarter_basis),
+            (_sinx2(0.2), naive_quarter),
             0.25,
         )
     with pytest.raises(ValueError, match="support hypothesis"):
         OptimizationProblem(
             G.SO_EVEN,
             100,
-            4,
-            (_sinx2_basis(0.3), fixed_naive_quarter_basis),
+            (_sinx2(0.3), naive_quarter),
             0.6,
         )
 
 
-def test_unknown_regime_is_refused(fixed_naive_quarter_basis):
+def test_moment_order_is_twice_the_slot_count(naive_quarter):
+    basis = GeneratorBasis("cosine-series", dimension=2, half_support=0.125)
+    problem = OptimizationProblem(G.SO_EVEN, 100, (basis, naive_quarter, basis), 0.25)
+    assert problem.moment_order == 6
+    assert problem.n_params == 4
+    assert problem.split_params((1.0, 2.0, 3.0, 4.0)) == [(1.0, 2.0), (), (3.0, 4.0)]
+
+
+def test_unknown_regime_is_refused(naive_quarter):
     with pytest.raises(ValueError, match="regime must be one of"):
         OptimizationProblem(
-            G.SO_EVEN, 100, 4, (fixed_naive_quarter_basis, fixed_naive_quarter_basis), 0.25,
+            G.SO_EVEN, 100, (naive_quarter, naive_quarter), 0.25,
             regime="bogus",
         )
 
@@ -194,7 +207,6 @@ def test_basis_validation():
     with pytest.raises(ValueError):
         GeneratorBasis("cosine-series", dimension=0, half_support=0.1)
     basis = GeneratorBasis("cosine-series", dimension=3, half_support=0.1)
-    assert basis.n_params == 3
-    assert _sinx2_basis(0.1).n_params == 0
+    assert basis.support_bound == pytest.approx(0.2)
     with pytest.raises(ValueError, match="unknown basis kind"):
         GeneratorBasis("sin-of-square", half_support=0.1)

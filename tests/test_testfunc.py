@@ -165,9 +165,9 @@ def test_bounds_never_build_the_phi_rule(monkeypatch):
         assert expectation_1level(tf, SymmetryGroup.SO_ODD) > 0
         assert expectation_2level(tf, tfs[0], SymmetryGroup.SO_EVEN) > 0
     problem = OptimizationProblem(
-        family=SymmetryGroup.SO_EVEN, rank=100, moment_order=4,
+        family=SymmetryGroup.SO_EVEN, rank=100,
         bases=(GeneratorBasis("cosine-series", dimension=4, half_support=0.125),
-               GeneratorBasis("fixed", fixed_function=make_naive(0.25))),
+               make_naive(0.25)),
         support_budget=0.25, regime="mock_gaussian",
     )
     assert objective([(1.0, -0.75, 0.5, 0.5), ()], problem) < 1e-8
@@ -584,10 +584,9 @@ def test_sigma2_rule_is_built_once_per_support_pair(monkeypatch):
     problem = OptimizationProblem(
         family=SymmetryGroup.SO_EVEN,
         rank=100,
-        moment_order=4,
         bases=(
             GeneratorBasis("cosine-series", dimension=4, half_support=0.125),
-            GeneratorBasis("fixed", fixed_function=make_naive(0.25)),
+            make_naive(0.25),
         ),
         support_budget=0.25,
         regime="mock_gaussian",
