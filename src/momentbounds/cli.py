@@ -212,7 +212,8 @@ def _parse_basis(spec: str, budget: float) -> GeneratorBasis | TestFunction:
 
     A fixed slot is its test function.  ``sinx2`` has no parameters: it
     is the fixed slot ``gen:sinx2:half=<r>``.  A field other than ``dim``
-    and ``half``, or a field given twice, is refused, not ignored.
+    and ``half``, ``dim`` on ``sinx2``, or a field given twice, is
+    refused, not ignored.
     """
     if spec.startswith("fixed:"):
         return from_spec_string(spec[6:])
@@ -229,6 +230,10 @@ def _parse_basis(spec: str, budget: float) -> GeneratorBasis | TestFunction:
     half = parse_rational(fields.get("half", str(budget / 2)))
     kind = {name: kind for kind, name in GENERATOR_NAMES.items()}.get(parts[0])
     if kind == "sin-of-square":
+        if "dim" in fields:
+            raise ValueError(
+                f"basis field 'dim' does not apply to sinx2 in {spec!r} (expected half)"
+            )
         return make_from_generator(GeneratorSpec(kind, (), half))
     if kind is None or "dim" not in fields:
         raise ValueError(

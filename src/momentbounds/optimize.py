@@ -246,7 +246,7 @@ def search(
             "no feasible point found in any restart; every evaluation hit the penalty branch"
         )
     return SearchResult(
-        coefficients=tuple(problem.split_params(best_x)),
-        bound=best_value,
+        coefficients=tuple(problem.split_params(best_x.tolist())),
+        bound=float(best_value),
         trace=tuple(traces),
     )

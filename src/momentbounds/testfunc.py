@@ -26,11 +26,17 @@ constructions are provided:
   ``m_k = int b_k`` and the Gram matrix ``G = T(0)`` are built and cached
   with ``T``, so a build sets ``phi(0) = (c.m)^2`` and
   ``phihat(0) = c^T G c`` and evaluates no basis function.  Only phi away
-  from 0 needs more: it is |ghat|^2, read from Chebyshev series of the
-  real and imaginary parts of ghat on fixed panels of 2 pi |x| h, each
-  interpolated from a 512-node Gauss-Legendre sum when first needed.
-  That rule, with g at its nodes, is built on each function's first phi,
-  so bounds, moments, expectations and the optimizer never build it.
+  from 0 needs more: it is |ghat|^2, and ghat has a closed form.  With
+  g(hs) = sum_n l_n P_n(s) on (-1, 1), the Fourier transform of P_n
+  (DLMF 18.17(v)) gives ghat(x) = 2h sum_n l_n i^n j_n(2 pi x h).  The
+  Legendre coefficients l are exact for polynomial generators, come
+  from Rayleigh's plane-wave expansion (DLMF 10.60) for cosine ones, and
+  from the Taylor series of sin(t^2), exact to roundoff while its
+  largest term h^2 stays <= 1 (phi refuses sin(t^2) past h = 1).  They
+  are built on each function's first phi, so bounds, moments,
+  expectations and the optimizer never build them, nor import
+  scipy.special.  :mod:`rmt`, the only caller of phi away from 0,
+  reaches it only with 2h < 1.
 
 Support intervals are treated as open: the transforms vanish at their
 support endpoints, so a function with ``support_bound == t`` satisfies a
@@ -53,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev
+from numpy.polynomial import chebyshev, legendre
 
 from .quadrature import legendre_rule
 
@@ -290,46 +296,13 @@ class GeneratorBackedTestFunction(TestFunction):
     ``G = T(0)`` (:func:`_basis_tables`).  A generator whose integral is
     below 1e-12 of sqrt(2h c^T G c), a bound on int |g|, is refused.
 
-    phi is |ghat|^2 with ghat(x) = int g(t) e^{2 pi i x t} dt, whose real
-    and imaginary parts are fixed 512-node Gauss-Legendre sums, built with
-    the folded rule on the first phi (:attr:`_rule`).  In
-    psi = 2 pi |x| h both are entire of exponential type 1, so phi reads
-    them from short Chebyshev series on fixed panels of psi.  A panel is
-    interpolated from the 512-node sums at its Chebyshev points the first
-    time phi touches it and is cached on the instance as complex
-    coefficients Re + i Im.  A call runs one Clenshaw recurrence over all
-    its points, each point reading its own panel's coefficients from a
-    table of the panels the call touches; the bits are those of a
-    separate Chebyshev sum of each part.  A point's value depends on its
-    panel alone, so phi(x) does not depend on call history or batch.
+    phi is |ghat|^2 with ghat(x) = int g(t) e^{2 pi i x t} dt =
+    2h sum_n l_n i^n j_n(2 pi |x| h) up to conjugation, so Re ghat is the
+    sum over even orders and Im ghat the sum over odd ones
+    (:attr:`_ghat_series`).  A point's value is a fixed sum of spherical
+    Bessel functions at that point, at any |x|; NaN and infinite x are
+    refused.
     """
-
-    _GL_NODES = 512
-    # The rule resolves the phase 2 pi |x| t, |t| < h, only so far: against
-    # an 8192-node rule it stays within 1e-13 phi(0) up to 2 pi |x| h of
-    # about 930 and fails from 950 on (cosine, polynomial and sin(t^2)
-    # generators alike).  phi refuses points past this margin.
-    _MAX_PHASE = 900.0
-    # A panel of width 8 in psi has exponential type 4 in its local
-    # variable, so the series' coefficients decay like J_n(4): about 1e-17
-    # at degree 24.  A panel whose last two coefficients exceed
-    # _PANEL_TAIL_TOL of sum |w g| (the bound on |ghat|) is refused.
-    _PANEL_WIDTH = 8.0
-    _PANEL_DEGREE = 24
-    _PANEL_TAIL_TOL = 1e-13
-    # A panel's Chebyshev points cos(theta_j), theta_j = pi (2j + 1) / 50,
-    # and the map from values there to coefficients.  Its angles n theta_j
-    # are reduced mod 2 pi in integers: the rounding of the float products
-    # n * theta_j grows with n and made phi ten times less accurate next
-    # to a panel's left end.
-    _PANEL_SIZE = _PANEL_DEGREE + 1
-    _PANEL_POINTS = np.cos(math.pi * (2 * np.arange(_PANEL_SIZE) + 1) / (2 * _PANEL_SIZE))
-    _PANEL_DCT = np.cos(
-        math.pi
-        * (np.outer(np.arange(_PANEL_SIZE), 2 * np.arange(_PANEL_SIZE) + 1) % (4 * _PANEL_SIZE))
-        / (2 * _PANEL_SIZE)
-    ) * (2.0 / _PANEL_SIZE)
-    _PANEL_DCT[0] *= 0.5
 
     def __init__(self, generator: GeneratorSpec):
         self.generator = generator
@@ -349,77 +322,64 @@ class GeneratorBackedTestFunction(TestFunction):
             )
         self.phi0 = int_g**2
         self.phihat0 = int_g2
-        self._max_x = self._MAX_PHASE / (2.0 * math.pi * h)
-        self._panels: dict[int, np.ndarray] = {}
         self.phihat_coef = (table @ c) @ c
         self.spec_string = _generator_spec_string(generator)
 
     @cached_property
-    def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The 512-node rule for ghat, folded: ``(tau, w g even, w g odd, tail limit)``.
+    def _ghat_series(self) -> tuple[list, list]:
+        """ghat's coefficients on j_n(2 pi |x| h), split by parity: ``(even, odd)``.
 
-        Built on the first panel.  The rule is symmetric about 0, so it is
-        folded onto its positive nodes tau = t / h and a sum needs half the
-        trigonometric evaluations.  The tail limit is _PANEL_TAIL_TOL of
-        sum |w g|, the bound on |ghat|.
+        Each part lists (order n, coefficient) pairs, zeros left out.  Built
+        on the first phi from the Legendre series g(hs) = sum_n l_n P_n(s):
+        a coefficient is 2h l_n times the real factor of i^n, (-1)^(n // 2).
+        The series is chopped where its tail falls below 1e-17 of sum |l|.
+        A cosine series whose tail is still above that at its last order
+        is refused, as is sin(t^2) past h = 1.
         """
-        nodes, weights = legendre_rule(self._GL_NODES)
+        from scipy.special import spherical_jn
+
         gen = self.generator
         h = gen.half_support
-        w = weights * h
-        t = 0.5 * (nodes + 1.0) * (2 * h) - h
-        g = _basis_values(gen.kind, gen.dimension, h, t) @ gen.weights
-        wg = w * g
-        half = self._GL_NODES // 2
-        return (nodes[half:], wg[half:] + wg[half - 1 :: -1], wg[half:] - wg[half - 1 :: -1],
-                self._PANEL_TAIL_TOL * float(w @ np.abs(g)))
-
-    def _panel(self, k: int) -> np.ndarray:
-        """Chebyshev coefficients Re + i Im of ghat on psi in [8k, 8k + 8], shape (25,).
-
-        Read from the 512-node sums at the panel's Chebyshev points, psi =
-        2 pi |x| h.
-        """
-        if k in self._panels:
-            return self._panels[k]
-        tau, wg_even, wg_odd, tail_limit = self._rule
-        psi = self._PANEL_WIDTH * (k + 0.5 + 0.5 * self._PANEL_POINTS)
-        phase = np.multiply.outer(psi, tau)
-        sums = np.stack([np.cos(phase) @ wg_even, np.sin(phase) @ wg_odd], axis=1)
-        coef = self._PANEL_DCT @ sums
-        if np.abs(coef[-2:]).max() > tail_limit:
+        c = gen.weights
+        if gen.kind == "polynomial":
+            ell = legendre.poly2leg(c * h ** np.arange(c.size))
+        elif gen.kind == "cosine-series":
+            # cos(z s) = sum over even n of (2n + 1) (-1)^(n/2) j_n(z) P_n(s),
+            # z = k pi / 2; j_n(z) decays faster than geometrically once n > z
+            z = np.arange(c.size) * (math.pi / 2.0)
+            n = np.arange(0, 2 * int(z[-1]) + 40, 2)
+            ell = np.zeros(2 * n.size - 1)
+            ell[::2] = (2 * n + 1) * (-1.0) ** (n // 2) * (spherical_jn(n[:, None], z) @ c)
+        else:  # sin-of-square: sin(h^2 s^2) = sum_j (-1)^j (h s)^(4j + 2) / (2j + 1)!
+            if h > 1.0:
+                raise ValueError(
+                    f"phi of {self.spec_string} needs half-support <= 1: past it the "
+                    "Taylor terms of sin(t^2) exceed 1 and cancel beyond roundoff"
+                )
+            terms = [h * h]
+            while terms[-1] > 1e-17 * terms[0]:
+                j = len(terms)
+                terms.append(terms[-1] * h**4 / (2 * j * (2 * j + 1)))
+            power = np.zeros(4 * len(terms) - 1)
+            power[2::4] = terms * (-1.0) ** np.arange(len(terms))
+            ell = legendre.poly2leg(power)
+        last = int(np.flatnonzero(np.abs(ell) > 1e-17 * np.abs(ell).sum()).max())
+        if gen.kind == "cosine-series" and last == ell.size - 1:
             raise ValueError(
-                f"phi of {self.spec_string} has no degree-{self._PANEL_DEGREE} Chebyshev "
-                f"representation on 2 pi |x| h in [{psi.min():.6g}, {psi.max():.6g}]"
+                f"the Legendre series of {self.spec_string} does not chop by order {last}"
             )
-        self._panels[k] = coef[:, 0] + 1j * coef[:, 1]
-        return self._panels[k]
+        coef = 2.0 * h * ell[: last + 1] * (-1.0) ** (np.arange(last + 1) // 2)
+        return tuple([(n, a) for n, a in enumerate(coef) if a and n % 2 == odd] for odd in (0, 1))
 
     def phi(self, x):
+        from scipy.special import spherical_jn
+
         x = np.asarray(x, dtype=float)
-        flat = np.abs(x.reshape(-1))
-        if not np.all(flat <= self._max_x):
-            raise ValueError(
-                f"phi of {self.spec_string} is resolved only for |x| <= {self._max_x:.6g} "
-                f"(2 pi |x| h <= {self._MAX_PHASE:g}); got |x| = {flat.max():.6g}"
-            )
-        scaled = flat * (2.0 * math.pi * self.generator.half_support / self._PANEL_WIDTH)
-        panel = scaled.astype(int)
-        u = 2.0 * (scaled - panel) - 1.0
-        # chebval's Clenshaw steps over all points at once, each point
-        # reading its own panel's coefficient: a complex coefficient times
-        # the real 2u has an exactly zero cross term, so Re and Im are the
-        # bits of two real chebval sums
-        counts = np.bincount(panel)
-        table = np.zeros((self._PANEL_SIZE, counts.size), dtype=complex)
-        for k in np.flatnonzero(counts):
-            table[:, k] = self._panel(int(k))
-        u2 = 2.0 * u
-        c0, c1 = table[-2][panel], table[-1][panel]
-        for i in range(3, self._PANEL_SIZE + 1):
-            c0, c1 = table[-i][panel] - c1, c0 + c1 * u2
-        v = c0 + c1 * u
-        return (v.real**2 + v.imag**2).reshape(x.shape)
+        if not np.isfinite(x).all():
+            raise ValueError(f"phi of {self.spec_string} needs finite x")
+        z = np.abs(x) * (2.0 * math.pi * self.generator.half_support)
+        re, im = (sum(a * spherical_jn(n, z) for n, a in part) for part in self._ghat_series)
+        return re**2 + im**2
 
 
 def _generator_spec_string(g: GeneratorSpec) -> str:

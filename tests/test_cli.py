@@ -1,6 +1,8 @@
 """Command-line interface: parsing, records, determinism, exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -539,6 +541,20 @@ def test_optimize_command_singleton(capsys):
     assert result["bound"] == pytest.approx(3.7858e-9, rel=1e-3)
 
 
+def test_optimize_csv_coefficients_are_the_records_numbers(capsys):
+    argv = ["optimize", "--family", "so-even", "--rank", "100", "--support", "1/4",
+            "--basis", "cos:dim=2:half=1/8", "--basis", "fixed:naive:v=1/8",
+            "--regime", "mock_gaussian", "--restarts", "1", "--max-evals", "10"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    result = parse_records(out)[-1]
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    cell = list(csv.DictReader(io.StringIO(out)))[-1]["coefficients"]
+    assert "np." not in cell
+    assert [json.loads(slot) for slot in cell.split(";")] == result["coefficients"]
+
+
 @pytest.mark.parametrize("basis", ["cos:dim=2:half=1/8:box=-2,2", "poly:dim=2:hlaf=1/8"])
 def test_optimize_refuses_an_unknown_basis_field(capsys, basis):
     # a field the grammar does not know would otherwise be dropped unseen
@@ -551,6 +567,21 @@ def test_optimize_refuses_an_unknown_basis_field(capsys, basis):
     error = json.loads(err)
     assert error["error"] == "invalid-input"
     assert "unknown basis field" in error["message"]
+
+
+def test_optimize_refuses_a_field_sinx2_cannot_use(capsys):
+    # sinx2 has no dimension: dim=3 would otherwise run as plain sinx2
+    code, out, err = run_cli(
+        ["optimize", "--family", "so-even", "--rank", "100", "--support", "1/4",
+         "--basis", "sinx2:dim=3:half=1/8", "--regime", "mock_gaussian"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "invalid-input",
+        "message": "basis field 'dim' does not apply to sinx2 in 'sinx2:dim=3:half=1/8' "
+        "(expected half)",
+    }
 
 
 @pytest.mark.parametrize(
@@ -612,6 +643,16 @@ def test_rmt_verify_small_run(capsys):
     assert len(records) == 2
     assert all("z_score" in r and "allowance" in r for r in records)
     assert code == 0, records
+
+
+def test_rmt_verify_generator_phi_at_any_phase(capsys):
+    # SO(660) eigenangles reach |x| = 330, so 2 pi |x| h = 933: generator
+    # phi has no phase cap
+    argv = ["rmt-verify", "--group", "so-even", "--N", "330", "--samples", "200",
+            "--testfn", "gen:cos:1:half=0.45", "--orders", "2", "--seed", "1"]
+    code, out, err = run_cli(argv, capsys)
+    (record,) = parse_records(out)
+    assert (code, err, record["passed"]) == (0, "", True)
 
 
 def test_rmt_verify_records_do_not_depend_on_workers(capsys):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,6 @@ from momentbounds.bounds import bound_moment
 from momentbounds.kernels import expectation_1level, expectation_2level
 from momentbounds.quadrature import gauss_legendre, legendre_rule
 from momentbounds.testfunc import (
-    GeneratorBackedTestFunction,
     NaiveTestFunction,
     TestFunction,
     _autocorrelation_values,
@@ -145,16 +145,63 @@ def test_generator_values_at_origin_match_mpmath(spec, g, tol):
         assert abs(tf.phihat0 / int_g2 - 1) <= tol
 
 
+def _ghat_mpmath(mp, gen: GeneratorSpec, x: float):
+    """ghat(x) = int g(t) e^{2 pi i x t} dt in closed form, in mpmath."""
+    h, w = mp.mpf(gen.half_support), 2 * mp.pi * mp.mpf(x)
+    if gen.kind == "cosine-series":
+        # cos(a t) cos(w t) = [cos((a - w) t) + cos((a + w) t)] / 2
+        def part(b):
+            return 2 * h if b == 0 else 2 * mp.sin(b * h) / b
+
+        return sum(mp.mpf(c) * (part(k * mp.pi / (2 * h) - w) + part(k * mp.pi / (2 * h) + w)) / 2
+                   for k, c in enumerate(gen.coefficients))
+    if gen.kind == "polynomial":
+        # I_k = int t^k e^{iwt} dt = [t^k e^{iwt} / (iw)] - k I_(k-1) / (iw)
+        moments = [2 * mp.sin(w * h) / w]
+        for k in range(1, len(gen.coefficients)):
+            ends = h**k * mp.expj(w * h) - (-h) ** k * mp.expj(-w * h)
+            moments.append((ends - k * moments[-1]) / (1j * w))
+        return sum(mp.mpf(c) * i_k for c, i_k in zip(gen.coefficients, moments))
+    # sin(t^2) cos(w t) is half the sum of sin((t +- w/2)^2 - w^2/4): Fresnel integrals
+    def fresnel(f, u):
+        return mp.sqrt(mp.pi / 2) * f(u * mp.sqrt(2 / mp.pi))
+
+    total = 0
+    for shift in (w / 2, -w / 2):
+        lo, hi = shift - h, shift + h
+        total += (mp.cos(w * w / 4) * (fresnel(mp.fresnels, hi) - fresnel(mp.fresnels, lo))
+                  - mp.sin(w * w / 4) * (fresnel(mp.fresnelc, hi) - fresnel(mp.fresnelc, lo)))
+    return total / 2
+
+
+@pytest.mark.parametrize("spec", [
+    "gen:cos:1,0.3,-0.2:half=1/20",
+    "gen:cos:1,0.3,-0.2,0.1:half=1/8",
+    "gen:cos:1,0.5,-0.4,0.3,-0.2,0.15,-0.1,0.08,-0.06,0.04,-0.03,0.02:half=1/8",
+    "gen:poly:1,0,-50:half=1/20",
+    "gen:poly:1,2,-50,30:half=1/8",
+    "gen:sinx2:half=1/8",
+    "gen:sinx2:half=1/2",
+    "gen:sinx2:half=1",
+])
+def test_phi_matches_mpmath(spec):
+    # phases 2 pi |x| h from 0.3 to 2250, past 900 as well: the closed form
+    # has no phase limit
+    mpmath = pytest.importorskip("mpmath")
+    tf = from_spec_string(spec)
+    xs = np.array([0.3, 2.0, 17.0, 130.0, 600.0, 899.0, 1500.0, 2250.0])
+    xs /= 2.0 * math.pi * tf.generator.half_support
+    with mpmath.workdps(40):
+        exact = [float(abs(_ghat_mpmath(mpmath, tf.generator, x)) ** 2) for x in xs]
+    assert np.abs(tf.phi(xs) - exact).max() <= 1e-15 * tf.phi0
+    assert np.array_equal(tf.phi(-xs), tf.phi(xs))
+
+
 def test_bounds_never_build_the_phi_rule(monkeypatch):
     # phi(0) and phihat(0) come from the basis moments and Gram matrix, so
-    # bounds, moments, expectations and the optimizer never build the
-    # 512-node rule; only phi away from 0 does
-    def refusing(n):
-        if n == 512:
-            raise RuntimeError("the 512-node rule was built")
-        return legendre_rule(n)
-
-    monkeypatch.setattr(testfunc, "legendre_rule", refusing)
+    # bounds, moments, expectations and the optimizer never build ghat's
+    # Legendre series nor import scipy.special; only phi away from 0 does
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
     tfs = [from_spec_string(spec) for spec in
            ("gen:cos:1,0.3,-0.2:half=1/20", "gen:poly:1,0,-50:half=1/20", "gen:sinx2:half=1/8")]
     for tf in tfs:
@@ -171,7 +218,8 @@ def test_bounds_never_build_the_phi_rule(monkeypatch):
         support_budget=0.25, regime="mock_gaussian",
     )
     assert objective([(1.0, -0.75, 0.5, 0.5), ()], problem) < 1e-8
-    with pytest.raises(RuntimeError, match="512-node"):
+    assert not any("_ghat_series" in vars(tf) for tf in tfs)
+    with pytest.raises(ImportError, match="scipy.special"):
         tfs[0].phi(1.0)
 
 
@@ -406,28 +454,9 @@ def test_support_exact_zero_outside(gen_sinx2, naive_third):
 
 
 @pytest.mark.parametrize("spec", GENERATORS)
-def test_folded_phi_matches_full_rule(spec):
-    # the full 512-node sum |sum_q w_q g(t_q) e^{2 pi i x t_q}|^2 is the
-    # reference, on the whole range phi serves; |ghat| <= int |g| is the scale
-    tf = make_from_generator(spec)
-    nodes, weights = legendre_rule(GeneratorBackedTestFunction._GL_NODES)
-    h = spec.half_support
-    t = 0.5 * (nodes + 1.0) * (2 * h) - h
-    wg = weights * h * (_basis_values(spec.kind, spec.dimension, h, t) @ spec.weights)
-    xs = np.linspace(-tf._max_x, tf._max_x, 4001)
-    phase = 2.0 * math.pi * np.multiply.outer(xs, t)
-    full = (np.cos(phase) @ wg) ** 2 + (np.sin(phase) @ wg) ** 2
-    assert np.abs(tf.phi(xs) - full).max() <= 1e-13 * float(np.abs(wg).sum()) ** 2
-    assert float(tf.phi(0.0)) == pytest.approx(tf.phi0, rel=1e-13, abs=0)
-    # a batch of samples keeps its shape, as the naive phi does
-    assert np.array_equal(tf.phi(xs[:2000].reshape(40, 50)), tf.phi(xs[:2000]).reshape(40, 50))
-    assert tf.phi(xs[:1]).shape == (1,) and tf.phi(xs[:0]).shape == (0,)
-
-
-@pytest.mark.parametrize("spec", GENERATORS)
 def test_phi_does_not_depend_on_call_history(spec):
-    # panels are built on first touch; a point's value must not depend on
-    # which panels an earlier call built, nor on the batch around it
+    # ghat's series is built on the first phi; a point's value must not
+    # depend on which call built it, nor on the batch around it
     xs = np.random.default_rng(5).uniform(-60.0, 60.0, 3000)
     first, second = make_from_generator(spec), make_from_generator(spec)
     one_first = (first.phi(800.0), first.phi(xs))
@@ -435,56 +464,25 @@ def test_phi_does_not_depend_on_call_history(spec):
     assert np.array_equal(one_first[0], batch_first[1])
     assert np.array_equal(one_first[1], batch_first[0])
     assert np.array_equal(first.phi(xs[::7]), batch_first[0][::7])
+    # a batch of samples keeps its shape, as the naive phi does
+    assert np.array_equal(first.phi(xs[:2000].reshape(40, 50)),
+                          batch_first[0][:2000].reshape(40, 50))
+    assert first.phi(xs[:1]).shape == (1,) and first.phi(xs[:0]).shape == (0,)
 
 
-def _per_panel_phi(tf, x):
-    # one chebval per touched panel, Re and Im ghat taken as separate real
-    # series: the evaluation phi's single Clenshaw pass must reproduce bit
-    # for bit
-    x = np.asarray(x, dtype=float)
-    scaled = np.abs(x.reshape(-1)) * (2.0 * math.pi * tf.generator.half_support / tf._PANEL_WIDTH)
-    panel = scaled.astype(int)
-    u = 2.0 * (scaled - panel) - 1.0
-    out = np.empty(scaled.size)
-    for k in np.unique(panel):
-        at = panel == k
-        coef = tf._panel(int(k))
-        out[at] = chebyshev.chebval(u[at], coef.real) ** 2 + chebyshev.chebval(u[at], coef.imag) ** 2
-    return out.reshape(x.shape)
-
-
-@pytest.mark.parametrize("spec", GENERATORS)
-def test_phi_is_the_per_panel_chebval_sum(spec):
-    tf = make_from_generator(spec)
-    width = tf._PANEL_WIDTH / (2.0 * math.pi * spec.half_support)  # one panel, in x
-    last = int(tf._max_x / width)
-    # five points inside every panel up to _max_x, both ends of the range,
-    # and every third point negated
-    inside = np.arange(last + 1)[:, None] + np.random.default_rng(3).uniform(0, 1, (last + 1, 5))
-    xs = np.concatenate([np.minimum(inside.reshape(-1) * width, tf._max_x), [0.0, tf._max_x]])
-    xs = np.concatenate([xs, -xs[::3]])
-    for points in (xs, xs[:210].reshape(6, 35), xs[17], -xs[40:41], xs[:0]):
-        assert np.array_equal(tf.phi(points), _per_panel_phi(tf, points))
-        assert tf.phi(points).shape == np.shape(points)
-
-
-def test_phi_refuses_points_its_rule_cannot_resolve():
-    # at x = 1000 (2 pi x h = 1047) the 512-node rule gives 1.18e-3 where
-    # the true value is 7.6e-8
+def test_phi_refuses_only_nonfinite_points():
+    # any finite |x| is served, 2 pi |x| h of 1047 and 1e6 included
     tf = from_spec_string("gen:cos:1:half=1/6")
-    for x in (1000.0, np.array([0.0, -1000.0]), math.nan, np.array([1.0, math.nan]), math.inf,
-              -math.inf):
-        with pytest.raises(ValueError, match="resolved only"):
+    values = tf.phi(np.array([0.0, -1000.0, 1e6]))
+    assert values[0] == pytest.approx(tf.phi0, rel=1e-15)
+    assert np.all(values[1:] >= 0.0) and np.all(values[1:] <= 1e-6 * tf.phi0)
+    for x in (math.nan, np.array([1.0, math.nan]), math.inf, -math.inf):
+        with pytest.raises(ValueError, match="needs finite x"):
             tf.phi(x)
-    assert float(tf.phi(850.0)) >= 0.0  # 2 pi x h = 890: inside the margin
-
-
-def test_phi_refuses_a_panel_whose_series_does_not_chop():
-    # the tail limit is read when the first phi builds the rule
-    tf = from_spec_string("gen:cos:1:half=1/6")
-    tf._PANEL_TAIL_TOL = 0.0
-    with pytest.raises(ValueError, match="no degree-24 Chebyshev representation"):
-        tf.phi(1.0)
+    # past h = 1 the Taylor terms of sin(t^2) cancel beyond roundoff
+    with pytest.raises(ValueError, match="half-support <= 1"):
+        from_spec_string("gen:sinx2:half=2").phi(1.0)
+    assert float(from_spec_string("gen:sinx2:half=1").phi(1.0)) > 0.0
 
 
 def test_fourier_inversion_consistency(gen_sinx2):
