@@ -27,10 +27,12 @@ test functions is out of scope here).
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .kernels import SymmetryGroup, expectation_1level, expectation_2level
 from .moments import MomentRequest, centered_moment
@@ -47,7 +49,8 @@ class RankTooSmallError(ValueError):
 
 
 class UncertifiedBoundError(ArithmeticError):
-    """A moment came out negative or non-finite, so its quotient is no upper bound."""
+    """A moment or a denominator left the normal floating-point range, or the
+    moment came out negative, so its quotient is no upper bound."""
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,11 @@ def zero_margin(tf: TestFunction, r: int) -> float:
     return r * tf.phi0 - (tf.phihat0 + 0.5 * tf.phi0)
 
 
+def _normal(x: float) -> bool:
+    """True for a positive, finite float of full precision (not subnormal)."""
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
 def bound_moment(
     slot_functions: Sequence[TestFunction],
     family: SymmetryGroup,
@@ -182,9 +190,11 @@ def bound_moment(
     non-negative, which is what lets the tail be dropped.  Each rank
     needs the family's parity and ``r >= min_rank(phi_s)`` for every
     slot, so each denominator factor :func:`zero_margin` is strictly
-    positive.  Raises :class:`UncertifiedBoundError` when the moment is
-    negative or not finite, rather than return a quotient that bounds
-    nothing.
+    positive.  Raises :class:`UncertifiedBoundError` when a denominator
+    or the moment is zero, subnormal or not finite, or the moment
+    negative or overflowing on the way, rather than return a quotient
+    that bounds nothing: a generator scaled far from 1 can leave the
+    double range (the bound itself does not depend on the scale).
     """
     slots = tuple(slot_functions)
     if not slots:
@@ -202,16 +212,26 @@ def bound_moment(
                 )
             margin = zero_margin(tf, r)
             out *= margin * margin
+        if not _normal(out):
+            raise UncertifiedBoundError(
+                f"denominator {out!r} of {', '.join(labels)} at rank {r} is zero, subnormal "
+                "or not finite"
+            )
         return out
 
     def moment() -> float:
         doubled = tuple(tf for tf in slots for _ in range(2))
         request = MomentRequest(doubled, family, weight_k=weight_k, regime=regime)
-        value = centered_moment(request).value
-        # An even moment of a real statistic is never negative.
-        if not (math.isfinite(value) and value >= 0.0):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                value = centered_moment(request).value
+        except FloatingPointError as exc:
+            raise UncertifiedBoundError(f"moment of {', '.join(labels)} overflows: {exc}") from None
+        # An even moment of doubled slots is positive.
+        if not _normal(value):
             raise UncertifiedBoundError(
-                f"moment {value!r} of {', '.join(labels)} is negative or not finite"
+                f"moment {value!r} of {', '.join(labels)} is zero, subnormal, negative or "
+                "not finite"
             )
         return value
 

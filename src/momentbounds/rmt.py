@@ -19,13 +19,13 @@ free eigenangles form a determinantal process, so the exact law of Z is
 computable too (:func:`finite_n_moments`); its distance from the limit
 is the bias a comparison allows for beyond the sampling error.
 
-Orthogonal eigenangles come in conjugate pairs (plus the forced angle 0
-of SO(2N+1)); the cosines of the N free angles form a Jacobi ensemble,
+Each matrix is sampled as its N free eigenangles in [0, pi], from
+their cosines.  For SO(2N) and SO(2N+1) these form a Jacobi ensemble,
 which Killip and Nenciu (IMRN 2004) realize as the spectrum of an N x N
 tridiagonal matrix of independent Beta variables, so no matrix of the
-group is formed.  Unitary eigenangles come from the same authors' CMV
-model: the Haar measure on U(N) has independent Verblunsky coefficients
-and a five-diagonal CMV matrix C, and the cosines of its angles are the
+group is formed.  Unitary angles come from the same authors' CMV model:
+the Haar measure on U(N) has independent Verblunsky coefficients and a
+five-diagonal CMV matrix C, and the cosines of its angles are the
 spectrum of the banded Hermitian matrix (C + C*)/2.  The tests check
 both samplers against dense QR samplers.
 
@@ -76,11 +76,7 @@ class EnsembleSpec:
 
     @property
     def dim(self) -> int:
-        if self.group is SymmetryGroup.SO_EVEN:
-            return 2 * self.half_dim
-        if self.group is SymmetryGroup.SO_ODD:
-            return 2 * self.half_dim + 1
-        return self.half_dim
+        return _spectrum_rule(self.group, self.half_dim)[2]
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,6 @@ def _jacobi_cosines(
         if info != 0:
             raise ArithmeticError(f"tridiagonal eigen-solve failed (info={info})")
     cos *= 0.5
-    if np.abs(cos).max() > 1.0 + _EIG_UNIT_TOL:
-        raise ArithmeticError("cosine spectrum left the unit interval")
     return cos
 
 
@@ -176,9 +170,17 @@ def _cmv_cosines(alpha: np.ndarray) -> np.ndarray:
         cos[i], _, info = zhbevd(band[i], compute_v=0)
         if info != 0:
             raise ArithmeticError(f"banded eigen-solve failed (info={info})")
-    if np.abs(cos).max() > 1.0 + _EIG_UNIT_TOL:
-        raise ArithmeticError("cosine spectrum left the unit interval")
     return cos
+
+
+def _spectrum_rule(group: SymmetryGroup, n: int) -> tuple[int, int, int]:
+    """``(pair, forced, dim)`` of N free eigenangles: an SO free angle stands
+    for its conjugate pair (pair = 2), SO(2N+1) adds its forced angle 0
+    (forced = 1), U(N) has no pairs, and dim = pair * N + forced.  As phi
+    is even, Z = pair * sum_j phi(theta_j dim / (2 pi)) + forced * phi(0)."""
+    pair = 1 if group is SymmetryGroup.U else 2
+    forced = int(group is SymmetryGroup.SO_ODD)
+    return pair, forced, pair * n + forced
 
 
 def sample_haar_batch(
@@ -187,31 +189,29 @@ def sample_haar_batch(
     rng: np.random.Generator,
     count: int,
 ) -> np.ndarray:
-    """Sorted eigenangles of ``count`` independent Haar matrices, shape (count, dim).
-
-    For U(N) these are the absolute values |theta_j|, ascending in [0, pi]:
-    the CMV model gives their cosines only.  Every phi is even, so the
-    linear statistic, and with it the law of every moment, is unchanged.
-    """
+    """Free eigenangles of ``count`` Haar matrices, (count, N), ascending in [0, pi]:
+    one per SO conjugate pair, the forced 0 of SO(2N+1) left out, and for U(N)
+    the |theta_j|, as the CMV model gives cosines only (:func:`_spectrum_rule`).
+    A cosine past [-1, 1] beyond rounding raises ArithmeticError."""
     if count < 1:
         raise ValueError("count must be >= 1")
     EnsembleSpec(group, half_dim, count, 0)  # validates half_dim
     if group is SymmetryGroup.U:
         cos = _cmv_cosines(_cue_verblunsky(half_dim, rng, count))
-        return np.arccos(np.clip(cos[:, ::-1], -1.0, 1.0))
-    theta = np.arccos(np.clip(_jacobi_cosines(group, half_dim, rng, count), -1.0, 1.0))
-    parts = [-theta, theta]
-    if group is SymmetryGroup.SO_ODD:
-        parts.insert(1, np.zeros((count, 1)))  # the forced eigenvalue 1
-    return np.sort(np.concatenate(parts, axis=1), axis=1)
+    else:
+        cos = _jacobi_cosines(group, half_dim, rng, count)
+    if np.abs(cos).max() > 1.0 + _EIG_UNIT_TOL:
+        raise ArithmeticError("cosine spectrum left the unit interval")
+    return np.arccos(np.clip(cos[:, ::-1], -1.0, 1.0))
 
 
-def linear_statistic(angles: np.ndarray, tf: TestFunction, total_dim: int) -> np.ndarray:
-    """sum_j phi(theta_j * total_dim / (2 pi)) over the last axis of the eigenangles."""
+def linear_statistic(angles: np.ndarray, tf: TestFunction, group: SymmetryGroup) -> np.ndarray:
+    """sum_j phi(theta_j * dim / (2 pi)) over the whole spectrum, from the N
+    free eigenangles on the last axis (:func:`_spectrum_rule`)."""
     angles = np.asarray(angles, dtype=float)
-    if angles.shape[-1] != total_dim:
-        raise ValueError(f"expected {total_dim} angles, got {angles.shape[-1]}")
-    return np.sum(tf.phi(angles * (total_dim / (2.0 * math.pi))), axis=-1)
+    pair, forced, dim = _spectrum_rule(group, angles.shape[-1])
+    z = pair * np.sum(tf.phi(angles * (dim / (2.0 * math.pi))), axis=-1)
+    return z + forced * tf.phi0
 
 
 def _batch_statistic(args) -> np.ndarray:
@@ -219,7 +219,7 @@ def _batch_statistic(args) -> np.ndarray:
     spec, tf, batch_size, stream = args
     rng = np.random.default_rng(stream)
     angles = sample_haar_batch(spec.group, spec.half_dim, rng, batch_size)
-    return linear_statistic(angles, tf, spec.dim)
+    return linear_statistic(angles, tf, spec.group)
 
 
 def empirical_moments(
@@ -327,11 +327,9 @@ def finite_n_moments(
     the span of an orthonormal basis psi_j, j < N: sqrt(2/pi) cos(j theta)
     (psi_0 = 1/sqrt(pi)) on [0, pi] for SO(2N), sqrt(2/pi) sin((j + 1/2)
     theta) on [0, pi] for SO(2N+1), e^{ij theta}/sqrt(2 pi) on (-pi, pi)
-    for U(N).  Z is a sum of f over them, f(theta) = 2 phi(theta dim /
-    (2 pi)) for the orthogonal groups (one term per conjugate pair) and
-    phi(theta N / (2 pi)) for U(N), plus phi(0) for the forced angle 0
-    of SO(2N+1).  So E exp(tZ) = det G(t), G(t)_jl = <psi_j, e^{tf}
-    psi_l>, and the cumulants are traces of products of the Gram
+    for U(N).  Z is a sum of f(theta) = pair * phi(theta dim / (2 pi)) over
+    them plus forced * phi(0) (:func:`_spectrum_rule`).  So E exp(tZ) =
+    det G(t), G(t)_jl = <psi_j, e^{tf} psi_l>, and the cumulants are traces of products of the Gram
     matrices M_k of f^k (Soshnikov, Ann. Probab. 2002):
 
         log det G(t) = sum_m (-1)^(m+1)/m Tr (sum_k t^k M_k / k!)^m.
@@ -345,13 +343,12 @@ def finite_n_moments(
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     spec = EnsembleSpec(group, half_dim, 1, 0)
+    pair, forced, dim = _spectrum_rule(group, half_dim)
     nodes, weights = legendre_rule(_gram_nodes(tf, spec, n_max))
     # the integrands are even: keep the nodes in (0, pi], where the 1/(2 pi)
     # of c_d, the pi of the node map and the fold cancel
     theta, weights = math.pi * nodes[nodes > 0], weights[nodes > 0]
-    f = tf.phi(theta * (spec.dim / (2.0 * math.pi)))
-    if group is not SymmetryGroup.U:
-        f = 2.0 * f
+    f = pair * tf.phi(theta * (dim / (2.0 * math.pi)))
     shift = float(weights @ f)  # c_0 of f
     orders = np.arange(1, n_max + 1)
     # cos_moments[k - 1, d] = c_d of (f - shift)^k
@@ -381,7 +378,7 @@ def finite_n_moments(
     for n in range(2, n_max + 1):
         terms = (math.comb(n - 1, i - 1) * kappa[i] * centered[n - i] for i in range(2, n + 1))
         centered.append(sum(terms))
-    mean = kappa[1] + half_dim * shift + (tf.phi0 if group is SymmetryGroup.SO_ODD else 0.0)
+    mean = kappa[1] + half_dim * shift + forced * tf.phi0
     return float(mean), {k: float(centered[k]) for k in range(2, n_max + 1)}
 
 

@@ -54,6 +54,7 @@ pair; a call multiplies them by the two functions' coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -294,7 +295,9 @@ class GeneratorBackedTestFunction(TestFunction):
     autocorrelation table ``T``; ``phi0 = (c.m)^2`` and
     ``phihat0 = c^T G c``, from the basis integrals ``m`` and Gram matrix
     ``G = T(0)`` (:func:`_basis_tables`).  A generator whose integral is
-    below 1e-12 of sqrt(2h c^T G c), a bound on int |g|, is refused.
+    below 1e-12 of sqrt(2h c^T G c), a bound on int |g|, is refused, as
+    is one whose phi(0) or int g^2 leaves the normal double range (named
+    as an overflow or an underflow, with no floating-point warning).
 
     phi is |ghat|^2 with ghat(x) = int g(t) e^{2 pi i x t} dt =
     2h sum_n l_n i^n j_n(2 pi |x| h) up to conjugation, so Re ghat is the
@@ -310,19 +313,31 @@ class GeneratorBackedTestFunction(TestFunction):
         c = generator.weights
         self.support_bound = 2.0 * h
         m, gram, table = _basis_tables(generator.kind, generator.dimension, h)
-        int_g = float(c @ m)
-        int_g2 = float(c @ gram @ c)
-        if int_g2 <= 0.0:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                int_g = float(c @ m)
+                int_g2 = float(c @ gram @ c)
+                self.phihat_coef = (table @ c) @ c
+            self.phi0 = int_g**2
+        except (FloatingPointError, OverflowError):
+            raise ValueError(
+                "generator overflows: phi(0) or int g^2 exceeds the double range; "
+                "scale its coefficients towards 1, which leaves every bound unchanged"
+            ) from None
+        if int_g2 <= 0.0 and not c.any():
             raise ValueError("generator is identically zero")
         # sqrt(2h int g^2) >= int |g| by Cauchy-Schwarz
-        if abs(int_g) <= 1e-12 * math.sqrt(2.0 * h * int_g2):
+        if abs(int_g) <= 1e-12 * math.sqrt(2.0 * h * max(int_g2, 0.0)):
             raise ValueError(
                 "generator integrates to zero: phi(0) vanishes and every "
                 "bound denominator would vanish with it"
             )
-        self.phi0 = int_g**2
+        if min(self.phi0, int_g2) < sys.float_info.min:
+            raise ValueError(
+                "generator underflows: phi(0) or int g^2 is below the normal double range; "
+                "scale its coefficients towards 1, which leaves every bound unchanged"
+            )
         self.phihat0 = int_g2
-        self.phihat_coef = (table @ c) @ c
         self.spec_string = _generator_spec_string(generator)
 
     @cached_property

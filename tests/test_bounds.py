@@ -1,6 +1,7 @@
 """Bound pipeline: coefficients and golden tables."""
 
 import json
+import warnings
 
 import pytest
 
@@ -20,7 +21,7 @@ from momentbounds import (
 from momentbounds import bounds as bounds_module
 from momentbounds.bounds import level2_coefficient
 from momentbounds.reference import expectation_level1, expectation_level2, table_cells
-from momentbounds.testfunc import GeneratorSpec
+from momentbounds.testfunc import GeneratorSpec, from_spec_string
 
 G = SymmetryGroup
 
@@ -229,6 +230,43 @@ def test_scale_invariance_of_bounds():
     reference = bounds(1.0)
     for c in (1e-2, 3.0):
         assert bounds(c) == pytest.approx(reference, rel=1e-10, abs=0)
+
+
+def _cos_bound(coeffs, half, rank, slots, regime):
+    tf = from_spec_string(f"gen:cos:{coeffs}:half={half}")
+    return bound_moment((tf,) * slots, G.SO_EVEN, [rank], regime=regime)[0].upper_bound
+
+
+@pytest.mark.parametrize("regime", ["with_R", "mock_gaussian"])
+def test_scale_invariance_far_from_one(regime):
+    # c = 1e-30 and 1e30 move phi(0) by 1e-60 and 1e60, the moment and
+    # the denominator by 1e-240 and 1e240; their quotient stays put
+    reference = _cos_bound("1", "1/6", 20, 2, regime)
+    for c in ("1e-30", "1e30"):
+        assert _cos_bound(c, "1/6", 20, 2, regime) == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize(
+    "coeffs, half, rank, slots, regime, reason",
+    [
+        # the denominator is subnormal and the moment rounds to 0.0: the
+        # quotient printed 0.0
+        ("1e-40", "1/6", 20, 2, "with_R", "denominator 1.12973e-319"),
+        # the denominator rounds to 0.0: the quotient divided by zero
+        ("1e-60", "1/6", 20, 2, "with_R", "denominator 0.0"),
+        ("1e-40,3e-41,-2e-41", "1/20", 30, 4, "mock_gaussian", "denominator 0.0"),
+        ("1e60", "1/6", 20, 2, "with_R", "denominator inf"),
+        # rank 4 sits just above this generator's minimum usable rank, so
+        # its margins are small: the moment overflows, the denominator not
+        ("3e39,-2.1573e39", "1/6", 4, 2, "with_R", "overflows"),
+        ("3e39,-2.1573e39", "1/6", 4, 2, "mock_gaussian", "moment inf"),
+    ],
+)
+def test_bound_outside_the_double_range_is_refused(coeffs, half, rank, slots, regime, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UncertifiedBoundError, match=reason):
+            _cos_bound(coeffs, half, rank, slots, regime)
 
 
 def test_with_r_equals_mock_gaussian_when_supports_sum_to_one(gen_sinx2):

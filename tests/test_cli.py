@@ -178,6 +178,42 @@ def test_bound_negative_moment_error_exit(capsys, monkeypatch):
     assert json.loads(err)["error"] == "uncertified-bound"
 
 
+@pytest.mark.parametrize(
+    "testfn, rank, method, regime, error, reason",
+    [
+        ("gen:cos:1e-40:half=1/6", "20", "moment4", "with_R", "uncertified-bound",
+         "denominator 1.12973e-319"),
+        ("gen:cos:1e-60:half=1/6", "20", "moment4", "with_R", "uncertified-bound",
+         "denominator 0.0"),
+        ("gen:cos:1e-40,3e-41,-2e-41:half=1/20", "30", "moment2m:4", "mock_gaussian",
+         "uncertified-bound", "denominator 0.0"),
+        ("gen:cos:1e160:half=1/6", "20", "moment4", "with_R", "invalid-input",
+         "generator overflows"),
+        ("gen:cos:1e-200:half=1/6", "20", "moment4", "with_R", "invalid-input",
+         "generator underflows"),
+        ("gen:cos:1e60:half=1/6", "20", "moment4", "with_R", "uncertified-bound",
+         "denominator inf"),
+        ("gen:cos:3e39,-2.1573e39:half=1/6", "4", "moment4", "with_R", "uncertified-bound",
+         "overflows"),
+    ],
+)
+def test_generator_scale_past_the_double_range_is_one_error_line(
+    testfn, rank, method, regime, error, reason
+):
+    # a fresh process, so a floating-point warning would reach stderr
+    argv = ["bound", "--family", "so-even", "--rank", rank, "--method", method,
+            "--testfn", testfn, "--regime", regime]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import momentbounds.cli as cli; "
+        "sys.exit(cli.main(sys.argv[2:]))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, SRC, *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    (line,) = done.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == error and reason in record["message"], record
+
+
 NAIVE_SWEEP = ["bound", "--method", "moment4", "--testfn", "naive:v=1/3", "--regime", "with_R"]
 
 

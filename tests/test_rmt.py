@@ -83,6 +83,17 @@ def _angles_direct(q):
     return np.sort(np.angle(eigenvalues), axis=1)
 
 
+def _full_spectrum(group, free):
+    """The whole spectrum, sorted, rebuilt from sampled free angles: each SO
+    angle with its conjugate, plus the forced 0 of SO(2N+1); U angles as they are."""
+    if group is G.U:
+        return free
+    parts = [-free, free]
+    if group is G.SO_ODD:
+        parts.insert(1, np.zeros(free.shape[:-1] + (1,)))
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+
+
 def _trace_power_stats(angles, j):
     """Mean and variance of sum_k cos(j theta_k), each with its standard error."""
     z = np.cos(j * angles).sum(axis=1)
@@ -92,18 +103,30 @@ def _trace_power_stats(angles, j):
     return mean, math.sqrt(var / n), var, math.sqrt(max(fourth - var**2, 0.0) / n)
 
 
-def test_so2_angles_come_in_conjugate_pairs(rng):
+def test_so2_angles_come_in_conjugate_pairs(rng, naive_third):
+    # SO(2) has one free angle; the statistic counts it once for +theta
+    # and once for -theta, at dim 2
     for _ in range(5):
         angles = sample_haar_batch(G.SO_EVEN, 1, rng, 1)[0]
-        assert angles.shape == (2,)
-        assert angles[0] == pytest.approx(-angles[1], abs=1e-12)
+        assert angles.shape == (1,) and 0.0 <= angles[0] <= math.pi
+        pair = np.array([-angles[0], angles[0]])
+        expected = float(np.sum(naive_third.phi(pair / math.pi)))
+        z = linear_statistic(angles, naive_third, G.SO_EVEN)
+        assert z == pytest.approx(expected, rel=1e-15)
 
 
-def test_so_odd_forced_zero_angle(rng):
+def test_so_odd_forced_zero_angle(rng, naive_third):
+    # every SO(2N+1) matrix has the eigenangle 0 and N conjugate pairs; the
+    # sampler leaves the forced 0 out, and the statistic adds phi(0) for it
     for n in (1, 3, 8):
+        dense = _angles_direct(_haar_orthogonal_block(2 * n + 1, rng, 20))
+        assert np.abs(dense[:, n]).max() < 1e-7
+        assert np.abs(dense[:, :n] + dense[:, : n : -1]).max() < 1e-12
         angles = sample_haar_batch(G.SO_ODD, n, rng, 1)[0]
-        assert angles.shape == (2 * n + 1,)
-        assert np.isclose(angles, 0.0, atol=1e-7).any()
+        assert angles.shape == (n,) and angles.min() > 0.0
+        pairs = 2.0 * naive_third.phi(angles * ((2 * n + 1) / (2.0 * math.pi))).sum()
+        z = linear_statistic(angles, naive_third, G.SO_ODD)
+        assert z - pairs == pytest.approx(naive_third.phi0, rel=1e-12)
 
 
 def test_sampled_matrices_are_special_orthogonal(rng):
@@ -115,10 +138,12 @@ def test_sampled_matrices_are_special_orthogonal(rng):
 
 
 def test_angles_sorted_in_principal_range(rng):
+    # N free angles per matrix, ascending in [0, pi], for every group
     for group, n in ((G.SO_EVEN, 6), (G.SO_ODD, 6), (G.U, 9)):
-        angles = sample_haar_batch(group, n, rng, 1)[0]
-        assert np.all(np.diff(angles) >= 0)
-        assert angles.min() > -math.pi - 1e-12 and angles.max() <= math.pi + 1e-12
+        angles = sample_haar_batch(group, n, rng, 3)
+        assert angles.shape == (3, n)
+        assert np.all(np.diff(angles, axis=1) >= 0)
+        assert angles.min() >= 0.0 and angles.max() <= math.pi
 
 
 def test_symmetric_and_direct_extraction_agree():
@@ -137,7 +162,7 @@ def test_tridiagonal_sampler_matches_dense_oracle(group, n):
     # SO(7); the mean at j = 7 is 0 against 1), so a wrong Jacobi weight fails.
     samples = 10_000
     dim = EnsembleSpec(group, n, 1, 0).dim
-    fast = sample_haar_batch(group, n, np.random.default_rng(31), samples)
+    fast = _full_spectrum(group, sample_haar_batch(group, n, np.random.default_rng(31), samples))
     dense = _angles_direct(_haar_orthogonal_block(dim, np.random.default_rng(32), samples))
     for j in (1, 2, 3, 4, 5, 2 * n + 1):
         m1, se_m1, v1, se_v1 = _trace_power_stats(fast, j)
@@ -150,7 +175,7 @@ def test_tridiagonal_sampler_matches_dense_oracle(group, n):
 def test_tridiagonal_sampler_diaconis_shahshahani(group):
     # E sum_k cos(j theta_k) = eta_j (1 for even j, else 0), variance j, for 2j <= N
     n = 10
-    angles = sample_haar_batch(group, n, np.random.default_rng(41), 10_000)
+    angles = _full_spectrum(group, sample_haar_batch(group, n, np.random.default_rng(41), 10_000))
     for j in range(1, n // 2 + 1):
         mean, se_mean, var, se_var = _trace_power_stats(angles, j)
         assert abs(mean - (1.0 if j % 2 == 0 else 0.0)) <= 5.0 * se_mean, (j, mean)
@@ -217,58 +242,68 @@ def test_bad_banded_spectrum_is_refused(monkeypatch, solution):
 
 
 def test_conjugation_by_permutation_leaves_statistic_unchanged(rng, naive_third):
-    # similarity transforms preserve the spectrum, hence the statistic
+    # similarity transforms preserve the spectrum, hence the statistic of
+    # its nonnegative half, the free angles of SO(10)
     dim = 10
     q = _haar_orthogonal_block(dim, rng, 8)
     perm = np.random.default_rng(5).permutation(dim)
     p = np.eye(dim)[perm]
 
-    a1 = _angles_direct(q)
-    a2 = _angles_direct(p @ q @ p.T)
-    s1 = [linear_statistic(a, naive_third, dim) for a in a1]
-    s2 = [linear_statistic(a, naive_third, dim) for a in a2]
+    a1 = _angles_direct(q)[:, dim // 2 :]
+    a2 = _angles_direct(p @ q @ p.T)[:, dim // 2 :]
+    s1 = [linear_statistic(a, naive_third, G.SO_EVEN) for a in a1]
+    s2 = [linear_statistic(a, naive_third, G.SO_EVEN) for a in a2]
     assert s1 == pytest.approx(s2, abs=1e-8)
+
+
+# (dim, pair, forced) of 8 free angles in each group
+_EIGHT_FREE = {G.SO_EVEN: (16, 2, 0), G.SO_ODD: (17, 2, 1), G.U: (8, 1, 0)}
 
 
 def test_linear_statistic_all_zero_angles(naive_third):
     # every angle at the origin: the statistic is dim * phi(0)
-    dim = 12
-    assert linear_statistic(np.zeros(dim), naive_third, dim) == pytest.approx(float(dim))
+    for group, (dim, _, _) in _EIGHT_FREE.items():
+        assert linear_statistic(np.zeros(8), naive_third, group) == pytest.approx(float(dim))
 
 
 def test_linear_statistic_single_angle_scaling(naive_third):
-    # one angle at 2 pi / dim contributes phi(1)
-    dim = 16
-    angles = np.zeros(dim)
-    angles[0] = 2.0 * math.pi / dim
-    expected = dim - 1 + float(naive_third.phi(1.0))
-    assert linear_statistic(angles, naive_third, dim) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        linear_statistic(angles, naive_third, dim + 1)
+    # one free angle at 2 pi / dim contributes phi(1) once per angle it stands for
+    for group, (dim, pair, forced) in _EIGHT_FREE.items():
+        angles = np.zeros(8)
+        angles[0] = 2.0 * math.pi / dim
+        expected = pair * (7 + float(naive_third.phi(1.0))) + forced
+        assert linear_statistic(angles, naive_third, group) == pytest.approx(expected, rel=1e-12)
 
 
 def test_linear_statistic_sums_the_last_axis(naive_third):
     batch = sample_haar_batch(G.SO_ODD, 4, np.random.default_rng(2), 6)
-    values = linear_statistic(batch, naive_third, 9)
+    values = linear_statistic(batch, naive_third, G.SO_ODD)
     assert values.shape == (6,)
-    assert list(values) == [linear_statistic(row, naive_third, 9) for row in batch]
+    assert list(values) == [linear_statistic(row, naive_third, G.SO_ODD) for row in batch]
+
+
+@pytest.mark.parametrize("group", [G.SO_EVEN, G.SO_ODD, G.U])
+@pytest.mark.parametrize("tf", ["naive_third", "gen_sinx2"])
+def test_linear_statistic_of_free_angles_sums_the_full_spectrum(request, group, tf):
+    # the statistic of the N free angles is sum phi over the whole
+    # spectrum rebuilt from them, at the scale of its length
+    tf = request.getfixturevalue(tf)
+    free = sample_haar_batch(group, 7, np.random.default_rng(8), 40)
+    full = _full_spectrum(group, free)
+    expected = np.sum(tf.phi(full * (full.shape[-1] / (2.0 * math.pi))), axis=-1)
+    got = linear_statistic(free, tf, group)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_so_odd_zero_angle_shifts_mean_by_phi0(naive_third):
     spec = EnsembleSpec(G.SO_ODD, 6, 400, seed=9)
     emp = empirical_moments(spec, naive_third, 2)
-    # removing the forced angle removes exactly phi(0) from every sample
-    dim = spec.dim
+    # leaving the forced angle out removes exactly phi(0) from every sample
     batch = sample_haar_batch(G.SO_ODD, 6, np.random.default_rng(1), 50)
-    with_zero = np.array([linear_statistic(a, naive_third, dim) for a in batch])
-    scale = dim / (2.0 * math.pi)
-    dropped = np.array(
-        [
-            float(np.sum(naive_third.phi(a[~np.isclose(a, 0.0, atol=1e-9)] * scale)))
-            for a in batch
-        ]
-    )
-    assert np.allclose(with_zero - dropped, naive_third.phi0, atol=1e-7)
+    with_zero = linear_statistic(batch, naive_third, G.SO_ODD)
+    full = _full_spectrum(G.SO_ODD, batch) * (spec.dim / (2.0 * math.pi))
+    dropped = np.array([np.sum(naive_third.phi(a[a != 0.0])) for a in full])
+    assert np.allclose(with_zero - dropped, naive_third.phi0, rtol=0, atol=1e-12)
     assert emp.sample_count == 400
 
 
@@ -317,6 +352,7 @@ class _TracePower:
     def __init__(self, j, n):
         self.j, self.n = j, n
         self.support_bound = j / n
+        self.phi0 = 2.0
 
     def phi(self, x):
         return 2.0 * np.cos(2.0 * math.pi * self.j * np.asarray(x) / self.n)
@@ -387,8 +423,8 @@ def test_centered_moments_do_not_cancel_at_a_large_mean(monkeypatch, gen_sinx2, 
     draws = []
     statistic = rmt.linear_statistic
 
-    def recording(angles, tf, total_dim):
-        z = statistic(angles, tf, total_dim)
+    def recording(angles, tf, group):
+        z = statistic(angles, tf, group)
         draws.extend(z)
         return z
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,31 @@ def test_zero_integral_generator_rejected():
     assert from_spec_string("gen:cos:1,-1.5:half=1").phi0 > 0
     with pytest.raises(ValueError, match="identically zero"):
         make_from_generator(GeneratorSpec("polynomial", (0.0,), 0.25))
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ("gen:cos:1e160:half=1/6", "overflows"),  # int g^2 is inf
+        ("gen:poly:1.2e153:half=6", "overflows"),  # phi(0) = 2e308, int g^2 = 1.7e307
+        ("gen:cos:1e-200:half=1/6", "underflows"),  # int g^2 rounds to 0.0
+        ("gen:poly:1e-160:half=1", "underflows"),  # phi(0) = 4e-320 is subnormal
+        ("gen:cos:0,0,0:half=1/6", "identically zero"),
+        ("gen:poly:0,1e-200:half=1/4", "integrates to zero"),
+    ],
+)
+def test_generator_outside_the_double_range_is_refused_by_name(spec, reason):
+    # a scale past the double range names itself, silently: no floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=reason):
+            from_spec_string(spec)
+
+
+def test_generator_scales_inside_the_double_range_build():
+    for spec in ("gen:cos:1e150:half=1/6", "gen:cos:1e-150:half=1/6"):
+        tf = from_spec_string(spec)
+        assert tf.phihat0 / tf.phi0 == pytest.approx(3.0, rel=1e-13)
 
 
 # (int g)^2 and int g^2 in 40-digit arithmetic; cos and poly are closed
