@@ -6,10 +6,12 @@ family statistic is, in the appropriate support regime,
 * even n = 2m: a sum over the (2m-1)!! perfect matchings of
   ``{1, ..., 2m}`` of products of pairwise variances
   ``sigma2(phi_a, phi_b)`` -- the hafnian of the sigma2 matrix, computed
-  by a memoized subset recursion for 2m up to ``MAX_EVEN_ORDER`` -- plus
-  a correction term ``R_n`` carrying the family's sign (a compact
-  transform-space integral over the transforms' end pieces, exact up to
-  rounding, see :func:`r_term`),
+  by a memoized recursion over how many copies of each distinct function
+  are left, so 2m identical functions cost m + 1 states (capped by
+  ``MAX_MATCHING_STATES`` and ``MAX_EVEN_ORDER``) -- plus a correction
+  term ``R_n`` carrying the family's sign (a compact transform-space
+  integral over the transforms' end pieces, exact up to rounding, see
+  :func:`r_term`),
 * odd n: the correction term alone (or zero).
 
 Two support regimes are implemented:
@@ -39,9 +41,15 @@ from .kernels import SymmetryGroup
 from .quadrature import gauss_legendre
 from .testfunc import TestFunction, sigma2
 
-# Even orders 2m above this are refused: the hafnian recursion visits
-# Fibonacci-many subsets, 75,025 at 2m = 24 (about 0.3 s).
-MAX_EVEN_ORDER = 24
+# A matching sum is refused before any sigma2 work when its recursion
+# could visit more than MAX_MATCHING_STATES states: prod(count + 1) over
+# the distinct functions bounds them (it visits 75,025 for 24 distinct
+# functions, about 0.3 s, and m + 1 for 2m identical ones).  It is also
+# refused past the even order MAX_EVEN_ORDER, because the recursion nests
+# one Python call per pair: 2m = 2000 identical functions pass the state
+# cap but nest past the interpreter's default limit of 1000 frames.
+MAX_MATCHING_STATES = 2**24
+MAX_EVEN_ORDER = 1024
 
 REGIMES = ("auto", "with_R", "mock_gaussian")
 _THRESHOLD_FORMULAS = {"with_R": "1/(n-1)", "mock_gaussian": "(2k-1)/(nk)"}
@@ -49,6 +57,12 @@ _THRESHOLD_FORMULAS = {"with_R": "1/(n-1)", "mock_gaussian": "(2k-1)/(nk)"}
 
 class SupportRegimeError(ValueError):
     """A transform support exceeds the threshold of the requested regime."""
+
+
+class UncertifiedBoundError(ArithmeticError):
+    """A moment or a bound's denominator left the floating-point range, or a
+    bound's moment came out zero, subnormal or negative, so the number
+    would certify nothing and none is reported."""
 
 
 def support_threshold(regime: str, n: int, weight_k: int = 2) -> float:
@@ -141,7 +155,10 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
     polynomial of known degree, kept as its Chebyshev interpolant on
     [0, 1] and built from H_(m-1) by a Gauss-Legendre sum, so R is exact
     up to rounding.  For Fejer triangles ``P_j = delta / v_j^2`` and
-    ``R = (-1)^n 2^(n-1) delta^(2n) / ((2n)! prod_j v_j^2)``.  Raises
+    ``R = (-1)^n 2^(n-1) delta^(2n) / ((2n)! prod_j v_j^2)``.  For n
+    copies of naive:v=1/(n-1), R is within 4e-13 of its Irwin-Hall value
+    at n = 48; at n = 96 R is about 1e-328 and underflows to 0.0, an
+    error below 1e-300 of the matching sum (about 4e51).  Raises
     :class:`SupportRegimeError` when ``delta`` exceeds a support, where
     the end pieces do not cover the tail.
     """
@@ -209,52 +226,85 @@ def _resolve_regime(req: MomentRequest) -> str:
     )
 
 
-def _hafnian(a: Sequence[Sequence[float]]) -> float:
-    """Sum over the perfect matchings of {0, ..., n-1} of prod a[i][j].
+def _hafnian(a: Sequence[Sequence[float]], counts: Sequence[int]) -> float:
+    """Sum over the perfect matchings of a multiset of slots of prod a[g][h].
 
-    Subset recursion (Bjorklund, "Counting perfect matchings as fast as
-    Ryser", SODA 2012): with i the lowest index left in the mask,
-    ``haf(mask) = sum_j a[i][j] haf(mask - {i, j})`` over the other
-    indices j in ascending order, memoized over masks.  Only the upper
-    triangle ``a[i][j]``, i < j, is read.
+    ``counts[g]`` slots are copies of group g, and a pair of copies of
+    groups g <= h contributes ``a[g][h]``; only the upper triangle, the
+    diagonal included, is read.  Subset recursion (Bjorklund, "Counting
+    perfect matchings as fast as Ryser", SODA 2012) keyed by multiplicity:
+    with g the first group with copies left, its lowest copy pairs with
+    one of its own other k_g - 1 copies (one term, weight k_g - 1) or with
+    a copy of a later group h (one term per h, weight k_h), and the state
+    is memoized.  A state packs each group's copies left as a binary count
+    in a field of ``counts[g].bit_length()`` bits, so with every count 1
+    it is the subset mask of the slots left and the terms are those of the
+    plain subset recursion, added in the same order.
     """
+    group_at = []  # the group of each state bit
+    fields = []  # (offset, count mask) of each group
+    for g, c in enumerate(counts):
+        fields.append((len(group_at), (1 << c.bit_length()) - 1))
+        group_at += [g] * c.bit_length()
+    # per group: its offset, count mask, one copy, own pair value and, per
+    # later group h, (a[g][h], h's field, h's offset, one copy of h)
+    plan = [
+        (offset, mask, 1 << offset, a[g][g],
+         [(a[g][h], m << o, o, 1 << o) for h, (o, m) in enumerate(fields[g + 1 :], start=g + 1)])
+        for g, (offset, mask) in enumerate(fields)
+    ]
     memo = {0: 1.0}
 
-    def haf(mask: int) -> float:
-        if mask not in memo:
-            i = (mask & -mask).bit_length() - 1
-            rest = mask ^ (1 << i)
-            total = 0.0
-            for j in range(i + 1, len(a)):
-                if rest >> j & 1:
-                    total += a[i][j] * haf(rest ^ (1 << j))
-            memo[mask] = total
-        return memo[mask]
+    def haf(state: int) -> float:
+        offset, count_mask, one, own, later = plan[group_at[(state & -state).bit_length() - 1]]
+        rest = state - one
+        total = 0.0
+        left = rest >> offset & count_mask
+        if left:
+            child = rest - one
+            value = memo.get(child)
+            if value is None:
+                value = haf(child)
+            total += left * (own * value)
+        for pair, field, offset_h, one_h in later:
+            copies = rest & field
+            if copies:
+                child = rest - one_h
+                value = memo.get(child)
+                if value is None:
+                    value = haf(child)
+                total += (copies >> offset_h) * (pair * value)
+        memo[state] = total
+        return total
 
-    return haf((1 << len(a)) - 1)
+    return haf(sum(c << o for c, (o, _) in zip(counts, fields)))
 
 
 def _matching_sum(tfs: tuple[TestFunction, ...]) -> float:
     """Sum over perfect matchings of products of pairwise variances: the
     hafnian of the sigma2 matrix.
 
-    Pairwise sigma2 values are memoized by test-function identity, so
-    repeated functions cost one integral per distinct pair.
+    Slots are grouped by test-function identity in first-appearance
+    order, and sigma2 is computed once per distinct pair (a function with
+    itself only when it fills two slots or more).  Both caps are checked
+    before any sigma2 work.
     """
-    n = len(tfs)
-    if n > MAX_EVEN_ORDER:
-        raise ValueError(f"2m = {n} exceeds the matching-sum cap {MAX_EVEN_ORDER}")
-    cache: dict[tuple[int, int], float] = {}
-
-    def pair_value(a: TestFunction, b: TestFunction) -> float:
-        key = (min(id(a), id(b)), max(id(a), id(b)))
-        if key not in cache:
-            cache[key] = sigma2(a, b)
-        return cache[key]
-
-    return _hafnian(
-        [[pair_value(a, b) if i < j else 0.0 for j, b in enumerate(tfs)] for i, a in enumerate(tfs)]
-    )
+    counts: dict[TestFunction, int] = {}
+    for tf in tfs:
+        counts[tf] = counts.get(tf, 0) + 1
+    states = math.prod([c + 1 for c in counts.values()])
+    if len(tfs) > MAX_EVEN_ORDER or states > MAX_MATCHING_STATES:
+        raise ValueError(
+            f"the matching sum of 2m = {len(tfs)} slots of {len(counts)} distinct functions "
+            f"exceeds its cap: it needs 2m <= {MAX_EVEN_ORDER} and prod(count + 1) = {states} "
+            f"<= {MAX_MATCHING_STATES}"
+        )
+    groups = list(counts)
+    a = [
+        [sigma2(f, g) if i < j or (i == j and counts[f] > 1) else 0.0 for j, g in enumerate(groups)]
+        for i, f in enumerate(groups)
+    ]
+    return _hafnian(a, list(counts.values()))
 
 
 def centered_moment(req: MomentRequest) -> MomentResult:
@@ -262,18 +312,29 @@ def centered_moment(req: MomentRequest) -> MomentResult:
 
     Even n: matching sum, plus R with the family's sign (dropped in the
     mock-Gaussian regime).  Odd n: the signed R alone, or zero in the
-    mock-Gaussian regime.
+    mock-Gaussian regime.  Raises :class:`UncertifiedBoundError` when a
+    step overflows or the moment, its matching sum or R is not finite;
+    zero and negative moments are results.
     """
     regime = _resolve_regime(req)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            result = _moment(req, regime)
+    except FloatingPointError as exc:
+        raise UncertifiedBoundError(f"moment of {_labels(req)} overflows: {exc}") from None
+    if not all(map(math.isfinite, (result.value, result.matching_sum, result.r_term))):
+        raise UncertifiedBoundError(f"moment {result.value!r} of {_labels(req)} is not finite")
+    return result
 
-    if req.n % 2 == 0:
-        matching_sum = _matching_sum(req.test_functions)
-    else:
-        matching_sum = 0.0
 
+def _labels(req: MomentRequest) -> str:
+    return ", ".join(dict.fromkeys(tf.spec_string for tf in req.test_functions))
+
+
+def _moment(req: MomentRequest, regime: str) -> MomentResult:
+    matching_sum = _matching_sum(req.test_functions) if req.n % 2 == 0 else 0.0
     if regime == "mock_gaussian":
         return MomentResult(matching_sum, matching_sum, 0.0, 0, regime)
-
     sign = req.family.sign
     r_value = r_term(req.test_functions)
     return MomentResult(matching_sum + sign * r_value, matching_sum, r_value, sign, regime)

@@ -131,10 +131,12 @@ def test_criterion_5_level_columns_row_constant():
 
 def test_criterion_6_property_suite(naive_slots):
     """Combinatorics, scale invariance, reductions, parity rejection."""
-    # matching counts (2m-1)!!: the hafnian of the all-ones matrix, for m <= 12
+    # matching counts (2m-1)!!: the hafnian of the all-ones matrix, for m <= 12,
+    # over 2m distinct slots and over 2m copies of one slot
     for m in range(1, 13):
         ones = [[1.0] * (2 * m) for _ in range(2 * m)]
-        assert _hafnian(ones) == double_factorial(2 * m - 1)
+        assert _hafnian(ones, [1] * (2 * m)) == double_factorial(2 * m - 1)
+        assert _hafnian([[1.0]], [2 * m]) == double_factorial(2 * m - 1)
     # sigma2 scale invariance across the naive family
     for v in (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 1.0):
         tf = make_naive(v)

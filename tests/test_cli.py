@@ -214,6 +214,30 @@ def test_generator_scale_past_the_double_range_is_one_error_line(
     assert record["error"] == error and reason in record["message"], record
 
 
+@pytest.mark.parametrize(
+    "regime, reason",
+    [
+        ("with_R", "moment of gen:cos:1e+60:half=0.16666666666666666 overflows"),
+        ("mock_gaussian", "moment inf of gen:cos:1e+60:half=0.16666666666666666 is not finite"),
+    ],
+)
+def test_moment_past_the_double_range_is_one_error_line(regime, reason):
+    # four slots of a generator scaled by 1e60: R overflows on the way (with_R)
+    # or the matching sum is inf (mock_gaussian); moment refuses it as bound
+    # does, with no record and, in a fresh process, no floating-point warning
+    argv = ["moment", "--family", "so-even", "--regime", regime]
+    argv += ["--testfn", "gen:cos:1e60:half=1/6"] * 4
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import momentbounds.cli as cli; "
+        "sys.exit(cli.main(sys.argv[2:]))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, SRC, *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    (line,) = done.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "uncertified-bound" and reason in record["message"], record
+
+
 NAIVE_SWEEP = ["bound", "--method", "moment4", "--testfn", "naive:v=1/3", "--regime", "with_R"]
 
 

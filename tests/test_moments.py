@@ -24,7 +24,13 @@ from momentbounds import (
     sigma2,
 )
 from momentbounds import cli, moments
-from momentbounds.moments import MAX_EVEN_ORDER, _hafnian, double_factorial, support_threshold
+from momentbounds.moments import (
+    MAX_EVEN_ORDER,
+    _hafnian,
+    _matching_sum,
+    double_factorial,
+    support_threshold,
+)
 
 G = SymmetryGroup
 
@@ -51,12 +57,12 @@ def _matchings(two_m):
 
 
 def _enumerated_hafnian(a):
-    """Sum over the enumerated matchings, multiplied left to right."""
-    total = 0.0
+    """Sum over the enumerated matchings, in exact rational arithmetic."""
+    total = Fraction(0)
     for pairs in _matchings_of(tuple(range(len(a)))):
-        term = 1.0
+        term = Fraction(1)
         for i, j in pairs:
-            term *= a[i][j]
+            term *= Fraction(a[i][j])
         total += term
     return total
 
@@ -94,34 +100,87 @@ def test_matching_count_twelve():
     assert len(_matchings(12)) == 10395
 
 
-@given(
-    m=st.integers(1, 5),
-    entries=st.lists(st.floats(0.01, 10.0), min_size=45, max_size=45),
+def _subset_hafnian(a):
+    """The plain subset recursion over single slots, with i the lowest
+    slot left and its partners j in ascending order: the reference for
+    the grouped recursion when every slot is distinct."""
+    memo = {0: 1.0}
+
+    def haf(mask):
+        if mask not in memo:
+            i = (mask & -mask).bit_length() - 1
+            rest = mask ^ (1 << i)
+            total = 0.0
+            for j in range(i + 1, len(a)):
+                if rest >> j & 1:
+                    total += a[i][j] * haf(rest ^ (1 << j))
+            memo[mask] = total
+        return memo[mask]
+
+    return haf((1 << len(a)) - 1)
+
+
+_MULTIPLICITIES = st.one_of(
+    st.integers(1, 5).map(lambda m: [1] * (2 * m)),
+    st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(
+        lambda counts: sum(counts) % 2 == 0 and sum(counts) <= 10
+    ),
 )
-@hyp_settings(max_examples=60, deadline=None)
-def test_hafnian_matches_enumeration(m, entries):
-    n = 2 * m
+
+
+@given(counts=_MULTIPLICITIES, entries=st.lists(st.floats(0.01, 10.0), min_size=55, max_size=55))
+@hyp_settings(max_examples=120, deadline=None)
+def test_hafnian_matches_enumeration(counts, entries):
+    # the grouped recursion against the exact sum over every matching of the
+    # expanded slots: m levels of positive terms, each term two roundings
     values = iter(entries)
-    a = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i][j] = a[j][i] = next(values)
+    groups = range(len(counts))
+    grouped = [[next(values) if h >= g else 0.0 for h in groups] for g in groups]
+    slots = [g for g, c in enumerate(counts) for _ in range(c)]
+    a = [[grouped[min(g, h)][max(g, h)] for h in slots] for g in slots]
+    got = _hafnian(grouped, counts)
     expected = _enumerated_hafnian(a)
-    if n <= 4:
-        assert _hafnian(a) == expected  # same products, summed in the same order
-    else:
-        assert abs(_hafnian(a) - expected) <= 1e-13 * expected
+    if set(counts) == {1}:
+        assert got == _subset_hafnian(a)  # same products, summed in the same order
+    assert abs(Fraction(got) - expected) <= Fraction(1e-14) * expected
+
+
+def test_identical_naive_slots_give_the_double_factorial():
+    # 2m copies of one Fejer function: (2m-1)!! (1/3)^m.  sigma2, a
+    # Gauss-Legendre sum, is 1/3 to within 4 ulps (so sigma2^48 may be 200
+    # ulps off 3^-48), and the recursion, m steps of two roundings each, is
+    # within 2m * 2^-53 of (2m-1)!! sigma2^m for that sigma2.
+    for two_m in range(2, 98, 2):
+        tf = make_naive(1.0 / two_m)
+        s2 = Fraction(sigma2(tf, tf))
+        assert abs(s2 - Fraction(1, 3)) <= 4 * math.ulp(1.0 / 3.0)
+        res = centered_moment(MomentRequest((tf,) * two_m, G.SO_EVEN, regime="mock_gaussian"))
+        exact = double_factorial(two_m - 1) * s2 ** (two_m // 2)
+        assert abs(Fraction(res.value) - exact) <= two_m * Fraction(1, 2**53) * exact
 
 
 def test_matchings_reject_bad_input(monkeypatch):
-    # one even order above the cap is refused before any sigma2 work
+    # the caps are prod(count + 1) <= 2^24 and 2m <= 1024: 25 distinct slots
+    # and 2m = 1026 are refused before any sigma2 work
     def no_sigma2(*args, **kwargs):
         raise AssertionError("sigma2 called above the cap")
 
-    monkeypatch.setattr(moments, "sigma2", no_sigma2)
-    tfs = (make_naive(0.01),) * (MAX_EVEN_ORDER + 2)
-    with pytest.raises(ValueError, match="cap"):
-        centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="mock_gaussian"))
+    with monkeypatch.context() as patch:
+        patch.setattr(moments, "sigma2", no_sigma2)
+        with pytest.raises(ValueError, match=r"cap.* prod\(count \+ 1\) = 33554432"):
+            _matching_sum(tuple(make_naive(1.0 / q) for q in range(40, 65)))
+        tfs = (make_naive(1e-3),) * (MAX_EVEN_ORDER + 2)
+        with pytest.raises(ValueError, match="cap"):
+            centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="mock_gaussian"))
+    # 26 identical slots, refused by the old cap of 24 slots: 25!! sigma^26
+    tf = make_naive(1.0 / 26.0)
+    res = centered_moment(MomentRequest((tf,) * 26, G.SO_EVEN, regime="mock_gaussian"))
+    exact = double_factorial(25) * Fraction(sigma2(tf, tf)) ** 13
+    assert abs(Fraction(res.value) - exact) <= 26 * Fraction(1, 2**53) * exact
+    # at the order cap the recursion nests 512 calls deep
+    assert _hafnian([[2.0 / MAX_EVEN_ORDER]], [MAX_EVEN_ORDER]) == pytest.approx(
+        float(double_factorial(MAX_EVEN_ORDER - 1) * Fraction(2, MAX_EVEN_ORDER) ** 512), rel=1e-12
+    )
 
 
 # ---- correction term ----
@@ -160,11 +219,19 @@ def _irwin_hall_r(n: int, q: int) -> Fraction:
     return (-1) ** n * 2 ** (n - 1) * cdf
 
 
-@pytest.mark.parametrize("n,q", [(n, n - 1) for n in range(2, 25)])
+@pytest.mark.parametrize("n,q", [(n, n - 1) for n in range(2, 25)] + [(48, 47)])
 def test_r_term_irwin_hall_oracle(n, q):
-    # relative to R itself, which falls to 6.8e-55 at n = 24
+    # relative to R itself, which falls to 6.8e-55 at n = 24 and 1.4e-136 at 48
     exact = float(_irwin_hall_r(n, q))
     assert abs(r_term([make_naive(1.0 / q)] * n) - exact) <= 1e-12 * abs(exact)
+
+
+def test_r_term_underflow_is_below_the_matching_sum():
+    # n = 96: R is about 1e-328 and underflows to 0.0, far below 1e-300 of
+    # the matching sum 95!! / 3^48
+    assert r_term([make_naive(1.0 / 95.0)] * 96) == 0.0
+    exact = _irwin_hall_r(96, 95)
+    assert 0 < abs(exact) < Fraction(1, 10**300) * Fraction(double_factorial(95), 3**48)
 
 
 @pytest.mark.parametrize("n", [7, 9])
@@ -240,7 +307,7 @@ def test_r_term_refuses_tail_beyond_a_support():
         r_term([make_naive(0.6), make_naive(0.6), make_naive(0.1)])
 
 
-@pytest.mark.parametrize("two_m", [4, 6, 8, 12, 24])
+@pytest.mark.parametrize("two_m", [4, 6, 8, 12, 24, 48])
 def test_higher_order_bounds_match_exact_oracle(two_m):
     # m slots of naive:v=1/(2m-1), each doubled, with_R at rank 50: the
     # moment is (2m-1)!! (1/3)^m + R and each slot's margin is 50 - 2m + 1/2
