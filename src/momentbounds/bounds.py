@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .kernels import SymmetryGroup, expectation_1level, expectation_2level
 from .moments import MomentRequest, UncertifiedBoundError, centered_moment
 from .reference import expectation_level1, expectation_level2, table_cells
@@ -84,9 +86,11 @@ def _sweep(
     """The one path every bound takes: ``numerator() / denominator(r)`` per rank.
 
     Every rank is checked first: a repeated rank (which would print its
-    record twice), then in the order given each rank's parity and
-    whatever ``denominator`` refuses.  Only then is the rank-free
-    numerator computed, once for the whole sweep.
+    record twice), then in the order given each rank's parity, whatever
+    ``denominator`` refuses and the denominator itself.  Only then is the
+    rank-free numerator computed, once for the whole sweep.  Every number
+    is certified (:func:`_certified`), and a numerator that overflows on
+    the way is :class:`UncertifiedBoundError` too.
     """
     ranks = tuple(ranks)
     repeated = [r for r in ranks if ranks.count(r) > 1]
@@ -101,15 +105,31 @@ def _sweep(
                 f"rank {r} has the wrong parity for {family.value}: the even family "
                 "admits only even central vanishing orders and the odd family only odd ones"
             )
-        denominators.append(denominator(r))
+        denominators.append(_certified(denominator(r), "denominator", labels, r))
     if not ranks:
         return []
-    value = numerator()
-    moment_value = value if method.startswith("moment") else None
+    name = "moment" if method.startswith("moment") else "expectation"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            value = _certified(numerator(), name, labels)
+    except FloatingPointError as exc:
+        raise UncertifiedBoundError(f"{name} of {', '.join(labels)} overflows: {exc}") from None
+    moment_value = value if name == "moment" else None
     return [
-        BoundResult(family, r, method, labels, value / d, d, moment_value)
+        BoundResult(family, r, method, labels, _certified(value / d, "upper bound", labels, r), d,
+                    moment_value)
         for r, d in zip(ranks, denominators)
     ]
+
+
+def _certified(x: float, name: str, labels: tuple[str, ...], rank: int | None = None) -> float:
+    """``x`` when it is a positive, finite double of full precision (not
+    subnormal), else :class:`UncertifiedBoundError`: no number outside
+    that range bounds anything."""
+    if not sys.float_info.min <= x <= sys.float_info.max:
+        where = ", ".join(labels) + ("" if rank is None else f" at rank {rank}")
+        raise UncertifiedBoundError(f"{name} {x!r} of {where} is zero, subnormal, negative or not finite")
+    return x
 
 
 def bound_level1(
@@ -164,11 +184,6 @@ def zero_margin(tf: TestFunction, r: int) -> float:
     return r * tf.phi0 - (tf.phihat0 + 0.5 * tf.phi0)
 
 
-def _normal(x: float) -> bool:
-    """True for a positive, finite float of full precision (not subnormal)."""
-    return sys.float_info.min <= x <= sys.float_info.max
-
-
 def bound_moment(
     slot_functions: Sequence[TestFunction],
     family: SymmetryGroup,
@@ -183,11 +198,10 @@ def bound_moment(
     non-negative, which is what lets the tail be dropped.  Each rank
     needs the family's parity and ``r >= min_rank(phi_s)`` for every
     slot, so each denominator factor :func:`zero_margin` is strictly
-    positive.  Raises :class:`UncertifiedBoundError` when a denominator
-    or the moment is zero, subnormal or not finite, or the moment
-    negative or overflowing on the way, rather than return a quotient
-    that bounds nothing: a generator scaled far from 1 can leave the
-    double range (the bound itself does not depend on the scale).
+    positive.  The sweep refuses a denominator or moment that leaves
+    the normal double range (:class:`UncertifiedBoundError`): a generator
+    scaled far from 1 can leave it, though the bound itself does not
+    depend on the scale.
     """
     slots = tuple(slot_functions)
     if not slots:
@@ -205,24 +219,12 @@ def bound_moment(
                 )
             margin = zero_margin(tf, r)
             out *= margin * margin
-        if not _normal(out):
-            raise UncertifiedBoundError(
-                f"denominator {out!r} of {', '.join(labels)} at rank {r} is zero, subnormal "
-                "or not finite"
-            )
         return out
 
     def moment() -> float:
         doubled = tuple(tf for tf in slots for _ in range(2))
         request = MomentRequest(doubled, family, weight_k=weight_k, regime=regime)
-        value = centered_moment(request).value
-        # An even moment of doubled slots is positive.
-        if not _normal(value):
-            raise UncertifiedBoundError(
-                f"moment {value!r} of {', '.join(labels)} is zero, subnormal, negative or "
-                "not finite"
-            )
-        return value
+        return centered_moment(request).value
 
     return _sweep(f"moment{2 * len(slots)}", labels, family, ranks, denominator, moment)
 

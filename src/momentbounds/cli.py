@@ -18,6 +18,10 @@ names no option of any subcommand, a value its option's type cannot
 convert and a value outside its option's choices are ``invalid-input``
 errors.
 
+Each ``--testfn`` slot is built from its own spec; test functions with
+equal specs are equal, so repeated slots are one function to the moment
+layer.
+
 In-process callers of ``main`` share one parser (and one ``--config``
 pre-scan parser), built on the first call and never mutated; a
 ``--config`` run applies the file's defaults to a parser built for that
@@ -64,13 +68,6 @@ ERROR_CODES = {
     NoFeasiblePointError: "no-feasible-point",
     ValueError: "invalid-input",
 }
-
-
-def _parse_testfns(specs: list[str]) -> list:
-    """One TestFunction per distinct spec string: repeated slots share it,
-    and with it the sigma^2 memo and R's one transform per function."""
-    parsed = {s: from_spec_string(s) for s in dict.fromkeys(specs)}
-    return [parsed[s] for s in specs]
 
 
 class _Repeatable(argparse.Action):
@@ -158,7 +155,7 @@ def _cmd_bound(args) -> int:
     _require(args, "family")
     slots = _slot_count(args.method)
     family = SymmetryGroup.from_string(args.family)
-    tfs = _parse_testfns(args.testfn or [])
+    tfs = [from_spec_string(s) for s in args.testfn or []]
     ranks = _ranks(args)
     if len(tfs) == 1:
         tfs *= slots  # one spec fills every slot
@@ -179,7 +176,7 @@ def _cmd_bound(args) -> int:
 def _cmd_moment(args) -> int:
     _require(args, "family", "testfn")
     family = SymmetryGroup.from_string(args.family)
-    tfs = _parse_testfns(args.testfn or [])
+    tfs = [from_spec_string(s) for s in args.testfn or []]
     request = MomentRequest(tuple(tfs), family, weight_k=args.weight_k, regime=args.regime)
     result = centered_moment(request)
     _emit(

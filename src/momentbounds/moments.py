@@ -7,7 +7,8 @@ family statistic is, in the appropriate support regime,
   ``{1, ..., 2m}`` of products of pairwise variances
   ``sigma2(phi_a, phi_b)`` -- the hafnian of the sigma2 matrix, computed
   by a memoized recursion over how many copies of each distinct function
-  are left, so 2m identical functions cost m + 1 states (capped by
+  are left (test functions with equal specs are one function, however
+  they were built), so 2m identical functions cost m + 1 states (capped by
   ``MAX_MATCHING_STATES`` and ``MAX_EVEN_ORDER``) -- plus a correction
   term ``R_n`` carrying the family's sign (a compact transform-space
   integral over the transforms' end pieces, exact up to rounding, see
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .kernels import SymmetryGroup
-from .quadrature import gauss_legendre
+from .quadrature import legendre_rule
 from .testfunc import TestFunction, sigma2
 
 # A matching sum is refused before any sigma2 work when its recursion
@@ -60,9 +61,9 @@ class SupportRegimeError(ValueError):
 
 
 class UncertifiedBoundError(ArithmeticError):
-    """A moment or a bound's denominator left the floating-point range, or a
-    bound's moment came out zero, subnormal or negative, so the number
-    would certify nothing and none is reported."""
+    """A moment, or a bound's numerator or denominator, left the
+    floating-point range, or a bound's numerator came out zero, subnormal
+    or negative, so the number would certify nothing and none is reported."""
 
 
 def support_threshold(regime: str, n: int, weight_k: int = 2) -> float:
@@ -177,12 +178,12 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
         )
     # phihat at x = 2y/s - 1 is (1 - x) Q(x) + phihat(s), and phihat(s) = 0
     quotients = {
-        id(tf): chebyshev.chebdiv(tf.phihat_coef, (1.0, -1.0))[0] for tf in dict.fromkeys(tfs)
+        tf: chebyshev.chebdiv(tf.phihat_coef, (1.0, -1.0))[0] for tf in dict.fromkeys(tfs)
     }
 
     def end_factor(tf: TestFunction, t: np.ndarray) -> np.ndarray:
         r = 2.0 * delta / tf.support_bound  # y = s - delta t is x = 1 - r t
-        return r * chebyshev.chebval(1.0 - r * t, quotients[id(tf)])
+        return r * chebyshev.chebval(1.0 - r * t, quotients[tf])
 
     # h: Chebyshev coefficients of H_m on [0, 1], in x = 2t - 1
     degree = tfs[0].phihat_degree - 1
@@ -193,19 +194,18 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
         def convolved(x: np.ndarray) -> np.ndarray:
             # H_(m+1)(t) = int_0^1 w^(2m-1) (1 - w) H_m(t w) P(t (1 - w)) dw, one row per t
             t = 0.5 * (x[:, None] + 1.0)
-            return gauss_legendre(
-                lambda w: w ** (2 * m - 1) * (1.0 - w) * chebyshev.chebval(2.0 * t * w - 1.0, h)
-                * end_factor(tf, t * (1.0 - w)),
-                0.0,
-                1.0,
-                2 * m + degree + step,
-            )
+            nodes, weights = legendre_rule((2 * m + degree + step) // 2 + 1)
+            w = 0.5 * (nodes + 1.0)
+            vals = (w ** (2 * m - 1) * (1.0 - w) * chebyshev.chebval(2.0 * t * w - 1.0, h)
+                    * end_factor(tf, t * (1.0 - w)))
+            return (vals * weights * 0.5).sum(axis=-1)
 
         h = chebyshev.chebinterpolate(convolved, degree + step)
         degree += step
-    integral = gauss_legendre(
-        lambda t: t ** (2 * n - 1) * chebyshev.chebval(2.0 * t - 1.0, h), 0.0, 1.0, 2 * n - 1 + degree
-    )
+    nodes, weights = legendre_rule((2 * n - 1 + degree) // 2 + 1)
+    t = 0.5 * (nodes + 1.0)
+    vals = t ** (2 * n - 1) * chebyshev.chebval(2.0 * t - 1.0, h)
+    integral = float((vals * weights * 0.5).sum())
     return (-1.0) ** n * 2.0 ** (n - 1) * delta**n * integral
 
 
@@ -284,10 +284,10 @@ def _matching_sum(tfs: tuple[TestFunction, ...]) -> float:
     """Sum over perfect matchings of products of pairwise variances: the
     hafnian of the sigma2 matrix.
 
-    Slots are grouped by test-function identity in first-appearance
-    order, and sigma2 is computed once per distinct pair (a function with
-    itself only when it fills two slots or more).  Both caps are checked
-    before any sigma2 work.
+    Slots are grouped by equal test functions (equal specs) in
+    first-appearance order, and sigma2 is computed once per distinct pair
+    of groups' first functions (a group with itself only when it fills
+    two slots or more).  Both caps are checked before any sigma2 work.
     """
     counts: dict[TestFunction, int] = {}
     for tf in tfs:
@@ -328,7 +328,7 @@ def centered_moment(req: MomentRequest) -> MomentResult:
 
 
 def _labels(req: MomentRequest) -> str:
-    return ", ".join(dict.fromkeys(tf.spec_string for tf in req.test_functions))
+    return ", ".join(tf.spec_string for tf in dict.fromkeys(req.test_functions))
 
 
 def _moment(req: MomentRequest, regime: str) -> MomentResult:

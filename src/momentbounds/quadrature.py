@@ -1,15 +1,15 @@
-"""Numerical integration: one fixed Gauss-Legendre path.
+"""Numerical integration: one Gauss-Legendre rule builder.
 
 Every transform in the package is a polynomial piece of known degree on
 its support (the Fejer triangle is linear, a generator transform is a
 chopped Chebyshev series), so every integral of transforms is a
 polynomial integral of known degree.  The expectations in
 :mod:`.kernels` read theirs from antiderivatives of the pieces and of
-their products; :func:`gauss_legendre` sums the others with the
-Gauss-Legendre rule of just enough nodes, which is exact up to
-rounding: there is no error estimate and no adaptivity.
-:func:`legendre_rule` builds every rule in the package, the small ones
-of :func:`gauss_legendre`, of the generator transforms and of the
+their products; the others are sums with the Gauss-Legendre rule of
+just enough nodes (``degree // 2 + 1`` for a polynomial of that
+degree), which is exact up to rounding: there is no error estimate and
+no adaptivity.  :func:`legendre_rule` builds every rule in the package,
+the small ones of sigma2, of the generator transforms and of the
 correction term R in :mod:`.moments` as well as the large ones of the
 exact finite-N moments in :mod:`.rmt`, by the method of Hale & Townsend
 (SIAM J. Sci. Comput. 35, 2013): Newton's method in theta = arccos x
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -124,24 +123,3 @@ def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = w.flags.writeable = False  # cached: shared by every caller
     return x, w
 
-
-def gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, degree: int
-):
-    """``int_a^b f(y) dy`` by the Gauss-Legendre rule of ``degree // 2 + 1`` nodes.
-
-    Exact up to rounding when ``f`` is a polynomial of degree at most
-    ``degree`` on ``[a, b]``.  ``f`` is called once, on an array of nodes,
-    and may broadcast it to a result with leading axes (its last axis over
-    the nodes), giving one integral per leading index.
-    """
-    if degree < 0:
-        raise ValueError(f"gauss_legendre needs degree >= 0, got {degree}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("gauss_legendre requires finite endpoints")
-    if b < a:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    nodes, weights = legendre_rule(degree // 2 + 1)
-    half = 0.5 * (b - a)
-    total = (f(a + half * (nodes + 1.0)) * weights * half).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total

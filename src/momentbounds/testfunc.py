@@ -82,8 +82,14 @@ _ALTERNATING = (-1.0) ** np.arange(_CHEB_POINTS)
 
 
 def parse_rational(text: str) -> float:
-    """Parse 'p/q' or a decimal literal into a float."""
-    return float(Fraction(text.strip()))
+    """Parse 'p/q' or a decimal literal into a float; ValueError for anything
+    else, a zero denominator and a value past the double range included."""
+    try:
+        return float(Fraction(text.strip()))
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text.strip()!r} has a zero denominator") from None
+    except OverflowError:
+        raise ValueError(f"rational {text.strip()!r} is past the double range") from None
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,9 @@ class TestFunction:
     piece (even, zero from the support bound on).  Each constructor sets
     the piece, the support bound, ``phi0 = phi(0)``, ``phihat0 =
     phihat(0)`` and a round-trippable spec string; subclasses provide a
-    vectorized ``phi``.
+    vectorized ``phi``.  A spec string is an exact round trip (floats
+    print by ``repr``), so a test function is its spec: two are equal,
+    and hash alike, when their specs are, however they were built.
     """
 
     support_bound: float
@@ -265,17 +273,27 @@ class TestFunction:
         x = np.where(inside, y, 0.0) * (2.0 / self.support_bound) - 1.0
         return np.where(inside, chebyshev.chebval(x, self.phihat_coef), 0.0)
 
+    def __eq__(self, other):
+        return isinstance(other, TestFunction) and self.spec_string == other.spec_string
+
+    def __hash__(self):
+        return hash(self.spec_string)
+
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string!r})"
 
 
 class NaiveTestFunction(TestFunction):
-    """The Fejer pair: phi = (sin(pi v x)/(pi v x))^2, phihat the triangle on (-v, v)."""
+    """The Fejer pair: phi = (sin(pi v x)/(pi v x))^2, phihat the triangle on (-v, v);
+    a v whose 1/v = phihat(0) leaves the normal double range is refused."""
 
     def __init__(self, v: float):
+        v = float(v)
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"naive test function needs v > 0, got {v!r}")
-        self.v = float(v)
+        if not sys.float_info.min <= 1.0 / v <= sys.float_info.max:
+            raise ValueError(f"naive test function needs 1/v in the normal double range, got {v!r}")
+        self.v = v
         self.support_bound = self.v
         self.phihat_coef = np.array([0.5, -0.5]) / self.v  # (1 - x) / (2v), x = 2y/v - 1
         self.phi0 = 1.0
@@ -442,7 +460,7 @@ def from_spec_string(spec: str) -> TestFunction:
                 coeffs = tuple(parse_rational(c) for field in parts[2:-1] for c in field.split(","))
                 return make_from_generator(GeneratorSpec(kind, coeffs, half))
         raise ValueError
-    except (ValueError, ZeroDivisionError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         detail = str(exc)
         hint = (
             "expected one of: naive:v=<rational> | gen:sinx2:half=<rational> | "

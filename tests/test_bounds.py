@@ -1,6 +1,7 @@
 """Bound pipeline: coefficients and golden tables."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -203,6 +204,68 @@ def test_negative_or_nonfinite_moment_is_refused(naive_third, monkeypatch, value
     monkeypatch.setattr(bounds_module, "centered_moment", bad_moment)
     with pytest.raises(UncertifiedBoundError):
         bound_moment((naive_third, naive_third), G.SO_EVEN, [20], regime="with_R")
+
+
+_UNCERTIFIED = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-20, 5e-324, 1e-310]
+
+
+def _level1(tf):
+    return bound_level1(tf, G.SO_EVEN, [20, 22])
+
+
+def _level2(tf):
+    return bound_level2(tf, tf, G.SO_EVEN, [20, 22])
+
+
+def _moment4(tf):
+    return bound_moment((tf, tf), G.SO_EVEN, [20, 22], regime="with_R")
+
+
+@pytest.mark.parametrize("value", _UNCERTIFIED)
+@pytest.mark.parametrize(
+    "method, attr, name",
+    [(_level1, "expectation_1level", "expectation"), (_level2, "expectation_2level", "expectation"),
+     (_moment4, "centered_moment", "moment")],
+)
+def test_sweep_refuses_every_uncertified_numerator(naive_third, monkeypatch, method, attr, name, value):
+    # each bound's numerator goes through the one sweep, which refuses it by name
+    if name == "moment":
+        fake = lambda request: MomentResult(value, value, 0.0, 1, request.regime)  # noqa: E731
+    else:
+        fake = lambda *args: value  # noqa: E731
+    monkeypatch.setattr(bounds_module, attr, fake)
+    with pytest.raises(UncertifiedBoundError, match=f"^{name} {value!r} of naive:v="):
+        method(naive_third)
+
+
+@pytest.mark.parametrize("value", _UNCERTIFIED)
+@pytest.mark.parametrize("method", ["level1", "level2", "moment4"])
+def test_sweep_refuses_every_uncertified_denominator(method, value):
+    # before the numerator is computed
+    def numerator():
+        raise AssertionError("numerator computed after a bad denominator")
+
+    with pytest.raises(UncertifiedBoundError, match=f"^denominator {value!r} of f at rank 4 "):
+        bounds_module._sweep(method, ("f",), G.SO_EVEN, [4], lambda r: value, numerator)
+
+
+@pytest.mark.parametrize("numerator, denominator", [(1e-300, 1e100), (1e300, 1e-100)])
+def test_sweep_refuses_a_quotient_outside_the_double_range(numerator, denominator):
+    # both certified, but the bound itself would print 0.0 or inf
+    with pytest.raises(UncertifiedBoundError, match="^upper bound .* at rank 4 "):
+        bounds_module._sweep("moment4", ("f",), G.SO_EVEN, [4], lambda r: denominator,
+                             lambda: numerator)
+
+
+def test_level2_expectation_overflowing_on_the_way_is_refused():
+    # phihat of gen:cos:1e100 is about 1e200, so E_2's products overflow:
+    # refused by name with no floating-point warning, never printed as NaN
+    tf = from_spec_string("gen:cos:1e100:half=1/6")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UncertifiedBoundError, match="^expectation of gen:cos:1e\\+100"):
+            bound_level2(tf, tf, G.SO_EVEN, [20])
+    assert bound_level1(tf, G.SO_EVEN, [20])[0].upper_bound == pytest.approx(0.175, rel=1e-12)
 
 
 def test_rank_monotonicity(naive_third):

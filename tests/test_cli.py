@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import momentbounds
-from momentbounds import MomentResult, bounds, cli
+from momentbounds import MomentResult, bounds, cli, moments
 from momentbounds.cli import main
 from momentbounds.testfunc import NaiveTestFunction, from_spec_string
 
@@ -215,6 +215,27 @@ def test_generator_scale_past_the_double_range_is_one_error_line(
 
 
 @pytest.mark.parametrize(
+    "method, count",
+    [("level1", 1), ("level2", 2), ("moment4", 1)],
+)
+def test_naive_v_past_the_double_range_is_one_error_line(method, count):
+    # 1/v = 1e320 overflows: refused at construction, before any bound, with
+    # no record and, in a fresh process, no floating-point warning
+    argv = ["bound", "--family", "so-even", "--rank", "20", "--method", method]
+    argv += ["--testfn", "naive:v=1e-320"] * count
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import momentbounds.cli as cli; "
+        "sys.exit(cli.main(sys.argv[2:]))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, SRC, *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    (line,) = done.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "invalid-input", record
+    assert "1/v in the normal double range" in record["message"], record
+
+
+@pytest.mark.parametrize(
     "regime, reason",
     [
         ("with_R", "moment of gen:cos:1e+60:half=0.16666666666666666 overflows"),
@@ -338,18 +359,21 @@ def test_moment_command(capsys):
 
 
 def test_repeated_testfn_specs_share_one_function(capsys, monkeypatch):
-    # one object per distinct spec; the record is the one separate objects give
+    # each slot is built from its own spec, and four equal specs are one
+    # function to the matching sum: one group of four, one sigma2 call, and
+    # the record that one shared object gives
     argv = ["moment", "--family", "so-even", "--regime", "with_R"]
     argv += ["--testfn", "naive:v=1/3"] * 4
-    parsed = []
-    monkeypatch.setattr(
-        cli, "from_spec_string", lambda spec: parsed.append(spec) or from_spec_string(spec)
-    )
-    shared = run_cli(argv, capsys)
-    assert parsed == ["naive:v=1/3"]
-    monkeypatch.setattr(cli, "_parse_testfns", lambda specs: [from_spec_string(s) for s in specs])
-    assert run_cli(argv, capsys) == shared
-    assert shared[0] == 0
+    counts, pairs = [], []
+    hafnian, sigma2 = moments._hafnian, moments.sigma2
+    monkeypatch.setattr(moments, "_hafnian", lambda a, c: counts.append(list(c)) or hafnian(a, c))
+    monkeypatch.setattr(moments, "sigma2", lambda a, b: pairs.append((a, b)) or sigma2(a, b))
+    separate = run_cli(argv, capsys)
+    assert separate[0] == 0
+    assert (counts, len(pairs)) == ([[4]], 1)
+    shared = from_spec_string("naive:v=1/3")
+    monkeypatch.setattr(cli, "from_spec_string", lambda spec: shared)
+    assert run_cli(argv, capsys) == separate
 
 
 # ---- table command ----
@@ -664,6 +688,31 @@ def test_optimize_refuses_a_repeated_basis_field(capsys, monkeypatch, basis, fie
         "error": "invalid-input",
         "message": f"basis field {field!r} is repeated in {basis!r}",
     }
+
+
+@pytest.mark.parametrize(
+    "support, basis, config",
+    [
+        ("1/0", "cos:dim=2:half=1/8", None),
+        ("1/4", "cos:dim=2:half=1/0", None),
+        (None, "cos:dim=2:half=1/8", "support = 1/0\n"),
+        ("1/4", "fixed:naive:v=1/0", None),
+    ],
+)
+def test_optimize_zero_denominator_is_invalid_input(tmp_path, capsys, support, basis, config):
+    argv = ["optimize", "--family", "so-even", "--rank", "100", "--basis", basis,
+            "--regime", "mock_gaussian"]
+    if support is not None:
+        argv += ["--support", support]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "invalid-input"
+    assert "rational '1/0' has a zero denominator" in error["message"]
 
 
 def test_optimize_sinx2_basis_is_its_fixed_slot(capsys):

@@ -1,0 +1,320 @@
+"""Exact-rational oracle for the records of naive (Fejer) test functions.
+
+Every expected number is built in exact rational arithmetic from the
+float v that each spec parses to, with no machinery of the package:
+
+* sigma2 of two triangles of supports lo <= hi is lo (2 hi - lo) / (3 hi^2);
+* the matching sum is the hafnian of those values, summed over matchings
+  by a recursion over the slots left;
+* R = (-1)^n 2^(n-1) delta^(2n) / ((2n)! prod v_j^2), delta = sum v_j - 1,
+  when delta > 0 (the convolution of the triangles' linear end pieces,
+  which is Irwin-Hall's tail for equal v), and 0 otherwise;
+* a slot's margin is r - 1/v - 1/2 (phi(0) = 1, phihat(0) = 1/v), the
+  one-level expectation is 1/v + 1/2 for v <= 1 in both split families,
+  and the two-level one is a sum of polynomial integrals (:func:`_level2`).
+
+The records come from the command line, run once in a child process, so
+this module imports nothing of the package except ``from_spec_string``
+(for the float v of each spec).
+
+Budgets count units of u = 2^-53 of relative error.  An ulp of x is more
+than |x| u, so a budget of k units admits at most k ulps.  Each budget is
+the sum of the roundings on the way, named where it is set.
+"""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from math import factorial, prod
+from pathlib import Path
+
+import pytest
+
+from momentbounds.testfunc import from_spec_string
+
+U = Fraction(1, 2**53)
+SRC = str(Path(sys.modules[from_spec_string.__module__].__file__).resolve().parents[1])
+
+# sigma2 is a Gauss-Legendre sum taken in value space: two Chebyshev
+# evaluations, the weights times 4y, and a dot product of two or three
+# terms.  Equal triangles read 1/3 to within 3.3 ulps of 2^-54, about 5 u
+# relative; 8 u leaves room for unequal pairs.
+SIGMA2_BUDGET = 8
+
+
+def _v(spec: str) -> Fraction:
+    return Fraction(from_spec_string(spec).v)
+
+
+def _sigma2(v1: Fraction, v2: Fraction) -> Fraction:
+    lo, hi = sorted((v1, v2))
+    return lo * (2 * hi - lo) / (3 * hi * hi)
+
+
+def _hafnian(vs: list[Fraction]) -> Fraction:
+    """Sum over the perfect matchings of the slots of prod sigma2: for 2m
+    equal slots the (2m - 1)!! matchings all give sigma2^m, otherwise the
+    sum over the matchings of the first slot's partner and the rest.  An
+    odd number of slots has no matching."""
+    if len(vs) % 2:
+        return Fraction(0)
+    if len(set(vs)) == 1:
+        m = len(vs) // 2
+        return prod(range(1, 2 * m, 2)) * _sigma2(vs[0], vs[0]) ** m
+    memo = {}
+
+    def haf(left: tuple[int, ...]) -> Fraction:
+        if not left:
+            return Fraction(1)
+        if left not in memo:
+            first, rest = left[0], left[1:]
+            memo[left] = sum(
+                _sigma2(vs[first], vs[j]) * haf(rest[:i] + rest[i + 1 :]) for i, j in enumerate(rest)
+            )
+        return memo[left]
+
+    return haf(tuple(range(len(vs))))
+
+
+def _r(vs: list[Fraction]) -> Fraction:
+    n = len(vs)
+    delta = sum(vs) - 1
+    if delta <= 0:
+        return Fraction(0)
+    assert delta <= min(vs) * (1 + Fraction(1, 10**12))  # the end pieces cover the tail
+    return (-1) ** n * 2 ** (n - 1) * delta ** (2 * n) / (factorial(2 * n) * prod(v * v for v in vs))
+
+
+def _matching_budget(vs: list[Fraction]) -> int:
+    """Each of the m sigma2 factors of a matching, then per level of the
+    recursion one product of two roundings and a sum: one term per level for
+    equal slots, at most 2m - 1 positive terms otherwise (m^2 in all)."""
+    m = len(vs) // 2
+    return m * SIGMA2_BUDGET + 2 * m + (m * m if len(set(vs)) > 1 else 0)
+
+
+def _r_budget(vs: list[Fraction]) -> int:
+    """delta = fsum(v) - 1 loses sum(v)/delta to cancellation, and R carries
+    delta^(2n): 2n (sum(v)/delta + 1) units.  The end-piece convolution adds
+    n - 1 Chebyshev interpolations and Gauss-Legendre sums of growing
+    degree, whose error grows with n: 8 n^2 units (measured 9 at n = 4, 71
+    at n = 7, 250 at n = 12 and about 3600 at n = 48)."""
+    n = len(vs)
+    delta = sum(vs) - 1
+    return int(2 * n * (sum(vs) / delta + 1)) + 8 * n * n
+
+
+def _margin_budget(v: Fraction, r: int) -> Fraction:
+    """1/v and the sum with 1/2 round once each on the scale 1/v + 1/2,
+    which the subtraction from r divides by the margin; then one more."""
+    return 2 * (1 / v + Fraction(1, 2)) / (r - 1 / v - Fraction(1, 2)) + 1
+
+
+def _integral(p: list[Fraction], a: Fraction, b: Fraction) -> Fraction:
+    """int_a^b of the polynomial sum_k p[k] y^k."""
+    return sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(p))
+
+
+def _times(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _level2(v1: Fraction, v2: Fraction, sign: int) -> tuple[Fraction, Fraction]:
+    """E_2 of two triangles (v <= 1) and its budget.
+
+    E_2 = I_1 I_2 - 2 T - 2 eps C, plus I_1 + I_2 for SO(odd) (the point
+    masses), with I_j = 1/v_j + eps/2 the one-level integrals, T = int
+    (1 - |t|)_+ phihat_1 phihat_2 and C = (1/2) int int phihat_1(a)
+    phihat_2(b) over the rhombus |a| + |b| < 1.  Each of the package's
+    terms is a low-degree Chebyshev antiderivative or product, within a few
+    units: 8 units of each term's size, which the cancellation between
+    them divides by E_2; then one more for the quotient by the rank's
+    integer coefficient.
+    """
+    tri1, tri2 = ([1 / v, -1 / (v * v)] for v in (v1, v2))  # phihat on [0, v]
+    i1, i2 = (1 / v + Fraction(sign, 2) for v in (v1, v2))
+    t = 2 * _integral(_times(_times([1, -1], tri1), tri2), 0, min(1, v1, v2))
+    # 2 P_1(min(1 - b, v_1)), P_1(u) = int_0^u phihat_1: 1 up to b = 1 - v_1, then
+    # 2 P_1(1 - b) = 2 (1 - b)/v_1 - (1 - b)^2/v_1^2
+    b_max = min(v2, 1)
+    split = min(max(1 - v1, 0), b_max)
+    tail = [2 / v1 - 1 / (v1 * v1), -2 / v1 + 2 / (v1 * v1), -1 / (v1 * v1)]
+    c = _integral(tri2, 0, split) + _integral(_times(tail, tri2), split, b_max)
+    terms = [i1 * i2, -2 * t, -2 * sign * c] + ([i1, i2] if sign < 0 else [])
+    value = sum(terms)
+    return value, 8 * sum(abs(x) for x in terms) / abs(value) + 1
+
+
+def _moment(vs: list[Fraction], sign: int, with_r: bool) -> tuple[Fraction, Fraction]:
+    """The exact moment and its budget: the matching sum, plus sign * R in with_R."""
+    matching = _hafnian(vs)
+    if not with_r:
+        return matching, Fraction(_matching_budget(vs))
+    r = _r(vs)
+    value = matching + sign * r
+    budget = (_matching_budget(vs) * matching + _r_budget(vs) * abs(r)) / abs(value) + 1
+    return value, budget
+
+
+def _within(got: float, exact: Fraction, budget) -> bool:
+    return abs(Fraction(got) - exact) <= budget * U * abs(exact)
+
+
+# ---- the records ----
+
+SIGN = {"so-even": 1, "so-odd": -1}
+
+
+def _naive(q: str, count: int = 1) -> str:
+    return " ".join([f"--testfn naive:v={q}"] * count)
+
+
+# The naive ops of the benchmark workloads (perfbench/workloads.py), the
+# README and CI bounds past 2m = 24, and the CI Irwin-Hall R commands.
+BOUNDS = [
+    "bound --family so-even --ranks 4,6,8,10,12 --method moment4 --testfn naive:v=1/3 --regime with_R",
+    "bound --family so-odd --ranks 5,7,9,11 --method moment4 --testfn naive:v=1/3 --regime with_R",
+    "bound --family so-even --ranks 6,8,10,12 --method moment2m:3 --testfn naive:v=1/5 --regime with_R",
+    "bound --family so-odd --ranks 9,11 --method moment2m:4 --testfn naive:v=1/7 --regime with_R",
+    "bound --family so-even --ranks 10,12 --method moment2m:5 --testfn naive:v=1/9 --regime with_R",
+    "bound --family so-even --ranks 12 --method moment2m:6 --testfn naive:v=1/11 --regime with_R",
+    "bound --family so-even --rank 20 --method moment4 --testfn naive:v=1/3 --regime mock_gaussian",
+    "bound --family so-odd --rank 21 --method moment4 --testfn naive:v=1/3 --regime mock_gaussian",
+    "bound --family so-even --rank 50 --method moment2m:23 --testfn naive:v=3/92 --regime mock_gaussian",
+    "bound --family so-even --rank 100 --method moment2m:48 --testfn naive:v=1/64 --regime mock_gaussian",
+]
+LEVEL1 = [
+    "bound --family so-even --ranks 6,8,10,12 --method level1 --testfn naive:v=1",
+    "bound --family so-odd --ranks 5,7,9 --method level1 --testfn naive:v=1/2",
+]
+LEVEL2 = [
+    "bound --family so-odd --ranks 5,7,9,11 --method level2 --testfn naive:v=1/2",
+    "bound --family so-even --ranks 6,8,10 --method level2 --testfn naive:v=1/3 --testfn naive:v=1/2",
+    "bound --family so-even --ranks 4,6,8,10,12 --method level2 --testfn naive:v=1",
+]
+MOMENTS = [
+    f"moment --family so-even --regime with_R {_naive('1/3', 4)}",
+    "moment --family so-even --regime with_R "
+    + " ".join(f"--testfn naive:v=1/{q}" for q in range(10, 20)),
+    f"moment --family so-even --regime mock_gaussian {_naive('1/10', 8)}",
+    f"moment --family so-even --regime mock_gaussian {_naive('1/10', 12)}",
+    f"moment --family so-even --regime with_R {_naive('1/6', 7)}",
+    f"moment --family so-even --regime with_R {_naive('1/11', 12)}",
+]
+TABLES = ["table T1", "table T2", "table T3", "table T4", "table T5"]
+
+_RUN = """
+import contextlib, io, json, shlex, sys
+sys.path.insert(0, sys.argv[1])
+from momentbounds import cli
+out = {}
+for command in json.loads(sys.stdin.read()):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(shlex.split(command))
+    out[command] = [code, [json.loads(line) for line in buf.getvalue().splitlines()]]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def records():
+    commands = BOUNDS + LEVEL1 + LEVEL2 + MOMENTS + TABLES
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN, SRC], input=json.dumps(commands),
+        capture_output=True, text=True, check=True,
+    )
+    # the exit codes are left alone: a table whose cells drift exits 1, and
+    # its records are what the table test reads
+    return {command: recs for command, (_, recs) in json.loads(done.stdout).items()}
+
+
+def _slots(command: str) -> list[str]:
+    words = command.split()
+    specs = [words[i + 1] for i, w in enumerate(words) if w == "--testfn"]
+    method = words[words.index("--method") + 1] if "--method" in words else None
+    if method and len(specs) == 1:
+        specs *= (1 if method == "level1" else 2 if method in ("level2", "moment4")
+                  else int(method.split(":")[1]))
+    return specs
+
+
+def _check_moment_bound(rec: dict, vs: list[Fraction], family: str, with_r: bool) -> None:
+    """One moment bound record: the slots vs, each used twice."""
+    r = rec["rank"]
+    moment, moment_budget = _moment([v for v in vs for _ in range(2)], SIGN[family], with_r)
+    den = prod((r - 1 / v - Fraction(1, 2)) ** 2 for v in vs)
+    # each slot's margin, squared (one rounding) and multiplied in (one more)
+    den_budget = sum(2 * _margin_budget(v, r) + 2 for v in vs)
+    assert _within(rec["moment_value"], moment, moment_budget), (rec, float(moment))
+    assert _within(rec["denominator"], den, den_budget), (rec, float(den))
+    bound_budget = moment_budget + den_budget + 1
+    assert _within(rec["upper_bound"], moment / den, bound_budget), (rec, float(moment / den))
+
+
+@pytest.mark.parametrize("command", BOUNDS)
+def test_naive_moment_bounds_are_exact(records, command):
+    vs = [_v(spec) for spec in _slots(command)]
+    family = command.split()[2]
+    recs = records[command]
+    assert recs
+    for rec in recs:
+        _check_moment_bound(rec, vs, family, "with_R" in command)
+
+
+@pytest.mark.parametrize("command", LEVEL1)
+def test_naive_level1_bounds_are_exact(records, command):
+    # E_1 = 1/v + 1/2: 1/v rounds once, the half-integral of the triangle
+    # (a Chebyshev antiderivative) within a few units, the sum once; / r once
+    (v,) = [_v(spec) for spec in _slots(command)]
+    for rec in records[command]:
+        assert _within(rec["upper_bound"], (1 / v + Fraction(1, 2)) / rec["rank"], 8), rec
+
+
+def test_level2_of_the_unit_triangle_is_five_twelfths():
+    assert _level2(Fraction(1), Fraction(1), 1)[0] == Fraction(5, 12)
+
+
+@pytest.mark.parametrize("command", LEVEL2)
+def test_naive_level2_bounds_are_exact(records, command):
+    vs = [_v(spec) for spec in _slots(command)]
+    value, budget = _level2(*vs, SIGN[command.split()[2]])
+    for rec in records[command]:
+        r = rec["rank"]
+        coefficient = r * (r - 2) if r % 2 == 0 else (r - 1) ** 2
+        assert _within(rec["upper_bound"], value / coefficient, budget), (rec, float(value))
+
+
+@pytest.mark.parametrize("command", MOMENTS)
+def test_naive_moments_are_exact(records, command):
+    vs = [_v(spec) for spec in _slots(command)]
+    (rec,) = records[command]
+    with_r = rec["regime"] == "with_R"
+    assert _within(rec["matching_sum"], _hafnian(vs), _matching_budget(vs)), rec
+    if with_r:
+        exact_r = _r(vs)
+        if exact_r == 0:
+            assert rec["r_term"] == 0.0
+        else:
+            assert _within(rec["r_term"], exact_r, _r_budget(vs)), (rec, float(exact_r))
+    value, budget = _moment(vs, SIGN[rec["family"]], with_r)
+    assert _within(rec["value"], value, budget), (rec, float(value))
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_naive_table_cells_are_exact(records, table):
+    # the naive column: two slots of naive:v=1/3, each doubled, in with_R
+    cells = [c for c in records[table] if c["column"] == "moment4_naive"]
+    assert cells
+    v = _v("naive:v=1/3")
+    for cell in cells:
+        r = cell["rank"]
+        moment, moment_budget = _moment([v] * 4, SIGN[cell["family"]], True)
+        den = (r - 1 / v - Fraction(1, 2)) ** 4
+        budget = moment_budget + 2 * (2 * _margin_budget(v, r) + 2) + 1  # as in a moment bound
+        assert _within(cell["computed"], moment / den, budget), (cell, float(moment / den))

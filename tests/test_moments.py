@@ -183,6 +183,39 @@ def test_matchings_reject_bad_input(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("m", [8, 12, 16, 24])
+def test_equal_slots_built_separately_are_one_function(m, monkeypatch):
+    # m slots of naive:v=1/(4m), each built on its own, group as one function:
+    # one sigma2 call, and the bound one shared object gives, bit for bit.
+    # Grouped by object, the 2m doubled slots of m = 16 and 24 would pass the
+    # state cap prod(count + 1) <= 2^24.
+    pairs = []
+    original = moments.sigma2
+    monkeypatch.setattr(moments, "sigma2", lambda a, b: pairs.append((a, b)) or original(a, b))
+    separate = bound_moment(
+        [make_naive(1.0 / (4 * m)) for _ in range(m)], G.SO_EVEN, [100], regime="mock_gaussian"
+    )
+    assert len(pairs) == 1
+    shared = bound_moment([make_naive(1.0 / (4 * m))] * m, G.SO_EVEN, [100], regime="mock_gaussian")
+    assert separate == shared
+    assert 0.0 < separate[0].upper_bound < 1.0
+
+
+def test_one_sigma2_per_distinct_pair_of_equal_groups(monkeypatch):
+    # slots a, b, a', b', a'' with the primes built separately: groups
+    # [a x 3, b x 2], pairs aa, ab and bb, each computed with a group's first object
+    pairs = []
+    original = moments.sigma2
+    monkeypatch.setattr(moments, "sigma2", lambda a, b: pairs.append((a, b)) or original(a, b))
+    specs = ["naive:v=1/8", "gen:cos:1,0.3:half=1/20"] * 2 + ["naive:v=1/8", "naive:v=1/8"]
+    tfs = [from_spec_string(spec) for spec in specs]
+    value = _matching_sum(tuple(tfs))
+    a, b = tfs[:2]
+    assert [tuple(map(id, pair)) for pair in pairs] == [(id(a), id(a)), (id(a), id(b)), (id(b), id(b))]
+    shared = [tfs[0] if spec.startswith("naive") else tfs[1] for spec in specs]
+    assert value == _matching_sum(tuple(shared))
+
+
 # ---- correction term ----
 
 
@@ -423,12 +456,17 @@ def test_r_term_zero_function(naive_third):
     assert r_term([naive_third, Zero()]) == 0.0
 
 
-def test_r_term_transforms_a_repeated_function_once():
-    # one end piece used four times against four equal end pieces
+def test_r_term_transforms_a_repeated_function_once(monkeypatch):
+    # four equal functions built separately are one function: one end piece,
+    # and the R that one shared object gives, bit for bit
     third = make_naive(1.0 / 3.0)
     repeated = r_term([third] * 4)
+    divisions = []
+    chebdiv = moments.chebyshev.chebdiv
+    monkeypatch.setattr(moments.chebyshev, "chebdiv", lambda *a: divisions.append(a) or chebdiv(*a))
     separate = r_term([make_naive(1.0 / 3.0) for _ in range(4)])
-    assert repeated == pytest.approx(separate, rel=1e-13, abs=0)
+    assert len(divisions) == 1
+    assert repeated == separate
 
 
 def test_r_term_needs_two(naive_third):

@@ -29,10 +29,9 @@ from momentbounds import (
 )
 from momentbounds.bounds import bound_moment
 from momentbounds.kernels import expectation_1level, expectation_2level
-from momentbounds.quadrature import gauss_legendre, legendre_rule
+from momentbounds.quadrature import legendre_rule
 from momentbounds.testfunc import (
     NaiveTestFunction,
-    TestFunction,
     _autocorrelation_values,
     _basis_tables,
     _basis_values,
@@ -83,6 +82,18 @@ def test_naive_rejects_nonpositive_v():
     for v in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             make_naive(v)
+
+
+@pytest.mark.parametrize("v", [1e-320, 5e-324, 1e-309, 1e308, np.float64(1e-320)])
+def test_naive_refuses_v_whose_inverse_leaves_the_normal_range(v):
+    # phihat(0) = 1/v would be inf (v below 1/max) or subnormal (v above
+    # 1/min); refused by name, with no floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="1/v in the normal double range"):
+            make_naive(v)
+    for fine in (1e-300, 5.6e-309, 1e307):
+        assert math.isfinite(make_naive(fine).phihat0)
 
 
 # ---- generator-backed construction ----
@@ -514,14 +525,11 @@ def test_phi_refuses_only_nonfinite_points():
 def test_fourier_inversion_consistency(gen_sinx2):
     # invert the transform and compare with the direct |transform of g|^2
     # evaluation; the cosine factor needs about 40 degrees more than phihat
-    degree = gen_sinx2.phihat_degree + 40
+    nodes, weights = legendre_rule((gen_sinx2.phihat_degree + 40) // 2 + 1)
+    half = 0.5 * gen_sinx2.support_bound
+    y = half * (nodes + 1.0)
     for x in (0.0, 0.35, 1.2, 3.7):
-        inverted = 2.0 * gauss_legendre(
-            lambda y: gen_sinx2.phihat(y) * np.cos(2.0 * math.pi * x * y),
-            0.0,
-            gen_sinx2.support_bound,
-            degree,
-        )
+        inverted = 2.0 * half * (weights @ (gen_sinx2.phihat(y) * np.cos(2.0 * math.pi * x * y)))
         assert abs(inverted - float(gen_sinx2.phi(x))) <= 1e-12 * gen_sinx2.phi0
 
 
@@ -588,12 +596,13 @@ SIGMA2_SPECS = [
 ]
 
 
-def _reference_sigma2(a: TestFunction, b: TestFunction) -> float:
+def _reference_sigma2(a, b) -> float:
     """sigma2 as one Gauss-Legendre sum of y phihat_a(y) phihat_b(y) on the
     common support, with phihat evaluated by each function."""
-    s = min(a.support_bound, b.support_bound)
-    degree = 1 + a.phihat_degree + b.phihat_degree
-    return 4.0 * gauss_legendre(lambda y: y * a.phihat(y) * b.phihat(y), 0.0, s, degree)
+    nodes, weights = legendre_rule((1 + a.phihat_degree + b.phihat_degree) // 2 + 1)
+    half = 0.5 * min(a.support_bound, b.support_bound)
+    y = half * (nodes + 1.0)
+    return 4.0 * half * float(weights @ (y * a.phihat(y) * b.phihat(y)))
 
 
 def test_sigma2_matches_direct_rule():
@@ -715,3 +724,42 @@ def test_parse_rational():
     assert parse_rational("1/3") == pytest.approx(1.0 / 3.0)
     assert parse_rational("0.125") == 0.125
     assert parse_rational(" 7/8 ") == 0.875
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("1/0", "zero denominator"), ("0/0", "zero denominator"), ("1e400", "past the double range"),
+     ("1/3x", "Invalid literal")],
+)
+def test_parse_rational_refuses_every_malformed_rational(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        parse_rational(text)
+    with pytest.raises(ValueError, match=reason):
+        from_spec_string(f"gen:cos:1:half={text}")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["naive:v=1/3", "naive:v=0.1", "gen:cos:1,0.3,-0.2:half=1/20", "gen:poly:1,0,-50:half=1/20",
+     "gen:sinx2:half=1/8"],
+)
+def test_a_test_function_is_its_spec(spec):
+    # equal specs are equal functions however they were built, and hash alike
+    tf = from_spec_string(spec)
+    clone = from_spec_string(tf.spec_string)
+    assert clone is not tf
+    assert clone == tf and hash(clone) == hash(tf)
+    assert len({tf, clone}) == 1
+    other = from_spec_string("naive:v=1/4")
+    assert tf != other and tf != tf.spec_string
+
+
+def test_equal_specs_from_every_constructor():
+    assert make_naive(0.25) == from_spec_string("naive:v=1/4") == make_naive(0.25)
+    spec = GeneratorSpec("cosine-series", (1.0, 0.3), 0.125)
+    assert make_from_generator(spec) == from_spec_string("gen:cos:1,0.3:half=1/8")
+    assert make_from_generator(GeneratorSpec("sin-of-square", (), 0.125)) == from_spec_string(
+        "gen:sinx2:half=0.125"
+    )
+    # the same phihat under another spec is another function
+    assert make_from_generator(GeneratorSpec("polynomial", (1.0,), 0.5)) != make_naive(1.0)
