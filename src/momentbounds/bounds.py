@@ -35,7 +35,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import SymmetryGroup, expectation_1level, expectation_2level
-from .moments import MomentRequest, UncertifiedBoundError, centered_moment
+from .moments import (
+    MomentRequest, SupportRegimeError, UncertifiedBoundError, centered_moment, support_within
+)
 from .reference import expectation_level1, expectation_level2, table_cells
 from .testfunc import GeneratorSpec, TestFunction, make_from_generator, make_naive, min_rank
 
@@ -136,11 +138,16 @@ def bound_level1(
     tf: TestFunction | None, family: SymmetryGroup, ranks: Sequence[int]
 ) -> list[BoundResult]:
     """One-level bounds E_1 / r, one per rank: E_1 of ``tf``, or with
-    ``tf=None`` the published optimal expectation."""
+    ``tf=None`` the published optimal expectation.  The one-level density
+    theorem admits supports within 2 (Iwaniec, Luo and Sarnak, Publ. Math.
+    IHES 91, 2000): a wider ``tf`` is :class:`SupportRegimeError`."""
     if tf is None:
         labels = (f"reference:{family.value}:level1",)
         numerator = partial(expectation_level1, family)
     else:
+        if not support_within(tf.support_bound, 2.0):
+            raise SupportRegimeError(f"the one-level bound needs a transform support within 2; "
+                                     f"{tf.spec_string} has support {tf.support_bound:.12g}")
         labels, numerator = _tf_labels([tf]), partial(expectation_1level, tf, family)
     return _sweep("level1", labels, family, ranks, float, numerator)
 

@@ -33,14 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .kernels import SymmetryGroup
 from .quadrature import legendre_rule
 from .testfunc import TestFunction, sigma2
+
+if TYPE_CHECKING:  # kernels reads r_term, so moments imports nothing of kernels at run time
+    from .kernels import SymmetryGroup
 
 # A matching sum is refused before any sigma2 work when its recursion
 # could visit more than MAX_MATCHING_STATES states: prod(count + 1) over

@@ -3,14 +3,15 @@
 Every transform in the package is a polynomial piece of known degree on
 its support (the Fejer triangle is linear, a generator transform is a
 chopped Chebyshev series), so every integral of transforms is a
-polynomial integral of known degree.  The expectations in
-:mod:`.kernels` read theirs from antiderivatives of the pieces and of
-their products; the others are sums with the Gauss-Legendre rule of
+polynomial integral of known degree.  The one-level integral in
+:mod:`.kernels` reads ``int_0^u phihat`` from the antiderivative of the
+piece; every other integral is a sum with the Gauss-Legendre rule of
 just enough nodes (``degree // 2 + 1`` for a polynomial of that
 degree), which is exact up to rounding: there is no error estimate and
 no adaptivity.  :func:`legendre_rule` builds every rule in the package,
-the small ones of sigma2, of the generator transforms and of the
-correction term R in :mod:`.moments` as well as the large ones of the
+the small ones of sigma2 and the two-level pair term, of the generator
+transforms and of the correction term R in :mod:`.moments` (which also
+gives the two-level rhombus) as well as the large ones of the
 exact finite-N moments in :mod:`.rmt`, by the method of Hale & Townsend
 (SIAM J. Sci. Comput. 35, 2013): Newton's method in theta = arccos x
 from asymptotic roots (Tricomi's expansion in the interior, Olver's

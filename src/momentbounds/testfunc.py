@@ -43,12 +43,14 @@ support endpoints, so a function with ``support_bound == t`` satisfies a
 "support strictly inside ``(-t, t)``" hypothesis.
 
 The scalar functionals live at module level: :func:`sigma2` (the
-pairwise variance ``2 int |y| phihat_a phihat_b dy``) and
+pairwise variance ``2 int |y| phihat_a phihat_b dy``), :func:`pair_term`
+(the two-level ``int (1 - |t|)_+ phihat_a phihat_b dt``) and
 :func:`min_rank` (the smallest vanishing order the moment inequality
 can see for a given function).  sigma2 is an exact Gauss-Legendre sum
 whose nodes, weights and Chebyshev basis values depend only on the two
 supports and phihat degrees, so they too are cached, once per such
-pair; a call multiplies them by the two functions' coefficients.
+pair, with a second set of weights for the pair term; a call multiplies
+them by the two functions' coefficients.
 """
 
 from __future__ import annotations
@@ -485,8 +487,16 @@ def sigma2(a: TestFunction, b: TestFunction) -> float:
     space: phihat_a and phihat_b at the nodes, each one matrix-vector
     product, and one dot product.
     """
-    wy, va, vb = _sigma2_rule(a.support_bound, b.support_bound, a.phihat_degree, b.phihat_degree)
+    wy, _, va, vb = _sigma2_rule(a.support_bound, b.support_bound,
+                                 a.phihat_degree, b.phihat_degree)
     return float((wy * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
+
+
+def pair_term(a: TestFunction, b: TestFunction) -> float:
+    """``int (1 - |t|)_+ phihat_a phihat_b dt`` for supports within 1: sigma2's
+    interval and degree, so the same cached rule, with weights ``2 w (1 - y)``."""
+    _, wt, va, vb = _sigma2_rule(a.support_bound, b.support_bound, a.phihat_degree, b.phihat_degree)
+    return float((wt * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
 
 
 # A search reads a few pairs over and over.  A moment of 2m distinct
@@ -496,8 +506,8 @@ def sigma2(a: TestFunction, b: TestFunction) -> float:
 @lru_cache(maxsize=128)
 def _sigma2_rule(
     support_a: float, support_b: float, degree_a: int, degree_b: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sigma2 rule of one support and degree pair: ``(4 w y, V_a, V_b)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sigma2 rule of one support and degree pair: ``(4 w y, 2 w (1 - y), V_a, V_b)``.
 
     ``y`` and ``w`` are the nodes and weights of the Gauss-Legendre rule
     of ``(1 + degree_a + degree_b) // 2 + 1`` nodes on
@@ -511,11 +521,12 @@ def _sigma2_rule(
     half = 0.5 * min(support_a, support_b)
     y = half * (nodes + 1.0)
     wy = 4.0 * weights * half * y
+    wt = 2.0 * weights * half * (1.0 - y)
     va = chebyshev.chebvander(y * (2.0 / support_a) - 1.0, degree_a)
     vb = chebyshev.chebvander(y * (2.0 / support_b) - 1.0, degree_b)
-    for arr in (wy, va, vb):
+    for arr in (wy, wt, va, vb):
         arr.flags.writeable = False
-    return wy, va, vb
+    return wy, wt, va, vb
 
 
 def min_rank(tf: TestFunction) -> int:

@@ -10,6 +10,7 @@ from momentbounds import (
     MomentResult,
     ParityError,
     RankTooSmallError,
+    SupportRegimeError,
     SymmetryGroup,
     UncertifiedBoundError,
     bound_level1,
@@ -45,6 +46,30 @@ def test_level1_reference_odd():
 def test_level1_computed_from_naive(naive_one):
     (res,) = bound_level1(naive_one, G.SO_EVEN, [6])
     assert res.upper_bound == pytest.approx(1.5 / 6.0, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec, support",
+    [("naive:v=3", "3"), ("naive:v=2.000001", "2.000001"), ("gen:sinx2:half=2", "4")],
+)
+def test_level1_refuses_a_support_above_two(monkeypatch, spec, support):
+    # past support 2 the one-level density theorem gives nothing: naive:v=3
+    # and gen:sinx2:half=2 read 0.1528 and 0.2032 at rank 4, below the
+    # optimum 0.216135 over supports within 2.  Refused before any expectation
+    def refuse(*args):
+        raise AssertionError("computed an expectation")
+
+    monkeypatch.setattr(bounds_module, "expectation_1level", refuse)
+    tf = from_spec_string(spec)
+    with pytest.raises(SupportRegimeError, match=f"^the one-level bound needs a transform support "
+                       f"within 2; {tf.spec_string} has support {support}$"):
+        bound_level1(tf, G.SO_EVEN, [4])
+
+
+def test_level1_accepts_support_two():
+    # support exactly 2 is inside: the transform vanishes at its end
+    (res,) = bound_level1(make_naive(2.0), G.SO_EVEN, [4])
+    assert res.upper_bound == 0.21875  # E_1 = 7/8
 
 
 def test_level1_parity_and_family_errors(naive_one):

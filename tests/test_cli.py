@@ -321,6 +321,42 @@ def test_bound_refuses_surplus_testfn(capsys, method, count):
     assert error["message"].startswith(f"{method} needs") and error["message"].endswith(f"got {count}")
 
 
+_LEVEL2_WIDE = ("the two-level expectation needs transform supports within 1; "
+                "naive:v=1.5 has support 1.5")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--ranks", "4", "--method", "level1", "--testfn", "naive:v=3"],
+         "the one-level bound needs a transform support within 2; naive:v=3.0 has support 3"),
+        (["--rank", "6", "--method", "level2", "--testfn", "naive:v=3/2"], _LEVEL2_WIDE),
+        (["--rank", "6", "--method", "level2", "--testfn", "naive:v=1/2",
+          "--testfn", "naive:v=3/2"], _LEVEL2_WIDE),
+    ],
+)
+def test_level_bounds_past_their_support_range_are_support_regime(capsys, args, message):
+    # one error line and no record: these printed 0.1528 (level1) and
+    # 0.00617 (level2, rank 6), below the published optima 0.216135 and
+    # 0.0157687 over admissible supports
+    code, out, err = run_cli(["bound", "--family", "so-even", *args], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "support-regime", "message": message}
+
+
+@pytest.mark.parametrize(
+    "args, bound",
+    [
+        (["--method", "level1", "--testfn", "naive:v=2"], 7 / 32),  # E_1 = 7/8
+        (["--method", "level2", "--testfn", "naive:v=1"], 5 / 96),  # E_2 = 5/12
+    ],
+)
+def test_level_bounds_at_the_end_of_their_support_range_print(capsys, args, bound):
+    code, out, err = run_cli(["bound", "--family", "so-even", "--rank", "4", *args], capsys)
+    assert (code, err) == (0, "")
+    assert parse_records(out)[0]["upper_bound"] == pytest.approx(bound, rel=1e-15)
+
+
 def test_bound_malformed_testfn(capsys):
     code, _, err = run_cli(
         ["bound", "--family", "so-even", "--rank", "6", "--testfn", "naive:v=oops"],

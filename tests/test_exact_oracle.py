@@ -130,11 +130,16 @@ def _level2(v1: Fraction, v2: Fraction, sign: int) -> tuple[Fraction, Fraction]:
     E_2 = I_1 I_2 - 2 T - 2 eps C, plus I_1 + I_2 for SO(odd) (the point
     masses), with I_j = 1/v_j + eps/2 the one-level integrals, T = int
     (1 - |t|)_+ phihat_1 phihat_2 and C = (1/2) int int phihat_1(a)
-    phihat_2(b) over the rhombus |a| + |b| < 1.  Each of the package's
-    terms is a low-degree Chebyshev antiderivative or product, within a few
-    units: 8 units of each term's size, which the cancellation between
-    them divides by E_2; then one more for the quotient by the rank's
-    integer coefficient.
+    phihat_2(b) over the rhombus |a| + |b| < 1, integrated here directly.
+    The package reads each term another way, within a few units of its
+    size: I_j from a low-degree Chebyshev antiderivative, T as one sum on
+    sigma2's rule in value space (as sigma2, within SIGMA2_BUDGET), and
+    2C as phi_1(0) phi_2(0) - 2 R_2, where R_2 of two triangles (one step
+    of the end-piece convolution) is a few units of R_2 and 2 R_2 is at
+    most a fifth of 2C for supports within 1 (1/6 against 5/6 at v = 1).
+    So 8 units of each term's size, which the cancellation between them
+    divides by E_2; then one more for the quotient by the rank's integer
+    coefficient.
     """
     tri1, tri2 = ([1 / v, -1 / (v * v)] for v in (v1, v2))  # phihat on [0, v]
     i1, i2 = (1 / v + Fraction(sign, 2) for v in (v1, v2))

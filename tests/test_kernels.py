@@ -5,14 +5,17 @@ import pytest
 
 from momentbounds import (
     GeneratorSpec,
+    SupportRegimeError,
     SymmetryGroup,
     expectation_1level,
     expectation_2level,
     from_spec_string,
     make_from_generator,
     make_naive,
+    r_term,
 )
 from momentbounds.kernels import _phihat_integral
+from momentbounds.testfunc import pair_term, sigma2
 
 G = SymmetryGroup
 
@@ -56,7 +59,7 @@ def test_whole_half_transform_is_half_phi0_naive(v):
     "spec", ["gen:cos:1,0.3:half=0.15", "gen:poly:1,-3,20:half=0.15", "gen:sinx2:half=1/8"]
 )
 def test_whole_half_transform_is_half_phi0_generator(spec):
-    # phi(0) = (int g)^2 comes from the 512-node rule, phihat from the
+    # phi(0) = (c.m)^2 comes from the basis integrals m, phihat from the
     # autocorrelation table: two routes to the same number
     tf = from_spec_string(spec)
     assert 2.0 * _phihat_integral(tf, tf.support_bound) == pytest.approx(tf.phi0, rel=1e-14, abs=0)
@@ -79,14 +82,21 @@ def test_expectation_2level_exact_naive_one(naive_one):
     assert expectation_2level(naive_one, naive_one, G.SO_ODD) == pytest.approx(13.0 / 12.0, rel=1e-15)
 
 
-def test_products_of_transforms_are_exact_chebyshev_products(naive_one):
-    # (1 - t)^3 integrates to 1/4 on [0, 1] with no rounding left, and
-    # E_2(so-even) of the v=1 pair = 9/4 - 2 (1/2 + 5/12) lands 1 ulp above
-    # 5/12, at 0.41666666666666674
-    from momentbounds.kernels import _pair_transform_integral
+@pytest.mark.parametrize("specs", [("naive:v=1", "naive:v=3/2"), ("naive:v=3/2", "naive:v=1/2"),
+                                   ("naive:v=3/2", "gen:cos:1,0.3:half=0.6")])
+def test_expectation_2level_refuses_a_support_above_one(specs, monkeypatch):
+    # the rhombus is phi_1(0) phi_2(0) - 2 R_2 only for supports within 1:
+    # past it, one support or both, E_2 is refused before any integral
+    def refuse(*args):
+        raise AssertionError("integrated past support 1")
 
-    assert _pair_transform_integral(naive_one, naive_one) == 0.5
-    assert expectation_2level(naive_one, naive_one, G.SO_EVEN) == np.nextafter(5.0 / 12.0, 1.0)
+    for name in ("r_term", "pair_term", "_phihat_integral"):
+        monkeypatch.setattr(f"momentbounds.kernels.{name}", refuse)
+    a, b = (from_spec_string(spec) for spec in specs)
+    for group in (G.SO_EVEN, G.SO_ODD):
+        with pytest.raises(SupportRegimeError, match="^the two-level expectation needs transform "
+                           "supports within 1; naive:v=1.5 has support 1.5$"):
+            expectation_2level(a, b, group)
 
 
 def test_expectation_2level_exact_naive_half():
@@ -130,9 +140,9 @@ def test_expectation_2level_asymmetric_slots():
     assert expectation_2level(a, b, G.SO_ODD) == pytest.approx(
         expectation_2level(b, a, G.SO_ODD), rel=1e-10
     )
-    # supports summing past 1: the rhombus cross term integrates the first
-    # slot inside and the second outside, split at 1 - s_1, so swapping
-    # slots of different degree takes a different path to the same value
+    # supports summing past 1: the rhombus is phi_1(0) phi_2(0) - 2 R_2, and
+    # R_2 convolves the end pieces in slot order, so swapping slots of
+    # different degree takes a different path to the same value
     c = make_from_generator(GeneratorSpec("polynomial", (1.0, -3.0, 20.0, 0.5), 0.3))
     d = make_from_generator(GeneratorSpec("cosine-series", (1.0, 0.5), 0.35))
     for group in (G.SO_EVEN, G.SO_ODD):
@@ -158,9 +168,6 @@ def _dense(f, a, b, n=100):
     ],
 )
 def test_transform_integrals_match_dense_reference(spec):
-    from momentbounds.kernels import _cross_transform_integral, _pair_transform_integral
-    from momentbounds.testfunc import sigma2
-
     g = make_from_generator(spec)
     naive = make_naive(0.9)
     for a, b in ((g, naive), (naive, g)):
@@ -169,14 +176,16 @@ def test_transform_integrals_match_dense_reference(spec):
         assert sigma2(a, b) == pytest.approx(ref, rel=1e-13, abs=0)
         u = min(1.0, s)
         ref = 2.0 * _dense(lambda t: (1.0 - t) * a.phihat(t) * b.phihat(t), 0.0, u)
-        assert _pair_transform_integral(a, b) == pytest.approx(ref, rel=1e-13, abs=0)
-        # the rhombus |alpha| + |beta| < 1, integrated in the other order:
-        # outer over the first transform, split where 1 - alpha meets s_2
+        assert pair_term(a, b) == pytest.approx(ref, rel=1e-13, abs=0)
+        # the rhombus |alpha| + |beta| < 1, one quadrant integrated directly:
+        # outer over the first transform, split where 1 - alpha meets s_2.
+        # The supports sum past 1, so R_2 is not zero
         s1, s2 = a.support_bound, b.support_bound
         inner = lambda al: np.array([_dense(b.phihat, 0.0, min(1.0 - v, s2)) for v in al])
         kink = min(max(1.0 - s2, 0.0), s1)
-        ref = 2.0 * sum(
+        ref = 4.0 * sum(
             _dense(lambda al: a.phihat(al) * inner(al), lo, hi)
             for lo, hi in ((0.0, kink), (kink, min(s1, 1.0)))
         )
-        assert _cross_transform_integral(a, b) == pytest.approx(ref, rel=1e-13, abs=0)
+        assert r_term((a, b)) > 0
+        assert a.phi0 * b.phi0 - 2.0 * r_term((a, b)) == pytest.approx(ref, rel=1e-13, abs=0)

@@ -143,8 +143,8 @@ def test_legendre_rule_matches_reference(n):
 
 @pytest.mark.parametrize("n", [*range(1, 81), *WORKLOAD_SIZES])
 def test_legendre_rule_is_mirror_symmetric(n):
-    # the 512-node phi rule is folded onto its positive half and the
-    # finite-N moments keep the nodes x > 0 and double: both need exact mirrors
+    # the finite-N moments keep the nodes x > 0 of an even integrand and
+    # fold: that needs exact mirrors
     x, w = legendre_rule(n)
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
     if n % 2:
