@@ -18,9 +18,10 @@ names no option of any subcommand, a value its option's type cannot
 convert and a value outside its option's choices are ``invalid-input``
 errors.
 
-Each ``--testfn`` slot is built from its own spec; test functions with
-equal specs are equal, so repeated slots are one function to the moment
-layer.
+Each distinct ``--testfn`` spec of a ``bound`` or ``moment`` command is
+parsed once, and every slot that repeats it holds that one test
+function; test functions with equal specs are equal in any case, so
+repeated slots are one function to the moment layer.
 
 In-process callers of ``main`` share one parser (and one ``--config``
 pre-scan parser), built on the first call and never mutated; a
@@ -151,11 +152,18 @@ def _slot_count(method: str) -> int:
     raise ValueError(f"unknown --method {method!r} (expected {METHODS})")
 
 
+def _test_functions(specs: list[str] | None) -> list[TestFunction]:
+    """One test function per ``--testfn`` slot, each distinct spec parsed once."""
+    specs = specs or []
+    parsed = {spec: from_spec_string(spec) for spec in dict.fromkeys(specs)}
+    return [parsed[spec] for spec in specs]
+
+
 def _cmd_bound(args) -> int:
     _require(args, "family")
     slots = _slot_count(args.method)
     family = SymmetryGroup.from_string(args.family)
-    tfs = [from_spec_string(s) for s in args.testfn or []]
+    tfs = _test_functions(args.testfn)
     ranks = _ranks(args)
     if len(tfs) == 1:
         tfs *= slots  # one spec fills every slot
@@ -176,7 +184,7 @@ def _cmd_bound(args) -> int:
 def _cmd_moment(args) -> int:
     _require(args, "family", "testfn")
     family = SymmetryGroup.from_string(args.family)
-    tfs = [from_spec_string(s) for s in args.testfn or []]
+    tfs = _test_functions(args.testfn)
     request = MomentRequest(tuple(tfs), family, weight_k=args.weight_k, regime=args.regime)
     result = centered_moment(request)
     _emit(

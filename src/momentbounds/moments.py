@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .quadrature import legendre_rule
+from .quadrature import chebyshev_points, legendre_rule
 from .testfunc import TestFunction, sigma2
 
 if TYPE_CHECKING:  # kernels reads r_term, so moments imports nothing of kernels at run time
@@ -156,7 +156,10 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
     Chebyshev division by ``1 - x``, once per distinct function), and the
     convolution of m end pieces is ``t^(2m-1) H_m(t)``.  Each H_m is a
     polynomial of known degree, kept as its Chebyshev interpolant on
-    [0, 1] and built from H_(m-1) by a Gauss-Legendre sum, so R is exact
+    [0, 1]: its values at the first-kind Chebyshev points, each a
+    Gauss-Legendre sum over H_(m-1), taken to coefficients by one cosine
+    (DCT-II) product.  One rule serves every step, the one exact at the
+    last and largest, and one more integrates t^(2n-1) H_n, so R is exact
     up to rounding.  For Fejer triangles ``P_j = delta / v_j^2`` and
     ``R = (-1)^n 2^(n-1) delta^(2n) / ((2n)! prod_j v_j^2)``.  For n
     copies of naive:v=1/(n-1), R is within 4e-13 of its Irwin-Hall value
@@ -189,21 +192,23 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
 
     # h: Chebyshev coefficients of H_m on [0, 1], in x = 2t - 1
     degree = tfs[0].phihat_degree - 1
-    h = chebyshev.chebinterpolate(lambda x: end_factor(tfs[0], 0.5 * (x + 1.0)), degree)
+    x, dct = chebyshev_points(degree + 1)
+    h = dct @ end_factor(tfs[0], 0.5 * (x + 1.0))
+    # The integrand of step m has degree 2m + deg H_(m+1), largest at the last
+    # step, so the rule exact there is exact at every step.
+    last = 2 * n - 2 + sum(tf.phihat_degree - 1 for tf in tfs)
+    nodes, weights = legendre_rule(last // 2 + 1)
+    w = 0.5 * (nodes + 1.0)
+    weights = 0.5 * weights
     for m, tf in enumerate(tfs[1:], start=1):
-        step = tf.phihat_degree - 1
-
-        def convolved(x: np.ndarray) -> np.ndarray:
-            # H_(m+1)(t) = int_0^1 w^(2m-1) (1 - w) H_m(t w) P(t (1 - w)) dw, one row per t
-            t = 0.5 * (x[:, None] + 1.0)
-            nodes, weights = legendre_rule((2 * m + degree + step) // 2 + 1)
-            w = 0.5 * (nodes + 1.0)
-            vals = (w ** (2 * m - 1) * (1.0 - w) * chebyshev.chebval(2.0 * t * w - 1.0, h)
-                    * end_factor(tf, t * (1.0 - w)))
-            return (vals * weights * 0.5).sum(axis=-1)
-
-        h = chebyshev.chebinterpolate(convolved, degree + step)
-        degree += step
+        degree += tf.phihat_degree - 1
+        x, dct = chebyshev_points(degree + 1)
+        # H_(m+1)(t) = int_0^1 w^(2m-1) (1 - w) H_m(t w) P(t (1 - w)) dw at
+        # the interpolation points, one row per t
+        t = 0.5 * (x[:, None] + 1.0)
+        vals = (w ** (2 * m - 1) * (1.0 - w) * chebyshev.chebval(2.0 * t * w - 1.0, h)
+                * end_factor(tf, t * (1.0 - w)))
+        h = dct @ (vals @ weights)
     nodes, weights = legendre_rule((2 * n - 1 + degree) // 2 + 1)
     t = 0.5 * (nodes + 1.0)
     vals = t ** (2 * n - 1) * chebyshev.chebval(2.0 * t - 1.0, h)

@@ -1,4 +1,5 @@
-"""Numerical integration: one Gauss-Legendre rule builder.
+"""Numerical integration: one Gauss-Legendre rule builder, and the
+Chebyshev points and DCT that turn values into Chebyshev coefficients.
 
 Every transform in the package is a polynomial piece of known degree on
 its support (the Fejer triangle is linear, a generator transform is a
@@ -10,8 +11,9 @@ just enough nodes (``degree // 2 + 1`` for a polynomial of that
 degree), which is exact up to rounding: there is no error estimate and
 no adaptivity.  :func:`legendre_rule` builds every rule in the package,
 the small ones of sigma2 and the two-level pair term, of the generator
-transforms and of the correction term R in :mod:`.moments` (which also
-gives the two-level rhombus) as well as the large ones of the
+transforms and of the correction term R in :mod:`.moments` (two a call:
+one for every convolution step, one for the last integral; R also gives
+the two-level rhombus) as well as the large ones of the
 exact finite-N moments in :mod:`.rmt`, by the method of Hale & Townsend
 (SIAM J. Sci. Comput. 35, 2013): Newton's method in theta = arccos x
 from asymptotic roots (Tricomi's expansion in the interior, Olver's
@@ -19,7 +21,9 @@ Bessel-zero form near the ends), accurate enough that a rule of 58 or
 more nodes takes one three-term recurrence, and the weights
 2 / (dP_n/dtheta)^2, accurate to the ends of the interval.  Each rule
 is built on its nonnegative half and mirrored, so it is exactly
-symmetric.
+symmetric.  :func:`chebyshev_points` gives the first-kind Chebyshev
+points and the DCT-II matrix of one size, for the basis tables of
+:mod:`.testfunc` (128 points) and R's interpolants (one size per degree).
 
 All functions are pure; there is no shared mutable state.
 """
@@ -79,8 +83,8 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, p_prev
 
 
-# Far more sizes than one run uses (19 at most in the benchmark workloads),
-# so no rule is built twice.
+# Far more sizes than one run uses (11 at most in a benchmark workload's
+# ops, 10 of them in tables), so no rule is built twice.
 @lru_cache(maxsize=64)
 def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], accurate to the ends.
@@ -124,3 +128,20 @@ def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = w.flags.writeable = False  # cached: shared by every caller
     return x, w
 
+
+# One size per degree of a Chebyshev interpolant: the 128 points of the
+# basis tables and one per degree of R's steps (8 sizes at most in a
+# benchmark workload's ops).
+@lru_cache(maxsize=64)
+def chebyshev_points(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Chebyshev points of the first kind x_j = cos(theta_j),
+    theta_j = pi (j + 1/2) / n, and the DCT-II matrix taking values there
+    to the coefficients of the degree n - 1 Chebyshev interpolant:
+    T_k(cos theta) = cos(k theta), so row k is (2/n) cos(k theta_j), halved
+    for k = 0.  One cosine product, no recurrence; read-only, cached."""
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    dct = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
+    dct[0] *= 0.5
+    x = np.cos(theta)
+    x.flags.writeable = dct.flags.writeable = False
+    return x, dct

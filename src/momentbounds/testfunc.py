@@ -50,7 +50,9 @@ can see for a given function).  sigma2 is an exact Gauss-Legendre sum
 whose nodes, weights and Chebyshev basis values depend only on the two
 supports and phihat degrees, so they too are cached, once per such
 pair, with a second set of weights for the pair term; a call multiplies
-them by the two functions' coefficients.
+them by the two functions' coefficients.  The basis values are
+``T_k(x) = cos(k arccos x)`` at the mapped nodes, one cosine product per
+matrix.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev, legendre
 
-from .quadrature import legendre_rule
+from .quadrature import chebyshev_points, legendre_rule
 
 # Each generator kind and its name in the spec-string and basis grammars.
 GENERATOR_NAMES = {"sin-of-square": "sinx2", "polynomial": "poly", "cosine-series": "cos"}
@@ -150,18 +152,6 @@ def _basis_values(kind: str, dim: int, half_support: float, t) -> np.ndarray:
     return np.where((np.abs(t) < half_support)[..., None], vals, 0.0)
 
 
-@lru_cache(maxsize=1)
-def _chebyshev_points() -> tuple[np.ndarray, np.ndarray]:
-    """The 128 Chebyshev points x_j = cos(theta_j) on [-1, 1] and the DCT matrix
-    taking values there to Chebyshev coefficients.  Read-only, built on first use."""
-    theta = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
-    dct = np.cos(np.outer(np.arange(_CHEB_POINTS), theta)) * (2.0 / _CHEB_POINTS)
-    dct[0] *= 0.5
-    x = np.cos(theta)
-    x.flags.writeable = dct.flags.writeable = False
-    return x, dct
-
-
 def _autocorrelation_values(kind: str, dim: int, h: float, y: np.ndarray) -> np.ndarray:
     """T(y)_kl = int b_k(t) b_l(t - y) dt at points y of [0, 2h], shape (len(y), d, d).
 
@@ -224,7 +214,7 @@ def _basis_tables(
         nodes, weights = legendre_rule(_AUTOCORR_NODES)
         m = np.array([h * (weights @ np.sin((h * nodes) ** 2))])
     gram = _autocorrelation_values(kind, dim, h, np.zeros(1))[0]
-    x, dct = _chebyshev_points()
+    x, dct = chebyshev_points(_CHEB_POINTS)
     values = _autocorrelation_values(kind, dim, h, h * (x + 1.0))
     coef = (dct @ values.reshape(_CHEB_POINTS, -1)).reshape(_CHEB_POINTS, dim, dim)
     # the diagonal of T(0) = sum_j (-1)^j coef_j, as T_j(-1) = (-1)^j
@@ -511,19 +501,20 @@ def _sigma2_rule(
 
     ``y`` and ``w`` are the nodes and weights of the Gauss-Legendre rule
     of ``(1 + degree_a + degree_b) // 2 + 1`` nodes on
-    ``[0, min(support_a, support_b)]``, and ``V_a`` the Chebyshev
-    Vandermonde matrix of degree ``degree_a`` at ``y`` mapped from
-    ``[0, support_a]`` to ``[-1, 1]`` (so ``V_a @ phihat_coef`` is phihat
-    at the nodes); likewise ``V_b``.  Read-only: shared by every pair of
-    functions with these supports and degrees.
+    ``[0, min(support_a, support_b)]``, and ``V_a`` the Chebyshev basis
+    ``T_0, ..., T_degree_a`` at ``y`` mapped from ``[0, support_a]`` to
+    ``[-1, 1]``, read as ``cos(k arccos x)`` in one cosine product (so
+    ``V_a @ phihat_coef`` is phihat at the nodes); likewise ``V_b``.
+    Read-only: shared by every pair of functions with these supports and
+    degrees.
     """
     nodes, weights = legendre_rule((1 + degree_a + degree_b) // 2 + 1)
     half = 0.5 * min(support_a, support_b)
     y = half * (nodes + 1.0)
     wy = 4.0 * weights * half * y
     wt = 2.0 * weights * half * (1.0 - y)
-    va = chebyshev.chebvander(y * (2.0 / support_a) - 1.0, degree_a)
-    vb = chebyshev.chebvander(y * (2.0 / support_b) - 1.0, degree_b)
+    va = np.cos(np.outer(np.arccos(y * (2.0 / support_a) - 1.0), np.arange(degree_a + 1)))
+    vb = np.cos(np.outer(np.arccos(y * (2.0 / support_b) - 1.0), np.arange(degree_b + 1)))
     for arr in (wy, wt, va, vb):
         arr.flags.writeable = False
     return wy, wt, va, vb

@@ -395,21 +395,29 @@ def test_moment_command(capsys):
 
 
 def test_repeated_testfn_specs_share_one_function(capsys, monkeypatch):
-    # each slot is built from its own spec, and four equal specs are one
-    # function to the matching sum: one group of four, one sigma2 call, and
-    # the record that one shared object gives
+    # four equal specs are parsed once and are one function to the matching
+    # sum: one group of four, one sigma2 call, and the record that four
+    # separately built functions give; a bound parses each distinct spec
+    # once, in the order given
     argv = ["moment", "--family", "so-even", "--regime", "with_R"]
     argv += ["--testfn", "naive:v=1/3"] * 4
-    counts, pairs = [], []
+    counts, pairs, parsed = [], [], []
     hafnian, sigma2 = moments._hafnian, moments.sigma2
     monkeypatch.setattr(moments, "_hafnian", lambda a, c: counts.append(list(c)) or hafnian(a, c))
     monkeypatch.setattr(moments, "sigma2", lambda a, b: pairs.append((a, b)) or sigma2(a, b))
-    separate = run_cli(argv, capsys)
-    assert separate[0] == 0
-    assert (counts, len(pairs)) == ([[4]], 1)
-    shared = from_spec_string("naive:v=1/3")
-    monkeypatch.setattr(cli, "from_spec_string", lambda spec: shared)
-    assert run_cli(argv, capsys) == separate
+    monkeypatch.setattr(cli, "from_spec_string", lambda s: parsed.append(s) or from_spec_string(s))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert (parsed, counts, len(pairs)) == (["naive:v=1/3"], [[4]], 1)
+    separate = tuple(from_spec_string("naive:v=1/3") for _ in range(4))
+    family = momentbounds.SymmetryGroup.SO_EVEN
+    request = momentbounds.MomentRequest(separate, family, regime="with_R")
+    assert parse_records(out)[0]["value"] == momentbounds.centered_moment(request).value
+    parsed.clear()
+    specs = ["naive:v=1/5", "naive:v=1/6", "naive:v=1/5"]
+    argv = ["bound", "--family", "so-even", "--rank", "12", "--method", "moment2m:3"]
+    assert run_cli(argv + [a for s in specs for a in ("--testfn", s)], capsys)[0] == 0
+    assert parsed == ["naive:v=1/5", "naive:v=1/6"]
 
 
 # ---- table command ----

@@ -1,4 +1,5 @@
-"""Exact-rational oracle for the records of naive (Fejer) test functions.
+"""Exact-rational oracle for the records of naive (Fejer) test functions,
+and for sigma2 and the pair term of polynomial generators.
 
 Every expected number is built in exact rational arithmetic from the
 float v that each spec parses to, with no machinery of the package:
@@ -15,7 +16,10 @@ float v that each spec parses to, with no machinery of the package:
 
 The records come from the command line, run once in a child process, so
 this module imports nothing of the package except ``from_spec_string``
-(for the float v of each spec).
+(for the float v of each spec, and a generator's float coefficients and
+half-support).  The polynomial pairs' sigma2 and pair term are read in a
+child process too, from the two functions themselves
+(:func:`_poly_pair_oracle`).
 
 Budgets count units of u = 2^-53 of relative error.  An ulp of x is more
 than |x| u, so a budget of k units admits at most k ulps.  Each budget is
@@ -26,7 +30,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -98,8 +102,8 @@ def _r_budget(vs: list[Fraction]) -> int:
     """delta = fsum(v) - 1 loses sum(v)/delta to cancellation, and R carries
     delta^(2n): 2n (sum(v)/delta + 1) units.  The end-piece convolution adds
     n - 1 Chebyshev interpolations and Gauss-Legendre sums of growing
-    degree, whose error grows with n: 8 n^2 units (measured 9 at n = 4, 71
-    at n = 7, 250 at n = 12 and about 3600 at n = 48)."""
+    degree, whose error grows with n: 8 n^2 units (measured 0.3 at n = 4,
+    90 at n = 7, 253 at n = 12 and about 2240 at n = 48)."""
     n = len(vs)
     delta = sum(vs) - 1
     return int(2 * n * (sum(vs) / delta + 1)) + 8 * n * n
@@ -225,6 +229,118 @@ for command in json.loads(sys.stdin.read()):
     out[command] = [code, [json.loads(line) for line in buf.getvalue().splitlines()]]
 print(json.dumps(out))
 """
+
+
+# ---- sigma2 and the pair term of polynomial generators ----
+
+# Rational coefficients, unequal half-supports and unequal phihat degrees
+# (2d - 1 for d coefficients), with transform supports within 1.
+POLY_PAIRS = [
+    ("gen:poly:1,0,-50:half=1/20", "gen:poly:3,-1/2,2/7,1/5:half=1/6"),
+    ("gen:poly:1,1/3:half=1/4", "gen:poly:2,0,-3,0,1/2:half=3/10"),
+    ("gen:poly:5/4,-1,1/9:half=1/2", "gen:poly:1:half=1/3"),
+    ("gen:poly:1,0,0,0,0,0,-7/3:half=2/5", "gen:poly:-2,1,1/4:half=1/8"),
+]
+
+
+def _poly_phihat(spec: str) -> tuple[list[Fraction], Fraction]:
+    """phihat of gen:poly on [0, 2h], exactly, and its error budget.
+
+    phihat(y) = int_(y-h)^h g(t) g(t - y) dt with g(t) = sum_i c_i t^i:
+    one polynomial piece of degree 2d - 1, from the binomial expansions of
+    (t - y)^j and (y - h)^(p+1).
+
+    The package's phihat is c^T T c with T a table of Chebyshev
+    coefficients.  For a polynomial basis the entries have degree at most
+    2d - 1, so no series is truncated: past that degree the chop at 1e-14
+    of an entry's Cauchy-Schwarz scale sqrt(G_kk G_ll) drops rounding
+    noise, and a true coefficient below it, if any, is dropped with an
+    error under 1e-14 of that scale.  A kept coefficient is a DCT of 128
+    samples, each a d-node Gauss-Legendre sum: at most 2 (d + 128) units
+    of the scale.  Each of the at most 2d coefficients is read at |T_j| <= 1,
+    and sum |c_k c_l| sqrt(G_kk G_ll) <= d sum c_k^2 G_kk (Cauchy-Schwarz),
+    so |phihat - exact| <= 2d (1e-14 + 2 (d + 128) u) d sum c_k^2 G_kk
+    on the whole support, with G_kk = 2 h^(2k+1) / (2k + 1).  The chop
+    level sets the floor.
+    """
+    gen = from_spec_string(spec).generator
+    c = [Fraction(x) for x in gen.coefficients]
+    h = Fraction(gen.half_support)
+    d = len(c)
+    phihat = [Fraction(0)] * (2 * d)
+    for i, ci in enumerate(c):
+        for j, cj in enumerate(c):
+            for m in range(j + 1):
+                # c_i c_j C(j, m) (-y)^(j-m) (h^(p+1) - (y - h)^(p+1)) / (p + 1), p = i + m
+                p = i + m
+                a = ci * cj * comb(j, m) * (-1) ** (j - m) / (p + 1)
+                phihat[j - m] += a * h ** (p + 1)
+                for r in range(p + 2):
+                    phihat[j - m + r] -= a * comb(p + 1, r) * (-h) ** (p + 1 - r)
+    gram = sum(ck * ck * 2 * h ** (2 * k + 1) / (2 * k + 1) for k, ck in enumerate(c))
+    error = 2 * d * (Fraction(1, 10**14) + 2 * (d + 128) * U) * d * gram
+    return phihat, error
+
+
+def _poly_pair_oracle(spec_a: str, spec_b: str) -> list[tuple[Fraction, Fraction]]:
+    """(exact, allowed error) of sigma2 and of the pair term of two gen:poly.
+
+    sigma2 = 4 int_0^u y phihat_a phihat_b and T = 2 int_0^u (1 - y) phihat_a
+    phihat_b, u = min(2 h_a, 2 h_b) <= 1, integrated exactly.  |phihat| <=
+    phihat(0) (an autocorrelation), so S = int_0^u w(y) phihat_a(0) phihat_b(0),
+    with w = 4y or 2 (1 - y), bounds each in size.  Each phihat's error
+    budget e (:func:`_poly_phihat`) enters as int_0^u w (e_a phihat_b(0)
+    + phihat_a(0) e_b).  The value-space Gauss-Legendre sum on sigma2's rule
+    (basis values, two matrix-vector products of at most 14 terms, weights
+    and a dot product of at most 10) rounds by at most 8 units of the
+    value in these pairs, and |value| <= S: 16 units of S leave room.
+    """
+    (pa, ea), (pb, eb) = _poly_phihat(spec_a), _poly_phihat(spec_b)
+    u = min(2 * Fraction(from_spec_string(s).generator.half_support) for s in (spec_a, spec_b))
+    assert u <= 1
+    product = _times(pa, pb)
+    out = []
+    for weight in ([0, 4], [2, -2]):
+        size = _integral(weight, 0, u)
+        exact = _integral(_times(weight, product), 0, u)
+        out.append((exact, size * (ea * pb[0] + pa[0] * eb + 16 * U * pa[0] * pb[0])))
+    return out
+
+
+_PAIRS_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from momentbounds.testfunc import from_spec_string, pair_term, sigma2
+out = []
+for spec_a, spec_b in json.loads(sys.stdin.read()):
+    a, b = from_spec_string(spec_a), from_spec_string(spec_b)
+    out.append([sigma2(a, b), pair_term(a, b), sigma2(b, a), pair_term(b, a)])
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def poly_pairs():
+    done = subprocess.run(
+        [sys.executable, "-c", _PAIRS_RUN, SRC], input=json.dumps(POLY_PAIRS),
+        capture_output=True, text=True, check=True,
+    )
+    return dict(zip(POLY_PAIRS, json.loads(done.stdout)))
+
+
+def test_poly_phihat_oracle_is_the_autocorrelation_at_zero():
+    # phihat(0) = int g^2 and phihat(2h) = 0, exactly
+    phihat, _ = _poly_phihat("gen:poly:1,1/3:half=1/4")
+    h, c1 = Fraction(1, 4), Fraction(1 / 3)
+    assert phihat[0] == 2 * h + 2 * c1 * c1 * h**3 / 3
+    assert sum(a * (2 * h) ** k for k, a in enumerate(phihat)) == 0
+
+
+@pytest.mark.parametrize("pair", POLY_PAIRS)
+def test_poly_sigma2_and_pair_term_are_exact(poly_pairs, pair):
+    # both orders of the pair: sigma2 (a, b), T (a, b), sigma2 (b, a), T (b, a)
+    for value, (exact, allowed) in zip(poly_pairs[pair], _poly_pair_oracle(*pair) * 2):
+        assert abs(Fraction(value) - exact) <= allowed, (pair, value, float(exact), float(allowed))
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,10 @@ from momentbounds.moments import (
     _matching_sum,
     double_factorial,
     support_threshold,
+    support_within,
 )
+from momentbounds.quadrature import legendre_rule
+from momentbounds.testfunc import _sigma2_rule
 
 G = SymmetryGroup
 
@@ -317,21 +320,82 @@ def _exact_r(tfs) -> Fraction:
     return (-1) ** n * 2 ** (n - 1) * sum(c * delta ** (k + 1) / (k + 1) for k, c in enumerate(conv))
 
 
+# Slot lists, the phihat degree of each, and the test id; every list meets
+# the with_R hypothesis (each support within 1/(n - 1)).
+HIGH_DEGREE_SLOTS = [
+    # the first two: end pieces that span their whole support (S - 1 = s)
+    (["gen:cos:1,0.3,-0.2,0.1:half=1/10"] * 6, [23] * 6, "gen:cos:1,0.3,-0.2,0.1:half=1/10-6-23"),
+    # monomial (Taylor) coefficients of this end piece cancel: a sum
+    # over them is 8e-2 of R off
+    (
+        ["gen:cos:1,0.5,-0.4,0.3,0.2,-0.1,0.1,0.05,-0.05,0.02,0.02,0.01:half=1/2"] * 2,
+        [44] * 2,
+        "gen:cos:1,0.5,-0.4,0.3,0.2,-0.1,0.1,0.05,-0.05,0.02,0.02,0.01:half=1/2-2-44",
+    ),
+    # naive, polynomial and cosine slots of five degrees: S - 1 = 0.19 is just
+    # inside the smallest support 0.2, whose end piece spans 95% of it
+    (
+        ["naive:v=6/25", "gen:poly:1,1/3:half=1/8", "gen:cos:1,0.3,-0.2,0.1:half=1/8",
+         "gen:poly:2,-1,1/2:half=1/8", "gen:cos:1,-0.4:half=1/10"],
+        [1, 3, 23, 5, 15],
+        "mixed-naive-poly-cos-5",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "spec,n,degree",
+    "specs,degrees", [pytest.param(s, d, id=i) for s, d, i in HIGH_DEGREE_SLOTS]
+)
+def test_r_term_high_degree_generator_matches_exact_rational(specs, degrees):
+    tfs = [from_spec_string(spec) for spec in specs]
+    assert [tf.phihat_degree for tf in tfs] == degrees
+    assert all(support_within(tf.support_bound, 1.0 / (len(tfs) - 1)) for tf in tfs)
+    exact = float(_exact_r(tfs))
+    assert abs(r_term(tfs) - exact) <= 1e-10 * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "specs",
     [
-        ("gen:cos:1,0.3,-0.2,0.1:half=1/10", 6, 23),
-        # monomial (Taylor) coefficients of this end piece cancel: a sum
-        # over them is 8e-2 of R off
-        ("gen:cos:1,0.5,-0.4,0.3,0.2,-0.1,0.1,0.05,-0.05,0.02,0.02,0.01:half=1/2", 2, 44),
+        ["naive:v=1/3"] * 4,  # R = 1/5040
+        ["naive:v=1/2", "gen:poly:1,1/3:half=1/4", "naive:v=12/25"],  # S - 1 = 12/25
     ],
 )
-def test_r_term_high_degree_generator_matches_exact_rational(spec, n, degree):
-    # end pieces that span their whole support (S - 1 = s)
-    tf = from_spec_string(spec)
-    assert tf.phihat_degree == degree
-    exact = float(_exact_r([tf] * n))
-    assert abs(r_term([tf] * n) - exact) <= 1e-10 * abs(exact)
+def test_r_term_convolution_rule_has_no_node_to_spare(specs, monkeypatch):
+    # Every convolution step uses the rule of (2n - 2 + sum(d_j - 1)) // 2 + 1
+    # nodes, exact at the last step's degree, and the final integral of
+    # t^(2n-1) H_n one rule more: two rules a call, the convolution one first.
+    # These low-degree slots put weight on the last step's top degree, so a
+    # convolution rule one node short misses R far outside the exact match.
+    tfs = [from_spec_string(spec) for spec in specs]
+    n, extra = len(tfs), sum(tf.phihat_degree - 1 for tf in tfs)
+    exact = float(_exact_r(tfs))
+    sizes = []
+
+    def rule(k, shorten):
+        sizes.append(k)
+        return legendre_rule(k - 1 if shorten and len(sizes) == 1 else k)
+
+    for shorten in (False, True):
+        sizes.clear()
+        monkeypatch.setattr(moments, "legendre_rule", lambda k: rule(k, shorten))
+        error = abs(r_term(tfs) - exact)
+        assert sizes == [(2 * n - 2 + extra) // 2 + 1, (2 * n - 1 + extra) // 2 + 1]
+        assert (error > 1e-10 * abs(exact)) == shorten, (shorten, error / abs(exact))
+
+
+def test_exact_rules_build_no_chebyshev_vandermonde(monkeypatch):
+    # R's interpolants and sigma2's basis values are cosine products, not
+    # numpy's Vandermonde recurrence (which chebinterpolate also runs)
+    def refuse(*args):
+        raise AssertionError("a Chebyshev Vandermonde matrix was built")
+
+    monkeypatch.setattr(moments.chebyshev, "chebvander", refuse)
+    monkeypatch.setattr(moments.chebyshev, "chebinterpolate", refuse)
+    specs, _, _ = HIGH_DEGREE_SLOTS[2]
+    tfs = [from_spec_string(spec) for spec in specs]
+    assert r_term(tfs) == pytest.approx(float(_exact_r(tfs)), rel=1e-10, abs=0)
+    _sigma2_rule.__wrapped__(0.25, 0.2, tfs[2].phihat_degree, tfs[4].phihat_degree)
 
 
 def test_r_term_refuses_tail_beyond_a_support():

@@ -1,4 +1,5 @@
-"""Gauss-Legendre rules: exactness to the stated degree, accuracy to the ends, contracts."""
+"""Gauss-Legendre rules: exactness to the stated degree, accuracy to the ends, contracts;
+and the Chebyshev points and DCT beside them."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
 from momentbounds import quadrature
 from momentbounds.quadrature import legendre_rule
@@ -164,3 +166,17 @@ def test_empty_rules_rejected():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n >= 1"):
             legendre_rule(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24, 45, 96, 128])
+def test_chebyshev_points_interpolate_as_chebinterpolate(n):
+    # numpy's interpolant at the same first-kind points, through its
+    # Vandermonde recurrence, is the reference; the two differ by rounding,
+    # which grows by about a unit per degree in either form
+    def f(t):
+        return np.exp(t) * np.cos(3.0 * t)
+
+    x, dct = quadrature.chebyshev_points(n)
+    reference = chebyshev.chebinterpolate(f, n - 1)
+    assert np.abs(dct @ f(x) - reference).max() <= (n + 1) * 1e-15
+    assert not x.flags.writeable and not dct.flags.writeable

@@ -29,13 +29,12 @@ from momentbounds import (
 )
 from momentbounds.bounds import bound_moment
 from momentbounds.kernels import expectation_1level, expectation_2level
-from momentbounds.quadrature import legendre_rule
+from momentbounds.quadrature import chebyshev_points, legendre_rule
 from momentbounds.testfunc import (
     NaiveTestFunction,
     _autocorrelation_values,
     _basis_tables,
     _basis_values,
-    _chebyshev_points,
     _sigma2_rule,
     parse_rational,
 )
@@ -423,7 +422,7 @@ CHOP_HALVES = (1 / 20, 1 / 10, 1 / 9, 1 / 8, 0.15, 1 / 6, 1 / 3, 0.4, 1 / 2, 1.0
 def test_chop_scale_from_the_alternating_sum_is_the_chebval_one(kind, dim):
     # T(0) read by Clenshaw at x = -1 and as the alternating coefficient
     # sum chop every table at the same degree, so the tables are the same bytes
-    x, dct = _chebyshev_points()
+    x, dct = chebyshev_points(128)
     for half in CHOP_HALVES:
         values = _autocorrelation_values(kind, dim, half, half * (x + 1.0))
         coef = (dct @ values.reshape(128, -1)).reshape(128, dim, dim)
