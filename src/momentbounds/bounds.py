@@ -39,7 +39,7 @@ from .moments import (
     MomentRequest, SupportRegimeError, UncertifiedBoundError, centered_moment, support_within
 )
 from .reference import expectation_level1, expectation_level2, table_cells
-from .testfunc import GeneratorSpec, TestFunction, make_from_generator, make_naive, min_rank
+from .testfunc import TestFunction, from_spec_string, make_naive, min_rank, spec_order
 
 
 class ParityError(ValueError):
@@ -217,7 +217,7 @@ def bound_moment(
 
     def denominator(r: int) -> float:
         out = 1.0
-        for tf in slots:
+        for tf in spec_order(slots):  # so the product is free of the slot order
             c = min_rank(tf)
             if r < c:
                 raise RankTooSmallError(
@@ -279,7 +279,7 @@ def _moment4_naive(family: SymmetryGroup, ranks: Sequence[int]) -> list[BoundRes
 
 
 def _moment4_mixed(family: SymmetryGroup, ranks: Sequence[int]) -> list[BoundResult]:
-    slots = (make_from_generator(GeneratorSpec("sin-of-square", (), 0.125)), make_naive(0.25))
+    slots = (from_spec_string("gen:sinx2:half=1/8"), make_naive(0.25))
     return bound_moment(slots, family, ranks, regime="mock_gaussian")
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .quadrature import chebyshev_points, legendre_rule
-from .testfunc import TestFunction, sigma2
+from .testfunc import TestFunction, sigma2, spec_order
 
 if TYPE_CHECKING:  # kernels reads r_term, so moments imports nothing of kernels at run time
     from .kernels import SymmetryGroup
@@ -158,9 +158,10 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
     polynomial of known degree, kept as its Chebyshev interpolant on
     [0, 1]: its values at the first-kind Chebyshev points, each a
     Gauss-Legendre sum over H_(m-1), taken to coefficients by one cosine
-    (DCT-II) product.  One rule serves every step, the one exact at the
-    last and largest, and one more integrates t^(2n-1) H_n, so R is exact
-    up to rounding.  For Fejer triangles ``P_j = delta / v_j^2`` and
+    (DCT-II) product.  One rule, exact for the final t^(2n-1) H_n and so
+    at every step, serves all, and the functions are convolved in spec
+    order, so R is exact up to rounding and free of the slot order.  For
+    Fejer triangles ``P_j = delta / v_j^2`` and
     ``R = (-1)^n 2^(n-1) delta^(2n) / ((2n)! prod_j v_j^2)``.  For n
     copies of naive:v=1/(n-1), R is within 4e-13 of its Irwin-Hall value
     at n = 48; at n = 96 R is about 1e-328 and underflows to 0.0, an
@@ -171,6 +172,7 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
     n = len(tfs)
     if n < 2:
         raise ValueError("r_term needs at least two test functions")
+    tfs = spec_order(tfs)
     supports = [tf.support_bound for tf in tfs]
     total = math.fsum(supports)
     if support_within(total, 1.0):
@@ -194,12 +196,9 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
     degree = tfs[0].phihat_degree - 1
     x, dct = chebyshev_points(degree + 1)
     h = dct @ end_factor(tfs[0], 0.5 * (x + 1.0))
-    # The integrand of step m has degree 2m + deg H_(m+1), largest at the last
-    # step, so the rule exact there is exact at every step.
-    last = 2 * n - 2 + sum(tf.phihat_degree - 1 for tf in tfs)
-    nodes, weights = legendre_rule(last // 2 + 1)
+    # exact for t^(2n-1) H_n, so at every step's lower degree 2m + deg H_(m+1)
+    nodes, weights = legendre_rule((2 * n - 1 + sum(tf.phihat_degree - 1 for tf in tfs)) // 2 + 1)
     w = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
     for m, tf in enumerate(tfs[1:], start=1):
         degree += tf.phihat_degree - 1
         x, dct = chebyshev_points(degree + 1)
@@ -208,10 +207,8 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
         t = 0.5 * (x[:, None] + 1.0)
         vals = (w ** (2 * m - 1) * (1.0 - w) * chebyshev.chebval(2.0 * t * w - 1.0, h)
                 * end_factor(tf, t * (1.0 - w)))
-        h = dct @ (vals @ weights)
-    nodes, weights = legendre_rule((2 * n - 1 + degree) // 2 + 1)
-    t = 0.5 * (nodes + 1.0)
-    vals = t ** (2 * n - 1) * chebyshev.chebval(2.0 * t - 1.0, h)
+        h = dct @ (vals @ (0.5 * weights))
+    vals = w ** (2 * n - 1) * chebyshev.chebval(2.0 * w - 1.0, h)
     integral = float((vals * weights * 0.5).sum())
     return (-1.0) ** n * 2.0 ** (n - 1) * delta**n * integral
 
@@ -291,10 +288,10 @@ def _matching_sum(tfs: tuple[TestFunction, ...]) -> float:
     """Sum over perfect matchings of products of pairwise variances: the
     hafnian of the sigma2 matrix.
 
-    Slots are grouped by equal test functions (equal specs) in
-    first-appearance order, and sigma2 is computed once per distinct pair
-    of groups' first functions (a group with itself only when it fills
-    two slots or more).  Both caps are checked before any sigma2 work.
+    Slots are grouped by equal test functions (equal specs) in spec order,
+    so the sum is free of the slot order, and sigma2 is computed once per
+    distinct pair of groups' first functions (a group with itself only
+    when it fills two slots or more).  Both caps are checked first.
     """
     counts: dict[TestFunction, int] = {}
     for tf in tfs:
@@ -306,12 +303,12 @@ def _matching_sum(tfs: tuple[TestFunction, ...]) -> float:
             f"exceeds its cap: it needs 2m <= {MAX_EVEN_ORDER} and prod(count + 1) = {states} "
             f"<= {MAX_MATCHING_STATES}"
         )
-    groups = list(counts)
+    groups = spec_order(counts)
     a = [
         [sigma2(f, g) if i < j or (i == j and counts[f] > 1) else 0.0 for j, g in enumerate(groups)]
         for i, f in enumerate(groups)
     ]
-    return _hafnian(a, list(counts.values()))
+    return _hafnian(a, [counts[g] for g in groups])
 
 
 def centered_moment(req: MomentRequest) -> MomentResult:

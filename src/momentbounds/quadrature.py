@@ -11,9 +11,9 @@ just enough nodes (``degree // 2 + 1`` for a polynomial of that
 degree), which is exact up to rounding: there is no error estimate and
 no adaptivity.  :func:`legendre_rule` builds every rule in the package,
 the small ones of sigma2 and the two-level pair term, of the generator
-transforms and of the correction term R in :mod:`.moments` (two a call:
-one for every convolution step, one for the last integral; R also gives
-the two-level rhombus) as well as the large ones of the
+transforms and of the correction term R in :mod:`.moments` (one a call,
+exact for the last integral and so for every convolution step; R also
+gives the two-level rhombus) as well as the large ones of the
 exact finite-N moments in :mod:`.rmt`, by the method of Hale & Townsend
 (SIAM J. Sci. Comput. 35, 2013): Newton's method in theta = arccos x
 from asymptotic roots (Tricomi's expansion in the interior, Olver's

@@ -26,17 +26,18 @@ constructions are provided:
   ``m_k = int b_k`` and the Gram matrix ``G = T(0)`` are built and cached
   with ``T``, so a build sets ``phi(0) = (c.m)^2`` and
   ``phihat(0) = c^T G c`` and evaluates no basis function.  Only phi away
-  from 0 needs more: it is |ghat|^2, and ghat has a closed form.  With
-  g(hs) = sum_n l_n P_n(s) on (-1, 1), the Fourier transform of P_n
-  (DLMF 18.17(v)) gives ghat(x) = 2h sum_n l_n i^n j_n(2 pi x h).  The
-  Legendre coefficients l are exact for polynomial generators, come
-  from Rayleigh's plane-wave expansion (DLMF 10.60) for cosine ones, and
-  from the Taylor series of sin(t^2), exact to roundoff while its
-  largest term h^2 stays <= 1 (phi refuses sin(t^2) past h = 1).  They
-  are built on each function's first phi, so bounds, moments,
-  expectations and the optimizer never build them, nor import
-  scipy.special.  :mod:`rmt`, the only caller of phi away from 0,
-  reaches it only with 2h < 1.
+  from 0 needs more: it is |ghat|^2, and ghat has a closed form.  A
+  cosine series gives, by product-to-sum as for T, the numpy sum
+  ghat(x) = h sum_k c_k [sinc(u - k/2) + sinc(u + k/2)], u = 2|x|h.  For
+  polynomial and sin(t^2) generators, with g(hs) = sum_n l_n P_n(s) on
+  (-1, 1), the Fourier transform of P_n (DLMF 18.17(v)) gives
+  ghat(x) = 2h sum_n l_n i^n j_n(2 pi x h); l is exact for polynomials
+  and comes from the Taylor series of sin(t^2), exact to roundoff while
+  its largest term h^2 stays <= 1 (phi refuses sin(t^2) past h = 1).
+  Only their phi builds l and imports scipy.special.  phi is within
+  1e-15 of 2h phihat(0) = 2h int g^2 (the Cauchy-Schwarz bound on
+  |ghat|^2) of 40-digit arithmetic, and of phi(0) unless int g nearly
+  cancels.  :mod:`rmt` calls phi away from 0 only with 2h < 1.
 
 Support intervals are treated as open: the transforms vanish at their
 support endpoints, so a function with ``support_bound == t`` satisfies a
@@ -309,12 +310,12 @@ class GeneratorBackedTestFunction(TestFunction):
     is one whose phi(0) or int g^2 leaves the normal double range (named
     as an overflow or an underflow, with no floating-point warning).
 
-    phi is |ghat|^2 with ghat(x) = int g(t) e^{2 pi i x t} dt =
-    2h sum_n l_n i^n j_n(2 pi |x| h) up to conjugation, so Re ghat is the
-    sum over even orders and Im ghat the sum over odd ones
-    (:attr:`_ghat_series`).  A point's value is a fixed sum of spherical
-    Bessel functions at that point, at any |x|; NaN and infinite x are
-    refused.
+    phi is |ghat|^2 with ghat(x) = int g(t) e^{2 pi i x t} dt.  For a
+    cosine series ghat is real, h sum_k c_k [sinc(u - k/2) + sinc(u + k/2)]
+    with u = 2|x|h.  Otherwise ghat = 2h sum_n l_n i^n j_n(2 pi |x| h) up to
+    conjugation, so Re ghat is the sum over even orders and Im ghat the
+    sum over odd ones (:attr:`_ghat_series`).  A point's value is a fixed
+    sum at that point, at any |x|; NaN and infinite x are refused.
     """
 
     def __init__(self, generator: GeneratorSpec):
@@ -355,26 +356,15 @@ class GeneratorBackedTestFunction(TestFunction):
         """ghat's coefficients on j_n(2 pi |x| h), split by parity: ``(even, odd)``.
 
         Each part lists (order n, coefficient) pairs, zeros left out.  Built
-        on the first phi from the Legendre series g(hs) = sum_n l_n P_n(s):
-        a coefficient is 2h l_n times the real factor of i^n, (-1)^(n // 2).
-        The series is chopped where its tail falls below 1e-17 of sum |l|.
-        A cosine series whose tail is still above that at its last order
-        is refused, as is sin(t^2) past h = 1.
+        on the first phi of a polynomial or sin(t^2) generator from the
+        Legendre series g(hs) = sum_n l_n P_n(s): a coefficient is 2h l_n
+        times (-1)^(n // 2), the real factor of i^n, chopped where its tail
+        falls below 1e-17 of sum |l|.  sin(t^2) is refused past h = 1.
         """
-        from scipy.special import spherical_jn
-
         gen = self.generator
         h = gen.half_support
-        c = gen.weights
         if gen.kind == "polynomial":
-            ell = legendre.poly2leg(c * h ** np.arange(c.size))
-        elif gen.kind == "cosine-series":
-            # cos(z s) = sum over even n of (2n + 1) (-1)^(n/2) j_n(z) P_n(s),
-            # z = k pi / 2; j_n(z) decays faster than geometrically once n > z
-            z = np.arange(c.size) * (math.pi / 2.0)
-            n = np.arange(0, 2 * int(z[-1]) + 40, 2)
-            ell = np.zeros(2 * n.size - 1)
-            ell[::2] = (2 * n + 1) * (-1.0) ** (n // 2) * (spherical_jn(n[:, None], z) @ c)
+            power = gen.weights * h ** np.arange(gen.dimension)
         else:  # sin-of-square: sin(h^2 s^2) = sum_j (-1)^j (h s)^(4j + 2) / (2j + 1)!
             if h > 1.0:
                 raise ValueError(
@@ -387,22 +377,26 @@ class GeneratorBackedTestFunction(TestFunction):
                 terms.append(terms[-1] * h**4 / (2 * j * (2 * j + 1)))
             power = np.zeros(4 * len(terms) - 1)
             power[2::4] = terms * (-1.0) ** np.arange(len(terms))
-            ell = legendre.poly2leg(power)
+        ell = legendre.poly2leg(power)
         last = int(np.flatnonzero(np.abs(ell) > 1e-17 * np.abs(ell).sum()).max())
-        if gen.kind == "cosine-series" and last == ell.size - 1:
-            raise ValueError(
-                f"the Legendre series of {self.spec_string} does not chop by order {last}"
-            )
         coef = 2.0 * h * ell[: last + 1] * (-1.0) ** (np.arange(last + 1) // 2)
         return tuple([(n, a) for n, a in enumerate(coef) if a and n % 2 == odd] for odd in (0, 1))
 
     def phi(self, x):
-        from scipy.special import spherical_jn
-
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError(f"phi of {self.spec_string} needs finite x")
-        z = np.abs(x) * (2.0 * math.pi * self.generator.half_support)
+        h = self.generator.half_support
+        if self.generator.kind == "cosine-series":
+            u = np.abs(x) * (2.0 * h)
+            c = self.generator.coefficients
+            ghat = 2.0 * c[0] * np.sinc(u)
+            for k in range(1, len(c)):
+                ghat += c[k] * (np.sinc(u - 0.5 * k) + np.sinc(u + 0.5 * k))
+            return (h * ghat) ** 2
+        from scipy.special import spherical_jn
+
+        z = np.abs(x) * (2.0 * math.pi * h)
         re, im = (sum(a * spherical_jn(n, z) for n, a in part) for part in self._ghat_series)
         return re**2 + im**2
 
@@ -464,6 +458,11 @@ def from_spec_string(spec: str) -> TestFunction:
         raise ValueError(msg) from None
 
 
+def spec_order(tfs) -> list:
+    """The functions sorted by spec string, the one order every multi-function sum takes."""
+    return sorted(tfs, key=lambda tf: tf.spec_string)
+
+
 def sigma2(a: TestFunction, b: TestFunction) -> float:
     """Pairwise variance ``2 int |y| phihat_a(y) phihat_b(y) dy``.
 
@@ -475,8 +474,10 @@ def sigma2(a: TestFunction, b: TestFunction) -> float:
     nodes depend only on the supports and degrees, so they are cached
     (:func:`_sigma2_rule`) and a call is the same sum taken in value
     space: phihat_a and phihat_b at the nodes, each one matrix-vector
-    product, and one dot product.
+    product, and one dot product.  The pair is taken in spec order, so
+    sigma2(a, b) equals sigma2(b, a) to the last bit.
     """
+    a, b = spec_order((a, b))
     wy, _, va, vb = _sigma2_rule(a.support_bound, b.support_bound,
                                  a.phihat_degree, b.phihat_degree)
     return float((wy * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
@@ -484,7 +485,8 @@ def sigma2(a: TestFunction, b: TestFunction) -> float:
 
 def pair_term(a: TestFunction, b: TestFunction) -> float:
     """``int (1 - |t|)_+ phihat_a phihat_b dt`` for supports within 1: sigma2's
-    interval and degree, so the same cached rule, with weights ``2 w (1 - y)``."""
+    sum (its cached rule, its spec order) with weights ``2 w (1 - y)``."""
+    a, b = spec_order((a, b))
     _, wt, va, vb = _sigma2_rule(a.support_bound, b.support_bound, a.phihat_degree, b.phihat_degree)
     return float((wt * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -392,6 +393,36 @@ def test_moment_command(capsys):
     rec = parse_records(out)[0]
     assert rec["value"] == pytest.approx(1.0 / 3.0 - 1.0 / 5040.0, rel=1e-6)
     assert rec["sign_applied"] == -1
+
+
+@pytest.mark.parametrize("argv, specs", [
+    # sigma2 of this pair differs in the last bit between its argument orders
+    (["moment", "--family", "so-even", "--regime", "with_R"],
+     ["gen:poly:1,0,0,0,0,0,-7/3:half=2/5", "gen:poly:-2,1,1/4:half=1/8"]),
+    # level2 reads the pair term and R_2 of the pair, each order-sensitive in the last bit
+    (["bound", "--family", "so-odd", "--ranks", "5,7", "--method", "level2"],
+     ["gen:poly:1,-3,20,0.5:half=0.3", "gen:sinx2:half=1/8"]),
+    # four slots: the matching sum's groups and the denominator's product
+    # over them round differently in different orders
+    (["bound", "--family", "so-even", "--ranks", "20,28,36,44,52", "--method", "moment2m:4",
+      "--regime", "mock_gaussian"],
+     ["naive:v=1/7", "gen:poly:1,-2,1/2:half=1/12", "gen:cos:1,0.3,-0.2:half=1/14",
+      "gen:sinx2:half=1/11"]),
+])
+def test_records_do_not_depend_on_the_testfn_order(argv, specs, capsys):
+    # every multi-function sum takes its functions in spec order, so each
+    # order of the --testfn flags prints the same records but for their
+    # test_functions lists, which keep the order given
+    seen = set()
+    for order in itertools.permutations(specs):
+        code, out, err = run_cli(argv + [a for spec in order for a in ("--testfn", spec)], capsys)
+        assert (code, err) == (0, "")
+        records = parse_records(out)
+        for rec in records:
+            labels = rec.pop("test_functions")
+            assert labels == [from_spec_string(spec).spec_string for spec in order]
+        seen.add(json.dumps(records))
+    assert len(seen) == 1
 
 
 def test_repeated_testfn_specs_share_one_function(capsys, monkeypatch):

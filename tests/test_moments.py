@@ -1,5 +1,6 @@
 """Matchings and the hafnian, the correction term, and centered moments."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -205,8 +206,9 @@ def test_equal_slots_built_separately_are_one_function(m, monkeypatch):
 
 
 def test_one_sigma2_per_distinct_pair_of_equal_groups(monkeypatch):
-    # slots a, b, a', b', a'' with the primes built separately: groups
-    # [a x 3, b x 2], pairs aa, ab and bb, each computed with a group's first object
+    # slots a, b, a', b', a'', a''' with the primes built separately: groups in
+    # spec order [b x 2, a x 4] (gen: sorts before naive:), pairs bb, ba and
+    # aa, each computed with a group's first object
     pairs = []
     original = moments.sigma2
     monkeypatch.setattr(moments, "sigma2", lambda a, b: pairs.append((a, b)) or original(a, b))
@@ -214,9 +216,25 @@ def test_one_sigma2_per_distinct_pair_of_equal_groups(monkeypatch):
     tfs = [from_spec_string(spec) for spec in specs]
     value = _matching_sum(tuple(tfs))
     a, b = tfs[:2]
-    assert [tuple(map(id, pair)) for pair in pairs] == [(id(a), id(a)), (id(a), id(b)), (id(b), id(b))]
+    assert [tuple(map(id, pair)) for pair in pairs] == [
+        (id(b), id(b)), (id(b), id(a)), (id(a), id(a))]
     shared = [tfs[0] if spec.startswith("naive") else tfs[1] for spec in specs]
     assert value == _matching_sum(tuple(shared))
+
+
+def test_with_r_moment_does_not_depend_on_the_slot_order():
+    # naive, polynomial and cosine slots: the matching sum's groups, each sigma2
+    # pair and R's convolution are taken in spec order, so all 24 orders give
+    # one moment to the last bit
+    specs = ["naive:v=1/3", "gen:poly:1,-2,1/2:half=1/6", "gen:cos:1,0.3,-0.2:half=3/20",
+             "naive:v=1/4"]
+    tfs = [from_spec_string(spec) for spec in specs]
+    results = {
+        centered_moment(MomentRequest(order, G.SO_EVEN, regime="with_R"))
+        for order in itertools.permutations(tfs)
+    }
+    assert len(results) == 1
+    assert next(iter(results)).r_term > 0.0
 
 
 # ---- correction term ----
@@ -362,11 +380,10 @@ def test_r_term_high_degree_generator_matches_exact_rational(specs, degrees):
     ],
 )
 def test_r_term_convolution_rule_has_no_node_to_spare(specs, monkeypatch):
-    # Every convolution step uses the rule of (2n - 2 + sum(d_j - 1)) // 2 + 1
-    # nodes, exact at the last step's degree, and the final integral of
-    # t^(2n-1) H_n one rule more: two rules a call, the convolution one first.
-    # These low-degree slots put weight on the last step's top degree, so a
-    # convolution rule one node short misses R far outside the exact match.
+    # One rule a call, of (2n - 1 + sum(d_j - 1)) // 2 + 1 nodes, exact for the
+    # final integrand t^(2n-1) H_n and so at every convolution step below it.
+    # These low-degree slots put weight on the top degrees, so a rule one
+    # node short misses R far outside the exact match.
     tfs = [from_spec_string(spec) for spec in specs]
     n, extra = len(tfs), sum(tf.phihat_degree - 1 for tf in tfs)
     exact = float(_exact_r(tfs))
@@ -374,13 +391,13 @@ def test_r_term_convolution_rule_has_no_node_to_spare(specs, monkeypatch):
 
     def rule(k, shorten):
         sizes.append(k)
-        return legendre_rule(k - 1 if shorten and len(sizes) == 1 else k)
+        return legendre_rule(k - 1 if shorten else k)
 
     for shorten in (False, True):
         sizes.clear()
         monkeypatch.setattr(moments, "legendre_rule", lambda k: rule(k, shorten))
         error = abs(r_term(tfs) - exact)
-        assert sizes == [(2 * n - 2 + extra) // 2 + 1, (2 * n - 1 + extra) // 2 + 1]
+        assert sizes == [(2 * n - 1 + extra) // 2 + 1]
         assert (error > 1e-10 * abs(exact)) == shorten, (shorten, error / abs(exact))
 
 

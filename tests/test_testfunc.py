@@ -3,9 +3,11 @@
 import functools
 import itertools
 import math
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,10 +235,47 @@ def test_phi_matches_mpmath(spec):
     assert np.array_equal(tf.phi(-xs), tf.phi(xs))
 
 
+@pytest.mark.parametrize("spec", [
+    "gen:cos:1,-1.5,0.2:half=1/8",
+    "gen:poly:1,0,-2.9:half=1",
+    "gen:cos:1,-0.9,-0.9,1:half=0.3",
+])
+def test_phi_of_a_nearly_cancelling_generator_matches_mpmath_on_its_scale(spec):
+    # these generators nearly integrate to zero, so phi(0) is far below phi
+    # elsewhere and rounding in the larger values misses 1e-15 phi(0) (by
+    # 200 times for the polynomial); the natural scale is 2h int g^2 =
+    # 2h phihat(0), which bounds |ghat|^2 at every x by Cauchy-Schwarz
+    mpmath = pytest.importorskip("mpmath")
+    tf = from_spec_string(spec)
+    h = tf.generator.half_support
+    xs = np.array([0.3, 2.0, 17.0, 130.0, 600.0, 899.0, 1500.0, 2250.0]) / (2.0 * math.pi * h)
+    with mpmath.workdps(40):
+        exact = [float(abs(_ghat_mpmath(mpmath, tf.generator, x)) ** 2) for x in xs]
+    assert np.abs(tf.phi(xs) - exact).max() <= 1e-15 * 2.0 * h * tf.phihat0
+
+
+def test_cosine_phi_loads_no_scipy_in_a_fresh_process():
+    # cosine phi is a sum of sinc pairs in numpy: no spherical Bessel function
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from momentbounds.testfunc import from_spec_string
+tf = from_spec_string("gen:cos:1,0.3,-0.2:half=1/20")
+values = tf.phi(np.linspace(-50.0, 50.0, 48_000))
+print(bool(np.isfinite(values).all()), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(testfunc.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "True []"
+
+
 def test_bounds_never_build_the_phi_rule(monkeypatch):
     # phi(0) and phihat(0) come from the basis moments and Gram matrix, so
     # bounds, moments, expectations and the optimizer never build ghat's
-    # Legendre series nor import scipy.special; only phi away from 0 does
+    # Legendre series nor import scipy.special; only phi of a polynomial or
+    # sin(t^2) generator away from 0 does, and cosine phi never does
     monkeypatch.setitem(sys.modules, "scipy.special", None)
     tfs = [from_spec_string(spec) for spec in
            ("gen:cos:1,0.3,-0.2:half=1/20", "gen:poly:1,0,-50:half=1/20", "gen:sinx2:half=1/8")]
@@ -255,8 +294,11 @@ def test_bounds_never_build_the_phi_rule(monkeypatch):
     )
     assert objective([(1.0, -0.75, 0.5, 0.5), ()], problem) < 1e-8
     assert not any("_ghat_series" in vars(tf) for tf in tfs)
-    with pytest.raises(ImportError, match="scipy.special"):
-        tfs[0].phi(1.0)
+    for tf in tfs[1:]:
+        with pytest.raises(ImportError, match="scipy.special"):
+            tf.phi(1.0)
+    assert 0.0 < tfs[0].phi(1.0) < tfs[0].phi0
+    assert "_ghat_series" not in vars(tfs[0])
 
 
 def test_generator_spec_validation():
