@@ -12,20 +12,19 @@ The one- and two-level densities are built from the sine kernel
 The densities are never evaluated pointwise: every expectation is
 computed in transform space.  For compactly supported ``phihat`` the
 oscillatory factor ``sin(2 pi x)/(2 pi x)`` integrates exactly to
-``(1/2) int_{-1}^{1} phihat``, which removes all oscillation from the
-integrals; it is read from the antiderivative of phihat's piece.  The
-SO(odd) two-level point masses are reduced analytically to
-one-dimensional integrals.  For two-level supports within 1 the pair
-term is an exact sum on sigma2's rule (:func:`.testfunc.pair_term`), and
-the rhombus {|a| + |b| < 1} is the plane less four disjoint corners,
-each ``int_1^S phihat_1 * phihat_2 = R_2 / 2`` (:func:`.moments.r_term`).
+``int_0^min(1, s) phihat``: the half transform ``phi(0)/2`` (Fourier
+inversion at 0) plus ``R_1 = -int_1^s phihat``, the correction term of
+the one function (:func:`.moments.r_term`, 0 for s <= 1).  The SO(odd)
+two-level point masses are reduced analytically to one-dimensional
+integrals.  For two-level supports, within 1, the pair term is an exact
+sum on sigma2's rule (:func:`.testfunc.pair_term`), and the rhombus
+{|a| + |b| < 1} is the plane less four disjoint corners, each
+``int_1^S phihat_1 * phihat_2 = R_2 / 2``.
 """
 
 from __future__ import annotations
 
 import enum
-
-from numpy.polynomial import chebyshev
 
 from .moments import SupportRegimeError, r_term, support_within
 from .testfunc import TestFunction, pair_term
@@ -60,16 +59,10 @@ class SymmetryGroup(enum.Enum):
         return 1 if self is SymmetryGroup.SO_EVEN else -1
 
 
-def _phihat_integral(tf: TestFunction, u):
-    """``int_0^u phihat`` for 0 <= u <= support_bound (a float or an array),
-    from the Chebyshev antiderivative of the piece: exact up to rounding."""
-    antiderivative = chebyshev.chebint(tf.phihat_coef, lbnd=-1.0, scl=0.5 * tf.support_bound)
-    return chebyshev.chebval(u * (2.0 / tf.support_bound) - 1.0, antiderivative)
-
-
 def _level1_integral(tf: TestFunction, eps: int):
-    """``int phi(x) (1 + eps sin(2 pi x)/(2 pi x)) dx = phihat(0) + eps int_0^min(1, s) phihat``."""
-    return tf.phihat0 + eps * _phihat_integral(tf, min(1.0, tf.support_bound))
+    """``int phi(x) (1 + eps sin(2 pi x)/(2 pi x)) dx = phihat(0) + eps int_0^min(1, s) phihat``,
+    with ``int_0^min(1, s) phihat = phi(0)/2 + R_1``."""
+    return tf.phihat0 + eps * (0.5 * tf.phi0 + r_term((tf,)))
 
 
 def expectation_1level(tf: TestFunction, group: SymmetryGroup) -> float:

@@ -145,7 +145,8 @@ def support_within(support: float, threshold: float) -> bool:
 def r_term(tfs: Sequence[TestFunction]) -> float:
     """Correction term splitting the even from the odd family:
     ``R = (-1)^n 2^(n-1) int_1^S (phihat_1 * ... * phihat_n)(y) dy``, S the
-    sum of the transform supports s_j, so R is exactly 0 when S <= 1.
+    sum of the transform supports s_j, so R is exactly 0 when S <= 1.  For
+    one function it is ``R_1 = -int_1^s phihat``, the one-level tail.
 
     Otherwise ``delta = S - 1 <= s_j`` for every j (the with_R hypothesis
     implies it), so ``y >= 1`` forces each ``y_j >= s_j - delta >= 0``: only
@@ -170,8 +171,8 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
     the end pieces do not cover the tail.
     """
     n = len(tfs)
-    if n < 2:
-        raise ValueError("r_term needs at least two test functions")
+    if n < 1:
+        raise ValueError("r_term needs at least one test function")
     tfs = spec_order(tfs)
     supports = [tf.support_bound for tf in tfs]
     total = math.fsum(supports)

@@ -2,19 +2,18 @@
 Chebyshev points and DCT that turn values into Chebyshev coefficients.
 
 Every transform in the package is a polynomial piece of known degree on
-its support (the Fejer triangle is linear, a generator transform is a
-chopped Chebyshev series), so every integral of transforms is a
-polynomial integral of known degree.  The one-level integral in
-:mod:`.kernels` reads ``int_0^u phihat`` from the antiderivative of the
-piece; every other integral is a sum with the Gauss-Legendre rule of
-just enough nodes (``degree // 2 + 1`` for a polynomial of that
-degree), which is exact up to rounding: there is no error estimate and
-no adaptivity.  :func:`legendre_rule` builds every rule in the package,
-the small ones of sigma2 and the two-level pair term, of the generator
-transforms and of the correction term R in :mod:`.moments` (one a call,
-exact for the last integral and so for every convolution step; R also
-gives the two-level rhombus) as well as the large ones of the
-exact finite-N moments in :mod:`.rmt`, by the method of Hale & Townsend
+its support (the Fejer triangle is linear; a generator transform is a
+chopped Chebyshev series, from a polynomial basis, sin(t^2)'s Taylor
+polynomial or a cosine basis in closed form), so every integral on the
+bound path is an exact Gauss-Legendre sum or a closed form: the rule of
+just enough nodes (``degree // 2 + 1`` for a polynomial of that degree)
+is exact up to rounding, with no error estimate and no adaptivity.
+:func:`legendre_rule` builds every rule in the package, the small ones
+of sigma2 and the two-level pair term, of the generator transforms and
+of the correction term R in :mod:`.moments` (one a call, exact for the
+last integral and so for every convolution step; R also gives the
+one-level tail past 1 and the two-level rhombus) as well as the large
+ones of the exact finite-N moments in :mod:`.rmt`, by the method of Hale & Townsend
 (SIAM J. Sci. Comput. 35, 2013): Newton's method in theta = arccos x
 from asymptotic roots (Tricomi's expansion in the interior, Olver's
 Bessel-zero form near the ends), accurate enough that a rule of 58 or

@@ -12,28 +12,27 @@ constructions are provided:
   non-negative, with ``phihat`` supported on twice the support of ``g``.
   A generator is a weighted sum ``g = sum_k c_k b_k`` of basis functions,
   so ``phihat(y) = c^T T(y) c`` with ``T(y)_kl = int b_k(t) b_l(t - y) dt``
-  the basis autocorrelation.  Each entry of ``T`` is a polynomial in y
-  (polynomial bases) or an entire function that a Chebyshev series
-  represents to roundoff at modest degree (cosine and sin(t^2) bases), so
-  ``T`` is stored once per basis (kind, dimension, support) as a chopped
-  table of Chebyshev coefficients on [0, 2h] and cached.  The table is
-  interpolated from exact values of ``T`` at 128 Chebyshev points: a
-  product-to-sum closed form for cosine bases, the d-node Gauss-Legendre
-  rule (exact for the degree 2d - 2 integrand) for polynomial bases, and
-  a 128-node rule only for sin(t^2), whose autocorrelation needs Fresnel
-  integrals.  Each function's phihat is then the exact polynomial piece
-  whose coefficients are ``c^T T_j c``.  The basis integrals
-  ``m_k = int b_k`` and the Gram matrix ``G = T(0)`` are built and cached
-  with ``T``, so a build sets ``phi(0) = (c.m)^2`` and
-  ``phihat(0) = c^T G c`` and evaluates no basis function.  Only phi away
-  from 0 needs more: it is |ghat|^2, and ghat has a closed form.  A
-  cosine series gives, by product-to-sum as for T, the numpy sum
-  ghat(x) = h sum_k c_k [sinc(u - k/2) + sinc(u + k/2)], u = 2|x|h.  For
-  polynomial and sin(t^2) generators, with g(hs) = sum_n l_n P_n(s) on
-  (-1, 1), the Fourier transform of P_n (DLMF 18.17(v)) gives
-  ghat(x) = 2h sum_n l_n i^n j_n(2 pi x h); l is exact for polynomials
-  and comes from the Taylor series of sin(t^2), exact to roundoff while
-  its largest term h^2 stays <= 1 (phi refuses sin(t^2) past h = 1).
+  the basis autocorrelation.  sin(t^2) (half-support <= 1) is its Taylor
+  polynomial, exact to roundoff while its largest term h^2 stays <= 1
+  (:func:`_sin_square_taylor`), so each entry of ``T`` is a polynomial
+  in y (polynomial and sin(t^2) bases) or an entire function that a
+  Chebyshev series represents to roundoff at modest degree (cosine
+  bases), and ``T`` is stored once per basis (kind, dimension, support)
+  as a chopped table of Chebyshev coefficients on [0, 2h] and cached.
+  The table is interpolated from exact values of ``T`` at 128 Chebyshev
+  points: a product-to-sum closed form for cosine bases, else the
+  Gauss-Legendre rule of as many nodes as the polynomial has
+  coefficients, exact for the integrand.  Each function's phihat is then
+  the exact polynomial piece whose coefficients are ``c^T T_j c``.  The
+  basis integrals ``m_k = int b_k`` (closed forms) and the Gram matrix
+  ``G = T(0)`` are built and cached with ``T``, so a build sets
+  ``phi(0) = (c.m)^2`` and ``phihat(0) = c^T G c`` and evaluates no basis
+  function.  Only phi away from 0 needs more: it is |ghat|^2, and ghat
+  has a closed form.  A cosine series gives, by product-to-sum as for T,
+  the numpy sum ghat(x) = h sum_k c_k [sinc(u - k/2) + sinc(u + k/2)],
+  u = 2|x|h.  For polynomial and sin(t^2) generators, with the polynomial
+  g(hs) = sum_n l_n P_n(s) on (-1, 1), the Fourier transform of P_n
+  (DLMF 18.17(v)) gives ghat(x) = 2h sum_n l_n i^n j_n(2 pi x h).
   Only their phi builds l and imports scipy.special.  phi is within
   1e-15 of 2h phihat(0) = 2h int g^2 (the Cauchy-Schwarz bound on
   |ghat|^2) of 40-digit arithmetic, and of phi(0) unless int g nearly
@@ -65,7 +64,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev, legendre
+from numpy.polynomial import chebyshev, legendre, polynomial
 
 from .quadrature import chebyshev_points, legendre_rule
 
@@ -73,13 +72,10 @@ from .quadrature import chebyshev_points, legendre_rule
 GENERATOR_NAMES = {"sin-of-square": "sinx2", "polynomial": "poly", "cosine-series": "cos"}
 GENERATOR_KINDS = tuple(GENERATOR_NAMES)
 
-# Basis autocorrelation tables: Gauss-Legendre nodes per overlap interval
-# of the sin(t^2) basis, the only one without a closed form or an exact
-# rule of its own (the rule resolves its smooth integrand to roundoff),
-# Chebyshev sample points on [0, 2h], and the chop level relative to each
-# entry's Cauchy-Schwarz scale sqrt(T_kk(0) T_ll(0)).  A series that is
-# not below the chop level from _MAX_PHIHAT_DEGREE on is refused.
-_AUTOCORR_NODES = 128
+# Basis autocorrelation tables: Chebyshev sample points on [0, 2h], and
+# the chop level relative to each entry's Cauchy-Schwarz scale
+# sqrt(T_kk(0) T_ll(0)).  A series that is not below the chop level from
+# _MAX_PHIHAT_DEGREE on is refused.
 _CHEB_POINTS = 128
 _MAX_PHIHAT_DEGREE = 95
 _CHOP_TOL = 1e-14
@@ -103,7 +99,7 @@ class GeneratorSpec:
 
     Kinds:
 
-    * ``sin-of-square``: g(t) = sin(t^2); no coefficients.
+    * ``sin-of-square``: g(t) = sin(t^2); no coefficients, half_support <= 1.
     * ``polynomial``: g(t) = sum_i c_i t^i.
     * ``cosine-series``: g(t) = sum_i c_i cos(i pi t / (2 half_support)).
 
@@ -125,6 +121,11 @@ class GeneratorSpec:
         if self.kind == "sin-of-square":
             if self.coefficients:
                 raise ValueError("sin-of-square takes no coefficients")
+            if self.half_support > 1.0:
+                raise ValueError(
+                    f"sin-of-square needs half_support <= 1, got {self.half_support!r}: past it "
+                    "the Taylor terms of sin(t^2) exceed 1 and cancel beyond roundoff"
+                )
         elif not self.coefficients:
             raise ValueError(f"{self.kind} generator needs coefficients")
         if self.coefficients and not all(math.isfinite(c) for c in self.coefficients):
@@ -141,16 +142,28 @@ class GeneratorSpec:
         return np.asarray(self.coefficients or (1.0,))
 
 
-def _basis_values(kind: str, dim: int, half_support: float, t) -> np.ndarray:
-    """Basis values b_k(t), shape ``t.shape + (dim,)``; zero outside the open support."""
-    t = np.asarray(t, dtype=float)
-    if kind == "sin-of-square":
-        vals = np.sin(t * t)[..., None]
-    elif kind == "polynomial":
-        vals = t[..., None] ** np.arange(dim)
-    else:  # cosine-series
-        vals = np.cos(np.multiply.outer(t, np.arange(dim)) * (math.pi / (2.0 * half_support)))
-    return np.where((np.abs(t) < half_support)[..., None], vals, 0.0)
+@lru_cache(maxsize=16)
+def _sin_square_taylor(h: float) -> np.ndarray:
+    """Power coefficients p_k in s = t/h of sin(t^2)'s Taylor polynomial on |t| < h:
+    sin(h^2 s^2) = sum_j (-1)^j (h s)^(4j + 2) / (2j + 1)!, cut after the
+    first term within 1e-17 of h^2, so the first omitted term, which bounds
+    the alternating tail, is below 1e-18 h^2 (h <= 1).  Read-only, cached."""
+    terms = [h * h]
+    while terms[-1] > 1e-17 * terms[0]:
+        j = len(terms)
+        terms.append(terms[-1] * h**4 / (2 * j * (2 * j + 1)))
+    power = np.zeros(4 * len(terms) - 1)
+    power[2::4] = terms * (-1.0) ** np.arange(len(terms))
+    power.flags.writeable = False
+    return power
+
+
+def _basis_values(kind: str, dim: int, h: float, t: np.ndarray) -> np.ndarray:
+    """Values b_k(t) of a polynomial or sin(t^2) basis inside its support,
+    shape ``t.shape + (dim,)``: the powers t^k, or sin(t^2)'s Taylor polynomial."""
+    if kind == "polynomial":
+        return t[..., None] ** np.arange(dim)
+    return polynomial.polyval(t / h, _sin_square_taylor(h))[..., None]
 
 
 def _autocorrelation_values(kind: str, dim: int, h: float, y: np.ndarray) -> np.ndarray:
@@ -159,9 +172,9 @@ def _autocorrelation_values(kind: str, dim: int, h: float, y: np.ndarray) -> np.
     Cosine bases b_k(t) = cos(k a t), a = pi / (2h), by product-to-sum on
     the overlap (y - h, h) of midpoint y/2 and half-width u = h - y/2:
     T_kl = u [cos(a(k - l)y/2) sinc(a(k + l)u/pi) + cos(a(k + l)y/2) sinc(a(k - l)u/pi)].
-    Polynomial bases by the d-node Gauss-Legendre rule on the overlap,
-    exact for the integrand's degree 2d - 2; sin(t^2), whose
-    autocorrelation needs Fresnel integrals, by the _AUTOCORR_NODES rule.
+    Polynomial bases, and sin(t^2) as its Taylor polynomial, by the
+    Gauss-Legendre rule on the overlap of as many nodes, d, as the
+    polynomial has coefficients: exact for the integrand's degree 2d - 2.
     """
     if kind == "cosine-series":
         k = np.arange(dim)
@@ -171,16 +184,11 @@ def _autocorrelation_values(kind: str, dim: int, h: float, y: np.ndarray) -> np.
         ratio = u / (2.0 * h)  # a u / pi
         return u * (np.cos(phase * minus) * np.sinc(plus * ratio)
                     + np.cos(phase * plus) * np.sinc(minus * ratio))
-    base, wts = legendre_rule(dim if kind == "polynomial" else _AUTOCORR_NODES)
+    base, wts = legendre_rule(dim if kind == "polynomial" else len(_sin_square_taylor(h)))
     width = 2.0 * h - y
     t = (y - h)[:, None] + (base + 1.0) * 0.5 * width[:, None]
-    # In this order, with t freed before the weights and left weighted in
-    # place, the 128 x 128 sin(t^2) grid holds four arrays of its size at
-    # its peak, not five: the saving offsets the cached DCT matrix.
+    left = _basis_values(kind, dim, h, t) * (wts * 0.5 * width[:, None])[..., None]
     right = _basis_values(kind, dim, h, t - y[:, None])
-    left = _basis_values(kind, dim, h, t)
-    del t
-    left *= (wts * 0.5 * width[:, None])[..., None]
     return np.swapaxes(left, 1, 2) @ right
 
 
@@ -190,13 +198,13 @@ def _basis_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One basis's ``(m, G, T)``, built once and shared read-only.
 
-    m_k = int b_k is in closed form for cosine bases (2h sinc(k/2), exactly
-    0 for even k > 0) and polynomial ones (2h^(k+1)/(k+1) for even k, 0 for
-    odd); for sin(t^2) it is the _AUTOCORR_NODES rule.  The Gram matrix
+    m_k = int b_k is in closed form: 2h sinc(k/2) for cosine bases (exactly
+    0 for even k > 0), 2h^(k+1)/(k+1) for polynomial ones (0 for odd k),
+    and 2h sum_k p_k/(k+1) over even k for sin(t^2), from its Taylor
+    polynomial in s = t/h (:func:`_sin_square_taylor`).  The Gram matrix
     G = T(0) and T(y)_kl = int b_k(t) b_l(t - y) dt at 128 Chebyshev points
     of [0, 2h] come from :func:`_autocorrelation_values` (a closed form for
-    cosine bases, the Gauss-Legendre rule of the integrand's degree for
-    polynomial ones, a 128-node rule that resolves sin(t^2) to roundoff).
+    cosine bases, else the Gauss-Legendre rule of the integrand's degree).
     The cached DCT matrix turns those samples into Chebyshev coefficients
     on [0, 2h], chopped where every entry's tail falls below roundoff, so
     T has shape (degree + 1, d, d).  A generator with weights c has
@@ -211,9 +219,9 @@ def _basis_tables(
         m[0] = 2.0 * h
     elif kind == "polynomial":
         m = np.where(k % 2, 0.0, 2.0 * h ** (k + 1) / (k + 1))
-    else:  # sin-of-square
-        nodes, weights = legendre_rule(_AUTOCORR_NODES)
-        m = np.array([h * (weights @ np.sin((h * nodes) ** 2))])
+    else:  # sin-of-square: h int_{-1}^{1} sum_k p_k s^k ds
+        p = _sin_square_taylor(h)[::2]
+        m = np.array([2.0 * h * (p / np.arange(1, 2 * len(p), 2)).sum()])
     gram = _autocorrelation_values(kind, dim, h, np.zeros(1))[0]
     x, dct = chebyshev_points(_CHEB_POINTS)
     values = _autocorrelation_values(kind, dim, h, h * (x + 1.0))
@@ -357,26 +365,17 @@ class GeneratorBackedTestFunction(TestFunction):
 
         Each part lists (order n, coefficient) pairs, zeros left out.  Built
         on the first phi of a polynomial or sin(t^2) generator from the
-        Legendre series g(hs) = sum_n l_n P_n(s): a coefficient is 2h l_n
+        Legendre series g(hs) = sum_n l_n P_n(s) of its power series in s
+        (sin(t^2)'s is :func:`_sin_square_taylor`): a coefficient is 2h l_n
         times (-1)^(n // 2), the real factor of i^n, chopped where its tail
-        falls below 1e-17 of sum |l|.  sin(t^2) is refused past h = 1.
+        falls below 1e-17 of sum |l|.
         """
         gen = self.generator
         h = gen.half_support
         if gen.kind == "polynomial":
             power = gen.weights * h ** np.arange(gen.dimension)
-        else:  # sin-of-square: sin(h^2 s^2) = sum_j (-1)^j (h s)^(4j + 2) / (2j + 1)!
-            if h > 1.0:
-                raise ValueError(
-                    f"phi of {self.spec_string} needs half-support <= 1: past it the "
-                    "Taylor terms of sin(t^2) exceed 1 and cancel beyond roundoff"
-                )
-            terms = [h * h]
-            while terms[-1] > 1e-17 * terms[0]:
-                j = len(terms)
-                terms.append(terms[-1] * h**4 / (2 * j * (2 * j + 1)))
-            power = np.zeros(4 * len(terms) - 1)
-            power[2::4] = terms * (-1.0) ** np.arange(len(terms))
+        else:
+            power = _sin_square_taylor(h)
         ell = legendre.poly2leg(power)
         last = int(np.flatnonzero(np.abs(ell) > 1e-17 * np.abs(ell).sum()).max())
         coef = 2.0 * h * ell[: last + 1] * (-1.0) ** (np.arange(last + 1) // 2)

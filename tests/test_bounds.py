@@ -50,12 +50,12 @@ def test_level1_computed_from_naive(naive_one):
 
 @pytest.mark.parametrize(
     "spec, support",
-    [("naive:v=3", "3"), ("naive:v=2.000001", "2.000001"), ("gen:sinx2:half=2", "4")],
+    [("naive:v=3", "3"), ("naive:v=2.000001", "2.000001"), ("gen:poly:1,-1:half=5/4", "2.5")],
 )
 def test_level1_refuses_a_support_above_two(monkeypatch, spec, support):
     # past support 2 the one-level density theorem gives nothing: naive:v=3
-    # and gen:sinx2:half=2 read 0.1528 and 0.2032 at rank 4, below the
-    # optimum 0.216135 over supports within 2.  Refused before any expectation
+    # reads 0.1528 at rank 4, below the optimum 0.216135 over supports
+    # within 2.  A generator too is refused before any expectation
     def refuse(*args):
         raise AssertionError("computed an expectation")
 

@@ -367,6 +367,33 @@ def test_bound_malformed_testfn(capsys):
     assert json.loads(err)["error"] == "invalid-input"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--family", "so-even", "--rank", "4", "--method", "level1",
+         "--testfn", "gen:sinx2:half=2"],
+        ["moment", "--family", "so-even", "--regime", "with_R",
+         *["--testfn", "gen:sinx2:half=3/2"] * 2],
+        ["rmt-verify", "--group", "so-even", "--N", "10", "--samples", "100",
+         "--testfn", "gen:sinx2:half=2", "--orders", "2"],
+        ["optimize", "--family", "so-even", "--rank", "100", "--support", "4",
+         "--basis", "sinx2:half=2", "--regime", "mock_gaussian"],
+    ],
+)
+def test_sin_of_square_past_half_one_is_invalid_input_at_build(capsys, monkeypatch, argv):
+    # its Taylor polynomial would cancel beyond roundoff: refused by the
+    # generator spec, before any basis table
+    def refuse(*args):
+        raise AssertionError("built a basis table")
+
+    monkeypatch.setattr(momentbounds.testfunc, "_basis_tables", refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "invalid-input"
+    assert "sin-of-square needs half_support <= 1" in error["message"]
+
+
 # ---- moment command ----
 
 

@@ -1,5 +1,6 @@
 """Exact-rational oracle for the records of naive (Fejer) test functions,
-and for sigma2 and the pair term of polynomial generators.
+and for phi(0), phihat(0), sigma2 and the pair term of polynomial and
+sin(t^2) generators.
 
 Every expected number is built in exact rational arithmetic from the
 float v that each spec parses to, with no machinery of the package:
@@ -11,22 +12,29 @@ float v that each spec parses to, with no machinery of the package:
   when delta > 0 (the convolution of the triangles' linear end pieces,
   which is Irwin-Hall's tail for equal v), and 0 otherwise;
 * a slot's margin is r - 1/v - 1/2 (phi(0) = 1, phihat(0) = 1/v), the
-  one-level expectation is 1/v + 1/2 for v <= 1 in both split families,
-  and the two-level one is a sum of polynomial integrals (:func:`_level2`).
+  one-level expectation is 1/v + 1/2 for v <= 1 in both split families
+  (:func:`_level1` past it), and the two-level one is a sum of
+  polynomial integrals (:func:`_level2`);
+* a generator's phihat is the autocorrelation of a polynomial with
+  rational coefficients: of gen:poly itself, or of sin(t^2)'s Taylor
+  polynomial at rational h, whose omitted alternating tail is bounded by
+  its first term (:func:`_generator_oracle`).
 
 The records come from the command line, run once in a child process, so
 this module imports nothing of the package except ``from_spec_string``
 (for the float v of each spec, and a generator's float coefficients and
-half-support).  The polynomial pairs' sigma2 and pair term are read in a
-child process too, from the two functions themselves
-(:func:`_poly_pair_oracle`).
+half-support).  The generators' phi(0), phihat(0), sigma2 and pair term
+are read in a child process too, from the functions themselves
+(:func:`_pair_oracle`).
 
 Budgets count units of u = 2^-53 of relative error.  An ulp of x is more
 than |x| u, so a budget of k units admits at most k ulps.  Each budget is
 the sum of the roundings on the way, named where it is set.
 """
 
+import functools
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -200,6 +208,15 @@ BOUNDS = [
 LEVEL1 = [
     "bound --family so-even --ranks 6,8,10,12 --method level1 --testfn naive:v=1",
     "bound --family so-odd --ranks 5,7,9 --method level1 --testfn naive:v=1/2",
+] + [
+    # supports past 1, where the one-level integral stops at 1
+    f"bound --family {family} --ranks {ranks} --method level1 --testfn naive:v={q}"
+    for q in ("5/4", "3/2", "7/4", "2") for family, ranks in (("so-even", "4,6"), ("so-odd", "5,7"))
+]
+# All-polynomial and mock-Gaussian, as recorded in CI: (7)!! sigma2^4 / margin^8
+POLY_BOUNDS = [
+    "bound --family so-even --rank 30 --method moment2m:4 --testfn gen:poly:1,0,-50:half=1/20 "
+    "--regime mock_gaussian",
 ]
 LEVEL2 = [
     "bound --family so-odd --ranks 5,7,9,11 --method level2 --testfn naive:v=1/2",
@@ -231,7 +248,7 @@ print(json.dumps(out))
 """
 
 
-# ---- sigma2 and the pair term of polynomial generators ----
+# ---- generators: polynomials, and sin(t^2) as its Taylor polynomial ----
 
 # Rational coefficients, unequal half-supports and unequal phihat degrees
 # (2d - 1 for d coefficients), with transform supports within 1.
@@ -241,35 +258,40 @@ POLY_PAIRS = [
     ("gen:poly:5/4,-1,1/9:half=1/2", "gen:poly:1:half=1/3"),
     ("gen:poly:1,0,0,0,0,0,-7/3:half=2/5", "gen:poly:-2,1,1/4:half=1/8"),
 ]
+# sin(t^2) with itself at two rational h, and beside a polynomial
+SINX2_PAIRS = [
+    ("gen:sinx2:half=1/8", "gen:sinx2:half=1/8"),
+    ("gen:sinx2:half=1/10", "gen:sinx2:half=1/10"),
+    ("gen:sinx2:half=1/8", "gen:poly:1,0,-50:half=1/20"),
+]
 
 
-def _poly_phihat(spec: str) -> tuple[list[Fraction], Fraction]:
-    """phihat of gen:poly on [0, 2h], exactly, and its error budget.
+def _sinx2_taylor(h: Fraction) -> tuple[list[Fraction], Fraction, int]:
+    """sin(t^2) on |t| < h as its Taylor polynomial in t, exactly.
 
-    phihat(y) = int_(y-h)^h g(t) g(t - y) dt with g(t) = sum_i c_i t^i:
-    one polynomial piece of degree 2d - 1, from the binomial expansions of
-    (t - y)^j and (y - h)^(p+1).
-
-    The package's phihat is c^T T c with T a table of Chebyshev
-    coefficients.  For a polynomial basis the entries have degree at most
-    2d - 1, so no series is truncated: past that degree the chop at 1e-14
-    of an entry's Cauchy-Schwarz scale sqrt(G_kk G_ll) drops rounding
-    noise, and a true coefficient below it, if any, is dropped with an
-    error under 1e-14 of that scale.  A kept coefficient is a DCT of 128
-    samples, each a d-node Gauss-Legendre sum: at most 2 (d + 128) units
-    of the scale.  Each of the at most 2d coefficients is read at |T_j| <= 1,
-    and sum |c_k c_l| sqrt(G_kk G_ll) <= d sum c_k^2 G_kk (Cauchy-Schwarz),
-    so |phihat - exact| <= 2d (1e-14 + 2 (d + 128) u) d sum c_k^2 G_kk
-    on the whole support, with G_kk = 2 h^(2k+1) / (2k + 1).  The chop
-    level sets the floor.
+    Returns the power coefficients, sum_j (-1)^j t^(4j+2) / (2j+1)! cut
+    before the first term within 1e-17 of h^2 at t = h, that first omitted
+    term tau, and the number of terms kept.  The terms fall (h <= 1), so
+    |sin(t^2) - p(t)| <= tau on the support (an alternating tail).  The
+    package's polynomial keeps tau's term as its last, so it too is within
+    tau of this one.
     """
-    gen = from_spec_string(spec).generator
-    c = [Fraction(x) for x in gen.coefficients]
-    h = Fraction(gen.half_support)
-    d = len(c)
-    phihat = [Fraction(0)] * (2 * d)
-    for i, ci in enumerate(c):
-        for j, cj in enumerate(c):
+    coef: list[Fraction] = []
+    j = 0
+    while (tau := h ** (4 * j + 2) / factorial(2 * j + 1)) > Fraction(1, 10**17) * h * h:
+        coef += [Fraction(0), Fraction(0), Fraction((-1) ** j, factorial(2 * j + 1)), Fraction(0)]
+        j += 1
+    return coef, tau, j
+
+
+def _autocorrelation(c: list[Fraction], h: Fraction) -> list[Fraction]:
+    """phihat(y) = int_(y-h)^h g(t) g(t - y) dt on [0, 2h] for g(t) = sum_i c_i t^i:
+    one polynomial piece of degree 2d - 1, from the binomial expansions of
+    (t - y)^j and (y - h)^(p+1)."""
+    phihat = [Fraction(0)] * (2 * len(c))
+    nonzero = [(i, ci) for i, ci in enumerate(c) if ci]
+    for i, ci in nonzero:
+        for j, cj in nonzero:
             for m in range(j + 1):
                 # c_i c_j C(j, m) (-y)^(j-m) (h^(p+1) - (y - h)^(p+1)) / (p + 1), p = i + m
                 p = i + m
@@ -277,25 +299,83 @@ def _poly_phihat(spec: str) -> tuple[list[Fraction], Fraction]:
                 phihat[j - m] += a * h ** (p + 1)
                 for r in range(p + 2):
                     phihat[j - m + r] -= a * comb(p + 1, r) * (-h) ** (p + 1 - r)
-    gram = sum(ck * ck * 2 * h ** (2 * k + 1) / (2 * k + 1) for k, ck in enumerate(c))
-    error = 2 * d * (Fraction(1, 10**14) + 2 * (d + 128) * U) * d * gram
-    return phihat, error
+    return phihat
 
 
-def _poly_pair_oracle(spec_a: str, spec_b: str) -> list[tuple[Fraction, Fraction]]:
-    """(exact, allowed error) of sigma2 and of the pair term of two gen:poly.
+@functools.cache
+def _generator_oracle(spec: str) -> tuple[list[Fraction], Fraction, Fraction, Fraction, Fraction]:
+    """phihat of gen:poly or gen:sinx2 on [0, 2h], exactly, its error
+    budget e on the whole support and its budget at 0, and phi(0) =
+    (int g)^2, exactly, and its budget.
+
+    The package's phihat is c^T T c with T a table of Chebyshev
+    coefficients.  A polynomial basis has d weights c and d power
+    coefficients; sin(t^2) is one weight on its Taylor polynomial of
+    D = 4 (J + 1) - 1 power coefficients (:func:`_sinx2_taylor`).  The
+    entries of T have degree at most 2D - 1, so no series is truncated:
+    past that degree the chop at 1e-14 of an entry's Cauchy-Schwarz scale
+    sqrt(G_kk G_ll) drops rounding noise, and a true coefficient below it,
+    if any, is dropped with an error under 1e-14 of that scale.  A kept
+    coefficient is a DCT of 128 samples, each a D-node Gauss-Legendre sum
+    of products of two basis values of at most D roundings each: at most
+    2 (2D + 128) units of the scale.  Each of the at most 2D coefficients
+    is read at |T_j| <= 1, and sum |c_k c_l| sqrt(G_kk G_ll) <= d sum
+    c_k^2 G_kk (Cauchy-Schwarz), so the chop and this rounding give
+    |phihat - exact| <= 2D (1e-14 + 2 (2D + 128) u) S, S = d sum c_k^2 G_kk
+    with G_kk = 2 h^(2k+1) / (2k + 1) for polynomials and S = int p^2 =
+    phihat(0) for sin(t^2).  The chop level sets the floor.  phihat(0) is
+    c^T G c with G = T(0) its own D-node sum, neither chopped nor
+    interpolated: 2 (2D + 2) units of S.
+
+    sin(t^2) adds two parts.  Its Taylor coefficients round by at most 3
+    units a term (h^4, a product and a quotient), 3 (J + 1) on the last,
+    in each of the two factors of T: 6 (J + 1) units of S.  And the
+    package's polynomial is within tau of this one, which moves phihat by
+    at most int (tau |p(t - y)| + |p(t)| tau) dt <= 4 h^3 tau, as |p| <= h^2
+    on the support, and int g by at most 2 h tau.
+
+    int g = sum_k c_k 2 h^(k+1) / (k+1) over even k is a closed form in the
+    package: each term rounds in the power, the quotient and the product,
+    and the sum adds a unit per term, D + 3 units of sum |term| (plus the
+    Taylor coefficients' 3 (J + 1)).  Squaring adds one unit of phi(0).
+    """
+    gen = from_spec_string(spec).generator
+    h = Fraction(gen.half_support)
+    if gen.kind == "polynomial":
+        c = [Fraction(x) for x in gen.coefficients]
+        size, coef_units, tau = len(c), 0, Fraction(0)
+    else:
+        c, tau, terms = _sinx2_taylor(h)
+        size, coef_units = len(c) + 3, 3 * (terms + 1)  # D = 4 (J + 1) - 1
+    phihat = _autocorrelation(c, h)
+    if gen.kind == "polynomial":
+        scale = len(c) * sum(ck * ck * 2 * h ** (2 * k + 1) / (2 * k + 1) for k, ck in enumerate(c))
+    else:
+        scale = phihat[0]
+    taylor = 2 * coef_units * U * scale + 4 * h**3 * tau
+    error = 2 * size * (Fraction(1, 10**14) + 2 * (2 * size + 128) * U) * scale + taylor
+    error_at_zero = 2 * (2 * size + 2) * U * scale + taylor
+    int_terms = [ck * 2 * h ** (k + 1) / (k + 1) for k, ck in enumerate(c) if k % 2 == 0]
+    int_g = sum(int_terms)
+    int_error = (size + 3 + coef_units) * U * sum(abs(x) for x in int_terms) + 2 * h * tau
+    phi0_error = 2 * abs(int_g) * int_error + int_error**2 + U * int_g**2
+    return phihat, error, error_at_zero, int_g**2, phi0_error
+
+
+def _pair_oracle(spec_a: str, spec_b: str) -> list[tuple[Fraction, Fraction]]:
+    """(exact, allowed error) of sigma2 and of the pair term of two generators.
 
     sigma2 = 4 int_0^u y phihat_a phihat_b and T = 2 int_0^u (1 - y) phihat_a
     phihat_b, u = min(2 h_a, 2 h_b) <= 1, integrated exactly.  |phihat| <=
     phihat(0) (an autocorrelation), so S = int_0^u w(y) phihat_a(0) phihat_b(0),
     with w = 4y or 2 (1 - y), bounds each in size.  Each phihat's error
-    budget e (:func:`_poly_phihat`) enters as int_0^u w (e_a phihat_b(0)
+    budget e (:func:`_generator_oracle`) enters as int_0^u w (e_a phihat_b(0)
     + phihat_a(0) e_b).  The value-space Gauss-Legendre sum on sigma2's rule
     (basis values, two matrix-vector products of at most 14 terms, weights
-    and a dot product of at most 10) rounds by at most 8 units of the
+    and a dot product of at most 13) rounds by at most 8 units of the
     value in these pairs, and |value| <= S: 16 units of S leave room.
     """
-    (pa, ea), (pb, eb) = _poly_phihat(spec_a), _poly_phihat(spec_b)
+    (pa, ea, *_), (pb, eb, *_) = _generator_oracle(spec_a), _generator_oracle(spec_b)
     u = min(2 * Fraction(from_spec_string(s).generator.half_support) for s in (spec_a, spec_b))
     assert u <= 1
     product = _times(pa, pb)
@@ -314,38 +394,54 @@ from momentbounds.testfunc import from_spec_string, pair_term, sigma2
 out = []
 for spec_a, spec_b in json.loads(sys.stdin.read()):
     a, b = from_spec_string(spec_a), from_spec_string(spec_b)
-    out.append([sigma2(a, b), pair_term(a, b), sigma2(b, a), pair_term(b, a)])
+    out.append([[a.phi0, a.phihat0, b.phi0, b.phihat0],
+                [sigma2(a, b), pair_term(a, b), sigma2(b, a), pair_term(b, a)]])
 print(json.dumps(out))
 """
 
 
 @pytest.fixture(scope="module")
-def poly_pairs():
+def generator_pairs():
+    pairs = POLY_PAIRS + SINX2_PAIRS
     done = subprocess.run(
-        [sys.executable, "-c", _PAIRS_RUN, SRC], input=json.dumps(POLY_PAIRS),
+        [sys.executable, "-c", _PAIRS_RUN, SRC], input=json.dumps(pairs),
         capture_output=True, text=True, check=True,
     )
-    return dict(zip(POLY_PAIRS, json.loads(done.stdout)))
+    return dict(zip(pairs, json.loads(done.stdout)))
 
 
 def test_poly_phihat_oracle_is_the_autocorrelation_at_zero():
     # phihat(0) = int g^2 and phihat(2h) = 0, exactly
-    phihat, _ = _poly_phihat("gen:poly:1,1/3:half=1/4")
+    phihat, *_ = _generator_oracle("gen:poly:1,1/3:half=1/4")
     h, c1 = Fraction(1, 4), Fraction(1 / 3)
     assert phihat[0] == 2 * h + 2 * c1 * c1 * h**3 / 3
     assert sum(a * (2 * h) ** k for k, a in enumerate(phihat)) == 0
 
 
-@pytest.mark.parametrize("pair", POLY_PAIRS)
-def test_poly_sigma2_and_pair_term_are_exact(poly_pairs, pair):
-    # both orders of the pair: sigma2 (a, b), T (a, b), sigma2 (b, a), T (b, a)
-    for value, (exact, allowed) in zip(poly_pairs[pair], _poly_pair_oracle(*pair) * 2):
-        assert abs(Fraction(value) - exact) <= allowed, (pair, value, float(exact), float(allowed))
+def test_sinx2_taylor_oracle_brackets_sin():
+    # the cut polynomial and the next partial sum bracket sin(t^2) at t = h,
+    # tau apart; at h = 1/8 four terms are kept
+    h = Fraction(1, 8)
+    coef, tau, terms = _sinx2_taylor(h)
+    assert terms == 4 and tau == h**18 / factorial(9)
+    value = sum(c * h**k for k, c in enumerate(coef))
+    assert abs(float(value) - math.sin(1 / 64)) <= 2 * float(U) * float(value)
+
+
+@pytest.mark.parametrize("pair", POLY_PAIRS + SINX2_PAIRS)
+def test_generator_sigma2_and_pair_term_are_exact(generator_pairs, pair):
+    # phi(0) and phihat(0) of each function, then both orders of the pair:
+    # sigma2 (a, b), T (a, b), sigma2 (b, a), T (b, a)
+    at_zero, pair_values = generator_pairs[pair]
+    (pa, _, ea, phi0_a, fa), (pb, _, eb, phi0_b, fb) = (_generator_oracle(s) for s in pair)
+    exact = [(phi0_a, fa), (pa[0], ea), (phi0_b, fb), (pb[0], eb)] + _pair_oracle(*pair) * 2
+    for value, (want, allowed) in zip(at_zero + pair_values, exact):
+        assert abs(Fraction(value) - want) <= allowed, (pair, value, float(want), float(allowed))
 
 
 @pytest.fixture(scope="module")
 def records():
-    commands = BOUNDS + LEVEL1 + LEVEL2 + MOMENTS + TABLES
+    commands = BOUNDS + LEVEL1 + LEVEL2 + MOMENTS + TABLES + POLY_BOUNDS
     done = subprocess.run(
         [sys.executable, "-c", _RUN, SRC], input=json.dumps(commands),
         capture_output=True, text=True, check=True,
@@ -388,13 +484,54 @@ def test_naive_moment_bounds_are_exact(records, command):
         _check_moment_bound(rec, vs, family, "with_R" in command)
 
 
+def _level1(v: Fraction, sign: int) -> tuple[Fraction, Fraction]:
+    """E_1 of a triangle and its budget.
+
+    E_1 = 1/v + eps int_0^min(1, v) phihat, plus phi(0) = 1 for SO(odd)
+    (the point mass), with int_0^min(1, v) phihat = 1/2 for v <= 1 and
+    (1/v)(1 - 1/(2v)) past it.  The package reads that integral as
+    phi(0)/2 + R_1, R_1 of one triangle a one-node sum within a few units
+    of its size; 1/v and each sum round once.  So 8 units of each term's
+    size, which the cancellation between them divides by E_1; then one
+    more for the quotient by the rank.
+    """
+    half = Fraction(1, 2) if v <= 1 else (1 / v) * (1 - 1 / (2 * v))
+    terms = [1 / v, sign * half] + ([Fraction(1)] if sign < 0 else [])
+    value = sum(terms)
+    return value, 8 * sum(abs(x) for x in terms) / abs(value) + 1
+
+
 @pytest.mark.parametrize("command", LEVEL1)
 def test_naive_level1_bounds_are_exact(records, command):
-    # E_1 = 1/v + 1/2: 1/v rounds once, the half-integral of the triangle
-    # (a Chebyshev antiderivative) within a few units, the sum once; / r once
     (v,) = [_v(spec) for spec in _slots(command)]
+    value, budget = _level1(v, SIGN[command.split()[2]])
+    assert records[command]
     for rec in records[command]:
-        assert _within(rec["upper_bound"], (1 / v + Fraction(1, 2)) / rec["rank"], 8), rec
+        assert _within(rec["upper_bound"], value / rec["rank"], budget), (rec, float(value))
+
+
+@pytest.mark.parametrize("command", POLY_BOUNDS)
+def test_poly_mock_gaussian_bound_is_exact(records, command):
+    # one slot used 2m = 8 times: the moment is (2m - 1)!! sigma2^m, and the
+    # denominator the margin r phi(0) - phihat(0) - phi(0)/2 to the power 2m
+    (spec,) = set(_slots(command))
+    m = len(_slots(command))
+    phihat, _, e_phihat, phi0, e_phi0 = _generator_oracle(spec)
+    sigma, e_sigma = _pair_oracle(spec, spec)[0]
+    (rec,) = records[command]
+    r = rec["rank"]
+    moment = prod(range(1, 2 * m, 2)) * sigma**m
+    # m sigma2 factors, then a product and a sum per level of the recursion
+    moment_budget = m * e_sigma / (U * sigma) + 2 * m
+    margin = r * phi0 - phihat[0] - phi0 / 2
+    # r phi(0), the sum and the difference round once each, on the terms' scale
+    terms = r * phi0 + phihat[0] + phi0 / 2
+    margin_budget = (Fraction(r + 1) * e_phi0 + e_phihat + 3 * U * terms) / (U * margin)
+    den_budget = m * (2 * margin_budget + 2)  # each factor squared and multiplied in
+    assert _within(rec["moment_value"], moment, moment_budget), (rec, float(moment))
+    assert _within(rec["denominator"], margin ** (2 * m), den_budget), (rec, float(margin))
+    bound_budget = moment_budget + den_budget + 1
+    assert _within(rec["upper_bound"], moment / margin ** (2 * m), bound_budget), rec
 
 
 def test_level2_of_the_unit_triangle_is_five_twelfths():

@@ -14,7 +14,6 @@ from momentbounds import (
     make_naive,
     r_term,
 )
-from momentbounds.kernels import _phihat_integral
 from momentbounds.testfunc import pair_term, sigma2
 
 G = SymmetryGroup
@@ -25,8 +24,8 @@ G = SymmetryGroup
 
 def test_expectation_1level_naive_one(naive_one):
     # transform support inside (-1, 1): both split families give
-    # (phihat(0) + phi(0)/2) / phi(0), exactly: the half transform is read
-    # from the antiderivative of the piece
+    # (phihat(0) + phi(0)/2) / phi(0), exactly: the half transform is
+    # phi(0)/2 and R_1 is 0
     assert expectation_1level(naive_one, G.SO_EVEN) == 1.5
     assert expectation_1level(naive_one, G.SO_ODD) == 1.5
     assert type(expectation_1level(naive_one, G.SO_EVEN)) is float
@@ -48,11 +47,18 @@ def test_expectation_1level_wide_support():
     assert expectation_1level(tf, G.SO_ODD) == 9.0 / 8.0
 
 
+def _half_transform(tf) -> float:
+    """int_0^s phihat by the Gauss-Legendre rule of phihat's degree, exact."""
+    x, w = np.polynomial.legendre.leggauss(tf.phihat_degree // 2 + 1)
+    half = 0.5 * tf.support_bound
+    return float(w @ tf.phihat(half * (x + 1.0))) * half
+
+
 @pytest.mark.parametrize("v", [1.0 / 3.0, 1.0])
 def test_whole_half_transform_is_half_phi0_naive(v):
     # int_0^s phihat = phi(0)/2 for the Fejer pair, exactly
     tf = make_naive(v)
-    assert 2.0 * _phihat_integral(tf, tf.support_bound) == tf.phi0
+    assert 2.0 * _half_transform(tf) == tf.phi0
 
 
 @pytest.mark.parametrize(
@@ -60,9 +66,55 @@ def test_whole_half_transform_is_half_phi0_naive(v):
 )
 def test_whole_half_transform_is_half_phi0_generator(spec):
     # phi(0) = (c.m)^2 comes from the basis integrals m, phihat from the
-    # autocorrelation table: two routes to the same number
+    # autocorrelation table: two routes to the same number, which the
+    # one-level integral phi(0)/2 + R_1 relies on
     tf = from_spec_string(spec)
-    assert 2.0 * _phihat_integral(tf, tf.support_bound) == pytest.approx(tf.phi0, rel=1e-14, abs=0)
+    assert 2.0 * _half_transform(tf) == pytest.approx(tf.phi0, rel=1e-14, abs=0)
+
+
+def _antiderivative(mp, gen: GeneratorSpec):
+    """An antiderivative P of the generator g, in mpmath: Fresnel's S for
+    sin(t^2), sines for a cosine series, powers for a polynomial."""
+    h = mp.mpf(gen.half_support)
+    c = [mp.mpf(x) for x in gen.coefficients]
+    if gen.kind == "sin-of-square":
+        return lambda t: mp.sqrt(mp.pi / 2) * mp.fresnels(t * mp.sqrt(2 / mp.pi))
+    if gen.kind == "cosine-series":
+        a = mp.pi / (2 * h)
+        return lambda t: c[0] * t + sum(ck * mp.sin(k * a * t) / (k * a) for k, ck in enumerate(c) if k)
+    return lambda t: sum(ck * t ** (k + 1) / (k + 1) for k, ck in enumerate(c))
+
+
+def _generator(mp, gen: GeneratorSpec):
+    h = mp.mpf(gen.half_support)
+    c = [mp.mpf(x) for x in gen.coefficients]
+    if gen.kind == "sin-of-square":
+        return lambda t: mp.sin(t * t)
+    if gen.kind == "cosine-series":
+        return lambda t: sum(ck * mp.cos(k * mp.pi * t / (2 * h)) for k, ck in enumerate(c))
+    return lambda t: sum(ck * t**k for k, ck in enumerate(c))
+
+
+@pytest.mark.parametrize("spec", [
+    "gen:sinx2:half=1", "gen:sinx2:half=3/4", "gen:poly:1,-1:half=0.7",
+    "gen:poly:1,0,-2:half=1", "gen:cos:1,0.3:half=0.9", "gen:cos:1:half=0.6",
+])
+def test_expectation_1level_past_support_one_matches_mpmath(spec):
+    # supports 2h in (1, 2]: int_0^1 phihat = int g(t) [P(t) - P(max(-h, t - 1))] dt,
+    # P an antiderivative of g, against phi(0)/2 + R_1 in the package
+    mpmath = pytest.importorskip("mpmath")
+    tf = from_spec_string(spec)
+    assert 1.0 < tf.support_bound <= 2.0
+    with mpmath.workdps(30):
+        g, big_p = _generator(mpmath, tf.generator), _antiderivative(mpmath, tf.generator)
+        h = mpmath.mpf(tf.generator.half_support)
+        phi0 = (big_p(h) - big_p(-h)) ** 2
+        phihat0 = mpmath.quad(lambda t: g(t) ** 2, [-h, 0, h])
+        head = mpmath.quad(lambda t: g(t) * (big_p(t) - big_p(-h)), [-h, 1 - h])
+        tail = mpmath.quad(lambda t: g(t) * (big_p(t) - big_p(t - 1)), [1 - h, h])
+        for group, eps in ((G.SO_EVEN, 1), (G.SO_ODD, -1)):
+            exact = (phihat0 + eps * (head + tail) + (phi0 if eps < 0 else 0)) / phi0
+            assert abs(expectation_1level(tf, group) / exact - 1) <= 4e-15, group
 
 
 def test_expectations_refuse_u(naive_one):
@@ -90,7 +142,7 @@ def test_expectation_2level_refuses_a_support_above_one(specs, monkeypatch):
     def refuse(*args):
         raise AssertionError("integrated past support 1")
 
-    for name in ("r_term", "pair_term", "_phihat_integral"):
+    for name in ("r_term", "pair_term"):
         monkeypatch.setattr(f"momentbounds.kernels.{name}", refuse)
     a, b = (from_spec_string(spec) for spec in specs)
     for group in (G.SO_EVEN, G.SO_ODD):

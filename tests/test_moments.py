@@ -550,9 +550,18 @@ def test_r_term_transforms_a_repeated_function_once(monkeypatch):
     assert repeated == separate
 
 
-def test_r_term_needs_two(naive_third):
-    with pytest.raises(ValueError):
-        r_term([naive_third])
+def test_r_term_needs_one(naive_third):
+    # one function is the one-level tail R_1 = -int_1^s phihat, 0 within support 1
+    assert r_term([naive_third]) == 0.0
+    with pytest.raises(ValueError, match="at least one"):
+        r_term([])
+
+
+def test_r_term_of_one_triangle_is_its_tail():
+    # R_1 = -int_1^(3/2) (2/3)(1 - 2y/3) dy = -1/18: delta = 1/2 is exact, and
+    # one Chebyshev division, a one-node sum and the products round a few times
+    r = r_term([make_naive(1.5)])
+    assert abs(Fraction(r) + Fraction(1, 18)) <= 8 * Fraction(1, 2**53) / 18
 
 
 # ---- centered moments ----

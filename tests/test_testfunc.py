@@ -36,7 +36,6 @@ from momentbounds.testfunc import (
     NaiveTestFunction,
     _autocorrelation_values,
     _basis_tables,
-    _basis_values,
     _sigma2_rule,
     parse_rational,
 )
@@ -163,14 +162,14 @@ def test_generator_scales_inside_the_double_range_build():
 
 
 # (int g)^2 and int g^2 in 40-digit arithmetic; cos and poly are closed
-# forms to rounding, sin(t^2) rests on the 128-node rule
+# forms to rounding, sin(t^2) its Taylor polynomial's closed-form integral
+# and exact Gauss-Legendre Gram entry
 @pytest.mark.parametrize("spec, g, tol", [
     ("gen:cos:1,0.3,-0.2:half=1/20",
      lambda mp, t: 1 + mp.mpf(0.3) * mp.cos(10 * mp.pi * t) - mp.mpf(0.2) * mp.cos(20 * mp.pi * t),
      1e-15),
     ("gen:poly:1,0,-50:half=1/20", lambda mp, t: 1 - 50 * t**2, 1e-15),
-    ("gen:sinx2:half=1/8", lambda mp, t: mp.sin(t * t), 5e-15),
-])
+] + [(f"gen:sinx2:half={h}", lambda mp, t: mp.sin(t * t), 2e-15) for h in ("1/10", "1/8", "1/2", "1")])
 def test_generator_values_at_origin_match_mpmath(spec, g, tol):
     mpmath = pytest.importorskip("mpmath")
     g = functools.partial(g, mpmath)
@@ -308,6 +307,9 @@ def test_generator_spec_validation():
         GeneratorSpec("polynomial", (1.0,), 0.0)
     with pytest.raises(ValueError):
         GeneratorSpec("sin-of-square", (1.0,), 0.5)
+    with pytest.raises(ValueError, match="half_support <= 1"):
+        GeneratorSpec("sin-of-square", (), 1.0 + 2.0**-52)
+    assert GeneratorSpec("sin-of-square", (), 1.0).half_support == 1.0
     with pytest.raises(ValueError):
         GeneratorSpec("polynomial", (), 0.5)
 
@@ -384,8 +386,12 @@ def test_basis_without_chebyshev_representation_is_refused():
     # 40 cosine terms need a degree far beyond the cap: refuse, never approximate
     with pytest.raises(ValueError, match="no Chebyshev representation"):
         make_from_generator(GeneratorSpec("cosine-series", (1.0,) + (0.0,) * 38 + (1.0,), 0.125))
-    with pytest.raises(ValueError, match="no Chebyshev representation"):
+    # sin(t^2) past h = 1, whose Taylor polynomial would cancel beyond
+    # roundoff, is refused before any table is built
+    before = _basis_tables.cache_info().misses
+    with pytest.raises(ValueError, match="sin-of-square needs half_support <= 1, got 8.0"):
         from_spec_string("gen:sinx2:half=8")
+    assert _basis_tables.cache_info().misses == before
 
 
 def test_basis_autocorrelation_is_built_once_per_basis(rng):
@@ -405,6 +411,15 @@ def test_basis_autocorrelation_is_built_once_per_basis(rng):
         table[0, 0, 0] = 1.0
 
 
+def _reference_basis(kind: str, dim: int, half: float, t: np.ndarray) -> np.ndarray:
+    """b_k(t) straight from each basis's definition, shape t.shape + (dim,)."""
+    if kind == "sin-of-square":
+        return np.sin(t * t)[..., None]
+    if kind == "polynomial":
+        return t[..., None] ** np.arange(dim)
+    return np.cos(np.multiply.outer(t, np.arange(dim)) * (math.pi / (2.0 * half)))
+
+
 def _reference_autocorrelation(kind: str, dim: int, half: float) -> np.ndarray:
     """The basis table from a 128-node Gauss-Legendre sum at each of the
     128 Chebyshev points, chopped and capped like the package's tables."""
@@ -413,8 +428,8 @@ def _reference_autocorrelation(kind: str, dim: int, half: float) -> np.ndarray:
     base, wts = legendre_rule(128)
     width = 2.0 * half - y
     t = (y - half)[:, None] + (base + 1.0) * 0.5 * width[:, None]
-    left = (wts * 0.5 * width[:, None])[..., None] * _basis_values(kind, dim, half, t)
-    right = _basis_values(kind, dim, half, t - y[:, None])
+    left = (wts * 0.5 * width[:, None])[..., None] * _reference_basis(kind, dim, half, t)
+    right = _reference_basis(kind, dim, half, t - y[:, None])
     values = np.swapaxes(left, 1, 2) @ right
     coef = np.cos(np.outer(np.arange(128), theta)) @ values.reshape(128, -1)
     coef *= 2.0 / 128
@@ -432,10 +447,12 @@ REFERENCE_HALVES = (1.0 / 20.0, 1.0 / 9.0, 1.0 / 8.0, 1.0)
 
 @pytest.mark.parametrize(
     "kind, dim",
-    [("cosine-series", d) for d in range(1, 9)] + [("polynomial", d) for d in range(1, 6)],
+    [("cosine-series", d) for d in range(1, 9)] + [("polynomial", d) for d in range(1, 6)]
+    + [("sin-of-square", 1)],
 )
 def test_basis_autocorrelation_matches_reference(kind, dim):
-    # closed forms and d-node rules against the 128 x 128 quadrature grid:
+    # closed forms and exact rules (sin(t^2) as its Taylor polynomial)
+    # against the 128 x 128 quadrature grid of each basis's definition:
     # the same chopped degree, every coefficient within 2e-15 of its
     # entry's Cauchy-Schwarz scale sqrt(T_kk(0) T_ll(0))
     for half in REFERENCE_HALVES:
@@ -444,13 +461,6 @@ def test_basis_autocorrelation_matches_reference(kind, dim):
         assert got.shape == ref.shape
         norms = np.sqrt(np.diagonal(chebyshev.chebval(-1.0, ref)))
         assert np.all(np.abs(got - ref) <= 2e-15 * np.outer(norms, norms))
-
-
-def test_sin_of_square_autocorrelation_is_the_reference():
-    for half in REFERENCE_HALVES:
-        got = _basis_tables.__wrapped__("sin-of-square", 1, half)[2]
-        ref = _reference_autocorrelation("sin-of-square", 1, half)
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 CHOP_HALVES = (1 / 20, 1 / 10, 1 / 9, 1 / 8, 0.15, 1 / 6, 1 / 3, 0.4, 1 / 2, 1.0)
@@ -477,7 +487,8 @@ def test_chop_scale_from_the_alternating_sum_is_the_chebval_one(kind, dim):
 
 
 def test_basis_autocorrelation_asks_only_for_exact_rules(monkeypatch):
-    # a cosine table is a closed form, a polynomial one the d-node rule
+    # a cosine table is a closed form, a polynomial one the d-node rule, and
+    # sin(t^2) the rule of its Taylor polynomial's D coefficients (19 at h = 1/8)
     sizes = []
 
     def recording(n):
@@ -491,6 +502,8 @@ def test_basis_autocorrelation_asks_only_for_exact_rules(monkeypatch):
         _basis_tables.__wrapped__("polynomial", dim, 0.05)
         assert set(sizes) == {dim}
         sizes.clear()
+    _basis_tables.__wrapped__("sin-of-square", 1, 0.125)
+    assert set(sizes) == {19}
 
 
 def test_phihat_grid_independent_of_amplitude():
@@ -557,9 +570,9 @@ def test_phi_refuses_only_nonfinite_points():
     for x in (math.nan, np.array([1.0, math.nan]), math.inf, -math.inf):
         with pytest.raises(ValueError, match="needs finite x"):
             tf.phi(x)
-    # past h = 1 the Taylor terms of sin(t^2) cancel beyond roundoff
-    with pytest.raises(ValueError, match="half-support <= 1"):
-        from_spec_string("gen:sinx2:half=2").phi(1.0)
+    # sin(t^2) past h = 1 is refused at build, so phi has no check of its own
+    with pytest.raises(ValueError, match="half_support <= 1"):
+        from_spec_string("gen:sinx2:half=2")
     assert float(from_spec_string("gen:sinx2:half=1").phi(1.0)) > 0.0
 
 
