@@ -18,16 +18,16 @@ names no option of any subcommand, a value its option's type cannot
 convert and a value outside its option's choices are ``invalid-input``
 errors.
 
-Each distinct ``--testfn`` spec of a ``bound`` or ``moment`` command is
-parsed once, and every slot that repeats it holds that one test
-function; test functions with equal specs are equal in any case, so
-repeated slots are one function to the moment layer.
-
 In-process callers of ``main`` share one parser (and one ``--config``
 pre-scan parser), built on the first call and never mutated; a
 ``--config`` run applies the file's defaults to a parser built for that
 run alone, so they never reach a later call.  ``build_parser`` builds a
-fresh parser each time it is called.
+fresh parser each time it is called.  They also share the exact
+quantities, each computed once per process and kept: one test function
+per ``--testfn`` spec string (every slot that repeats a spec holds that
+one function), sigma2 and the pair term per spec pair, and R per slot
+set.  Each is a function of spec strings alone, so no record depends on
+what ran before it.
 """
 
 from __future__ import annotations
@@ -153,10 +153,8 @@ def _slot_count(method: str) -> int:
 
 
 def _test_functions(specs: list[str] | None) -> list[TestFunction]:
-    """One test function per ``--testfn`` slot, each distinct spec parsed once."""
-    specs = specs or []
-    parsed = {spec: from_spec_string(spec) for spec in dict.fromkeys(specs)}
-    return [parsed[spec] for spec in specs]
+    """One test function per ``--testfn`` slot."""
+    return [from_spec_string(spec) for spec in specs or []]
 
 
 def _cmd_bound(args) -> int:

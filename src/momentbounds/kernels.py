@@ -19,7 +19,8 @@ two-level point masses are reduced analytically to one-dimensional
 integrals.  For two-level supports, within 1, the pair term is an exact
 sum on sigma2's rule (:func:`.testfunc.pair_term`), and the rhombus
 {|a| + |b| < 1} is the plane less four disjoint corners, each
-``int_1^S phihat_1 * phihat_2 = R_2 / 2``.
+``int_1^S phihat_1 * phihat_2 = R_2 / 2``.  R_1, R_2 and the pair term
+are each computed once per process for their specs and kept.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -169,11 +170,22 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
     error below 1e-300 of the matching sum (about 4e51).  Raises
     :class:`SupportRegimeError` when ``delta`` exceeds a support, where
     the end pieces do not cover the tail.
+
+    A test function is its spec, so R is computed once per process for
+    each spec-ordered slot tuple and kept (:func:`_r_term`); a refusal is
+    not kept.
     """
-    n = len(tfs)
-    if n < 1:
+    if not tfs:
         raise ValueError("r_term needs at least one test function")
-    tfs = spec_order(tfs)
+    return _r_term(tuple(spec_order(tfs)))
+
+
+# Tables, level bounds and Monte Carlo predictions read the same few slot
+# sets again and again, far fewer than this per process.
+@lru_cache(maxsize=256)
+def _r_term(tfs: tuple[TestFunction, ...]) -> float:
+    """:func:`r_term` of a spec-ordered slot tuple, computed once per process."""
+    n = len(tfs)
     supports = [tf.support_bound for tf in tfs]
     total = math.fsum(supports)
     if support_within(total, 1.0):

@@ -46,13 +46,14 @@ The scalar functionals live at module level: :func:`sigma2` (the
 pairwise variance ``2 int |y| phihat_a phihat_b dy``), :func:`pair_term`
 (the two-level ``int (1 - |t|)_+ phihat_a phihat_b dt``) and
 :func:`min_rank` (the smallest vanishing order the moment inequality
-can see for a given function).  sigma2 is an exact Gauss-Legendre sum
-whose nodes, weights and Chebyshev basis values depend only on the two
-supports and phihat degrees, so they too are cached, once per such
-pair, with a second set of weights for the pair term; a call multiplies
-them by the two functions' coefficients.  The basis values are
+can see for a given function).  sigma2 and the pair term are exact
+Gauss-Legendre sums on one rule whose nodes, weights and Chebyshev
+basis values depend only on the two supports and phihat degrees, so the
+rule is cached once per such pair; the basis values are
 ``T_k(x) = cos(k arccos x)`` at the mapped nodes, one cosine product per
-matrix.
+matrix.  A test function is its spec, so each value is computed once
+per spec-ordered pair of functions and kept for the process, and
+:func:`from_spec_string` builds each spec string once.
 """
 
 from __future__ import annotations
@@ -415,6 +416,7 @@ def make_from_generator(g: GeneratorSpec) -> GeneratorBackedTestFunction:
     return GeneratorBackedTestFunction(g)
 
 
+@lru_cache(maxsize=256)
 def from_spec_string(spec: str) -> TestFunction:
     """Build a test function from its CLI spec string.
 
@@ -425,36 +427,39 @@ def from_spec_string(spec: str) -> TestFunction:
         gen:cos:<c0,c1,...>:half=<rational>
         gen:poly:<c0,c1,...>:half=<rational>
 
-    Rationals may be written ``p/q`` or as decimals.
+    Rationals may be written ``p/q`` or as decimals.  Text the grammar
+    does not match is a ValueError that cannot parse it and names the
+    grammar; a well-formed spec whose constructor refuses it is a
+    ValueError that names the spec and the constructor's reason.  Each
+    spec string is built once per process and its one test function
+    shared by every caller; a refusal is not kept, so it is raised again
+    on every call.
     """
     parts = spec.strip().split(":")
     try:
-        if not parts or not parts[-1]:
-            raise ValueError
-        if parts[0] == "naive":
-            if len(parts) != 2 or not parts[1].startswith("v="):
-                raise ValueError
-            return make_naive(parse_rational(parts[1][2:]))
-        if parts[0] == "gen":
-            if parts[-1].startswith("half="):
-                half = parse_rational(parts[-1][5:])
-            else:
-                raise ValueError
+        if parts[0] == "naive" and len(parts) == 2 and parts[1].startswith("v="):
+            kind, v = "naive", parse_rational(parts[1][2:])
+        elif parts[0] == "gen" and parts[-1].startswith("half="):
+            half = parse_rational(parts[-1][5:])
             kind = {name: kind for kind, name in GENERATOR_NAMES.items()}.get(parts[1])
-            if kind is not None and len(parts) == (3 if kind == "sin-of-square" else 4):
-                coeffs = tuple(parse_rational(c) for field in parts[2:-1] for c in field.split(","))
-                return make_from_generator(GeneratorSpec(kind, coeffs, half))
-        raise ValueError
-    except (ValueError, IndexError) as exc:
-        detail = str(exc)
+            if kind is None or len(parts) != (3 if kind == "sin-of-square" else 4):
+                raise ValueError
+            coeffs = tuple(parse_rational(c) for field in parts[2:-1] for c in field.split(","))
+        else:
+            raise ValueError
+    except ValueError as exc:
         hint = (
             "expected one of: naive:v=<rational> | gen:sinx2:half=<rational> | "
             "gen:cos:<c0,c1,...>:half=<rational> | gen:poly:<c0,c1,...>:half=<rational>"
         )
         msg = f"cannot parse test function spec {spec!r} ({hint})"
-        if detail and detail != spec:
-            msg = f"{msg}: {detail}"
-        raise ValueError(msg) from None
+        raise ValueError(f"{msg}: {exc}" if str(exc) else msg) from None
+    try:
+        if kind == "naive":
+            return make_naive(v)
+        return make_from_generator(GeneratorSpec(kind, coeffs, half))
+    except ValueError as exc:
+        raise ValueError(f"test function spec {spec!r} is refused: {exc}") from None
 
 
 def spec_order(tfs) -> list:
@@ -468,32 +473,41 @@ def sigma2(a: TestFunction, b: TestFunction) -> float:
     The integrand vanishes outside the intersection of the transform
     supports, so only ``[0, min(support_a, support_b)]`` is integrated
     (doubled by evenness).  There both transforms are polynomial pieces,
-    so the Gauss-Legendre sum of the integrand's degree is exact.  Its
-    weights times ``4 y`` and each transform's Chebyshev basis at its
-    nodes depend only on the supports and degrees, so they are cached
-    (:func:`_sigma2_rule`) and a call is the same sum taken in value
-    space: phihat_a and phihat_b at the nodes, each one matrix-vector
-    product, and one dot product.  The pair is taken in spec order, so
-    sigma2(a, b) equals sigma2(b, a) to the last bit.
+    so the Gauss-Legendre sum of the integrand's degree is exact.  The
+    pair is taken in spec order, so sigma2(a, b) equals sigma2(b, a) to
+    the last bit, and its value is computed once per process
+    (:func:`_pair_integral`).
     """
-    a, b = spec_order((a, b))
-    wy, _, va, vb = _sigma2_rule(a.support_bound, b.support_bound,
-                                 a.phihat_degree, b.phihat_degree)
-    return float((wy * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
+    return _pair_integral(*spec_order((a, b)), False)
 
 
 def pair_term(a: TestFunction, b: TestFunction) -> float:
-    """``int (1 - |t|)_+ phihat_a phihat_b dt`` for supports within 1: sigma2's
-    sum (its cached rule, its spec order) with weights ``2 w (1 - y)``."""
-    a, b = spec_order((a, b))
-    _, wt, va, vb = _sigma2_rule(a.support_bound, b.support_bound, a.phihat_degree, b.phihat_degree)
-    return float((wt * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
+    """``int (1 - |t|)_+ phihat_a phihat_b dt`` for supports within 1: the sum
+    sigma2 takes, with weights ``2 w (1 - y)``, in spec order and computed
+    once per process (:func:`_pair_integral`)."""
+    return _pair_integral(*spec_order((a, b)), True)
 
 
-# A search reads a few pairs over and over.  A moment of 2m distinct
-# functions reads up to m(2m - 1) (support, degree) pairs, 91 at 2m = 14,
-# and a process that evaluates it again, or a moment sharing its slots,
-# reads them all again: the cache holds one such moment whole.
+# Holds every pair of the largest matching sum the state cap admits (24
+# distinct functions, 276 pairs) with room to spare.
+@lru_cache(maxsize=512)
+def _pair_integral(a: TestFunction, b: TestFunction, pair: bool) -> float:
+    """sigma2 of a spec-ordered pair, or its pair term when ``pair`` is true.
+
+    Both are sums on the pair's cached rule (:func:`_sigma2_rule`) taken
+    in value space: phihat_a and phihat_b at the nodes, each one
+    matrix-vector product, and one dot product with the weights.  Keyed
+    by the two functions, which are their specs, so each value is
+    computed once per process, and only when it is asked for: a search
+    reads sigma2 alone, a level-2 bound the pair term.
+    """
+    wy, wt, va, vb = _sigma2_rule(a.support_bound, b.support_bound,
+                                  a.phihat_degree, b.phihat_degree)
+    return float(((wt if pair else wy) * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
+
+
+# A search builds new functions at every point, on the same few supports
+# and degrees, so it reads these rules over and over.
 @lru_cache(maxsize=128)
 def _sigma2_rule(
     support_a: float, support_b: float, degree_a: int, degree_b: int

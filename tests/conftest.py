@@ -1,7 +1,25 @@
 import numpy as np
 import pytest
 
-from momentbounds import GeneratorSpec, bounds, make_from_generator, make_naive
+from momentbounds import GeneratorSpec, bounds, make_from_generator, make_naive, moments, testfunc
+
+PROCESS_MEMOS = (testfunc.from_spec_string, testfunc._pair_integral, moments._r_term)
+
+
+def _clear_memos():
+    for memo in PROCESS_MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def clear_memos():
+    """Each test starts from empty per-process memos (test functions by spec,
+    sigma2 and pair terms by pair, R by slot set) and leaves them empty, so no
+    test reads what another computed.  A test that asks for it gets the
+    function that empties them."""
+    _clear_memos()
+    yield _clear_memos
+    _clear_memos()
 
 
 @pytest.fixture(scope="session")

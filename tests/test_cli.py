@@ -358,13 +358,38 @@ def test_level_bounds_at_the_end_of_their_support_range_print(capsys, args, boun
     assert parse_records(out)[0]["upper_bound"] == pytest.approx(bound, rel=1e-15)
 
 
-def test_bound_malformed_testfn(capsys):
-    code, _, err = run_cli(
-        ["bound", "--family", "so-even", "--rank", "6", "--testfn", "naive:v=oops"],
+_GRAMMAR = ("(expected one of: naive:v=<rational> | gen:sinx2:half=<rational> | "
+            "gen:cos:<c0,c1,...>:half=<rational> | gen:poly:<c0,c1,...>:half=<rational>)")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # text the grammar does not match: the grammar, and the field's reason
+        ("naive:v=oops", f"cannot parse test function spec 'naive:v=oops' {_GRAMMAR}: "
+                         "Invalid literal for Fraction: 'oops'"),
+        ("naive:v=abc", f"cannot parse test function spec 'naive:v=abc' {_GRAMMAR}: "
+                        "Invalid literal for Fraction: 'abc'"),
+        ("gen:cos:1:2:half=1/8", f"cannot parse test function spec 'gen:cos:1:2:half=1/8' {_GRAMMAR}"),
+        # well-formed specs that their constructors refuse: the spec and the reason
+        ("gen:sinx2:half=2", "test function spec 'gen:sinx2:half=2' is refused: sin-of-square "
+                             "needs half_support <= 1, got 2.0"),
+        ("naive:v=0", "test function spec 'naive:v=0' is refused: naive test function needs "
+                      "v > 0, got 0.0"),
+        ("gen:poly:1e300,1e300:half=1/6", "test function spec 'gen:poly:1e300,1e300:half=1/6' "
+                                          "is refused: generator overflows"),
+    ],
+)
+def test_bound_malformed_testfn(capsys, spec, message):
+    code, out, err = run_cli(
+        ["bound", "--family", "so-even", "--rank", "6", "--testfn", spec],
         capsys,
     )
-    assert code == 1
-    assert json.loads(err)["error"] == "invalid-input"
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "invalid-input"
+    assert error["message"].startswith(message), error["message"]
+    assert from_spec_string.cache_info().currsize == 0  # a refusal is not kept
 
 
 @pytest.mark.parametrize(
@@ -453,29 +478,78 @@ def test_records_do_not_depend_on_the_testfn_order(argv, specs, capsys):
 
 
 def test_repeated_testfn_specs_share_one_function(capsys, monkeypatch):
-    # four equal specs are parsed once and are one function to the matching
+    # four equal specs are built once and are one function to the matching
     # sum: one group of four, one sigma2 call, and the record that four
-    # separately built functions give; a bound parses each distinct spec
-    # once, in the order given
+    # separately built functions give; a bound builds each distinct spec
+    # once, in the order given, and its repeated slots hold that one function
     argv = ["moment", "--family", "so-even", "--regime", "with_R"]
     argv += ["--testfn", "naive:v=1/3"] * 4
-    counts, pairs, parsed = [], [], []
+    counts, pairs, built, slots = [], [], [], []
     hafnian, sigma2 = moments._hafnian, moments.sigma2
+    make_naive, bound_moment = momentbounds.testfunc.make_naive, cli.bound_moment
     monkeypatch.setattr(moments, "_hafnian", lambda a, c: counts.append(list(c)) or hafnian(a, c))
     monkeypatch.setattr(moments, "sigma2", lambda a, b: pairs.append((a, b)) or sigma2(a, b))
-    monkeypatch.setattr(cli, "from_spec_string", lambda s: parsed.append(s) or from_spec_string(s))
+    monkeypatch.setattr(momentbounds.testfunc, "make_naive",
+                        lambda v: built.append(v) or make_naive(v))
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    assert (parsed, counts, len(pairs)) == (["naive:v=1/3"], [[4]], 1)
-    separate = tuple(from_spec_string("naive:v=1/3") for _ in range(4))
+    assert (built, counts, len(pairs)) == ([1.0 / 3.0], [[4]], 1)
+    separate = tuple(from_spec_string.__wrapped__("naive:v=1/3") for _ in range(4))
     family = momentbounds.SymmetryGroup.SO_EVEN
     request = momentbounds.MomentRequest(separate, family, regime="with_R")
+    moments._r_term.cache_clear()
+    momentbounds.testfunc._pair_integral.cache_clear()
     assert parse_records(out)[0]["value"] == momentbounds.centered_moment(request).value
-    parsed.clear()
+    built.clear()
+    monkeypatch.setattr(cli, "bound_moment",
+                        lambda tfs, *a, **k: slots.append(tfs) or bound_moment(tfs, *a, **k))
     specs = ["naive:v=1/5", "naive:v=1/6", "naive:v=1/5"]
     argv = ["bound", "--family", "so-even", "--rank", "12", "--method", "moment2m:3"]
     assert run_cli(argv + [a for s in specs for a in ("--testfn", s)], capsys)[0] == 0
-    assert parsed == ["naive:v=1/5", "naive:v=1/6"]
+    assert built == [1.0 / 5.0, 1.0 / 6.0]
+    assert slots[0][0] is slots[0][2] and slots[0][0] is not slots[0][1]
+
+
+# One op of each kind the benchmark's workloads run: a table, a with_R rank
+# sweep, a 10-slot R, a 14-slot matching sum, a level-2 pair, a sin(t^2)
+# sweep and the README search; and a two-slot moment that reads sigma2 and R
+# of the level-2 pair, whose pair term the level-2 bound reads.
+_SHARED_OPS = [
+    ["table", "T1"],
+    ["bound", "--family", "so-even", "--ranks", "4,6,8,10,12", "--method", "moment4",
+     "--testfn", "naive:v=1/3", "--regime", "with_R"],
+    ["moment", "--family", "so-even", "--regime", "with_R",
+     *[a for q in range(10, 20) for a in ("--testfn", f"naive:v=1/{q}")]],
+    ["moment", "--family", "so-odd", "--regime", "mock_gaussian",
+     *[a for spec in [f"naive:v=1/{q}" for q in range(10, 17)]
+       + ["gen:cos:1:half=1/20", "gen:cos:1,0.3:half=1/20", "gen:poly:1,-2:half=1/20",
+          "gen:cos:1,-0.2,0.1:half=1/20", "gen:poly:1,0,-50:half=1/20",
+          "gen:cos:1,0.5:half=1/20", "gen:poly:2,3:half=1/20"]
+       for a in ("--testfn", spec)]],
+    ["bound", "--family", "so-even", "--ranks", "6,8,10", "--method", "level2",
+     "--testfn", "naive:v=1/3", "--testfn", "naive:v=1/2"],
+    ["moment", "--family", "so-even", "--regime", "with_R",
+     "--testfn", "naive:v=1/3", "--testfn", "naive:v=1/2"],
+    ["bound", "--family", "so-even", "--ranks", "12,14", "--method", "moment2m:3",
+     "--testfn", "gen:sinx2:half=1/10", "--regime", "with_R"],
+    ["optimize", "--family", "so-even", "--rank", "100", "--support", "1/4",
+     "--basis", "cos:dim=4:half=1/8", "--basis", "fixed:naive:v=1/4",
+     "--regime", "mock_gaussian", "--restarts", "2", "--max-evals", "30", "--seed", "1"],
+]
+
+
+def test_records_do_not_depend_on_what_ran_before(capsys, clear_memos):
+    # each op's exit code, stdout and stderr on empty memos, then every op in
+    # one process, forward and then in reverse, reading what the others kept
+    alone = []
+    for argv in _SHARED_OPS:
+        clear_memos()
+        alone.append(run_cli(argv, capsys))
+    assert all(code == 0 and out and not err for code, out, err in alone)
+    clear_memos()
+    order = list(range(len(_SHARED_OPS)))
+    for i in order + order[::-1]:
+        assert run_cli(_SHARED_OPS[i], capsys) == alone[i], _SHARED_OPS[i]
 
 
 # ---- table command ----

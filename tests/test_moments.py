@@ -395,6 +395,7 @@ def test_r_term_convolution_rule_has_no_node_to_spare(specs, monkeypatch):
 
     for shorten in (False, True):
         sizes.clear()
+        moments._r_term.cache_clear()  # compute R afresh, not from the memo
         monkeypatch.setattr(moments, "legendre_rule", lambda k: rule(k, shorten))
         error = abs(r_term(tfs) - exact)
         assert sizes == [(2 * n - 1 + extra) // 2 + 1]
@@ -539,15 +540,19 @@ def test_r_term_zero_function(naive_third):
 
 def test_r_term_transforms_a_repeated_function_once(monkeypatch):
     # four equal functions built separately are one function: one end piece,
-    # and the R that one shared object gives, bit for bit
-    third = make_naive(1.0 / 3.0)
-    repeated = r_term([third] * 4)
+    # and the R that one shared object gives, bit for bit; to the memo they
+    # are one slot set, so the second call computes nothing
     divisions = []
     chebdiv = moments.chebyshev.chebdiv
     monkeypatch.setattr(moments.chebyshev, "chebdiv", lambda *a: divisions.append(a) or chebdiv(*a))
-    separate = r_term([make_naive(1.0 / 3.0) for _ in range(4)])
-    assert len(divisions) == 1
-    assert repeated == separate
+    repeated = r_term([make_naive(1.0 / 3.0)] * 4)
+    separate = [make_naive(1.0 / 3.0) for _ in range(4)]
+    assert r_term(separate) == repeated
+    info = moments._r_term.cache_info()
+    assert (info.misses, info.hits, len(divisions)) == (1, 1, 1)
+    moments._r_term.cache_clear()
+    assert r_term(separate) == repeated
+    assert len(divisions) == 2
 
 
 def test_r_term_needs_one(naive_third):

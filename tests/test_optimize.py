@@ -14,7 +14,7 @@ from momentbounds import (
     objective,
     search,
 )
-from momentbounds import bounds, optimize
+from momentbounds import bounds, moments, optimize, testfunc
 from momentbounds.optimize import PENALTY_SCALE
 
 G = SymmetryGroup
@@ -149,6 +149,23 @@ def test_search_evaluates_each_start_point_once(cosine_problem, monkeypatch):
         assert t.start_value == calls[first][1]
         assert calls[first + 1][0] != calls[first][0]
         first += t.evaluations
+
+
+def test_search_computes_each_spec_pair_once(cosine_problem, monkeypatch):
+    # the README search at 30 evaluations a restart reads the fixed
+    # naive:v=1/4 pair at every feasible point; the process computes it, and
+    # every other spec pair the search reads, once
+    pairs = []
+    sigma2 = moments.sigma2
+
+    def recording(a, b):
+        pairs.append(frozenset((a.spec_string, b.spec_string)))
+        return sigma2(a, b)
+
+    monkeypatch.setattr(moments, "sigma2", recording)
+    search(cosine_problem, restarts=2, seed=1, max_evals=30)
+    assert pairs.count(frozenset({"naive:v=0.25"})) > 30
+    assert testfunc._pair_integral.cache_info().misses == len(set(pairs)) < len(pairs)
 
 
 def test_search_raises_when_nothing_feasible(naive_quarter):

@@ -691,8 +691,13 @@ def test_sigma2_rule_is_built_once_per_support_pair(monkeypatch):
     for _ in range(20):
         objective(problem.split_params(rng.uniform(-1.0, 1.0, 4)), problem)
     info = _sigma2_rule.cache_info()
+    computed = testfunc._pair_integral.cache_info()
     assert len(pairs) > 40 and len(set(pairs)) == 3  # feasible points make three calls
-    assert (info.misses, info.hits) == (3, len(pairs) - 3)
+    # every sigma2 reads the pair memo; each pair it computes reads the rule
+    # of its supports and degrees, built once for each of the three
+    assert computed.hits + computed.misses == len(pairs)
+    assert computed.misses > 20
+    assert (info.misses, info.hits) == (3, computed.misses - 3)
     cos = problem.bases[0].build((1.0, -0.75, 0.5, 0.5))
     for array in _sigma2_rule(0.25, 0.25, 1, cos.phihat_degree):
         assert not array.flags.writeable
@@ -702,8 +707,9 @@ def test_sigma2_rule_is_built_once_per_support_pair(monkeypatch):
 
 def test_sigma2_rules_of_a_distinct_14_moment_stay_cached():
     # the 2m = 14 moment of 14 distinct functions (7 triangles, 7 generators
-    # on half-support 1/20), evaluated twice from fresh spec strings as two
-    # commands in one process do: the second evaluation builds no rule
+    # on half-support 1/20), evaluated twice from its spec strings as two
+    # commands in one process do: the first computes each of its 91 sigma2
+    # values once, and the second computes none and builds no rule
     specs = [f"naive:v=1/{q}" for q in range(10, 17)] + [
         "gen:cos:1:half=1/20",
         "gen:cos:1,0.3:half=1/20",
@@ -714,14 +720,16 @@ def test_sigma2_rules_of_a_distinct_14_moment_stay_cached():
         "gen:poly:2,3:half=1/20",
     ]
     _sigma2_rule.cache_clear()
-    values, misses = [], []
+    values, misses, computed = [], [], []
     for _ in range(2):
         tfs = [from_spec_string(spec) for spec in specs]
-        before = _sigma2_rule.cache_info().misses
+        before = _sigma2_rule.cache_info().misses, testfunc._pair_integral.cache_info().misses
         values.append(moments.centered_moment(
             moments.MomentRequest(tfs, SymmetryGroup.SO_ODD, regime="mock_gaussian")).value)
-        misses.append(_sigma2_rule.cache_info().misses - before)
+        misses.append(_sigma2_rule.cache_info().misses - before[0])
+        computed.append(testfunc._pair_integral.cache_info().misses - before[1])
     assert misses[0] > 32 and misses[1] == 0
+    assert computed == [91, 0]
     assert values[0] == values[1]
 
 
@@ -798,9 +806,11 @@ def test_parse_rational_refuses_every_malformed_rational(text, reason):
      "gen:sinx2:half=1/8"],
 )
 def test_a_test_function_is_its_spec(spec):
-    # equal specs are equal functions however they were built, and hash alike
+    # equal specs are equal functions however they were built, and hash
+    # alike; a spec string is built once per process and shared
     tf = from_spec_string(spec)
-    clone = from_spec_string(tf.spec_string)
+    assert from_spec_string(spec) is tf
+    clone = from_spec_string.__wrapped__(tf.spec_string)  # built afresh
     assert clone is not tf
     assert clone == tf and hash(clone) == hash(tf)
     assert len({tf, clone}) == 1
