@@ -18,11 +18,13 @@ names no option of any subcommand, a value its option's type cannot
 convert and a value outside its option's choices are ``invalid-input``
 errors.
 
-In-process callers of ``main`` share one parser (and one ``--config``
-pre-scan parser), built on the first call and never mutated; a
-``--config`` run applies the file's defaults to a parser built for that
-run alone, so they never reach a later call.  ``build_parser`` builds a
-fresh parser each time it is called.  They also share the exact
+``main`` parses each command line once, with one parser that every
+in-process caller shares, built on the first call and never mutated.
+Only when that parse finds ``--config`` does it build a parser for that
+run alone, apply the file's defaults to it and parse again, so a file's
+defaults never reach a later call, and a command line that argparse
+rejects (or ``--help``) exits before the file is read.  ``build_parser``
+builds a fresh parser each time it is called.  They also share the exact
 quantities, each computed once per process and kept: one test function
 per ``--testfn`` spec string (every slot that repeats a spec holds that
 one function), sigma2 and the pair term per spec pair, and R per slot
@@ -73,13 +75,16 @@ ERROR_CODES = {
 
 class _Repeatable(argparse.Action):
     """A repeatable flag collected into a list.  Unlike argparse's "append",
-    the first use on the command line replaces the default (a config file's
-    value) rather than extending it, so flags override the file."""
+    the first use on the command line starts a new list in place of the
+    default (a config file's value, never mutated), so flags override the
+    file; later uses append to that list."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         items = getattr(namespace, self.dest, None)
-        items = [] if items is self.default else list(items)
-        setattr(namespace, self.dest, items + [values])
+        if items is self.default:
+            setattr(namespace, self.dest, [values])
+        else:
+            items.append(values)
 
 
 def _emit(records: list[dict], args) -> None:
@@ -358,7 +363,8 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build a new parser of every subcommand; ``main`` reuses one per process."""
+    """Build a new parser of every subcommand.  ``main`` parses with one
+    shared per process, and builds another only for a ``--config`` run."""
     parser = argparse.ArgumentParser(
         prog="momentbounds",
         description="Vanishing-order bounds from density expectations and centered moments",
@@ -427,25 +433,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=1)
-def _shared_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The command parser and the ``--config`` pre-scan parser, built once per
-    process and shared by every ``main`` call.  Parsing does not change a
-    parser and nothing else may: a config run parses with a parser of its own."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    return build_parser(), probe
+def _shared_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process and shared by every ``main``
+    call.  Parsing does not change a parser and nothing else may: a config
+    run parses again with a parser of its own."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, probe = _shared_parsers()
-    # Pre-scan for --config so its values become parser defaults.
-    known, _ = probe.parse_known_args(argv)
     try:
-        if known.config:
+        args = _shared_parser().parse_args(argv)
+        if args.config:
             parser = build_parser()  # set_defaults must not reach later calls
-            _apply_config(parser, known.config)
-        args = parser.parse_args(argv)
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - map to machine-readable error records
         code = "internal-error"

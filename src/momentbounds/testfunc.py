@@ -63,6 +63,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 import numpy as np
 from numpy.polynomial import chebyshev, legendre, polynomial
@@ -464,7 +465,7 @@ def from_spec_string(spec: str) -> TestFunction:
 
 def spec_order(tfs) -> list:
     """The functions sorted by spec string, the one order every multi-function sum takes."""
-    return sorted(tfs, key=lambda tf: tf.spec_string)
+    return sorted(tfs, key=attrgetter("spec_string"))
 
 
 def sigma2(a: TestFunction, b: TestFunction) -> float:

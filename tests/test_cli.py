@@ -660,6 +660,19 @@ def test_command_line_testfn_replaces_the_config_files(tmp_path, capsys, argv):
     assert parse_records(out)[0]["test_functions"] == ["naive:v=0.25", "naive:v=0.2"]
 
 
+def test_repeated_flags_leave_the_config_default_unchanged(tmp_path):
+    # the first command-line use starts a new list and later uses append to
+    # it, so a parser's config default is never mutated
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("testfn = naive:v=1/3\n")
+    parser = cli.build_parser()
+    cli._apply_config(parser, str(cfg))
+    argv = ["moment", "--testfn", "naive:v=1/4", "--testfn", "naive:v=1/5"]
+    for _ in range(2):
+        assert parser.parse_args(argv).testfn == ["naive:v=1/4", "naive:v=1/5"]
+    assert parser.parse_args(["moment"]).testfn == ["naive:v=1/3"]
+
+
 def test_config_key_of_another_subcommand_is_accepted(tmp_path, capsys):
     # `samples` belongs to rmt-verify only; a bound run from the same file ignores it
     cfg = tmp_path / "run.cfg"
@@ -691,15 +704,41 @@ def test_config_errors_are_invalid_input(tmp_path, capsys, text, message):
     assert message in error["message"]
 
 
+def test_argparse_rejects_a_bad_command_line_before_reading_the_config(tmp_path, capsys):
+    # the command line is parsed first: exit 2 with argparse's usage error,
+    # not exit 1 with invalid-input for the missing file
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(missing), "bound", "--rank", "x"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --rank: invalid int value: 'x'" in captured.err
+    assert "invalid-input" not in captured.err
+
+
+def test_help_prints_without_reading_the_config(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(missing), "bound", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: momentbounds bound")
+    assert captured.err == ""
+
+
 # ---- one parser per process ----
 
 
 @pytest.fixture
 def fresh_process(monkeypatch):
-    """main's parsers as a new process finds them, none built yet.  Counts
-    calls of the builder and every ArgumentParser constructed from here on."""
-    counts = {"build_parser": 0, "ArgumentParser": 0}
+    """main's parser as a new process finds it, not built yet.  Counts calls
+    of the builder, every ArgumentParser constructed and every parse that
+    reads a whole command line (``parse_args`` goes through
+    ``parse_known_args``; a subcommand's parser gets only the rest)."""
+    counts = {"build_parser": 0, "ArgumentParser": 0, "parses": 0, "argv": None}
     build_parser, init = cli.build_parser, argparse.ArgumentParser.__init__
+    parse_known_args = argparse.ArgumentParser.parse_known_args
 
     def counting_build_parser():
         counts["build_parser"] += 1
@@ -709,11 +748,17 @@ def fresh_process(monkeypatch):
         counts["ArgumentParser"] += 1
         init(self, *args, **kwargs)
 
+    def counting_parse_known_args(self, args=None, namespace=None):
+        if args == counts["argv"]:
+            counts["parses"] += 1
+        return parse_known_args(self, args, namespace)
+
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._shared_parsers.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse_known_args)
+    cli._shared_parser.cache_clear()
     yield counts
-    cli._shared_parsers.cache_clear()
+    cli._shared_parser.cache_clear()
 
 
 def test_main_builds_its_parsers_once_per_process(fresh_process, capsys):
@@ -726,19 +771,27 @@ def test_main_builds_its_parsers_once_per_process(fresh_process, capsys):
         ["table", "T9"],  # argparse exits 2
         ["bound", "--family", "so-odd", "--rank", "5", "--method", "level2"],
     ]
-    codes = [main(runs[0])]
-    after_first = dict(fresh_process)
-    for argv in runs[1:]:
+    builds = ("build_parser", "ArgumentParser")
+    codes, parses = [], []
+    for argv in runs:
+        fresh_process["argv"], fresh_process["parses"] = argv, 0
         try:
             codes.append(main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
+        parses.append(fresh_process["parses"])
+        if len(codes) == 1:
+            after_first = {key: fresh_process[key] for key in builds}
     capsys.readouterr()
     assert codes == [0, 0, 2, 0, 0, 2, 0]
-    # the first call builds the command parser and the --config pre-scan
+    # one parse of the whole command line per call, rejections and --help included
+    assert parses == [1] * len(runs)
+    # the first call builds the command parser and constructs no other
     # parser; no later call constructs any parser
+    assert {key: fresh_process[key] for key in builds} == after_first
     assert after_first["build_parser"] == 1
-    assert fresh_process == after_first
+    cli.build_parser()
+    assert fresh_process["ArgumentParser"] == 2 * after_first["ArgumentParser"]
 
 
 def test_config_defaults_do_not_reach_later_calls(tmp_path, capsys):

@@ -162,6 +162,25 @@ def test_one_recurrence_from_58_nodes(n, monkeypatch):
     assert calls == [n]
 
 
+def _array_legendre_pair(n, x):
+    """The recurrence as one array expression per step, kept as the oracle
+    of the float path that builds rules below 58 nodes."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, p_prev
+
+
+def test_float_recurrence_builds_the_array_recurrences_rules(monkeypatch):
+    # both paths do the same correctly rounded operations in the same
+    # order, so every rule is the same to the last bit on either side of 58
+    rules = {n: legendre_rule(n) for n in range(1, 201)}
+    monkeypatch.setattr(quadrature, "_legendre_pair", _array_legendre_pair)
+    for n, (x, w) in rules.items():
+        x_ref, w_ref = legendre_rule.__wrapped__(n)  # bypass the cache
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref), n
+
+
 def test_empty_rules_rejected():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n >= 1"):
