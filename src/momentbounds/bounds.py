@@ -38,7 +38,7 @@ from .kernels import SymmetryGroup, expectation_1level, expectation_2level
 from .moments import (
     MomentRequest, SupportRegimeError, UncertifiedBoundError, centered_moment, support_within
 )
-from .reference import expectation_level1, expectation_level2, table_cells
+from .reference import ReferenceCell, expectation_level1, expectation_level2, table_cells
 from .testfunc import TestFunction, from_spec_string, make_naive, min_rank, spec_order
 
 
@@ -237,39 +237,39 @@ def bound_moment(
 
 
 @dataclass(frozen=True)
-class TableCell:
-    """One recomputed table cell next to its printed reference value.
+class TableCell(ReferenceCell):
+    """One recomputed table cell next to its printed reference value."""
 
-    ``tolerance`` is the relative deviation the golden comparison allows:
-    at least 1e-4 (the reproduction target), widened to 1.5 print-ulps
-    for cells printed with few digits (some are truncated, not rounded).
-    """
-
-    table: str
-    rank: int
-    column: str
-    family: SymmetryGroup
     computed: float
-    printed: str
-    rel_dev: float
-    tolerance: float
+
+    @property
+    def rel_dev(self) -> float:
+        return (self.computed - self.value) / self.value
+
+    @property
+    def tolerance(self) -> float:
+        """The relative deviation the golden comparison allows: at least
+        1e-4 (the reproduction target), widened to 1.5 print-ulps for cells
+        printed with few digits (some are truncated, not rounded)."""
+        return max(1e-4, 1.5 * self.print_ulp / abs(self.value))
 
     @property
     def within_tolerance(self) -> bool:
         return abs(self.rel_dev) <= self.tolerance
 
     def record(self) -> dict:
+        rel_dev, tolerance = self.rel_dev, self.tolerance
         return {
             "table": self.table,
             "rank": self.rank,
             "column": self.column,
             "family": self.family.value,
             "computed": self.computed,
-            "paper_value": float(self.printed),
+            "paper_value": self.value,
             "printed": self.printed,
-            "rel_dev": self.rel_dev,
-            "tolerance": self.tolerance,
-            "within_tolerance": self.within_tolerance,
+            "rel_dev": rel_dev,
+            "tolerance": tolerance,
+            "within_tolerance": abs(rel_dev) <= tolerance,
         }
 
 
@@ -311,14 +311,6 @@ def reproduce_table(which: str) -> list[TableCell]:
     out: list[TableCell] = []
     for cell in cells:
         computed = bounds.get((cell.column, cell.family, cell.rank))
-        if computed is None:
-            continue
-        rel_dev = (computed - cell.value) / cell.value
-        tolerance = max(1e-4, 1.5 * cell.print_ulp / abs(cell.value))
-        out.append(
-            TableCell(
-                cell.table, cell.rank, cell.column, cell.family, computed, cell.printed, rel_dev,
-                tolerance,
-            )
-        )
+        if computed is not None:
+            out.append(TableCell(**vars(cell), computed=computed))
     return out

@@ -209,9 +209,9 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cells = reproduce_table(args.table)
-    _emit([cell.record() for cell in cells], args)
-    return 0 if all(cell.within_tolerance for cell in cells) else 1
+    records = [cell.record() for cell in reproduce_table(args.table)]
+    _emit(records, args)
+    return 0 if all(record["within_tolerance"] for record in records) else 1
 
 
 def _parse_basis(spec: str, budget: float) -> GeneratorBasis | TestFunction:

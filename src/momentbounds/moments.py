@@ -6,10 +6,10 @@ family statistic is, in the appropriate support regime,
 * even n = 2m: a sum over the (2m-1)!! perfect matchings of
   ``{1, ..., 2m}`` of products of pairwise variances
   ``sigma2(phi_a, phi_b)`` -- the hafnian of the sigma2 matrix, computed
-  by a memoized recursion over how many copies of each distinct function
-  are left (test functions with equal specs are one function, however
-  they were built), so 2m identical functions cost m + 1 states (capped by
-  ``MAX_MATCHING_STATES`` and ``MAX_EVEN_ORDER``) -- plus a correction
+  by one loop over levels of states, a state being how many copies of
+  each distinct function are left (test functions with equal specs are
+  one function, however they were built), so 2m identical functions cost
+  m + 1 states (capped by ``MAX_MATCHING_STATES``) -- plus a correction
   term ``R_n`` carrying the family's sign (a compact transform-space
   integral over the transforms' end pieces, exact up to rounding, see
   :func:`r_term`),
@@ -45,15 +45,11 @@ from .testfunc import TestFunction, sigma2, spec_order
 if TYPE_CHECKING:  # kernels reads r_term, so moments imports nothing of kernels at run time
     from .kernels import SymmetryGroup
 
-# A matching sum is refused before any sigma2 work when its recursion
-# could visit more than MAX_MATCHING_STATES states: prod(count + 1) over
-# the distinct functions bounds them (it visits 75,025 for 24 distinct
-# functions, about 0.3 s, and m + 1 for 2m identical ones).  It is also
-# refused past the even order MAX_EVEN_ORDER, because the recursion nests
-# one Python call per pair: 2m = 2000 identical functions pass the state
-# cap but nest past the interpreter's default limit of 1000 frames.
+# A matching sum is refused before any sigma2 work when its levels could
+# hold more than MAX_MATCHING_STATES states: prod(count + 1) over the
+# distinct functions bounds them (24 distinct functions reach 75,025
+# states in about 0.18 s, and 2m identical ones m + 1).
 MAX_MATCHING_STATES = 2**24
-MAX_EVEN_ORDER = 1024
 
 REGIMES = ("auto", "with_R", "mock_gaussian")
 _THRESHOLD_FORMULAS = {"with_R": "1/(n-1)", "mock_gaussian": "(2k-1)/(nk)"}
@@ -248,15 +244,19 @@ def _hafnian(a: Sequence[Sequence[float]], counts: Sequence[int]) -> float:
 
     ``counts[g]`` slots are copies of group g, and a pair of copies of
     groups g <= h contributes ``a[g][h]``; only the upper triangle, the
-    diagonal included, is read.  Subset recursion (Bjorklund, "Counting
-    perfect matchings as fast as Ryser", SODA 2012) keyed by multiplicity:
-    with g the first group with copies left, its lowest copy pairs with
-    one of its own other k_g - 1 copies (one term, weight k_g - 1) or with
-    a copy of a later group h (one term per h, weight k_h), and the state
-    is memoized.  A state packs each group's copies left as a binary count
-    in a field of ``counts[g].bit_length()`` bits, so with every count 1
-    it is the subset mask of the slots left and the terms are those of the
-    plain subset recursion, added in the same order.
+    diagonal included, is read.  Subset dynamic programming (Bjorklund,
+    "Counting perfect matchings as fast as Ryser", SODA 2012) keyed by
+    multiplicity: with g the first group with copies left, its lowest copy
+    pairs with one of its own other k_g - 1 copies (one child, weight
+    k_g - 1) or with a copy of a later group h (one child per h, weight
+    k_h).  One loop runs over the levels, a level being the states with
+    the same number of pairs left: each state pushes its sum of path
+    products times ``weight * a[g][h]`` to its children, so only two
+    levels are kept and nothing nests.  A state packs each group's copies
+    left as a binary count in a field of ``counts[g].bit_length()`` bits,
+    so with every count 1 it is the subset mask of the slots left and the
+    products are those of the plain single-slot push, added in the same
+    order.
     """
     group_at = []  # the group of each state bit
     fields = []  # (offset, count mask) of each group
@@ -270,31 +270,23 @@ def _hafnian(a: Sequence[Sequence[float]], counts: Sequence[int]) -> float:
          [(a[g][h], m << o, o, 1 << o) for h, (o, m) in enumerate(fields[g + 1 :], start=g + 1)])
         for g, (offset, mask) in enumerate(fields)
     ]
-    memo = {0: 1.0}
-
-    def haf(state: int) -> float:
-        offset, count_mask, one, own, later = plan[group_at[(state & -state).bit_length() - 1]]
-        rest = state - one
-        total = 0.0
-        left = rest >> offset & count_mask
-        if left:
-            child = rest - one
-            value = memo.get(child)
-            if value is None:
-                value = haf(child)
-            total += left * (own * value)
-        for pair, field, offset_h, one_h in later:
-            copies = rest & field
-            if copies:
-                child = rest - one_h
-                value = memo.get(child)
-                if value is None:
-                    value = haf(child)
-                total += (copies >> offset_h) * (pair * value)
-        memo[state] = total
-        return total
-
-    return haf(sum(c << o for c, (o, _) in zip(counts, fields)))
+    level = {sum(c << o for c, (o, _) in zip(counts, fields)): 1.0}
+    for _ in range(sum(counts) // 2):
+        below: dict[int, float] = {}
+        for state, paths in level.items():
+            offset, count_mask, one, own, later = plan[group_at[(state & -state).bit_length() - 1]]
+            rest = state - one
+            left = rest >> offset & count_mask
+            if left:
+                child = rest - one
+                below[child] = below.get(child, 0.0) + paths * (left * own)
+            for pair, field, offset_h, one_h in later:
+                copies = rest & field
+                if copies:
+                    child = rest - one_h
+                    below[child] = below.get(child, 0.0) + paths * ((copies >> offset_h) * pair)
+        level = below
+    return level.get(0, 0.0)
 
 
 def _matching_sum(tfs: tuple[TestFunction, ...]) -> float:
@@ -304,17 +296,16 @@ def _matching_sum(tfs: tuple[TestFunction, ...]) -> float:
     Slots are grouped by equal test functions (equal specs) in spec order,
     so the sum is free of the slot order, and sigma2 is computed once per
     distinct pair of groups' first functions (a group with itself only
-    when it fills two slots or more).  Both caps are checked first.
+    when it fills two slots or more).  The state cap is checked first.
     """
     counts: dict[TestFunction, int] = {}
     for tf in tfs:
         counts[tf] = counts.get(tf, 0) + 1
     states = math.prod([c + 1 for c in counts.values()])
-    if len(tfs) > MAX_EVEN_ORDER or states > MAX_MATCHING_STATES:
+    if states > MAX_MATCHING_STATES:
         raise ValueError(
             f"the matching sum of 2m = {len(tfs)} slots of {len(counts)} distinct functions "
-            f"exceeds its cap: it needs 2m <= {MAX_EVEN_ORDER} and prod(count + 1) = {states} "
-            f"<= {MAX_MATCHING_STATES}"
+            f"exceeds its cap: it needs prod(count + 1) = {states} <= {MAX_MATCHING_STATES}"
         )
     groups = spec_order(counts)
     a = [

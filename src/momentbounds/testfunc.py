@@ -81,7 +81,6 @@ GENERATOR_KINDS = tuple(GENERATOR_NAMES)
 _CHEB_POINTS = 128
 _MAX_PHIHAT_DEGREE = 95
 _CHOP_TOL = 1e-14
-_ALTERNATING = (-1.0) ** np.arange(_CHEB_POINTS)
 
 
 def parse_rational(text: str) -> float:
@@ -228,8 +227,7 @@ def _basis_tables(
     x, dct = chebyshev_points(_CHEB_POINTS)
     values = _autocorrelation_values(kind, dim, h, h * (x + 1.0))
     coef = (dct @ values.reshape(_CHEB_POINTS, -1)).reshape(_CHEB_POINTS, dim, dim)
-    # the diagonal of T(0) = sum_j (-1)^j coef_j, as T_j(-1) = (-1)^j
-    norms = np.sqrt(np.abs(_ALTERNATING @ np.diagonal(coef, axis1=1, axis2=2)))
+    norms = np.sqrt(np.diagonal(gram))
     above = np.abs(coef) > _CHOP_TOL * np.outer(norms, norms)
     degree = int(np.flatnonzero(above.any(axis=(1, 2))).max(initial=0))
     if degree >= _MAX_PHIHAT_DEGREE:

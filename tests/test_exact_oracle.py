@@ -100,7 +100,7 @@ def _r(vs: list[Fraction]) -> Fraction:
 
 def _matching_budget(vs: list[Fraction]) -> int:
     """Each of the m sigma2 factors of a matching, then per level of the
-    recursion one product of two roundings and a sum: one term per level for
+    matching sum one product of two roundings and a sum: one term per level for
     equal slots, at most 2m - 1 positive terms otherwise (m^2 in all)."""
     m = len(vs) // 2
     return m * SIGMA2_BUDGET + 2 * m + (m * m if len(set(vs)) > 1 else 0)
@@ -521,7 +521,7 @@ def test_poly_mock_gaussian_bound_is_exact(records, command):
     (rec,) = records[command]
     r = rec["rank"]
     moment = prod(range(1, 2 * m, 2)) * sigma**m
-    # m sigma2 factors, then a product and a sum per level of the recursion
+    # m sigma2 factors, then a product and a sum per level of the matching sum
     moment_budget = m * e_sigma / (U * sigma) + 2 * m
     margin = r * phi0 - phihat[0] - phi0 / 2
     # r phi(0), the sum and the difference round once each, on the terms' scale

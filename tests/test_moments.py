@@ -26,7 +26,6 @@ from momentbounds import (
 )
 from momentbounds import cli, moments
 from momentbounds.moments import (
-    MAX_EVEN_ORDER,
     _hafnian,
     _matching_sum,
     double_factorial,
@@ -105,23 +104,23 @@ def test_matching_count_twelve():
 
 
 def _subset_hafnian(a):
-    """The plain subset recursion over single slots, with i the lowest
-    slot left and its partners j in ascending order: the reference for
-    the grouped recursion when every slot is distinct."""
-    memo = {0: 1.0}
-
-    def haf(mask):
-        if mask not in memo:
+    """The plain single-slot push over subset masks, level by level: the
+    lowest slot i left pairs with each later slot j in ascending order, and
+    each mask's sum of path products is pushed to its children in the
+    order the masks were reached.  The reference for the grouped levels
+    when every slot is distinct."""
+    level = {(1 << len(a)) - 1: 1.0}
+    for _ in range(len(a) // 2):
+        below = {}
+        for mask, paths in level.items():
             i = (mask & -mask).bit_length() - 1
             rest = mask ^ (1 << i)
-            total = 0.0
             for j in range(i + 1, len(a)):
                 if rest >> j & 1:
-                    total += a[i][j] * haf(rest ^ (1 << j))
-            memo[mask] = total
-        return memo[mask]
-
-    return haf((1 << len(a)) - 1)
+                    child = rest ^ (1 << j)
+                    below[child] = below.get(child, 0.0) + paths * a[i][j]
+        level = below
+    return level[0]
 
 
 _MULTIPLICITIES = st.one_of(
@@ -135,7 +134,7 @@ _MULTIPLICITIES = st.one_of(
 @given(counts=_MULTIPLICITIES, entries=st.lists(st.floats(0.01, 10.0), min_size=55, max_size=55))
 @hyp_settings(max_examples=120, deadline=None)
 def test_hafnian_matches_enumeration(counts, entries):
-    # the grouped recursion against the exact sum over every matching of the
+    # the grouped levels against the exact sum over every matching of the
     # expanded slots: m levels of positive terms, each term two roundings
     values = iter(entries)
     groups = range(len(counts))
@@ -152,7 +151,7 @@ def test_hafnian_matches_enumeration(counts, entries):
 def test_identical_naive_slots_give_the_double_factorial():
     # 2m copies of one Fejer function: (2m-1)!! (1/3)^m.  sigma2, a
     # Gauss-Legendre sum, is 1/3 to within 4 ulps (so sigma2^48 may be 200
-    # ulps off 3^-48), and the recursion, m steps of two roundings each, is
+    # ulps off 3^-48), and the matching sum, m levels of two roundings each, is
     # within 2m * 2^-53 of (2m-1)!! sigma2^m for that sigma2.
     for two_m in range(2, 98, 2):
         tf = make_naive(1.0 / two_m)
@@ -164,8 +163,8 @@ def test_identical_naive_slots_give_the_double_factorial():
 
 
 def test_matchings_reject_bad_input(monkeypatch):
-    # the caps are prod(count + 1) <= 2^24 and 2m <= 1024: 25 distinct slots
-    # and 2m = 1026 are refused before any sigma2 work
+    # the cap is prod(count + 1) <= 2^24: 25 distinct slots are refused
+    # before any sigma2 work
     def no_sigma2(*args, **kwargs):
         raise AssertionError("sigma2 called above the cap")
 
@@ -173,18 +172,23 @@ def test_matchings_reject_bad_input(monkeypatch):
         patch.setattr(moments, "sigma2", no_sigma2)
         with pytest.raises(ValueError, match=r"cap.* prod\(count \+ 1\) = 33554432"):
             _matching_sum(tuple(make_naive(1.0 / q) for q in range(40, 65)))
-        tfs = (make_naive(1e-3),) * (MAX_EVEN_ORDER + 2)
-        with pytest.raises(ValueError, match="cap"):
-            centered_moment(MomentRequest(tfs, G.SO_EVEN, regime="mock_gaussian"))
     # 26 identical slots, refused by the old cap of 24 slots: 25!! sigma^26
     tf = make_naive(1.0 / 26.0)
     res = centered_moment(MomentRequest((tf,) * 26, G.SO_EVEN, regime="mock_gaussian"))
     exact = double_factorial(25) * Fraction(sigma2(tf, tf)) ** 13
     assert abs(Fraction(res.value) - exact) <= 26 * Fraction(1, 2**53) * exact
-    # at the order cap the recursion nests 512 calls deep
-    assert _hafnian([[2.0 / MAX_EVEN_ORDER]], [MAX_EVEN_ORDER]) == pytest.approx(
-        float(double_factorial(MAX_EVEN_ORDER - 1) * Fraction(2, MAX_EVEN_ORDER) ** 512), rel=1e-12
+    assert _hafnian([[2.0 / 1024]], [1024]) == pytest.approx(
+        float(double_factorial(1023) * Fraction(2, 1024) ** 512), rel=1e-12
     )
+
+
+def test_hafnian_of_4096_identical_slots_nests_nothing():
+    # 2048 pairs, twice the interpreter's default limit of 1000 frames: a
+    # recursion over the pairs fails here.  Compared as floats, since the
+    # exact value has more digits than str() of an int may print.
+    exact = double_factorial(4095) * Fraction(2, 4096) ** 2048
+    got = _hafnian([[2.0 / 4096]], [4096])
+    assert abs(got - float(exact)) <= 1e-13 * float(exact)
 
 
 @pytest.mark.parametrize("m", [8, 12, 16, 24])
