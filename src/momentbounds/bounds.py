@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .kernels import SymmetryGroup, expectation_1level, expectation_2level
 from .moments import (
     MomentRequest, SupportRegimeError, UncertifiedBoundError, centered_moment, support_within
@@ -91,8 +89,10 @@ def _sweep(
     record twice), then in the order given each rank's parity, whatever
     ``denominator`` refuses and the denominator itself.  Only then is the
     rank-free numerator computed, once for the whole sweep.  Every number
-    is certified (:func:`_certified`), and a numerator that overflows on
-    the way is :class:`UncertifiedBoundError` too.
+    is certified (:func:`_certified`): the quantities are Python floats,
+    so a numerator that overflows on the way comes out inf or nan and is
+    refused there as :class:`UncertifiedBoundError` (R refuses its own
+    overflow, :func:`.moments.r_term`).
     """
     ranks = tuple(ranks)
     repeated = [r for r in ranks if ranks.count(r) > 1]
@@ -111,11 +111,7 @@ def _sweep(
     if not ranks:
         return []
     name = "moment" if method.startswith("moment") else "expectation"
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            value = _certified(numerator(), name, labels)
-    except FloatingPointError as exc:
-        raise UncertifiedBoundError(f"{name} of {', '.join(labels)} overflows: {exc}") from None
+    value = _certified(numerator(), name, labels)
     moment_value = value if name == "moment" else None
     return [
         BoundResult(family, r, method, labels, _certified(value / d, "upper bound", labels, r), d,

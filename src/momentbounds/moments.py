@@ -36,9 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-from numpy.polynomial import chebyshev
-
 from .quadrature import chebyshev_points, legendre_rule
 from .testfunc import TestFunction, sigma2, spec_order
 
@@ -151,7 +148,7 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
     single polynomial, and R is ``(-1)^n 2^(n-1) delta^n`` times the
     integral over [0, 1] of their n-fold convolution.  Each transform
     vanishes at its support end, so its end piece is ``t P_j(t)`` (a
-    Chebyshev division by ``1 - x``, once per distinct function), and the
+    Legendre division by ``1 - x``, once per distinct function), and the
     convolution of m end pieces is ``t^(2m-1) H_m(t)``.  Each H_m is a
     polynomial of known degree, kept as its Chebyshev interpolant on
     [0, 1]: its values at the first-kind Chebyshev points, each a
@@ -165,7 +162,10 @@ def r_term(tfs: Sequence[TestFunction]) -> float:
     at n = 48; at n = 96 R is about 1e-328 and underflows to 0.0, an
     error below 1e-300 of the matching sum (about 4e51).  Raises
     :class:`SupportRegimeError` when ``delta`` exceeds a support, where
-    the end pieces do not cover the tail.
+    the end pieces do not cover the tail, and
+    :class:`UncertifiedBoundError` when R overflows on the way.  The
+    convolution steps are the one part of the bound path on arrays, so R
+    of supports summing past 1 is the one quantity that loads numpy.
 
     A test function is its spec, so R is computed once per process for
     each spec-ordered slot tuple and kept (:func:`_r_term`); a refusal is
@@ -192,34 +192,55 @@ def _r_term(tfs: tuple[TestFunction, ...]) -> float:
             f"R in closed form needs S - 1 = {delta:.6g} within every support; "
             f"the smallest is {min(supports):.6g}"
         )
+    # the convolution steps run on arrays; numpy is loaded only here
+    import numpy as np
+    from numpy.polynomial import chebyshev, legendre
+
     # phihat at x = 2y/s - 1 is (1 - x) Q(x) + phihat(s), and phihat(s) = 0
     quotients = {
-        tf: chebyshev.chebdiv(tf.phihat_coef, (1.0, -1.0))[0] for tf in dict.fromkeys(tfs)
+        tf: legendre.legdiv(tf.phihat_coef, (1.0, -1.0))[0] for tf in dict.fromkeys(tfs)
     }
 
     def end_factor(tf: TestFunction, t: np.ndarray) -> np.ndarray:
         r = 2.0 * delta / tf.support_bound  # y = s - delta t is x = 1 - r t
-        return r * chebyshev.chebval(1.0 - r * t, quotients[tf])
+        return r * legendre.legval(1.0 - r * t, quotients[tf])
 
-    # h: Chebyshev coefficients of H_m on [0, 1], in x = 2t - 1
-    degree = tfs[0].phihat_degree - 1
-    x, dct = chebyshev_points(degree + 1)
-    h = dct @ end_factor(tfs[0], 0.5 * (x + 1.0))
-    # exact for t^(2n-1) H_n, so at every step's lower degree 2m + deg H_(m+1)
-    nodes, weights = legendre_rule((2 * n - 1 + sum(tf.phihat_degree - 1 for tf in tfs)) // 2 + 1)
-    w = 0.5 * (nodes + 1.0)
-    for m, tf in enumerate(tfs[1:], start=1):
-        degree += tf.phihat_degree - 1
-        x, dct = chebyshev_points(degree + 1)
-        # H_(m+1)(t) = int_0^1 w^(2m-1) (1 - w) H_m(t w) P(t (1 - w)) dw at
-        # the interpolation points, one row per t
-        t = 0.5 * (x[:, None] + 1.0)
-        vals = (w ** (2 * m - 1) * (1.0 - w) * chebyshev.chebval(2.0 * t * w - 1.0, h)
-                * end_factor(tf, t * (1.0 - w)))
-        h = dct @ (vals @ (0.5 * weights))
-    vals = w ** (2 * n - 1) * chebyshev.chebval(2.0 * w - 1.0, h)
-    integral = float((vals * weights * 0.5).sum())
-    return (-1.0) ** n * 2.0 ** (n - 1) * delta**n * integral
+    # an overflow gives inf or nan, refused below, never a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        # h: Chebyshev coefficients of H_m on [0, 1], in x = 2t - 1
+        degree = tfs[0].phihat_degree - 1
+        x, dct = _chebyshev_arrays(degree + 1)
+        h = dct @ end_factor(tfs[0], 0.5 * (x + 1.0))
+        # exact for t^(2n-1) H_n, so at every step's lower degree 2m + deg H_(m+1)
+        nodes, weights = map(np.array, legendre_rule(
+            (2 * n - 1 + sum(tf.phihat_degree - 1 for tf in tfs)) // 2 + 1))
+        w = 0.5 * (nodes + 1.0)
+        for m, tf in enumerate(tfs[1:], start=1):
+            degree += tf.phihat_degree - 1
+            x, dct = _chebyshev_arrays(degree + 1)
+            # H_(m+1)(t) = int_0^1 w^(2m-1) (1 - w) H_m(t w) P(t (1 - w)) dw at
+            # the interpolation points, one row per t
+            t = 0.5 * (x[:, None] + 1.0)
+            vals = (w ** (2 * m - 1) * (1.0 - w) * chebyshev.chebval(2.0 * t * w - 1.0, h)
+                    * end_factor(tf, t * (1.0 - w)))
+            h = dct @ (vals @ (0.5 * weights))
+        vals = w ** (2 * n - 1) * chebyshev.chebval(2.0 * w - 1.0, h)
+        integral = float((vals * weights * 0.5).sum())
+    value = (-1.0) ** n * 2.0 ** (n - 1) * delta**n * integral
+    if not math.isfinite(value):
+        labels = ", ".join(tf.spec_string for tf in dict.fromkeys(tfs))
+        raise UncertifiedBoundError(f"R of {labels} overflows: {value!r}")
+    return value
+
+
+@lru_cache(maxsize=64)
+def _chebyshev_arrays(n: int):
+    """:func:`.quadrature.chebyshev_points` as read-only arrays, for R's steps."""
+    import numpy as np
+
+    x, dct = map(np.array, chebyshev_points(n))
+    x.flags.writeable = dct.flags.writeable = False
+    return x, dct
 
 
 def _resolve_regime(req: MomentRequest) -> str:
@@ -320,16 +341,13 @@ def centered_moment(req: MomentRequest) -> MomentResult:
 
     Even n: matching sum, plus R with the family's sign (dropped in the
     mock-Gaussian regime).  Odd n: the signed R alone, or zero in the
-    mock-Gaussian regime.  Raises :class:`UncertifiedBoundError` when a
-    step overflows or the moment, its matching sum or R is not finite;
-    zero and negative moments are results.
+    mock-Gaussian regime.  Raises :class:`UncertifiedBoundError` when R
+    overflows (:func:`r_term`) or the moment or its matching sum is not
+    finite (an overflow on Python floats gives inf or nan, never an
+    exception); zero and negative moments are results.
     """
     regime = _resolve_regime(req)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            result = _moment(req, regime)
-    except FloatingPointError as exc:
-        raise UncertifiedBoundError(f"moment of {_labels(req)} overflows: {exc}") from None
+    result = _moment(req, regime)
     if not all(map(math.isfinite, (result.value, result.matching_sum, result.r_term))):
         raise UncertifiedBoundError(f"moment {result.value!r} of {_labels(req)} is not finite")
     return result

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .bounds import RankTooSmallError, UncertifiedBoundError, bound_moment, zero_margin
 from .kernels import SymmetryGroup
 from .moments import SupportRegimeError, support_threshold, support_within
@@ -201,7 +199,8 @@ def search(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals}")
-    # imported here so the bound commands never load scipy
+    # imported here so the bound commands never load numpy or scipy
+    import numpy as np
     from scipy.optimize import minimize
 
     n = problem.n_params

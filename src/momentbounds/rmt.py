@@ -32,14 +32,15 @@ both samplers against dense QR samplers.
 Batches own independent random substreams derived from (seed, batch
 index), so results are bitwise reproducible no matter how batches are
 scheduled across workers.
+
+Every function that samples or works on arrays imports numpy itself, so
+importing this module, as the command line does, loads none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .kernels import SymmetryGroup
 from .moments import (
@@ -99,7 +100,8 @@ def _jacobi_cosines(
 ) -> np.ndarray:
     """Ascending cosines (count, N) of the free eigenangles of SO(2N) or
     SO(2N+1): half the spectrum of the Killip-Nenciu beta = 2 Jacobi matrix."""
-    # imported here so the bound commands never load scipy
+    # imported here so the bound commands never load numpy or scipy
+    import numpy as np
     from scipy.linalg.lapack import dsterf
 
     a, b = _JACOBI_WEIGHTS[group]
@@ -128,6 +130,8 @@ def _cue_verblunsky(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """Verblunsky coefficients (count, N) of the Killip-Nenciu CMV model of U(N):
     independent, rotation invariant, |alpha_k|^2 ~ Beta(1, N - k - 1) for
     k < N - 1 and alpha_{N-1} on the unit circle."""
+    import numpy as np
+
     modulus = np.sqrt(rng.beta(1.0, np.arange(n - 1, 0, -1.0), size=(count, n - 1)))
     alpha = np.exp(2j * math.pi * rng.random((count, n)))
     alpha[:, :-1] *= modulus
@@ -144,7 +148,8 @@ def _cmv_cosines(alpha: np.ndarray) -> np.ndarray:
     the rest).  Both are symmetric tridiagonal, so C is pentadiagonal and
     only the upper bands of Re C are formed, in LAPACK band storage.
     """
-    # imported here so the bound commands never load scipy
+    # imported here so the bound commands never load numpy or scipy
+    import numpy as np
     from scipy.linalg.lapack import zhbevd
 
     count, n = alpha.shape
@@ -193,6 +198,8 @@ def sample_haar_batch(
     one per SO conjugate pair, the forced 0 of SO(2N+1) left out, and for U(N)
     the |theta_j|, as the CMV model gives cosines only (:func:`_spectrum_rule`).
     A cosine past [-1, 1] beyond rounding raises ArithmeticError."""
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be >= 1")
     EnsembleSpec(group, half_dim, count, 0)  # validates half_dim
@@ -208,6 +215,8 @@ def sample_haar_batch(
 def linear_statistic(angles: np.ndarray, tf: TestFunction, group: SymmetryGroup) -> np.ndarray:
     """sum_j phi(theta_j * dim / (2 pi)) over the whole spectrum, from the N
     free eigenangles on the last axis (:func:`_spectrum_rule`)."""
+    import numpy as np
+
     angles = np.asarray(angles, dtype=float)
     pair, forced, dim = _spectrum_rule(group, angles.shape[-1])
     z = pair * np.sum(tf.phi(angles * (dim / (2.0 * math.pi))), axis=-1)
@@ -216,6 +225,8 @@ def linear_statistic(angles: np.ndarray, tf: TestFunction, group: SymmetryGroup)
 
 def _batch_statistic(args) -> np.ndarray:
     """Z of one batch's samples, in draw order, from the batch's own substream."""
+    import numpy as np
+
     spec, tf, batch_size, stream = args
     rng = np.random.default_rng(stream)
     angles = sample_haar_batch(spec.group, spec.half_dim, rng, batch_size)
@@ -242,6 +253,8 @@ def empirical_moments(
     taken, so the moments do not cancel however large the mean is
     against the spread of Z.  Holding the samples costs 8 bytes each.
     """
+    import numpy as np
+
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if spec.samples < 4:
@@ -340,11 +353,13 @@ def finite_n_moments(
     Shifting f by a constant s moves Z by N s and no higher cumulant, so
     f is centered first and the traces do not cancel.
     """
+    import numpy as np
+
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     spec = EnsembleSpec(group, half_dim, 1, 0)
     pair, forced, dim = _spectrum_rule(group, half_dim)
-    nodes, weights = legendre_rule(_gram_nodes(tf, spec, n_max))
+    nodes, weights = map(np.array, legendre_rule(_gram_nodes(tf, spec, n_max)))
     # the integrands are even: keep the nodes in (0, pi], where the 1/(2 pi)
     # of c_d, the pi of the node map and the fold cancel
     theta, weights = math.pi * nodes[nodes > 0], weights[nodes > 0]

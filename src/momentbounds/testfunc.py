@@ -18,12 +18,14 @@ constructions are provided:
   in y (polynomial and sin(t^2) bases) or an entire function that a
   Chebyshev series represents to roundoff at modest degree (cosine
   bases), and ``T`` is stored once per basis (kind, dimension, support)
-  as a chopped table of Chebyshev coefficients on [0, 2h] and cached.
-  The table is interpolated from exact values of ``T`` at 128 Chebyshev
-  points: a product-to-sum closed form for cosine bases, else the
-  Gauss-Legendre rule of as many nodes as the polynomial has
-  coefficients, exact for the integrand.  Each function's phihat is then
-  the exact polynomial piece whose coefficients are ``c^T T_j c``.  The
+  as a chopped table of Legendre coefficients on [0, 2h] and cached
+  (:func:`_basis_tables`).  The table is interpolated from exact values
+  of ``T`` at first-kind Chebyshev points, just enough for a polynomial
+  and doubling from 32 for a cosine basis: a product-to-sum closed form
+  for cosine bases, else the Gauss-Legendre rule of as many nodes as the
+  polynomial has coefficients, exact for the integrand.  Each function's
+  phihat is then the exact polynomial piece whose Legendre coefficients
+  are ``c^T T_j c``.  The
   basis integrals ``m_k = int b_k`` (closed forms) and the Gram matrix
   ``G = T(0)`` are built and cached with ``T``, so a build sets
   ``phi(0) = (c.m)^2`` and ``phihat(0) = c^T G c`` and evaluates no basis
@@ -46,14 +48,18 @@ The scalar functionals live at module level: :func:`sigma2` (the
 pairwise variance ``2 int |y| phihat_a phihat_b dy``), :func:`pair_term`
 (the two-level ``int (1 - |t|)_+ phihat_a phihat_b dt``) and
 :func:`min_rank` (the smallest vanishing order the moment inequality
-can see for a given function).  sigma2 and the pair term are exact
-Gauss-Legendre sums on one rule whose nodes, weights and Chebyshev
-basis values depend only on the two supports and phihat degrees, so the
-rule is cached once per such pair; the basis values are
-``T_k(x) = cos(k arccos x)`` at the mapped nodes, one cosine product per
-matrix.  A test function is its spec, so each value is computed once
-per spec-ordered pair of functions and kept for the process, and
-:func:`from_spec_string` builds each spec string once.
+can see for a given function).  On a common support, sigma2 and the
+pair term are closed forms in the two Legendre series (orthogonality);
+on two supports they are exact Gauss-Legendre sums on one rule whose
+nodes, weights and Legendre basis values depend only on the supports and
+phihat degrees, so the rule is cached once per such pair.  A test
+function is its spec, so each value is computed once per spec-ordered
+pair of functions and kept for the process, and :func:`from_spec_string`
+builds each spec string once.
+
+Everything here but phi and phihat on arrays runs on Python floats, so
+building a test function and its sigma2 loads no numpy: phi, phihat and
+the ghat series import it where they are called.
 """
 
 from __future__ import annotations
@@ -63,10 +69,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import attrgetter
-
-import numpy as np
-from numpy.polynomial import chebyshev, legendre, polynomial
+from operator import attrgetter, mul, sub
 
 from .quadrature import chebyshev_points, legendre_rule
 
@@ -74,10 +77,10 @@ from .quadrature import chebyshev_points, legendre_rule
 GENERATOR_NAMES = {"sin-of-square": "sinx2", "polynomial": "poly", "cosine-series": "cos"}
 GENERATOR_KINDS = tuple(GENERATOR_NAMES)
 
-# Basis autocorrelation tables: Chebyshev sample points on [0, 2h], and
-# the chop level relative to each entry's Cauchy-Schwarz scale
-# sqrt(T_kk(0) T_ll(0)).  A series that is not below the chop level from
-# _MAX_PHIHAT_DEGREE on is refused.
+# Basis autocorrelation tables: the most Chebyshev sample points on
+# [0, 2h] a cosine basis doubles up to, and the chop level relative to
+# each entry's Cauchy-Schwarz scale sqrt(T_kk(0) T_ll(0)).  A series that
+# is not below the chop level from _MAX_PHIHAT_DEGREE on is refused.
 _CHEB_POINTS = 128
 _MAX_PHIHAT_DEGREE = 95
 _CHOP_TOL = 1e-14
@@ -138,113 +141,153 @@ class GeneratorSpec:
         return len(self.coefficients) or 1
 
     @property
-    def weights(self) -> np.ndarray:
+    def weights(self) -> tuple[float, ...]:
         """Basis weights c with g = sum_k c_k b_k (the single weight 1 for sin-of-square)."""
-        return np.asarray(self.coefficients or (1.0,))
+        return self.coefficients or (1.0,)
 
 
 @lru_cache(maxsize=16)
-def _sin_square_taylor(h: float) -> np.ndarray:
+def _sin_square_taylor(h: float) -> tuple[float, ...]:
     """Power coefficients p_k in s = t/h of sin(t^2)'s Taylor polynomial on |t| < h:
     sin(h^2 s^2) = sum_j (-1)^j (h s)^(4j + 2) / (2j + 1)!, cut after the
     first term within 1e-17 of h^2, so the first omitted term, which bounds
-    the alternating tail, is below 1e-18 h^2 (h <= 1).  Read-only, cached."""
+    the alternating tail, is below 1e-18 h^2 (h <= 1).  Cached."""
     terms = [h * h]
     while terms[-1] > 1e-17 * terms[0]:
         j = len(terms)
         terms.append(terms[-1] * h**4 / (2 * j * (2 * j + 1)))
-    power = np.zeros(4 * len(terms) - 1)
-    power[2::4] = terms * (-1.0) ** np.arange(len(terms))
-    power.flags.writeable = False
-    return power
+    power = [0.0] * (4 * len(terms) - 1)
+    power[2::4] = [-term if j % 2 else term for j, term in enumerate(terms)]
+    return tuple(power)
 
 
-def _basis_values(kind: str, dim: int, h: float, t: np.ndarray) -> np.ndarray:
-    """Values b_k(t) of a polynomial or sin(t^2) basis inside its support,
-    shape ``t.shape + (dim,)``: the powers t^k, or sin(t^2)'s Taylor polynomial."""
-    if kind == "polynomial":
-        return t[..., None] ** np.arange(dim)
-    return polynomial.polyval(t / h, _sin_square_taylor(h))[..., None]
+def _horner(z: float, coefficients: tuple[float, ...]) -> float:
+    """sum_k coefficients[k] z^k by Horner's rule."""
+    value = 0.0
+    for c in reversed(coefficients):
+        value = value * z + c
+    return value
 
 
-def _autocorrelation_values(kind: str, dim: int, h: float, y: np.ndarray) -> np.ndarray:
-    """T(y)_kl = int b_k(t) b_l(t - y) dt at points y of [0, 2h], shape (len(y), d, d).
+def _sinc(z: float) -> float:
+    """sin(pi z) / (pi z), and 1 at z = 0."""
+    if z == 0.0:
+        return 1.0
+    z *= math.pi
+    return math.sin(z) / z
+
+
+def _autocorrelation(kind: str, dim: int, h: float, y: float) -> list[float]:
+    """The quadratic form of T(y)_kl = int b_k(t) b_l(t - y) dt at one point y
+    of [0, 2h]: for k <= l in row-major order, T_kk and T_kl + T_lk, so
+    that c^T T(y) c is their sum weighted by c_k c_l.
 
     Cosine bases b_k(t) = cos(k a t), a = pi / (2h), by product-to-sum on
     the overlap (y - h, h) of midpoint y/2 and half-width u = h - y/2:
-    T_kl = u [cos(a(k - l)y/2) sinc(a(k + l)u/pi) + cos(a(k + l)y/2) sinc(a(k - l)u/pi)].
-    Polynomial bases, and sin(t^2) as its Taylor polynomial, by the
-    Gauss-Legendre rule on the overlap of as many nodes, d, as the
-    polynomial has coefficients: exact for the integrand's degree 2d - 2.
+    T_kl = u [cos(a(k - l)y/2) sinc(a(k + l)u/pi) + cos(a(k + l)y/2) sinc(a(k - l)u/pi)],
+    from one cosine and one sinc per k + l and |k - l|; it is symmetric.
+    Polynomial bases (the powers t^k), and sin(t^2) as its Taylor
+    polynomial, by the Gauss-Legendre rule on the overlap of as many
+    nodes, d, as the polynomial has coefficients: exact for the
+    integrand's degree 2d - 2.  There t -> y - t gives T_lk = (-1)^(k+l) T_kl,
+    so T_kl + T_lk is 2 T_kl for even k + l and 0 for odd.
     """
     if kind == "cosine-series":
-        k = np.arange(dim)
-        plus, minus = np.add.outer(k, k), np.subtract.outer(k, k)
-        u = (h - 0.5 * y)[:, None, None]
-        phase = (y * (math.pi / (4.0 * h)))[:, None, None]  # a y / 2
+        u = h - 0.5 * y
+        phase = y * (math.pi / (4.0 * h))  # a y / 2
         ratio = u / (2.0 * h)  # a u / pi
-        return u * (np.cos(phase * minus) * np.sinc(plus * ratio)
-                    + np.cos(phase * plus) * np.sinc(minus * ratio))
-    base, wts = legendre_rule(dim if kind == "polynomial" else len(_sin_square_taylor(h)))
+        cos = [math.cos(phase * j) for j in range(2 * dim - 1)]
+        sinc = [_sinc(j * ratio) for j in range(2 * dim - 1)]
+        return [(1.0 if k == l else 2.0) * u * (cos[l - k] * sinc[k + l] + cos[k + l] * sinc[l - k])
+                for k in range(dim) for l in range(k, dim)]
+    nodes, weights = legendre_rule(dim if kind == "polynomial" else len(_sin_square_taylor(h)))
     width = 2.0 * h - y
-    t = (y - h)[:, None] + (base + 1.0) * 0.5 * width[:, None]
-    left = _basis_values(kind, dim, h, t) * (wts * 0.5 * width[:, None])[..., None]
-    right = _basis_values(kind, dim, h, t - y[:, None])
-    return np.swapaxes(left, 1, 2) @ right
+    # the rule is symmetric, so t_i - y = -t_(n-1-i): each basis function is
+    # read at the nodes once, and b_l(-t) = (-1)^l b_l(t) (sin(t^2) is even)
+    ts = [(y - h) + (node + 1.0) * 0.5 * width for node in nodes]
+    if kind == "polynomial":
+        values = [[t**k for k in range(dim)] for t in ts]
+    else:
+        terms = _sin_square_taylor(h)[2::4]  # of s^2 (s^4)^j
+        values = [[u * _horner(u * u, terms)] for u in [(t / h) * (t / h) for t in ts]]
+    scaled = [weight * 0.5 * width for weight in weights]
+    mirrored = list(zip(scaled, values, reversed(values)))
+    return [(1.0 if k == l else 2.0) * (-1.0) ** l
+            * sum(w * left[k] * right[l] for w, left, right in mirrored)
+            if (k + l) % 2 == 0 else 0.0
+            for k in range(dim) for l in range(k, dim)]
 
 
 @lru_cache(maxsize=16)
-def _basis_tables(
-    kind: str, dim: int, half_support: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _basis_tables(kind: str, dim: int, half_support: float) -> tuple[tuple, tuple, tuple]:
     """One basis's ``(m, G, T)``, built once and shared read-only.
 
     m_k = int b_k is in closed form: 2h sinc(k/2) for cosine bases (exactly
     0 for even k > 0), 2h^(k+1)/(k+1) for polynomial ones (0 for odd k),
     and 2h sum_k p_k/(k+1) over even k for sin(t^2), from its Taylor
     polynomial in s = t/h (:func:`_sin_square_taylor`).  The Gram matrix
-    G = T(0) and T(y)_kl = int b_k(t) b_l(t - y) dt at 128 Chebyshev points
-    of [0, 2h] come from :func:`_autocorrelation_values` (a closed form for
-    cosine bases, else the Gauss-Legendre rule of the integrand's degree).
-    The cached DCT matrix turns those samples into Chebyshev coefficients
-    on [0, 2h], chopped where every entry's tail falls below roundoff, so
-    T has shape (degree + 1, d, d).  A generator with weights c has
-    phi(0) = (c.m)^2, phihat(0) = c^T G c and phihat coefficients c^T T_j c.
-    Raises ValueError when the series does not chop below the degree cap,
-    rather than represent phihat approximately.
+    G = T(0) and T(y)_kl = int b_k(t) b_l(t - y) dt come from
+    :func:`_autocorrelation` (a closed form for cosine bases, else the
+    Gauss-Legendre rule of the integrand's degree), sampled at the
+    first-kind Chebyshev points of [0, 2h] and taken by the DCT of
+    :func:`.quadrature.chebyshev_points` to Chebyshev coefficients on
+    [0, 2h], chopped where every entry's tail falls below roundoff.  The
+    grid: for polynomial and sin(t^2) bases T is a polynomial of degree
+    2D - 1, D the basis polynomials' coefficient count, so its 2D points
+    interpolate it exactly.  A cosine basis's T is entire, so its grid
+    doubles from 32 points, up to 128, until the chopped degree is below
+    three quarters of the points: the top quarter of the sampled series
+    then lies below the chop, and what aliases onto a kept coefficient
+    (the series from 2n - degree on, n points) lies far below roundoff,
+    as the coefficients fall faster than geometrically past the chop.  The
+    kept series are then rewritten as Legendre series of the same degree
+    (:func:`_legendre_series`), the form sigma2 integrates in closed form.
+    G and each T_j hold the d(d + 1)/2 entries of their quadratic forms
+    (:func:`_autocorrelation`), each T_kl + T_lk chopped at twice the
+    scale of T_kl, and T has degree + 1 rows.  A generator with weights c
+    has phi(0) = (c.m)^2, phihat(0) = c^T G c and phihat coefficients
+    c^T T_j c, each the entries weighted by c_k c_l.  Raises ValueError
+    when the series does not chop below the degree cap, rather than
+    represent phihat approximately.
     """
     h = half_support
-    k = np.arange(dim)
     if kind == "cosine-series":
-        m = np.where(k % 2, 4.0 * h / math.pi * (-1.0) ** (k // 2) / np.maximum(k, 1), 0.0)
-        m[0] = 2.0 * h
+        m = (2.0 * h,) + tuple(4.0 * h / math.pi * (-1.0) ** (k // 2) / k if k % 2 else 0.0
+                               for k in range(1, dim))
+        sizes = (_CHEB_POINTS // 4, _CHEB_POINTS // 2, _CHEB_POINTS)
     elif kind == "polynomial":
-        m = np.where(k % 2, 0.0, 2.0 * h ** (k + 1) / (k + 1))
+        m = tuple(0.0 if k % 2 else 2.0 * h ** (k + 1) / (k + 1) for k in range(dim))
+        sizes = (2 * dim,)
     else:  # sin-of-square: h int_{-1}^{1} sum_k p_k s^k ds
-        p = _sin_square_taylor(h)[::2]
-        m = np.array([2.0 * h * (p / np.arange(1, 2 * len(p), 2)).sum()])
-    gram = _autocorrelation_values(kind, dim, h, np.zeros(1))[0]
-    x, dct = chebyshev_points(_CHEB_POINTS)
-    values = _autocorrelation_values(kind, dim, h, h * (x + 1.0))
-    coef = (dct @ values.reshape(_CHEB_POINTS, -1)).reshape(_CHEB_POINTS, dim, dim)
-    norms = np.sqrt(np.diagonal(gram))
-    above = np.abs(coef) > _CHOP_TOL * np.outer(norms, norms)
-    degree = int(np.flatnonzero(above.any(axis=(1, 2))).max(initial=0))
+        power = _sin_square_taylor(h)
+        m = (2.0 * h * sum(p / (k + 1) for k, p in enumerate(power) if k % 2 == 0),)
+        sizes = (2 * len(power),)
+    gram = tuple(_autocorrelation(kind, dim, h, 0.0))
+    norms = [math.sqrt(gram[k * dim - k * (k - 1) // 2]) for k in range(dim)]
+    chop = [(1.0 if k == l else 2.0) * _CHOP_TOL * (norms[k] * norms[l])
+            for k in range(dim) for l in range(k, dim)]
+    for n in sizes:
+        x, dct = chebyshev_points(n)
+        samples = [_autocorrelation(kind, dim, h, h * (xj + 1.0)) for xj in x]
+        entries = list(zip(*samples))
+        coef = [[sum(map(mul, dct_row, entry)) for entry in entries] for dct_row in dct]
+        degree = max((j for j, c in enumerate(coef) if any(map(float.__gt__, map(abs, c), chop))),
+                     default=0)
+        if 4 * degree < 3 * n:
+            break
     if degree >= _MAX_PHIHAT_DEGREE:
         raise ValueError(
             f"the {kind} basis of dimension {dim} on half-support {h!r} has no "
             f"Chebyshev representation below degree {_MAX_PHIHAT_DEGREE}"
         )
-    table = coef[: degree + 1].copy()
-    for arr in (m, gram, table):
-        arr.flags.writeable = False
-    return m, gram, table
+    entries = _legendre_series(list(zip(*coef[: degree + 1])))  # one series per entry
+    return m, gram, tuple(zip(*entries))
 
 
 class TestFunction:
     """Base class: an admissible pair (phi, phihat).
 
-    A transform is described once, by ``phihat_coef``: the Chebyshev
+    A transform is described once, by ``phihat_coef``: the Legendre
     coefficients of phihat on ``[0, support_bound]`` as one polynomial
     piece, whose degree sizes every integral of it.  ``phihat`` reads that
     piece (even, zero from the support bound on).  Each constructor sets
@@ -256,7 +299,7 @@ class TestFunction:
     """
 
     support_bound: float
-    phihat_coef: np.ndarray
+    phihat_coef: tuple[float, ...]
     phi0: float
     phihat0: float
     spec_string: str
@@ -265,14 +308,17 @@ class TestFunction:
     def phihat_degree(self) -> int:
         return len(self.phihat_coef) - 1
 
-    def phi(self, x) -> np.ndarray:
+    def phi(self, x):
         raise NotImplementedError
 
-    def phihat(self, y) -> np.ndarray:
+    def phihat(self, y):
+        import numpy as np
+        from numpy.polynomial import legendre
+
         y = np.abs(np.asarray(y, dtype=float))
         inside = y < self.support_bound
         x = np.where(inside, y, 0.0) * (2.0 / self.support_bound) - 1.0
-        return np.where(inside, chebyshev.chebval(x, self.phihat_coef), 0.0)
+        return np.where(inside, legendre.legval(x, self.phihat_coef), 0.0)
 
     def __eq__(self, other):
         return isinstance(other, TestFunction) and self.spec_string == other.spec_string
@@ -296,12 +342,14 @@ class NaiveTestFunction(TestFunction):
             raise ValueError(f"naive test function needs 1/v in the normal double range, got {v!r}")
         self.v = v
         self.support_bound = self.v
-        self.phihat_coef = np.array([0.5, -0.5]) / self.v  # (1 - x) / (2v), x = 2y/v - 1
+        self.phihat_coef = (0.5 / self.v, -0.5 / self.v)  # (1 - x) / (2v), x = 2y/v - 1
         self.phi0 = 1.0
         self.phihat0 = 1.0 / self.v
         self.spec_string = f"naive:v={self.v!r}"
 
     def phi(self, x):
+        import numpy as np
+
         return np.sinc(self.v * np.asarray(x, dtype=float)) ** 2
 
 
@@ -309,14 +357,17 @@ class GeneratorBackedTestFunction(TestFunction):
     """phi = |inverse transform of g|^2, phihat = autocorrelation of g.
 
     Construction reads one cached per-basis build and the generator's
-    weights ``c``: ``phihat_coef`` is the Chebyshev series on
+    weights ``c``: ``phihat_coef`` is the Legendre series on
     [0, 2*half_support] with coefficients ``c^T T_j c``, from the basis
     autocorrelation table ``T``; ``phi0 = (c.m)^2`` and
     ``phihat0 = c^T G c``, from the basis integrals ``m`` and Gram matrix
-    ``G = T(0)`` (:func:`_basis_tables`).  A generator whose integral is
-    below 1e-12 of sqrt(2h c^T G c), a bound on int |g|, is refused, as
-    is one whose phi(0) or int g^2 leaves the normal double range (named
-    as an overflow or an underflow, with no floating-point warning).
+    ``G = T(0)`` (:func:`_basis_tables`), each the table's quadratic-form
+    entries against the products c_k c_l, on Python floats.  A generator
+    whose integral is below 1e-12 of sqrt(2h c^T G c), a bound on
+    int |g|, is refused, as is one whose phi(0), int g^2, a coefficient
+    or a product c_k c_l leaves the normal double range (named as an
+    overflow or an underflow; an overflow is an inf or nan found by an
+    explicit check, never a floating-point warning).
 
     phi is |ghat|^2 with ghat(x) = int g(t) e^{2 pi i x t} dt.  For a
     cosine series ghat is real, h sum_k c_k [sinc(u - k/2) + sinc(u + k/2)]
@@ -332,18 +383,17 @@ class GeneratorBackedTestFunction(TestFunction):
         c = generator.weights
         self.support_bound = 2.0 * h
         m, gram, table = _basis_tables(generator.kind, generator.dimension, h)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                int_g = float(c @ m)
-                int_g2 = float(c @ gram @ c)
-                self.phihat_coef = (table @ c) @ c
-            self.phi0 = int_g**2
-        except (FloatingPointError, OverflowError):
+        int_g = sum(map(mul, c, m))
+        cc = [ck * cl for k, ck in enumerate(c) for cl in c[k:]]
+        int_g2 = sum(map(mul, gram, cc))
+        self.phihat_coef = tuple([sum(map(mul, t, cc)) for t in table])
+        if not all(map(math.isfinite, (int_g * int_g, int_g2, *self.phihat_coef))):
             raise ValueError(
                 "generator overflows: phi(0) or int g^2 exceeds the double range; "
                 "scale its coefficients towards 1, which leaves every bound unchanged"
-            ) from None
-        if int_g2 <= 0.0 and not c.any():
+            )
+        self.phi0 = int_g * int_g
+        if int_g2 <= 0.0 and not any(c):
             raise ValueError("generator is identically zero")
         # sqrt(2h int g^2) >= int |g| by Cauchy-Schwarz
         if abs(int_g) <= 1e-12 * math.sqrt(2.0 * h * max(int_g2, 0.0)):
@@ -370,10 +420,13 @@ class GeneratorBackedTestFunction(TestFunction):
         times (-1)^(n // 2), the real factor of i^n, chopped where its tail
         falls below 1e-17 of sum |l|.
         """
+        import numpy as np
+        from numpy.polynomial import legendre
+
         gen = self.generator
         h = gen.half_support
         if gen.kind == "polynomial":
-            power = gen.weights * h ** np.arange(gen.dimension)
+            power = np.array(gen.weights) * h ** np.arange(gen.dimension)
         else:
             power = _sin_square_taylor(h)
         ell = legendre.poly2leg(power)
@@ -382,6 +435,8 @@ class GeneratorBackedTestFunction(TestFunction):
         return tuple([(n, a) for n, a in enumerate(coef) if a and n % 2 == odd] for odd in (0, 1))
 
     def phi(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError(f"phi of {self.spec_string} needs finite x")
@@ -493,45 +548,95 @@ def pair_term(a: TestFunction, b: TestFunction) -> float:
 def _pair_integral(a: TestFunction, b: TestFunction, pair: bool) -> float:
     """sigma2 of a spec-ordered pair, or its pair term when ``pair`` is true.
 
-    Both are sums on the pair's cached rule (:func:`_sigma2_rule`) taken
-    in value space: phihat_a and phihat_b at the nodes, each one
-    matrix-vector product, and one dot product with the weights.  Keyed
-    by the two functions, which are their specs, so each value is
-    computed once per process, and only when it is asked for: a search
-    reads sigma2 alone, a level-2 bound the pair term.
+    On a common support s both transforms are Legendre series p_a, p_b in
+    x = 2y/s - 1, and the integrals are closed forms in their
+    coefficients: with A = int p_a p_b = sum_j a_j b_j 2/(2j + 1) and B =
+    int x p_a p_b = sum_j (a_j b_(j+1) + a_(j+1) b_j) 2(j + 1)/((2j + 1)(2j + 3))
+    (orthogonality, and one step of the three-term recurrence for x),
+    sigma2 = 4 int_0^s y phihat_a phihat_b = s^2 (A + B) and the pair term
+    2 int_0^s (1 - y) phihat_a phihat_b = s A - s^2 (A + B)/2.  Otherwise
+    they are sums on the pair's cached rule (:func:`_sigma2_rule`) of the
+    weight times phihat_a times phihat_b at each node.  Keyed by the two
+    functions, which are their specs, so each value is computed once per
+    process, and only when it is asked for: a search reads sigma2 alone, a
+    level-2 bound the pair term.
     """
+    if a.support_bound == b.support_bound:
+        s, ca, cb = a.support_bound, a.phihat_coef, b.phihat_coef
+        norms, steps = _legendre_products(max(len(ca), len(cb)))
+        within = sum(map(mul, map(mul, ca, cb), norms))
+        across = (sum(map(mul, map(mul, ca, cb[1:]), steps))
+                  + sum(map(mul, map(mul, ca[1:], cb), steps)))
+        return s * within - 0.5 * s * s * (within + across) if pair else s * s * (within + across)
     wy, wt, va, vb = _sigma2_rule(a.support_bound, b.support_bound,
                                   a.phihat_degree, b.phihat_degree)
-    return float(((wt if pair else wy) * (va @ a.phihat_coef)) @ (vb @ b.phihat_coef))
+    fa = [sum(map(mul, row, a.phihat_coef)) for row in va]
+    fb = [sum(map(mul, row, b.phihat_coef)) for row in vb]
+    return sum(map(mul, map(mul, wt if pair else wy, fa), fb))
 
 
-# A search builds new functions at every point, on the same few supports
-# and degrees, so it reads these rules over and over.
+@lru_cache(maxsize=16)
+def _legendre_products(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """int P_j^2 = 2/(2j + 1) and int x P_j P_(j+1) = 2(j + 1)/((2j + 1)(2j + 3))
+    on [-1, 1], for j < n."""
+    return (tuple(2.0 / (2 * j + 1) for j in range(n)),
+            tuple(2.0 * (j + 1) / ((2 * j + 1) * (2 * j + 3)) for j in range(n)))
+
+
+# Only pairs of distinct supports read a rule: each naive v with each
+# other support, far fewer than this per run.
 @lru_cache(maxsize=128)
-def _sigma2_rule(
-    support_a: float, support_b: float, degree_a: int, degree_b: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sigma2_rule(support_a: float, support_b: float, degree_a: int, degree_b: int) -> tuple:
     """The sigma2 rule of one support and degree pair: ``(4 w y, 2 w (1 - y), V_a, V_b)``.
 
     ``y`` and ``w`` are the nodes and weights of the Gauss-Legendre rule
     of ``(1 + degree_a + degree_b) // 2 + 1`` nodes on
-    ``[0, min(support_a, support_b)]``, and ``V_a`` the Chebyshev basis
-    ``T_0, ..., T_degree_a`` at ``y`` mapped from ``[0, support_a]`` to
-    ``[-1, 1]``, read as ``cos(k arccos x)`` in one cosine product (so
-    ``V_a @ phihat_coef`` is phihat at the nodes); likewise ``V_b``.
-    Read-only: shared by every pair of functions with these supports and
-    degrees.
+    ``[0, min(support_a, support_b)]``, exact for the integrands, and
+    ``V_a`` holds one row per node: the Legendre polynomials
+    ``P_0, ..., P_degree_a`` at ``y`` mapped from ``[0, support_a]`` to
+    ``[-1, 1]``, so that a row's dot product with phihat_coef is phihat
+    there; likewise ``V_b``.  Tuples, shared by every pair of functions
+    with these supports and degrees.
     """
     nodes, weights = legendre_rule((1 + degree_a + degree_b) // 2 + 1)
     half = 0.5 * min(support_a, support_b)
-    y = half * (nodes + 1.0)
-    wy = 4.0 * weights * half * y
-    wt = 2.0 * weights * half * (1.0 - y)
-    va = np.cos(np.outer(np.arccos(y * (2.0 / support_a) - 1.0), np.arange(degree_a + 1)))
-    vb = np.cos(np.outer(np.arccos(y * (2.0 / support_b) - 1.0), np.arange(degree_b + 1)))
-    for arr in (wy, wt, va, vb):
-        arr.flags.writeable = False
-    return wy, wt, va, vb
+    y = [half * (node + 1.0) for node in nodes]
+    wy = tuple(4.0 * w * half * yi for w, yi in zip(weights, y))
+    wt = tuple(2.0 * w * half * (1.0 - yi) for w, yi in zip(weights, y))
+    return wy, wt, *(tuple(_legendre_row(yi * (2.0 / support) - 1.0, degree) for yi in y)
+                     for support, degree in ((support_a, degree_a), (support_b, degree_b)))
+
+
+def _legendre_row(x: float, degree: int) -> tuple[float, ...]:
+    """P_0(x), ..., P_degree(x) by (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1)."""
+    row = [1.0, x]
+    for k in range(1, degree):
+        row.append(((2 * k + 1) * x * row[-1] - k * row[-2]) / (k + 1))
+    return tuple(row[: degree + 1])
+
+
+def _legendre_series(chebyshev_series: list) -> list[tuple[float, ...]]:
+    """Chebyshev series of one length n to Legendre series on [-1, 1]: the
+    coefficient of P_k is sum_j c_j C_jk with C_jk that of P_k in T_j
+    (:func:`_chebyshev_in_legendre`), which is zero for k > j, so a tail
+    coefficient takes only the series' tail and keeps its relative accuracy."""
+    columns = list(zip(*_chebyshev_in_legendre(len(chebyshev_series[0]))))
+    return [tuple(sum(map(mul, coef, column)) for column in columns) for coef in chebyshev_series]
+
+
+@lru_cache(maxsize=16)
+def _chebyshev_in_legendre(n: int) -> tuple[tuple[float, ...], ...]:
+    """Row j < n: T_j's Legendre coefficients, by T_(j+1) = 2x T_j - T_(j-1)
+    and 2x P_k = (2(k + 1) P_(k+1) + 2k P_(k-1)) / (2k + 1)."""
+    rows = [[1.0] + [0.0] * n, [0.0, 1.0] + [0.0] * (n - 1)]
+    for j in range(1, n - 1):
+        twice_x = [0.0] * (n + 1)
+        for k, a in enumerate(rows[j][: j + 1]):
+            twice_x[k + 1] += a * (2 * (k + 1)) / (2 * k + 1)
+            if k:
+                twice_x[k - 1] += a * (2 * k) / (2 * k + 1)
+        rows.append(list(map(sub, twice_x, rows[j - 1])))
+    return tuple(tuple(row[:n]) for row in rows[:n])
 
 
 def min_rank(tf: TestFunction) -> int:

@@ -283,12 +283,12 @@ def test_sweep_refuses_a_quotient_outside_the_double_range(numerator, denominato
 
 
 def test_level2_expectation_overflowing_on_the_way_is_refused():
-    # phihat of gen:cos:1e100 is about 1e200, so E_2's products overflow:
-    # refused by name with no floating-point warning, never printed as NaN
+    # phihat of gen:cos:1e100 is about 1e200, so E_2's products overflow to
+    # inf and nan: refused by name with no floating-point warning, never printed
     tf = from_spec_string("gen:cos:1e100:half=1/6")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UncertifiedBoundError, match="^expectation of gen:cos:1e\\+100"):
+        with pytest.raises(UncertifiedBoundError, match="^expectation nan of gen:cos:1e\\+100"):
             bound_level2(tf, tf, G.SO_EVEN, [20])
     assert bound_level1(tf, G.SO_EVEN, [20])[0].upper_bound == pytest.approx(0.175, rel=1e-12)
 

@@ -31,7 +31,7 @@ SRC = str(Path(momentbounds.__file__).resolve().parents[1])
 
 
 def test_cli_import_leaves_quadpack_and_splines_out():
-    # bound, moment and table are numpy-only: after running them the process
+    # bound, moment and table load no scipy: after running them the process
     # has loaded neither scipy nor a process pool
     code = """
 import contextlib, io, sys
@@ -53,6 +53,42 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in heavy or m in h
         [sys.executable, "-c", code, SRC], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[0, 0, 0] []"
+
+
+def test_mock_gaussian_bounds_and_moments_load_no_numpy():
+    # the twelve command shapes of the high-moments benchmark (identical,
+    # doubled and distinct naive, cosine and polynomial slots, 2m = 8..14,
+    # mock-Gaussian) in one fresh process: importing the package loads no
+    # numpy, and neither does running them
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import momentbounds
+numpy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+imported = numpy()
+from momentbounds import cli
+naive = [f"naive:v=1/{q}" for q in range(10, 17)]
+gen = [f"gen:{g}:half=1/20" for g in ("cos:1", "cos:1,0.3", "poly:1,-2", "cos:1,-0.2,0.1",
+                                     "poly:1,0,-50", "cos:1,0.5", "poly:2,3")]
+testfns = lambda specs: [arg for spec in specs for arg in ("--testfn", spec)]
+runs = []
+for two_m in (8, 10, 12, 14):
+    m = two_m // 2
+    family, rank = ("so-even", "30") if two_m % 4 == 0 else ("so-odd", "31")
+    mock = ["--family", family, "--regime", "mock_gaussian"]
+    bound = ["bound", *mock, "--rank", rank, "--method", f"moment2m:{m}"]
+    identical = (["moment", *mock, *testfns([naive[0]] * two_m)] if two_m % 4 == 0
+                 else [*bound, "--testfn", gen[1]])
+    runs += [identical, [*bound, *testfns(naive[: (m + 1) // 2] + gen[: m // 2])],
+             ["moment", *mock, *testfns(naive[:m] + gen[:m])]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(len(runs), set(codes), imported, numpy())
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code, SRC], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "12 {0} [] []"
 
 
 @pytest.mark.parametrize(
@@ -239,7 +275,7 @@ def test_naive_v_past_the_double_range_is_one_error_line(method, count):
 @pytest.mark.parametrize(
     "regime, reason",
     [
-        ("with_R", "moment of gen:cos:1e+60:half=0.16666666666666666 overflows"),
+        ("with_R", "R of gen:cos:1e+60:half=0.16666666666666666 overflows"),
         ("mock_gaussian", "moment inf of gen:cos:1e+60:half=0.16666666666666666 is not finite"),
     ],
 )

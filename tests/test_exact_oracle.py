@@ -48,10 +48,11 @@ from momentbounds.testfunc import from_spec_string
 U = Fraction(1, 2**53)
 SRC = str(Path(sys.modules[from_spec_string.__module__].__file__).resolve().parents[1])
 
-# sigma2 is a Gauss-Legendre sum taken in value space: two Chebyshev
-# evaluations, the weights times 4y, and a dot product of two or three
-# terms.  Equal triangles read 1/3 to within 3.3 ulps of 2^-54, about 5 u
-# relative; 8 u leaves room for unequal pairs.
+# sigma2 of two triangles on one support is a closed form in their two
+# Legendre coefficients; on two supports it is a Gauss-Legendre sum taken
+# in value space: two Legendre evaluations, the weights times 4y, and a
+# dot product of two or three terms.  Equal triangles read 1/3 to within
+# 2.3 ulps of 2^-54, about 4 u relative; 8 u leaves room for unequal pairs.
 SIGMA2_BUDGET = 8
 
 
@@ -308,19 +309,21 @@ def _generator_oracle(spec: str) -> tuple[list[Fraction], Fraction, Fraction, Fr
     budget e on the whole support and its budget at 0, and phi(0) =
     (int g)^2, exactly, and its budget.
 
-    The package's phihat is c^T T c with T a table of Chebyshev
-    coefficients.  A polynomial basis has d weights c and d power
-    coefficients; sin(t^2) is one weight on its Taylor polynomial of
-    D = 4 (J + 1) - 1 power coefficients (:func:`_sinx2_taylor`).  The
-    entries of T have degree at most 2D - 1, so no series is truncated:
-    past that degree the chop at 1e-14 of an entry's Cauchy-Schwarz scale
-    sqrt(G_kk G_ll) drops rounding noise, and a true coefficient below it,
-    if any, is dropped with an error under 1e-14 of that scale.  A kept
-    coefficient is a DCT of 128 samples, each a D-node Gauss-Legendre sum
-    of products of two basis values of at most D roundings each: at most
-    2 (2D + 128) units of the scale.  Each of the at most 2D coefficients
-    is read at |T_j| <= 1, and sum |c_k c_l| sqrt(G_kk G_ll) <= d sum
-    c_k^2 G_kk (Cauchy-Schwarz), so the chop and this rounding give
+    The package's phihat is c^T T c with T a table of Legendre
+    coefficients, rewritten from Chebyshev ones.  A polynomial basis has d
+    weights c and d power coefficients; sin(t^2) is one weight on its
+    Taylor polynomial of D = 4 (J + 1) - 1 power coefficients
+    (:func:`_sinx2_taylor`).  The entries of T have degree at most 2D - 1,
+    so no series is truncated: past that degree the chop at 1e-14 of an
+    entry's Cauchy-Schwarz scale sqrt(G_kk G_ll) drops rounding noise, and
+    a true coefficient below it, if any, is dropped with an error under
+    1e-14 of that scale.  A kept coefficient is a DCT of 2D samples, each
+    a D-node Gauss-Legendre sum of products of two basis values of at most
+    D roundings each, then a sum of at most 2D of them in its Legendre
+    rewrite: within the 2 (2D + 128) units of the scale allowed a DCT of
+    128 samples.  Each of the at most 2D coefficients is read at
+    |P_j| <= 1, and sum |c_k c_l| sqrt(G_kk G_ll) <= d sum c_k^2 G_kk
+    (Cauchy-Schwarz), so the chop and this rounding give
     |phihat - exact| <= 2D (1e-14 + 2 (2D + 128) u) S, S = d sum c_k^2 G_kk
     with G_kk = 2 h^(2k+1) / (2k + 1) for polynomials and S = int p^2 =
     phihat(0) for sin(t^2).  The chop level sets the floor.  phihat(0) is
@@ -372,8 +375,10 @@ def _pair_oracle(spec_a: str, spec_b: str) -> list[tuple[Fraction, Fraction]]:
     budget e (:func:`_generator_oracle`) enters as int_0^u w (e_a phihat_b(0)
     + phihat_a(0) e_b).  The value-space Gauss-Legendre sum on sigma2's rule
     (basis values, two matrix-vector products of at most 14 terms, weights
-    and a dot product of at most 13) rounds by at most 8 units of the
-    value in these pairs, and |value| <= S: 16 units of S leave room.
+    and a dot product of at most 13), or on one support the closed form in
+    the Legendre coefficients (three sums of at most 13 products), rounds
+    by at most 8 units of the value in these pairs, and |value| <= S: 16
+    units of S leave room.
     """
     (pa, ea, *_), (pb, eb, *_) = _generator_oracle(spec_a), _generator_oracle(spec_b)
     u = min(2 * Fraction(from_spec_string(s).generator.half_support) for s in (spec_a, spec_b))

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import chebyshev, legendre
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
@@ -306,21 +307,21 @@ def test_odd_moments_are_exact(n, capsys):
 
 
 def _exact_end_piece(tf) -> list:
-    """phihat(s - u) as exact power coefficients in u, from the Chebyshev
+    """phihat(s - u) as exact power coefficients in u, from the Legendre
     coefficients of phihat on [0, s] (there x = 2y/s - 1 = 1 - 2u/s)."""
     x = [Fraction(1), Fraction(-2) / Fraction(tf.support_bound)]
-    prev, cur = [Fraction(1)], x  # T_0, T_1; T_(i+1) = 2x T_i - T_(i-1)
+    prev, cur = [Fraction(1)], x  # P_0, P_1; (i+1) P_(i+1) = (2i+1) x P_i - i P_(i-1)
     piece = [Fraction(0)] * len(tf.phihat_coef)
-    for c in tf.phihat_coef:
+    for i, c in enumerate(tf.phihat_coef):
         for k, a in enumerate(prev):
             piece[k] += Fraction(c) * a
-        doubled = [Fraction(0)] * (len(cur) + 1)
+        step = [Fraction(0)] * (len(cur) + 1)
         for k, a in enumerate(cur):
-            doubled[k] += 2 * x[0] * a
-            doubled[k + 1] += 2 * x[1] * a
+            step[k] += (2 * i + 3) * x[0] * a
+            step[k + 1] += (2 * i + 3) * x[1] * a
         for k, a in enumerate(prev):
-            doubled[k] -= a
-        prev, cur = cur, doubled
+            step[k] -= (i + 1) * a
+        prev, cur = cur, [a / (i + 2) for a in step]
     return piece
 
 
@@ -407,13 +408,14 @@ def test_r_term_convolution_rule_has_no_node_to_spare(specs, monkeypatch):
 
 
 def test_exact_rules_build_no_chebyshev_vandermonde(monkeypatch):
-    # R's interpolants and sigma2's basis values are cosine products, not
-    # numpy's Vandermonde recurrence (which chebinterpolate also runs)
+    # R's interpolants are cosine products and sigma2's basis values a
+    # recurrence on floats, not numpy's Vandermonde recurrence (which
+    # chebinterpolate also runs)
     def refuse(*args):
         raise AssertionError("a Chebyshev Vandermonde matrix was built")
 
-    monkeypatch.setattr(moments.chebyshev, "chebvander", refuse)
-    monkeypatch.setattr(moments.chebyshev, "chebinterpolate", refuse)
+    monkeypatch.setattr(chebyshev, "chebvander", refuse)
+    monkeypatch.setattr(chebyshev, "chebinterpolate", refuse)
     specs, _, _ = HIGH_DEGREE_SLOTS[2]
     tfs = [from_spec_string(spec) for spec in specs]
     assert r_term(tfs) == pytest.approx(float(_exact_r(tfs)), rel=1e-10, abs=0)
@@ -547,8 +549,8 @@ def test_r_term_transforms_a_repeated_function_once(monkeypatch):
     # and the R that one shared object gives, bit for bit; to the memo they
     # are one slot set, so the second call computes nothing
     divisions = []
-    chebdiv = moments.chebyshev.chebdiv
-    monkeypatch.setattr(moments.chebyshev, "chebdiv", lambda *a: divisions.append(a) or chebdiv(*a))
+    legdiv = legendre.legdiv
+    monkeypatch.setattr(legendre, "legdiv", lambda *a: divisions.append(a) or legdiv(*a))
     repeated = r_term([make_naive(1.0 / 3.0)] * 4)
     separate = [make_naive(1.0 / 3.0) for _ in range(4)]
     assert r_term(separate) == repeated

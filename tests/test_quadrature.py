@@ -24,7 +24,7 @@ WORKLOAD_SIZES = [128, 182, 242, 326, 512, 652]
 def _integral(f, a, b, degree):
     """int_a^b f by the rule exact to ``degree``: ``degree // 2 + 1`` nodes
     mapped from [-1, 1], the way every caller in the package maps them."""
-    nodes, weights = legendre_rule(degree // 2 + 1)
+    nodes, weights = map(np.asarray, legendre_rule(degree // 2 + 1))
     half = 0.5 * (b - a)
     return float((f(a + half * (nodes + 1.0)) * weights * half).sum())
 
@@ -118,7 +118,7 @@ def test_rule_is_exact_to_its_degree():
 def test_legendre_rule_exact_at_the_ends(n):
     # ((1 -+ x)/2)^m, m <= 2n - 1, piles its mass onto the end nodes; numpy's
     # leggauss weights miss these integrals by 7.5e-12 at 652 nodes
-    x, w = legendre_rule(n)
+    x, w = map(np.asarray, legendre_rule(n))
     assert np.all(np.diff(x) > 0) and x.size == n
     for m in sorted({0, n, 2 * n - 1}):
         exact = 2.0 / (m + 1)
@@ -128,7 +128,7 @@ def test_legendre_rule_exact_at_the_ends(n):
 
 @pytest.mark.parametrize("n", [*range(1, 81), *WORKLOAD_SIZES, 1000, 2000])
 def test_legendre_rule_matches_reference(n):
-    x, w = legendre_rule(n)
+    x, w = map(np.asarray, legendre_rule(n))
     x_ref, w_ref = _reference_rule(n)
     assert np.max(np.abs(x - x_ref)) <= 4e-16
     # the reference's own end weight at 2000 nodes is 4.1e-11 off a
@@ -147,7 +147,7 @@ def test_legendre_rule_matches_reference(n):
 def test_legendre_rule_is_mirror_symmetric(n):
     # the finite-N moments keep the nodes x > 0 of an even integrand and
     # fold: that needs exact mirrors
-    x, w = legendre_rule(n)
+    x, w = map(np.asarray, legendre_rule(n))
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
     if n % 2:
         assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
@@ -165,10 +165,11 @@ def test_one_recurrence_from_58_nodes(n, monkeypatch):
 def _array_legendre_pair(n, x):
     """The recurrence as one array expression per step, kept as the oracle
     of the float path that builds rules below 58 nodes."""
+    x = np.array(x)
     p_prev, p = np.ones_like(x), x
     for k in range(1, n):
         p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p, p_prev
+    return p.tolist(), p_prev.tolist()
 
 
 def test_float_recurrence_builds_the_array_recurrences_rules(monkeypatch):
@@ -178,7 +179,7 @@ def test_float_recurrence_builds_the_array_recurrences_rules(monkeypatch):
     monkeypatch.setattr(quadrature, "_legendre_pair", _array_legendre_pair)
     for n, (x, w) in rules.items():
         x_ref, w_ref = legendre_rule.__wrapped__(n)  # bypass the cache
-        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref), n
+        assert x == x_ref and w == w_ref, n
 
 
 def test_empty_rules_rejected():
@@ -197,5 +198,7 @@ def test_chebyshev_points_interpolate_as_chebinterpolate(n):
 
     x, dct = quadrature.chebyshev_points(n)
     reference = chebyshev.chebinterpolate(f, n - 1)
-    assert np.abs(dct @ f(x) - reference).max() <= (n + 1) * 1e-15
-    assert not x.flags.writeable and not dct.flags.writeable
+    assert np.abs(np.asarray(dct) @ f(np.asarray(x)) - reference).max() <= (n + 1) * 1e-15
+    # cached and shared, so immutable
+    assert isinstance(x, tuple) and isinstance(dct, tuple)
+    assert all(isinstance(row, tuple) for row in dct)
